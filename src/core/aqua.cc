@@ -110,7 +110,8 @@ void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
     reference.aggregates.emplace_back(AggregateKind::kSum, m);
   }
   reference.aggregates.emplace_back(AggregateKind::kCount, 0);
-  auto exact = ExecuteExact(table, reference, config.execution);
+  auto exact = ExecuteExact(table, reference, config.execution,
+                            snapshot->base_group_index.get());
   if (!exact.ok()) {
     if (config.fleet_histogram) snapshot->histogram_status = exact.status();
     if (config.fleet_wavelet) snapshot->wavelet_status = exact.status();
@@ -383,12 +384,7 @@ Result<std::string> AquaEngine::ExplainPlan(const std::string& sql) const {
 Result<QueryResult> AquaEngine::QueryExact(const std::string& sql) const {
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
-  if (!routed->first->base_available) {
-    return Status::FailedPrecondition(
-        "table '" + routed->first->name +
-        "' was restored from a checkpoint; base relation unavailable");
-  }
-  return ExecuteExact(*routed->first->table, routed->second);
+  return ExecuteExactOnSnapshot(*routed->first, routed->second);
 }
 
 Result<QueryResult> AquaEngine::QueryVia(const std::string& sql,
@@ -507,12 +503,7 @@ Result<ResilientAnswer> AquaEngine::QueryResilientImpl(
     note("exact", resilience::FailpointError("aqua/exact_rebuild"));
     return Status::Internal("all degradation rungs failed: " + causes);
   }
-  if (!snapshot->base_available) {
-    note("exact", Status::FailedPrecondition(
-                      "base relation unavailable after restore"));
-    return Status::Internal("all degradation rungs failed: " + causes);
-  }
-  auto exact = ExecuteExact(*snapshot->table, query);
+  auto exact = ExecuteExactOnSnapshot(*snapshot, query);
   if (!exact.ok()) {
     note("exact", exact.status());
     return Status::Internal("all degradation rungs failed: " + causes);

@@ -3,9 +3,24 @@
 #include <chrono>
 #include <utility>
 
+#include "engine/executor.h"
 #include "obs/metrics.h"
 
 namespace congress {
+
+Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
+                                           const GroupByQuery& query) {
+  if (!snapshot.base_available || snapshot.table == nullptr) {
+    return Status::FailedPrecondition(
+        "table '" + snapshot.name +
+        "' was restored from a checkpoint; base relation unavailable");
+  }
+  const ExecutorOptions options = snapshot.synopsis != nullptr
+                                      ? snapshot.synopsis->config().execution
+                                      : ExecutorOptions{};
+  return ExecuteExact(*snapshot.table, query, options,
+                      snapshot.base_group_index.get());
+}
 
 std::shared_ptr<const AquaSnapshot> CatalogVersion::Find(
     const std::string& name) const {

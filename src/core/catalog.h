@@ -77,6 +77,15 @@ struct AquaSnapshot {
   bool base_available = true;
 };
 
+/// Exact answer of `query` over the snapshot's base relation — the one
+/// entry point for snapshot-side exact scans (AquaEngine::QueryExact,
+/// the resilient exact rung, the planner's exact plan). Runs with the
+/// primary synopsis's execution options and projects base_group_index
+/// when it covers the query's grouping. FailedPrecondition when the base
+/// relation is unavailable (a snapshot restored from a checkpoint).
+Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
+                                           const GroupByQuery& query);
+
 /// An immutable generation of the whole catalog: a name → snapshot map
 /// frozen at one epoch. Readers hold a CatalogVersion (via shared_ptr)
 /// and see a point-in-time view of every registered relation.

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "engine/expression.h"
-#include "util/simd.h"
+#include "engine/kernels.h"
 #include "util/status.h"
 
 namespace congress {
@@ -95,37 +95,44 @@ class Accumulator {
     if (value > max_) max_ = value;
   }
 
-  /// Folds values[0..n) in ascending index order, specialized by kind so
-  /// each aggregate only maintains the state its Finish() reads:
-  /// SUM/AVG keep the strictly serial FP add order (no reassociation —
-  /// bit-identical to calling Add per element), COUNT is O(1), and
-  /// MIN/MAX run the SIMD folds, which reproduce the scalar strict-
-  /// inequality update exactly (NaN never wins; a zero result reruns
-  /// serially to preserve the first-encountered sign). Mixing Add and
-  /// AddBatch on one accumulator is fine: Finish() sees the same value
-  /// either way.
-  void AddBatch(const double* values, size_t n) {
-    switch (kind_) {
+  /// Batch fold for a row-ordered scan over many groups: folds values[i]
+  /// into base[groups[i] * stride] for i in [0, n), in ascending i, and
+  /// maintains only the state Finish() reads for `kind`. Every target
+  /// must be a `kind` accumulator; `values` is unused (and may be null)
+  /// for COUNT. Each target sees its inputs in order through Add's strict
+  /// comparisons (NaN never wins a MIN/MAX, the first-encountered signed
+  /// zero is kept), so Finish() returns the bits a per-value Add loop
+  /// would.
+  static void AddScattered(AggregateKind kind, const double* values,
+                           const uint32_t* groups, size_t n,
+                           Accumulator* base, size_t stride) {
+    switch (kind) {
       case AggregateKind::kSum:
-      case AggregateKind::kAvg: {
-        double s = sum_;
-        for (size_t i = 0; i < n; ++i) s += values[i];
-        sum_ = s;
+      case AggregateKind::kAvg:
+        for (size_t i = 0; i < n; ++i) {
+          Accumulator& acc = base[groups[i] * stride];
+          acc.sum_ += values[i];
+          acc.count_ += 1;
+        }
         break;
-      }
       case AggregateKind::kCount:
-        // Inputs are the constant 1; n ones sum to exactly n (integers
-        // stay exact far beyond any table size).
-        sum_ += static_cast<double>(n);
+        for (size_t i = 0; i < n; ++i) base[groups[i] * stride].count_ += 1;
         break;
       case AggregateKind::kMin:
-        min_ = simd::Active().fold_min(values, n, min_);
+        for (size_t i = 0; i < n; ++i) {
+          Accumulator& acc = base[groups[i] * stride];
+          if (values[i] < acc.min_) acc.min_ = values[i];
+          acc.count_ += 1;
+        }
         break;
       case AggregateKind::kMax:
-        max_ = simd::Active().fold_max(values, n, max_);
+        for (size_t i = 0; i < n; ++i) {
+          Accumulator& acc = base[groups[i] * stride];
+          if (values[i] > acc.max_) acc.max_ = values[i];
+          acc.count_ += 1;
+        }
         break;
     }
-    count_ += static_cast<int64_t>(n);
   }
 
   /// Final aggregate value. AVG of an empty group is 0 by convention

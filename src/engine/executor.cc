@@ -38,114 +38,126 @@ Status ValidateQuery(const Table& table, const GroupByQuery& query) {
   return Status::OK();
 }
 
-/// Rows per worker chunk when fanning an aggregation out over groups.
-uint64_t ChunkTarget(uint64_t total_rows, const ExecutorOptions& options) {
-  uint64_t lanes = static_cast<uint64_t>(options.ResolvedThreads());
-  // 8 chunks per lane keeps skewed groups from serializing a worker.
-  uint64_t target = total_rows / (lanes * 8 + 1) + 1;
-  return std::max<uint64_t>(target, 1024);
-}
-
 }  // namespace
 
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
-                                 const ExecutorOptions& options) {
+                                 const ExecutorOptions& options,
+                                 const GroupIndex* covering) {
   CONGRESS_RETURN_NOT_OK(ValidateQuery(table, query));
+  if (covering != nullptr && covering->num_rows() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "covering index has " + std::to_string(covering->num_rows()) +
+        " rows but the table has " + std::to_string(table.num_rows()));
+  }
   CONGRESS_METRIC_INCR("engine.exact_queries", 1);
   CONGRESS_METRIC_INCR("engine.rows_scanned", table.num_rows());
 
-  // Stage 1: intern every row's composite key into a dense group id. The
-  // intern/merge/remap spans land directly on options.scope.
-  auto index = GroupIndex::Build(table, query.group_columns, options);
-  if (!index.ok()) return index.status();
-  const size_t num_groups = index->num_groups();
+  // Group ids: row r belongs to output group group_of[row_ids[r]], or
+  // row_ids[r] itself without a projection. A covering index (one built
+  // over a superset of the query's grouping columns, e.g. a snapshot's
+  // finest strata) is projected once per query — no per-row hashing.
+  // Otherwise the query's own columns are interned; the intern/merge/remap
+  // spans land directly on options.scope.
+  const bool project =
+      covering != nullptr && covering->Covers(query.group_columns);
+  GroupIndex own;
+  GroupIndex::Projection projection;
+  if (project) {
+    CONGRESS_METRIC_INCR("engine.exact_covering_scans", 1);
+    CONGRESS_SPAN(project_span, options.scope, "project");
+    auto projected = covering->Project(query.group_columns);
+    if (!projected.ok()) return projected.status();
+    projection = std::move(projected).value();
+  } else {
+    auto built = GroupIndex::Build(table, query.group_columns, options);
+    if (!built.ok()) return built.status();
+    own = std::move(built).value();
+  }
+  const uint32_t* row_ids =
+      project ? covering->row_ids().data() : own.row_ids().data();
+  const uint32_t* group_of = project ? projection.group_of.data() : nullptr;
+  const std::vector<GroupKey>& keys = project ? projection.keys : own.keys();
+  const size_t num_groups = keys.size();
   const size_t num_aggs = query.aggregates.size();
-  CONGRESS_SPAN(regroup_span, options.scope, "regroup");
-  const GroupIndex::RowLists lists = index->GroupRows();
-  regroup_span.Stop();
 
-  // Stage 2: aggregate each group over its own rows, in ascending row
-  // order, fanned out across balanced group chunks. Each group's row run
-  // is sliced into L1-sized batches (AdaptiveBatchRows): per batch, one
-  // MatchBatch over the slice of the run (the run itself is the candidate
-  // selection vector), then each aggregate folds its inputs while the
-  // slice is still cache-hot. Slicing changes neither the selected set
-  // nor the fold order — exactly the values, and exactly the order, of
-  // the old per-row loop, so results stay bit-identical for every thread
-  // count and every batch size.
+  // One row-ordered pass: per L1-sized batch, the predicate selects the
+  // survivors, each survivor is mapped to its group, and every aggregate
+  // folds the batch while it is cache-hot. Each group therefore folds its
+  // matching rows in ascending row order — the order of a serial per-row
+  // loop — so results are bit-identical for every batch size, thread
+  // count and id source.
+  //
+  // The pass runs on the calling thread; options.num_threads speeds up
+  // only the id build. Folding costs a few ns per row, and splitting rows
+  // between per-group owners (so each still folds in row order) cost as
+  // much again: on a 4-core x86 host the split pass was slower than this
+  // one at 200k rows for 2-8 threads and at 2M rows for 2 threads, and
+  // only about a fifth faster at 2M rows for 4 threads.
   CONGRESS_SPAN(aggregate_span, options.scope, "aggregate");
-  std::vector<std::vector<Accumulator>> groups(num_groups);
-  const auto chunks =
-      BalancedGroupChunks(lists.offsets, ChunkTarget(table.num_rows(), options));
+  std::vector<Accumulator> accs;
+  accs.reserve(num_groups * num_aggs);
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (const AggregateSpec& spec : query.aggregates) {
+      accs.emplace_back(spec.kind);
+    }
+  }
   const bool tally_on = kernels::kObsEnabled && options.scope != nullptr;
-  // Per batched row: its selection slot, its survivor slot, one input
+  // Per batched row: its selection slot, its group slot, one input
   // buffer slot, and the source column cells behind the gathers.
   const uint32_t batch_rows = kernels::AdaptiveBatchRows(16 + 16 * num_aggs);
-  std::vector<kernels::KernelTally> tallies(chunks.size());
-  ParallelFor(options.ResolvedThreads(), chunks.size(), [&](size_t c) {
-    kernels::KernelTally& tally = tallies[c];
-    SelectionVector selected;
-    std::vector<double> inputs;
-    for (size_t g = chunks[c].first; g < chunks[c].second; ++g) {
-      const uint32_t run_begin = static_cast<uint32_t>(lists.offsets[g]);
-      const uint32_t run_end = static_cast<uint32_t>(lists.offsets[g + 1]);
-      std::vector<Accumulator>& accs = groups[g];
-      for (uint32_t sb = run_begin; sb < run_end; sb += batch_rows) {
-        const uint32_t se = std::min(run_end, sb + batch_rows);
-        const uint32_t* sel = lists.rows.data() + sb;
-        size_t n_sel = se - sb;
-        if (query.predicate != nullptr) {
-          selected.clear();
-          const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
-          query.predicate->MatchBatch(table, sb, se, lists.rows.data(),
-                                      &selected);
-          if (tally_on) tally.match_nanos += kernels::TallyClockNanos() - t0;
-          tally.match_batches += 1;
-          tally.match_rows_in += se - sb;
-          tally.match_rows_selected += selected.size();
-          sel = selected.data();
-          n_sel = selected.size();
-        }
-        if (n_sel == 0) continue;  // No row in this batch matched.
-        if (accs.empty()) {
-          accs.reserve(num_aggs);
-          for (const AggregateSpec& spec : query.aggregates) {
-            accs.emplace_back(spec.kind);
-          }
-        }
-        if (inputs.size() < n_sel) inputs.resize(n_sel);
-        for (size_t a = 0; a < num_aggs; ++a) {
-          if (query.aggregates[a].kind == AggregateKind::kCount) {
-            // COUNT needs no input values at all: the fold is O(1).
-            accs[a].AddBatch(nullptr, n_sel);
-            tally.eval_batches += 1;
-            tally.eval_rows += n_sel;
-            continue;
-          }
-          const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
-          AggregateInputBatch(query.aggregates[a], table, sel, n_sel,
-                              inputs.data());
-          if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
-          tally.eval_batches += 1;
-          tally.eval_rows += n_sel;
-          accs[a].AddBatch(inputs.data(), n_sel);
-        }
-      }
+  kernels::KernelTally tally;
+  SelectionVector rows;
+  std::vector<uint32_t> groups;
+  std::vector<double> inputs;
+  const uint32_t n = static_cast<uint32_t>(table.num_rows());
+  for (uint32_t begin = 0; begin < n; begin += batch_rows) {
+    const uint32_t end = std::min(n, begin + batch_rows);
+    rows.clear();
+    if (query.predicate == nullptr) {
+      for (uint32_t row = begin; row < end; ++row) rows.push_back(row);
+    } else {
+      const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
+      query.predicate->MatchBatch(table, begin, end, nullptr, &rows);
+      if (tally_on) tally.match_nanos += kernels::TallyClockNanos() - t0;
+      tally.match_batches += 1;
+      tally.match_rows_in += end - begin;
+      tally.match_rows_selected += rows.size();
+      if (rows.empty()) continue;
     }
-  });
-  kernels::KernelTally merged;
-  for (const kernels::KernelTally& t : tallies) merged.Merge(t);
-  kernels::RecordKernelTally(merged, aggregate_span.scope());
+    const size_t m = rows.size();
+    groups.resize(m);
+    for (size_t i = 0; i < m; ++i) {
+      const uint32_t id = row_ids[rows[i]];
+      groups[i] = group_of != nullptr ? group_of[id] : id;
+    }
+    if (inputs.size() < m) inputs.resize(m);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const AggregateSpec& spec = query.aggregates[a];
+      const double* values = nullptr;  // COUNT folds no input values.
+      if (spec.kind != AggregateKind::kCount) {
+        const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
+        AggregateInputBatch(spec, table, rows.data(), m, inputs.data());
+        if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
+        values = inputs.data();
+      }
+      tally.eval_batches += 1;
+      tally.eval_rows += m;
+      Accumulator::AddScattered(spec.kind, values, groups.data(), m,
+                                accs.data() + a, num_aggs);
+    }
+  }
+  kernels::RecordKernelTally(tally, aggregate_span.scope());
   aggregate_span.Stop();
 
   CONGRESS_SPAN(finalize_span, options.scope, "finalize");
   QueryResult result;
   for (size_t g = 0; g < num_groups; ++g) {
-    if (groups[g].empty()) continue;  // No row matched the predicate.
+    const Accumulator* group = accs.data() + g * num_aggs;
+    if (group[0].count() == 0) continue;  // No row matched the predicate.
     std::vector<double> finals;
     finals.reserve(num_aggs);
-    for (const Accumulator& acc : groups[g]) finals.push_back(acc.Finish());
-    result.Add(index->keys()[g], std::move(finals));
+    for (size_t a = 0; a < num_aggs; ++a) finals.push_back(group[a].Finish());
+    result.Add(keys[g], std::move(finals));
   }
   result.FilterHaving(query.having);
   result.SortByKey();

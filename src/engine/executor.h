@@ -8,16 +8,25 @@
 
 namespace congress {
 
+class GroupIndex;
+
 /// Executes `query` exactly over `table`. This is the ground-truth oracle
 /// the accuracy experiments compare against, and the building block of
 /// the rewrite strategies' physical plans.
 ///
-/// Two-stage morsel engine: the grouping columns are interned into dense
-/// group ids in one parallel pass (GroupIndex), then each group is
-/// aggregated over its own rows in ascending row order. Results are
-/// bit-identical for every `options.num_threads`.
+/// Group ids come from `covering` when it is a GroupIndex over `table`
+/// whose columns include every query grouping column (a snapshot's
+/// finest-strata index): it is projected onto the query's columns once,
+/// with no per-row hashing. Otherwise the query's own grouping columns
+/// are interned (GroupIndex::Build, parallel over `options.num_threads`).
+/// Then one row-ordered pass filters each batch, maps survivors to their
+/// groups and folds the aggregates, so every group folds its rows in
+/// ascending row order. Results are bit-identical for every thread count
+/// and either id source.
+/// A `covering` index with a different row count is InvalidArgument.
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
-                                 const ExecutorOptions& options = {});
+                                 const ExecutorOptions& options = {},
+                                 const GroupIndex* covering = nullptr);
 
 /// Computes the number of tuples in each group at the grouping
 /// `group_columns` (COUNT(*) group-by without predicate). Used by the

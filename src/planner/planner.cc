@@ -11,6 +11,7 @@
 
 #include "core/degradation.h"
 #include "engine/executor.h"
+#include "engine/predicate.h"
 #include "obs/metrics.h"
 #include "storage/group_index.h"
 
@@ -28,6 +29,45 @@ struct AggregatePlan {
   GroupByQuery inner;                 // No HAVING, expanded aggregates.
   std::vector<size_t> value_slot;     // Per output agg: SUM slot (or count).
   size_t count_slot = 0;              // Shared COUNT(*) slot.
+};
+
+/// Keeps the rows of the indexed base relation whose stratum (their id in
+/// `index`) is flagged in `keep`. Unlike the SQL predicates it reads row
+/// positions, not row contents, so it is only meaningful against the
+/// table `index` was built over.
+class StrataPredicate final : public Predicate {
+ public:
+  StrataPredicate(std::shared_ptr<const GroupIndex> index,
+                  std::vector<uint8_t> keep)
+      : index_(std::move(index)), keep_(std::move(keep)) {}
+
+  bool Matches(const Table&, size_t row) const override {
+    return keep_[index_->row_ids()[row]] != 0;
+  }
+
+  void MatchBatch(const Table&, uint32_t begin, uint32_t end,
+                  const uint32_t* sel_in,
+                  SelectionVector* sel_out) const override {
+    const uint32_t* ids = index_->row_ids().data();
+    kernels::FilterGeneric(begin, end, sel_in, sel_out, [&](uint32_t row) {
+      return keep_[ids[row]] != 0;
+    });
+  }
+
+  std::string ToString(const Schema*) const override {
+    std::string out = "stratum IN (";
+    bool first = true;
+    for (size_t g = 0; g < keep_.size(); ++g) {
+      if (keep_[g] == 0) continue;
+      out += (first ? "" : ", ") + std::to_string(g);
+      first = false;
+    }
+    return out + ")";
+  }
+
+ private:
+  std::shared_ptr<const GroupIndex> index_;
+  std::vector<uint8_t> keep_;
 };
 
 AggregatePlan ExpandAggregates(const GroupByQuery& query) {
@@ -213,9 +253,11 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   const ExecutorOptions& execution = synopsis.config().execution;
   AggregatePlan plan = ExpandAggregates(query);
 
-  // Exact part: gather the base rows of the outlier strata through the
-  // snapshot's group index (built once at publish; rebuilt here only for
-  // hand-assembled snapshots) and aggregate them exactly.
+  // Exact part: one ExecuteExact scan of the base relation, restricted to
+  // the outlier strata by a membership test on the snapshot's row→stratum
+  // index (built once at publish; rebuilt here only for hand-assembled
+  // snapshots), which also serves as the covering index for the scan's
+  // group ids.
   std::shared_ptr<const GroupIndex> index = snapshot.base_group_index;
   if (index == nullptr) {
     auto built = GroupIndex::Build(*snapshot.table,
@@ -223,83 +265,23 @@ Result<ApproximateResult> ExecuteCombinedPlan(
     if (!built.ok()) return built.status();
     index = std::make_shared<const GroupIndex>(std::move(built).value());
   }
-  std::unordered_set<GroupKey, GroupKeyHash> outlier_keys;
-  for (uint32_t s : outlier_strata) outlier_keys.insert(strata[s].key);
-  GroupIndex::RowLists lists = index->GroupRows();
-
-  // When the query has no predicate and its grouping projects out of the
-  // stratum key (the scorer's eligible-combined case), each outlier
-  // stratum aggregates in place over its base rows — no row
-  // materialization, no second grouping pass.
-  const std::vector<size_t>& synopsis_grouping = sample.grouping_columns();
-  std::vector<size_t> key_positions;
-  bool in_place = !query.HasPredicate();
-  for (size_t col : plan.inner.group_columns) {
-    auto it =
-        std::find(synopsis_grouping.begin(), synopsis_grouping.end(), col);
-    if (it == synopsis_grouping.end()) {
-      in_place = false;
-      break;
-    }
-    key_positions.push_back(
-        static_cast<size_t>(it - synopsis_grouping.begin()));
+  std::vector<uint8_t> keep(index->num_groups(), 0);
+  for (uint32_t s : outlier_strata) {
+    auto id = index->IdOf(strata[s].key);
+    if (id.ok()) keep[*id] = 1;
   }
-
-  QueryResult exact_part;
+  GroupByQuery exact_query = plan.inner;
+  PredicatePtr in_outliers =
+      std::make_shared<const StrataPredicate>(index, std::move(keep));
+  exact_query.predicate =
+      plan.inner.predicate == nullptr
+          ? in_outliers
+          : MakeAndPredicate({in_outliers, plan.inner.predicate});
+  auto exact = ExecuteExact(*snapshot.table, exact_query, execution,
+                            index.get());
+  if (!exact.ok()) return exact.status();
+  const QueryResult& exact_part = *exact;
   const size_t slots = plan.inner.aggregates.size();
-  if (in_place) {
-    std::unordered_map<GroupKey, std::vector<Accumulator>, GroupKeyHash> cells;
-    for (size_t g = 0; g < index->num_groups(); ++g) {
-      if (outlier_keys.count(index->keys()[g]) == 0) continue;
-      GroupKey out_key;
-      out_key.reserve(key_positions.size());
-      for (size_t pos : key_positions) out_key.push_back(index->keys()[g][pos]);
-      auto it = cells.find(out_key);
-      if (it == cells.end()) {
-        std::vector<Accumulator> accs;
-        accs.reserve(slots);
-        for (const AggregateSpec& spec : plan.inner.aggregates) {
-          accs.emplace_back(spec.kind);
-        }
-        it = cells.emplace(std::move(out_key), std::move(accs)).first;
-      }
-      for (uint64_t r = lists.offsets[g]; r < lists.offsets[g + 1]; ++r) {
-        const uint32_t row = lists.rows[r];
-        for (size_t a = 0; a < slots; ++a) {
-          it->second[a].Add(
-              AggregateInput(plan.inner.aggregates[a], *snapshot.table, row));
-        }
-      }
-    }
-    for (auto& [key, accs] : cells) {
-      std::vector<double> aggregates(slots);
-      for (size_t a = 0; a < slots; ++a) aggregates[a] = accs[a].Finish();
-      exact_part.Add(key, std::move(aggregates));
-    }
-  } else {
-    std::vector<uint32_t> exact_rows;
-    for (size_t g = 0; g < index->num_groups(); ++g) {
-      if (outlier_keys.count(index->keys()[g]) == 0) continue;
-      exact_rows.insert(exact_rows.end(),
-                        lists.rows.begin() + lists.offsets[g],
-                        lists.rows.begin() + lists.offsets[g + 1]);
-    }
-    std::sort(exact_rows.begin(), exact_rows.end());
-    if (!exact_rows.empty()) {
-      Table outliers(snapshot.table->schema());
-      std::vector<Value> row;
-      for (uint32_t r : exact_rows) {
-        row.clear();
-        for (size_t c = 0; c < snapshot.table->num_columns(); ++c) {
-          row.push_back(snapshot.table->GetValue(r, c));
-        }
-        CONGRESS_RETURN_NOT_OK(outliers.AppendRow(row));
-      }
-      auto exact = ExecuteExact(outliers, plan.inner, execution);
-      if (!exact.ok()) return exact.status();
-      exact_part = std::move(exact).value();
-    }
-  }
 
   // Sampled tail: the outlier strata are excluded from the estimate.
   EstimatorOptions tail_options = synopsis.config().estimator;
@@ -643,12 +625,7 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
       return ExecuteCombinedPlan(snapshot, query, choice.outlier_strata,
                                  confidence);
     case PlanKind::kExact: {
-      if (!snapshot.base_available || snapshot.table == nullptr) {
-        return Status::FailedPrecondition(
-            "base relation unavailable (restored snapshot)");
-      }
-      auto exact = ExecuteExact(*snapshot.table, query,
-                                snapshot.synopsis->config().execution);
+      auto exact = ExecuteExactOnSnapshot(snapshot, query);
       if (!exact.ok()) return exact.status();
       ApproximateResult result = ExactAsApproximate(*exact);
       result.FilterHaving(query.having);

@@ -1,5 +1,6 @@
 #include "storage/group_index.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <string>
@@ -188,6 +189,7 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
   }
 
   GroupIndex index;
+  index.columns_ = group_columns;
   if (n == 0) return index;
 
   if (group_columns.empty()) {
@@ -286,6 +288,43 @@ Result<uint32_t> GroupIndex::IdOf(const GroupKey& key) const {
     return Status::NotFound("group " + GroupKeyToString(key) + " not present");
   }
   return id;
+}
+
+bool GroupIndex::Covers(const std::vector<size_t>& columns) const {
+  for (size_t c : columns) {
+    if (std::find(columns_.begin(), columns_.end(), c) == columns_.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<GroupIndex::Projection> GroupIndex::Project(
+    const std::vector<size_t>& columns) const {
+  std::vector<size_t> positions;
+  positions.reserve(columns.size());
+  for (size_t c : columns) {
+    auto it = std::find(columns_.begin(), columns_.end(), c);
+    if (it == columns_.end()) {
+      return Status::InvalidArgument("column " + std::to_string(c) +
+                                     " is not a grouping column of the index");
+    }
+    positions.push_back(static_cast<size_t>(it - columns_.begin()));
+  }
+  Projection projection;
+  projection.group_of.resize(keys_.size());
+  FlatIdTable dict(keys_.size());
+  GroupKey key;
+  for (size_t g = 0; g < keys_.size(); ++g) {
+    key.clear();
+    for (size_t pos : positions) key.push_back(keys_[g][pos]);
+    auto [id, inserted] = dict.Emplace(
+        GroupKeyHash{}(key), static_cast<uint32_t>(projection.keys.size()),
+        [&](uint32_t cand) { return projection.keys[cand] == key; });
+    if (inserted) projection.keys.push_back(key);
+    projection.group_of[g] = id;
+  }
+  return projection;
 }
 
 GroupIndex::RowLists GroupIndex::GroupRows() const {

@@ -39,6 +39,9 @@ class GroupIndex {
                                   const std::vector<size_t>& group_columns,
                                   const ExecutorOptions& options = {});
 
+  /// The grouping columns the index was built over, in key order.
+  const std::vector<size_t>& columns() const { return columns_; }
+
   size_t num_rows() const { return row_ids_.size(); }
   size_t num_groups() const { return keys_.size(); }
   uint64_t total_rows() const { return row_ids_.size(); }
@@ -56,6 +59,29 @@ class GroupIndex {
   /// Id of `key`, or NotFound.
   Result<uint32_t> IdOf(const GroupKey& key) const;
 
+  /// True when every column in `columns` is one of columns(), so each
+  /// group at `columns` is a union of this index's groups.
+  bool Covers(const std::vector<size_t>& columns) const;
+
+  /// A coarser grouping read off this one: `group_of` maps each of this
+  /// index's ids to its group at the projected columns, and `keys` holds
+  /// the projected keys in `columns` order. A row's projected id is
+  /// group_of[row_ids()[row]] — no per-row hashing.
+  struct Projection {
+    std::vector<uint32_t> group_of;  ///< num_groups() entries.
+    std::vector<GroupKey> keys;      ///< Projected id -> key.
+  };
+
+  /// Projects onto `columns`, which must be covered (InvalidArgument
+  /// otherwise). Interns the projected keys once, walking this index's
+  /// groups in id order. Ids are first-occurrence ordered, so the first
+  /// group to carry a projected key holds that key's first row: projected
+  /// ids and keys (including a -0.0 vs +0.0 representative) equal those
+  /// of a direct Build over `columns` on the same table. The one
+  /// exception is a single string column, whose direct Build numbers
+  /// groups by dictionary code; the keys are the same either way.
+  Result<Projection> Project(const std::vector<size_t>& columns) const;
+
   /// Rows regrouped by id: group g owns rows()[offsets()[g] ..
   /// offsets()[g+1]), each run in ascending row order. This is the layout
   /// the parallel aggregators scan so per-group accumulation visits rows
@@ -67,6 +93,7 @@ class GroupIndex {
   RowLists GroupRows() const;
 
  private:
+  std::vector<size_t> columns_;
   std::vector<GroupKey> keys_;
   std::vector<uint32_t> row_ids_;
   std::vector<uint64_t> counts_;

@@ -141,22 +141,6 @@ void ScalarGatherI64ToF64(const int64_t* data, const uint32_t* rows, size_t n,
   for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(data[rows[i]]);
 }
 
-double ScalarFoldMin(const double* data, size_t n, double init) {
-  double m = init;
-  for (size_t i = 0; i < n; ++i) {
-    if (data[i] < m) m = data[i];
-  }
-  return m;
-}
-
-double ScalarFoldMax(const double* data, size_t n, double init) {
-  double m = init;
-  for (size_t i = 0; i < n; ++i) {
-    if (data[i] > m) m = data[i];
-  }
-  return m;
-}
-
 SlotScan8 ScalarScanSlots8(const uint64_t* hashes, const uint32_t* ids,
                            uint64_t target_hash, uint32_t empty_id) {
   SlotScan8 scan;
@@ -175,7 +159,6 @@ constexpr Ops kScalarOps = {
     ScalarFilterEqI64Dense,    ScalarFilterEqI64Indexed,
     ScalarFilterEqI32Dense,    ScalarFilterEqI32Indexed,
     ScalarGatherF64,           ScalarGatherI64ToF64,
-    ScalarFoldMin,             ScalarFoldMax,
     ScalarScanSlots8,
 };
 

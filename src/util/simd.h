@@ -102,12 +102,6 @@ struct Ops {
   // out[i] = static_cast<double>(data[rows[i]]).
   void (*gather_i64_to_f64)(const int64_t* data, const uint32_t* rows,
                             size_t n, double* out);
-  // Streaming-min/max fold with `init` seeding the accumulator: the exact
-  // result of `for v: if (v < m) m = v` (strict inequality, so NaN never
-  // wins and the first-encountered signed zero is kept — implementations
-  // rerun the serial loop when the answer is a zero to preserve its sign).
-  double (*fold_min)(const double* data, size_t n, double init);
-  double (*fold_max)(const double* data, size_t n, double init);
   // Classifies slots [i, i+8) of a FlatIdTable probe in one step.
   SlotScan8 (*scan_slots8)(const uint64_t* hashes, const uint32_t* ids,
                            uint64_t target_hash, uint32_t empty_id);

@@ -547,55 +547,6 @@ void GatherI64ToF64(const int64_t* data, const uint32_t* rows, size_t n,
   for (; i < n; ++i) out[i] = static_cast<double>(data[rows[i]]);
 }
 
-// --- min/max folds ----------------------------------------------------------
-// Strict-inequality compare+blend reproduces the scalar `if (v < m) m = v`
-// per lane: NaN never wins (ordered compare) and equal values never
-// replace. Lane minima are then reduced with the same strict compare.
-// Only the sign of a zero result can depend on lane order (-0.0 and +0.0
-// compare equal), so a zero answer reruns the serial loop.
-
-double FoldMin(const double* data, size_t n, double init) {
-  if (n < 8) return ScalarOps().fold_min(data, n, init);
-  __m256d m = _mm256_set1_pd(init);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(data + i);
-    m = _mm256_blendv_pd(m, v, _mm256_cmp_pd(v, m, _CMP_LT_OQ));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, m);
-  double r = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    if (lanes[k] < r) r = lanes[k];
-  }
-  for (; i < n; ++i) {
-    if (data[i] < r) r = data[i];
-  }
-  if (r == 0.0) return ScalarOps().fold_min(data, n, init);
-  return r;
-}
-
-double FoldMax(const double* data, size_t n, double init) {
-  if (n < 8) return ScalarOps().fold_max(data, n, init);
-  __m256d m = _mm256_set1_pd(init);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(data + i);
-    m = _mm256_blendv_pd(m, v, _mm256_cmp_pd(v, m, _CMP_GT_OQ));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, m);
-  double r = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    if (lanes[k] > r) r = lanes[k];
-  }
-  for (; i < n; ++i) {
-    if (data[i] > r) r = data[i];
-  }
-  if (r == 0.0) return ScalarOps().fold_max(data, n, init);
-  return r;
-}
-
 // --- FlatIdTable probe scan -------------------------------------------------
 
 SlotScan8 ScanSlots8(const uint64_t* hashes, const uint32_t* ids,
@@ -629,7 +580,6 @@ constexpr Ops kAvx2Ops = {
     FilterEqI64Dense,     FilterEqI64Indexed,
     FilterEqI32Dense,     FilterEqI32Indexed,
     GatherF64,            GatherI64ToF64,
-    FoldMin,              FoldMax,
     ScanSlots8,
 };
 

@@ -139,43 +139,6 @@ void FilterEqI32Indexed(const int32_t* codes, const uint32_t* sel,
   }
 }
 
-double FoldMin(const double* data, size_t n, double init) {
-  if (n < 4) return ScalarOps().fold_min(data, n, init);
-  float64x2_t m = vdupq_n_f64(init);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t v = vld1q_f64(data + i);
-    m = vbslq_f64(vcltq_f64(v, m), v, m);
-  }
-  double r = vgetq_lane_f64(m, 0);
-  const double lane1 = vgetq_lane_f64(m, 1);
-  if (lane1 < r) r = lane1;
-  for (; i < n; ++i) {
-    if (data[i] < r) r = data[i];
-  }
-  // Lane order can flip the sign of a zero result; rerun serially.
-  if (r == 0.0) return ScalarOps().fold_min(data, n, init);
-  return r;
-}
-
-double FoldMax(const double* data, size_t n, double init) {
-  if (n < 4) return ScalarOps().fold_max(data, n, init);
-  float64x2_t m = vdupq_n_f64(init);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t v = vld1q_f64(data + i);
-    m = vbslq_f64(vcgtq_f64(v, m), v, m);
-  }
-  double r = vgetq_lane_f64(m, 0);
-  const double lane1 = vgetq_lane_f64(m, 1);
-  if (lane1 > r) r = lane1;
-  for (; i < n; ++i) {
-    if (data[i] > r) r = data[i];
-  }
-  if (r == 0.0) return ScalarOps().fold_max(data, n, init);
-  return r;
-}
-
 SlotScan8 ScanSlots8(const uint64_t* hashes, const uint32_t* ids,
                      uint64_t target_hash, uint32_t empty_id) {
   const uint64x2_t vtarget = vdupq_n_u64(target_hash);
@@ -207,8 +170,6 @@ const Ops* NeonOps() {
     o.filter_range_f64_indexed = FilterRangeF64Indexed;
     o.filter_eq_i32_dense = FilterEqI32Dense;
     o.filter_eq_i32_indexed = FilterEqI32Indexed;
-    o.fold_min = FoldMin;
-    o.fold_max = FoldMax;
     o.scan_slots8 = ScanSlots8;
     return o;
   }();

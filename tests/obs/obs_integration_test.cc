@@ -1,13 +1,18 @@
 // End-to-end check that the hot paths actually emit telemetry: running
 // the exact engine over a 50k-row lineitem table under an obs::Scope
 // must attribute nonzero time to the intern / merge / aggregate stages
-// and bump the engine counters.
+// (project / aggregate when a covering index supplies the group ids) and
+// bump the engine counters.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
+#include "storage/group_index.h"
 #include "tpcd/lineitem.h"
 #include "tpcd/workload.h"
 
@@ -61,6 +66,63 @@ TEST(ObsIntegrationTest, ExactQueryEmitsStageSpans) {
   EXPECT_TRUE(has("intern"));
   EXPECT_TRUE(has("merge"));
   EXPECT_TRUE(has("aggregate"));
+#endif
+}
+
+TEST(ObsIntegrationTest, CoveringScanEmitsProjectSpan) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  tpcd::LineitemConfig config;
+  config.num_tuples = 50'000;
+  config.num_groups = 200;
+  config.seed = 42;
+  auto data = tpcd::GenerateLineitem(config);
+  ASSERT_TRUE(data.ok());
+  const GroupByQuery query = tpcd::MakeQg3();
+  // An index over the query's grouping columns plus one more covers it.
+  std::vector<size_t> finest = query.group_columns;
+  for (size_t c = 0; c < data->table.num_columns(); ++c) {
+    if (std::find(finest.begin(), finest.end(), c) == finest.end() &&
+        data->table.schema().field(c).type == DataType::kString) {
+      finest.push_back(c);
+      break;
+    }
+  }
+  auto index = GroupIndex::Build(data->table, finest);
+  ASSERT_TRUE(index.ok());
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t covering_before =
+      registry.GetCounter("engine.exact_covering_scans").value();
+  const uint64_t queries_before =
+      registry.GetCounter("engine.exact_queries").value();
+
+  obs::Scope root("query");
+  ExecutorOptions options;
+  options.scope = &root;
+  options.num_threads = 4;
+  auto result = ExecuteExact(data->table, query, options, &*index);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->num_groups(), 0u);
+
+  for (const char* stage : {"project", "aggregate"}) {
+    const obs::Scope* span = root.Find(stage);
+    ASSERT_NE(span, nullptr) << "missing span: " << stage;
+    EXPECT_GT(span->invocations(), 0u) << stage;
+    EXPECT_GT(span->total_nanos(), 0u) << stage;
+  }
+  // The projection replaces interning: no per-row hashing stage ran.
+  EXPECT_EQ(root.Find("intern"), nullptr);
+  EXPECT_EQ(registry.GetCounter("engine.exact_covering_scans").value(),
+            covering_before + 1);
+  EXPECT_EQ(registry.GetCounter("engine.exact_queries").value(),
+            queries_before + 1);
+
+  // The self-built path does not count as a covering scan.
+  ASSERT_TRUE(ExecuteExact(data->table, query).ok());
+  EXPECT_EQ(registry.GetCounter("engine.exact_covering_scans").value(),
+            covering_before + 1);
 #endif
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/random.h"
 #include "util/zipf.h"
 
@@ -165,6 +167,55 @@ TEST(GroupIndexTest, NegativeZeroFoldsIntoPositiveZeroGroup) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->num_groups(), 2u);
   EXPECT_EQ(index->row_ids()[0], index->row_ids()[1]);
+}
+
+TEST(GroupIndexTest, ProjectionMatchesDirectBuild) {
+  // Columns: i (int64), d (double), s (string). The first zero in `d` is
+  // -0.0, so the projected (d) key must keep that sign, as a direct
+  // Build's first-occurrence representative does.
+  Table t{Schema({Field{"i", DataType::kInt64},
+                  Field{"d", DataType::kDouble},
+                  Field{"s", DataType::kString}})};
+  Random rng(7);
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.25};
+  const char* strings[] = {"x", "y", "z"};
+  for (int row = 0; row < 3000; ++row) {
+    const int64_t i = rng.UniformRange(0, 9);
+    const double d = doubles[row == 0 ? 0 : rng.UniformRange(0, 3)];
+    const char* s = strings[rng.UniformRange(0, 2)];
+    ASSERT_TRUE(t.AppendRow({Value(i), Value(d), Value(s)}).ok());
+  }
+  auto fine = GroupIndex::Build(t, {2, 1, 0});
+  ASSERT_TRUE(fine.ok());
+  EXPECT_EQ(fine->columns(), (std::vector<size_t>{2, 1, 0}));
+  for (const std::vector<size_t>& cols : std::vector<std::vector<size_t>>{
+           {}, {0}, {1}, {0, 1}, {1, 0}, {0, 2}, {2, 1, 0}, {0, 1, 2}}) {
+    ASSERT_TRUE(fine->Covers(cols));
+    auto direct = GroupIndex::Build(t, cols);
+    auto projected = fine->Project(cols);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(projected.ok());
+    ASSERT_EQ(projected->keys.size(), direct->num_groups());
+    for (size_t g = 0; g < direct->num_groups(); ++g) {
+      const GroupKey& a = projected->keys[g];
+      const GroupKey& b = direct->keys()[g];
+      ASSERT_EQ(a, b) << "group " << g;
+      for (size_t k = 0; k < a.size(); ++k) {
+        if (a[k].type() == DataType::kDouble) {
+          EXPECT_EQ(std::signbit(a[k].AsDouble()),
+                    std::signbit(b[k].AsDouble()))
+              << "group " << g;
+        }
+      }
+    }
+    for (size_t row = 0; row < t.num_rows(); ++row) {
+      ASSERT_EQ(projected->group_of[fine->row_ids()[row]],
+                direct->row_ids()[row])
+          << "row " << row;
+    }
+  }
+  EXPECT_FALSE(fine->Covers({0, 3}));
+  EXPECT_FALSE(fine->Project({3}).ok());
 }
 
 TEST(GroupIndexTest, BalancedGroupChunksCoverAllGroups) {

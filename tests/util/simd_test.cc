@@ -81,12 +81,6 @@ std::vector<std::vector<uint32_t>> Selections(size_t n) {
   return sels;
 }
 
-uint64_t Bits(double v) {
-  uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
 TEST(SimdParity, FilterCmpF64) {
   const simd::Ops& a = simd::Active();
   const simd::Ops& s = simd::ScalarOps();
@@ -300,39 +294,6 @@ TEST(SimdParity, Gathers) {
     EXPECT_EQ(0, std::memcmp(got.data(), want.data(), n * sizeof(double)))
         << "gather_i64_to_f64 n=" << n;
   }
-}
-
-TEST(SimdParity, FoldMinMax) {
-  const simd::Ops& a = simd::Active();
-  const simd::Ops& s = simd::ScalarOps();
-  const double inits[] = {kInf, -kInf, 0.0, -0.0, 5.0, kNaN};
-  for (size_t n : kSizes) {
-    std::vector<double> data = EdgeDoubles(n);
-    for (double init : inits) {
-      EXPECT_EQ(Bits(a.fold_min(data.data(), n, init)),
-                Bits(s.fold_min(data.data(), n, init)))
-          << "min n=" << n << " init=" << init;
-      EXPECT_EQ(Bits(a.fold_max(data.data(), n, init)),
-                Bits(s.fold_max(data.data(), n, init)))
-          << "max n=" << n << " init=" << init;
-    }
-  }
-  // Signed-zero ordering: the first-encountered zero's sign must win,
-  // exactly as the scalar strict-inequality update keeps it.
-  std::vector<double> nz = {-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0};
-  std::vector<double> pz = {0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0};
-  for (const auto& zs : {nz, pz}) {
-    for (size_t n : {size_t(3), size_t(8), size_t(9)}) {
-      EXPECT_EQ(Bits(a.fold_min(zs.data(), n, kInf)),
-                Bits(s.fold_min(zs.data(), n, kInf)));
-      EXPECT_EQ(Bits(a.fold_max(zs.data(), n, -kInf)),
-                Bits(s.fold_max(zs.data(), n, -kInf)));
-    }
-  }
-  // All-NaN input: init survives untouched.
-  std::vector<double> nans(10, kNaN);
-  EXPECT_EQ(Bits(a.fold_min(nans.data(), nans.size(), 3.0)), Bits(3.0));
-  EXPECT_EQ(Bits(a.fold_max(nans.data(), nans.size(), 3.0)), Bits(3.0));
 }
 
 TEST(SimdParity, ScanSlots8) {
