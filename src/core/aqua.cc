@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "engine/executor.h"
 #include "obs/metrics.h"
-#include "planner/error_model.h"
-#include "resilience/failpoint.h"
 #include "resilience/recovery.h"
 #include "resilience/snapshot_io.h"
 #include "sql/emitter.h"
@@ -19,26 +16,11 @@ namespace congress {
 
 namespace {
 
-/// Widening a derived factor may grow to; past this the fallback's bounds
-/// say "don't trust this rung", which the resilient caller can read from
-/// DegradationReason directly.
-constexpr double kMaxDerivedWidening = 8.0;
-
-ApproximateResult WidenBounds(const ApproximateResult& in, double factor) {
-  ApproximateResult out;
-  for (ApproximateGroupRow row : in.rows()) {
-    for (double& e : row.std_errors) e *= factor;
-    for (double& b : row.bounds) b *= factor;
-    out.Add(std::move(row));
-  }
-  return out;
-}
-
-/// Builds one degradation-ladder fallback synopsis from the working
-/// table: the primary's config with the strategy swapped and incremental
-/// maintenance off (fallbacks are frozen, like everything else in a
-/// snapshot). Failure is recorded in the snapshot, not fatal — the
-/// resilient walk reports it as the rung's cause.
+/// Builds one fallback synopsis from the working table: the primary's
+/// config with the strategy swapped and incremental maintenance off
+/// (fallbacks are frozen, like everything else in a snapshot). Failure is
+/// recorded in the snapshot, not fatal — the planner's failure walk
+/// reports it as the rung's cause.
 void BuildFallback(const Table& table, const SynopsisConfig& primary,
                    AllocationStrategy strategy,
                    std::shared_ptr<const AquaSynopsis>* slot,
@@ -56,42 +38,15 @@ void BuildFallback(const Table& table, const SynopsisConfig& primary,
   *slot_status = Status::OK();
 }
 
-/// A fallback rung's plan: predicted relative error (orders the rungs)
-/// and the bound widening derived from the fallback-to-primary ratio of
-/// predicted estimator variance. Replaces the old fixed 1.25x/1.5x
-/// haircuts, which over-widened a fallback whose allocation happened to
-/// match the query and under-widened one that collapsed a needed
-/// stratum. 1.0 / +inf when the model cannot score the rung.
-struct RungPlan {
-  double predicted_error = std::numeric_limits<double>::infinity();
-  double widening = 1.0;
-};
-
-RungPlan PlanRung(const AquaSnapshot& snapshot, const AquaSynopsis* fallback,
-                  const GroupByQuery& query) {
-  RungPlan plan;
-  if (fallback == nullptr) return plan;
-  const double confidence = snapshot.synopsis->config().estimator.confidence;
-  auto fb = planner::PredictSampleError(*fallback, query, confidence);
-  if (!fb.ok()) return plan;
-  plan.predicted_error = fb->max_relative_bound;
-  auto primary =
-      planner::PredictSampleError(*snapshot.synopsis, query, confidence);
-  if (primary.ok() && primary->mean_variance > 0.0 && fb->mean_variance > 0.0) {
-    plan.widening = std::clamp(std::sqrt(fb->mean_variance /
-                                         primary->mean_variance),
-                               1.0, kMaxDerivedWidening);
-  }
-  return plan;
-}
-
 /// Builds the optional histogram/wavelet fleet members over the base
 /// table at the synopsis grouping, then measures each one's residual —
 /// the mean over finest groups and measures of |summary - exact| /
 /// max(|exact|, 1) — against one exact reference answer. The residual is
 /// the planner's accuracy score for summaries, which carry no
-/// probabilistic error model.
+/// probabilistic error model. Neither member is built by default, and
+/// then the reference scan is skipped too.
 void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
+  if (!config.fleet_histogram && !config.fleet_wavelet) return;
   const std::vector<size_t>& grouping =
       snapshot->synopsis->grouping_column_indices();
   const Table& table = *snapshot->table;
@@ -207,40 +162,26 @@ Status AquaEngine::PublishLocked(const std::string& name,
   }
 
   snapshot->table = std::make_shared<const Table>(state->working_table);
-  snapshot->base_available = !state->restored;
 
-  // Degradation-ladder fallbacks are part of the snapshot, so the
-  // resilient read path never builds (or caches) anything. The same goes
-  // for the planner's inputs: the row→stratum index combined plans pull
-  // outlier rows through, and the optional histogram/wavelet fleet.
-  if (state->restored) {
-    const Status unavailable = Status::FailedPrecondition(
-        "fallback unavailable: snapshot restored without base relation");
-    snapshot->fallback_basic_status = unavailable;
-    snapshot->fallback_house_status = unavailable;
-    const Status fleet_unavailable = Status::FailedPrecondition(
-        "fleet synopsis unavailable: snapshot restored without base "
-        "relation");
-    snapshot->histogram_status = fleet_unavailable;
-    snapshot->wavelet_status = fleet_unavailable;
-  } else {
-    auto index = GroupIndex::Build(
-        *snapshot->table, snapshot->synopsis->grouping_column_indices(),
-        state->config.execution);
-    if (index.ok()) {
-      snapshot->base_group_index =
-          std::make_shared<const GroupIndex>(std::move(index).value());
-    }
-    BuildFleet(snapshot.get(), state->config);
-    const SynopsisConfig& primary = snapshot->synopsis->config();
-    BuildFallback(state->working_table, primary,
-                  AllocationStrategy::kBasicCongress,
-                  &snapshot->fallback_basic,
-                  &snapshot->fallback_basic_status);
-    BuildFallback(state->working_table, primary, AllocationStrategy::kHouse,
-                  &snapshot->fallback_house,
-                  &snapshot->fallback_house_status);
+  // The whole fleet is part of the snapshot, so the read path never builds
+  // (or caches) anything: the fallbacks, the row→stratum index combined
+  // plans pull outlier rows through, and the optional histogram/wavelet.
+  // (Restored relations never publish through here: RestoreTable marks
+  // their fleet unavailable, and Refresh has no ingest to drain for them.)
+  auto index = GroupIndex::Build(*snapshot->table,
+                                 snapshot->synopsis->grouping_column_indices(),
+                                 state->config.execution);
+  if (index.ok()) {
+    snapshot->base_group_index =
+        std::make_shared<const GroupIndex>(std::move(index).value());
   }
+  BuildFleet(snapshot.get(), state->config);
+  const SynopsisConfig& primary = snapshot->synopsis->config();
+  BuildFallback(state->working_table, primary,
+                AllocationStrategy::kBasicCongress, &snapshot->fallback_basic,
+                &snapshot->fallback_basic_status);
+  BuildFallback(state->working_table, primary, AllocationStrategy::kHouse,
+                &snapshot->fallback_house, &snapshot->fallback_house_status);
 
   return catalog_.Publish(std::move(snapshot));
 }
@@ -356,8 +297,7 @@ Result<ApproximateResult> AquaEngine::Query(const std::string& sql) const {
   // the primary synopsis directly (and bit-identically to builds that
   // predate the planner).
   if (routed->second.budget.active()) {
-    planner::Planner planner;
-    auto planned = planner.Run(*routed->first, routed->second);
+    auto planned = planner_.Run(*routed->first, routed->second);
     if (!planned.ok()) return planned.status();
     return std::move(planned->result);
   }
@@ -368,15 +308,13 @@ Result<planner::PlannedAnswer> AquaEngine::QueryPlanned(
     const std::string& sql) const {
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
-  planner::Planner planner;
-  return planner.Run(*routed->first, routed->second);
+  return planner_.Run(*routed->first, routed->second);
 }
 
 Result<std::string> AquaEngine::ExplainPlan(const std::string& sql) const {
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
-  planner::Planner planner;
-  auto report = planner.Plan(*routed->first, routed->second);
+  auto report = planner_.Plan(*routed->first, routed->second);
   if (!report.ok()) return report.status();
   return report->ToString();
 }
@@ -396,140 +334,54 @@ Result<QueryResult> AquaEngine::QueryVia(const std::string& sql,
 
 Result<ResilientAnswer> AquaEngine::QueryResilient(
     const std::string& sql) const {
-  return QueryResilientImpl(sql, std::nullopt);
+  return QueryResilient(sql, std::chrono::steady_clock::time_point::max());
 }
 
 Result<ResilientAnswer> AquaEngine::QueryResilient(
     const std::string& sql,
     std::chrono::steady_clock::time_point deadline) const {
-  return QueryResilientImpl(sql, deadline);
-}
-
-Result<ResilientAnswer> AquaEngine::QueryResilientImpl(
-    const std::string& sql,
-    std::optional<std::chrono::steady_clock::time_point> deadline) const {
   // Parse/bind errors are the caller's bug, not a synopsis failure — no
-  // ladder for those.
+  // failure walk for those.
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
-  const std::shared_ptr<const AquaSnapshot>& snapshot = routed->first;
-  const GroupByQuery& query = routed->second;
+  // A budget clause is ignored here, so the planner starts at the primary
+  // synopsis and only a failure moves it.
+  GroupByQuery& query = routed->second;
+  query.budget = QueryBudget{};
+  auto planned = planner_.Run(*routed->first, query, deadline);
+  if (!planned.ok()) return planned.status();
 
   ResilientAnswer answer;
-  answer.epoch = snapshot->epoch;
-  std::string causes;
-  auto note = [&causes](const char* rung, const Status& st) {
-    if (!causes.empty()) causes += "; ";
-    causes += std::string(rung) + ": " + st.ToString();
-  };
-  auto expired = [&deadline]() {
-    return deadline.has_value() &&
-           std::chrono::steady_clock::now() >= *deadline;
-  };
-
-  // Rung 0: the configured synopsis.
-  if (CONGRESS_FAILPOINT_HIT("aqua/primary_answer")) {
-    note("primary", resilience::FailpointError("aqua/primary_answer"));
-  } else {
-    auto primary = snapshot->synopsis->Answer(query);
-    if (primary.ok()) {
-      answer.result = std::move(primary).value();
-      return answer;
-    }
-    note("primary", primary.status());
+  answer.result = std::move(planned->result);
+  answer.epoch = routed->first->epoch;
+  switch (planned->report.chosen.kind) {
+    case planner::PlanKind::kFallbackBasic:
+      answer.degradation.level = DegradationLevel::kBasicCongress;
+      break;
+    case planner::PlanKind::kFallbackHouse:
+      answer.degradation.level = DegradationLevel::kHouse;
+      break;
+    case planner::PlanKind::kExact:
+      answer.degradation.level = DegradationLevel::kExactRebuild;
+      break;
+    default:  // The primary; failure never enters the other plans.
+      break;
   }
-
-  // Rungs 1-2: the progressively simpler synopses pre-built into the
-  // snapshot at publication time. The walk is re-planned per query: each
-  // fallback is scored by the closed-form error model and tried in order
-  // of predicted relative error (ties keep the ladder order), and its
-  // bound widening is derived from its predicted-variance ratio to the
-  // primary rather than a fixed haircut.
-  struct Rung {
-    const std::shared_ptr<const AquaSynopsis>* fallback;
-    const Status* build_status;
-    const char* name;
-    const char* site;
-    DegradationLevel level;
-    RungPlan plan;
-  };
-  Rung rungs[] = {
-      {&snapshot->fallback_basic, &snapshot->fallback_basic_status,
-       "basic_congress", "aqua/fallback_basic",
-       DegradationLevel::kBasicCongress,
-       PlanRung(*snapshot, snapshot->fallback_basic.get(), query)},
-      {&snapshot->fallback_house, &snapshot->fallback_house_status, "house",
-       "aqua/fallback_house", DegradationLevel::kHouse,
-       PlanRung(*snapshot, snapshot->fallback_house.get(), query)},
-  };
-  std::stable_sort(std::begin(rungs), std::end(rungs),
-                   [](const Rung& a, const Rung& b) {
-                     return a.plan.predicted_error < b.plan.predicted_error;
-                   });
-  for (const Rung& rung : rungs) {
-    if (expired()) {
-      return Status::DeadlineExceeded(
-          "resilient query deadline expired before " +
-          std::string(rung.name) + " rung; " + causes);
-    }
-    if (CONGRESS_FAILPOINT_HIT(rung.site)) {
-      note(rung.name, resilience::FailpointError(rung.site));
-      continue;
-    }
-    if (*rung.fallback == nullptr) {
-      note(rung.name, *rung.build_status);
-      continue;
-    }
-    auto result = (*rung.fallback)->Answer(query);
-    if (!result.ok()) {
-      note(rung.name, result.status());
-      continue;
-    }
-    answer.result = WidenBounds(*result, rung.plan.widening);
-    answer.degradation.level = rung.level;
-    answer.degradation.bound_widening = rung.plan.widening;
-    answer.degradation.cause = causes;
-    CONGRESS_METRIC_INCR("resilience.degraded_answers", 1);
-    return answer;
-  }
-
-  // Last rung: exact scan of the snapshot's base relation — slow but
-  // always right.
-  if (expired()) {
-    return Status::DeadlineExceeded(
-        "resilient query deadline expired before exact rung; " + causes);
-  }
-  if (CONGRESS_FAILPOINT_HIT("aqua/exact_rebuild")) {
-    note("exact", resilience::FailpointError("aqua/exact_rebuild"));
-    return Status::Internal("all degradation rungs failed: " + causes);
-  }
-  auto exact = ExecuteExactOnSnapshot(*snapshot, query);
-  if (!exact.ok()) {
-    note("exact", exact.status());
-    return Status::Internal("all degradation rungs failed: " + causes);
-  }
-  answer.result = ExactAsApproximate(*exact);
-  answer.degradation.level = DegradationLevel::kExactRebuild;
-  answer.degradation.bound_widening = 1.0;
-  answer.degradation.cause = causes;
-  CONGRESS_METRIC_INCR("resilience.degraded_answers", 1);
-  CONGRESS_METRIC_INCR("resilience.exact_rebuilds", 1);
+  answer.degradation.cause = std::move(planned->report.failures);
+  answer.degradation.bound_widening = planned->report.bound_widening;
   return answer;
 }
 
 Result<std::string> AquaEngine::ExplainRewrite(const std::string& sql,
                                                RewriteStrategy strategy) const {
-  auto statement = sql::ParseSelect(sql);
-  if (!statement.ok()) return statement.status();
-  auto snapshot = Pin(statement->table);
-  if (!snapshot.ok()) return snapshot.status();
-  auto query = sql::Bind(*statement, (*snapshot)->table->schema());
-  if (!query.ok()) return query.status();
+  auto routed = Route(sql);
+  if (!routed.ok()) return routed.status();
+  const AquaSnapshot& snapshot = *routed->first;
   sql::EmitOptions options;
-  options.sample_table = "bs_" + statement->table;
-  options.aux_table = "aux_" + statement->table;
+  options.sample_table = "bs_" + snapshot.name;
+  options.aux_table = "aux_" + snapshot.name;
   options.with_error_bounds = true;
-  return sql::EmitRewritten(*query, (*snapshot)->table->schema(), strategy,
+  return sql::EmitRewritten(routed->second, snapshot.table->schema(), strategy,
                             options);
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,7 +45,7 @@ class AquaEngine {
   AquaEngine() = default;
 
   /// Registers `table` under `name` (ownership transfers), builds its
-  /// synopsis and degradation-ladder fallbacks per `config`, and
+  /// synopsis and fallback fleet per `config`, and
   /// publishes the first snapshot. Fails if the name is taken or the
   /// build fails; nothing is retained on failure.
   Status RegisterTable(const std::string& name, Table table,
@@ -88,30 +87,19 @@ class AquaEngine {
                                RewriteStrategy strategy) const;
 
   /// Like Query(), but never gives up just because the primary synopsis
-  /// cannot answer: walks the degradation ladder from the configured
-  /// synopsis through the pre-built fallbacks to an exact scan of the
-  /// snapshot's base relation. The fallback rungs are re-planned per
-  /// query — ordered by the error model's predicted relative error
-  /// rather than a hard-coded BasicCongress → House sequence — and each
-  /// rung's bound widening is derived from the ratio of its predicted
-  /// estimator variance to the primary's (clamped to [1, 8]) instead of
-  /// a fixed haircut. All fallback synopses are built eagerly at
-  /// snapshot publication, so the walk is const and touches no shared
-  /// mutable state; the exact rung reports zero-width bounds.
-  /// The returned DegradationReason says which rung answered and why the
-  /// rungs above it failed; ResilientAnswer::epoch names the snapshot
-  /// generation that served it. `resilience.degraded_answers` counts
-  /// non-primary answers. Fails only when every rung fails, or the SQL
-  /// itself does not parse/bind.
-  ///
-  /// Failpoint sites, one per rung: "aqua/primary_answer",
-  /// "aqua/fallback_basic", "aqua/fallback_house", "aqua/exact_rebuild".
+  /// cannot answer: any budget clause is dropped and Planner::Run starts
+  /// at the primary, a failure moving it along the failure walk
+  /// (planner.h) through the widened fallbacks to an exact scan. The
+  /// DegradationReason projects the plan report: the rung that answered,
+  /// why the rungs tried before it failed, and the bound widening.
+  /// ResilientAnswer::epoch names the snapshot generation that served it.
+  /// Fails only when every rung fails, or the SQL does not parse/bind.
   Result<ResilientAnswer> QueryResilient(const std::string& sql) const;
 
-  /// Deadline-aware variant for the serving loop: rungs are only
-  /// attempted while `deadline` has not passed, so a query that keeps
-  /// failing downward stops burning time once its budget is gone and
-  /// returns DeadlineExceeded naming the rungs it did try.
+  /// Deadline-aware variant for the serving loop: every attempt after the
+  /// first checks `deadline`, so a query that keeps failing downward stops
+  /// burning time once its budget is gone and returns DeadlineExceeded
+  /// naming the rungs it did try.
   Result<ResilientAnswer> QueryResilient(
       const std::string& sql,
       std::chrono::steady_clock::time_point deadline) const;
@@ -200,9 +188,6 @@ class AquaEngine {
   /// Builds the next snapshot from `state` and publishes it. Caller
   /// holds writer_mu_.
   Status PublishLocked(const std::string& name, MaintenanceState* state);
-  Result<ResilientAnswer> QueryResilientImpl(
-      const std::string& sql,
-      std::optional<std::chrono::steady_clock::time_point> deadline) const;
 
   /// Serializes structural writers (Register/Drop/Refresh/Restore)
   /// against each other; never held on a read path and never on the
@@ -214,6 +199,8 @@ class AquaEngine {
   mutable std::mutex states_mu_;
   std::unordered_map<std::string, MaintenanceState> states_;
   Catalog catalog_;
+  /// The one fleet selector every read path that chooses a plan shares.
+  const planner::Planner planner_;
 };
 
 }  // namespace congress

@@ -20,7 +20,7 @@ namespace congress {
 
 /// One immutable, published view of a registered relation: the retained
 /// base table, the frozen synopsis that answers for it, and the
-/// pre-built degradation-ladder fallbacks. Nothing in an AquaSnapshot is
+/// pre-built fallback synopses. Nothing in an AquaSnapshot is
 /// ever mutated after publication — maintenance builds the *next*
 /// snapshot off to the side and swaps it in — so any number of reader
 /// threads can answer queries from one snapshot without coordination,
@@ -43,10 +43,10 @@ struct AquaSnapshot {
   /// The primary synopsis. Always non-null for a published snapshot.
   std::shared_ptr<const AquaSynopsis> synopsis;
 
-  /// Degradation-ladder synopses, built eagerly at snapshot construction
-  /// so the resilient read path never mutates shared state. Null when
-  /// the build failed; the Status then records why, so QueryResilient
-  /// can report the rung's failure cause.
+  /// Fallback synopses the planner's failure walk can move to, built
+  /// eagerly at snapshot construction so no read path mutates shared
+  /// state. Null when the build failed; the Status then records why, and
+  /// the walk reports it as the rung's failure cause.
   std::shared_ptr<const AquaSynopsis> fallback_basic;
   std::shared_ptr<const AquaSynopsis> fallback_house;
   Status fallback_basic_status;

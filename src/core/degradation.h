@@ -7,13 +7,12 @@
 
 namespace congress {
 
-/// How far down the answer ladder a resilient query had to walk when its
-/// primary synopsis could not answer. Each rung trades group-level
-/// accuracy guarantees for availability:
+/// Which rung of the planner's failure walk (planner::Planner) answered a
+/// resilient query whose primary synopsis could not. Each rung trades
+/// group-level accuracy guarantees for availability:
 ///   kNone          — the configured synopsis answered; nothing degraded.
-///   kBasicCongress — answered from a BasicCongress synopsis rebuilt from
-///                    the retained base relation (weaker sub-grouping
-///                    guarantees than full Congress).
+///   kBasicCongress — answered from the snapshot's BasicCongress fallback
+///                    (weaker sub-grouping guarantees than full Congress).
 ///   kHouse         — answered from a uniform House sample (small groups
 ///                    may be badly estimated or missing entirely).
 ///   kExactRebuild  — all sampling rungs failed; the answer is an exact
@@ -27,13 +26,14 @@ enum class DegradationLevel {
 
 const char* DegradationLevelToString(DegradationLevel level);
 
-/// Machine-readable account of a degraded answer: which rung served it,
-/// why every rung above failed, and the factor by which the reported
-/// error bounds were widened to reflect the weaker strategy.
+/// Machine-readable account of a degraded answer — the projection of a
+/// planner::PlanReport: which rung served it, why every rung tried before
+/// it failed, and the factor by which the reported error bounds were
+/// widened to reflect the weaker strategy.
 struct DegradationReason {
   DegradationLevel level = DegradationLevel::kNone;
-  /// "rung: Status; rung: Status; ..." for each rung that failed, in
-  /// ladder order. Empty when level == kNone.
+  /// "rung: Status; rung: Status; ..." for each rung that failed, in the
+  /// order tried. Empty when level == kNone.
   std::string cause;
   /// Multiplier applied to every std_error and bound in the answer
   /// (1.0 for kNone; exact answers carry zero-width bounds).
@@ -45,7 +45,7 @@ struct DegradationReason {
 
 /// An exact answer wearing the approximate-answer interface: the point
 /// estimates are the truth and every bound is zero-width. Used by the
-/// ladder's exact rung and the serving front-end's exact mode.
+/// planner's exact plan and the serving front-end's exact mode.
 ApproximateResult ExactAsApproximate(const QueryResult& exact);
 
 /// An approximate answer plus the story of how it was produced.

@@ -26,8 +26,8 @@ struct ErrorPrediction {
   /// Mean over (group, aggregate) of the predicted relative half-width.
   double mean_relative_bound = 0.0;
   /// Mean over (group, aggregate) of the predicted estimator variance.
-  /// The degradation ladder derives its bound widening from the ratio of
-  /// fallback to primary model variance.
+  /// The planner widens the bounds of a fallback reached by failure by
+  /// the square root of its ratio to the primary's (CandidateScore).
   double mean_variance = 0.0;
   /// Output groups the model predicts (strata projected to the query's
   /// grouping when it refines the synopsis grouping, one global group

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "engine/executor.h"
 #include "engine/predicate.h"
 #include "obs/metrics.h"
+#include "resilience/failpoint.h"
 #include "storage/group_index.h"
 
 namespace congress::planner {
@@ -20,6 +22,33 @@ namespace congress::planner {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Cap on the bound widening of a fallback reached by failure.
+constexpr double kMaxFailoverWidening = 8.0;
+
+/// A plan's rung name (DegradationLevel's vocabulary) for failure causes,
+/// and its failpoint site; plans the failure walk never enters have none.
+struct Rung {
+  const char* name;
+  const char* failpoint;
+};
+
+Rung RungOf(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kPrimarySynopsis:
+      return {"primary", "aqua/primary_answer"};
+    case PlanKind::kFallbackBasic:
+      return {"basic_congress", "aqua/fallback_basic"};
+    case PlanKind::kFallbackHouse:
+      return {"house", "aqua/fallback_house"};
+    case PlanKind::kExact:
+      return {"exact", "aqua/exact_rebuild"};
+    default:
+      return {PlanKindToString(kind), nullptr};
+  }
+}
+
+uint32_t Bit(PlanKind kind) { return 1u << static_cast<uint32_t>(kind); }
 
 /// Internal aggregate expansion for combined plans: every output
 /// aggregate maps to slots in an internal SUM/COUNT-only list so the
@@ -170,6 +199,52 @@ const CandidateScore* FindCandidate(const std::vector<CandidateScore>& cs,
   return nullptr;
 }
 
+/// The plan a failed attempt moves to: the first member of the failure
+/// walk — primary, the fallbacks by predicted error (a stable order, so
+/// ties and unscored fallbacks keep PlanKind order), exact — not yet
+/// attempted. Nullopt when the walk is spent.
+std::optional<PlanKind> NextAfterFailure(const std::vector<CandidateScore>& cs,
+                                         uint32_t attempted) {
+  PlanKind walk[] = {PlanKind::kPrimarySynopsis, PlanKind::kFallbackBasic,
+                     PlanKind::kFallbackHouse, PlanKind::kExact};
+  auto predicted = [&cs](PlanKind kind) {
+    const CandidateScore* c = FindCandidate(cs, kind);
+    return c != nullptr ? c->predicted_relative_error : kInf;
+  };
+  if (predicted(walk[2]) < predicted(walk[1])) std::swap(walk[1], walk[2]);
+  for (PlanKind kind : walk) {
+    if ((attempted & Bit(kind)) == 0) return kind;
+  }
+  return std::nullopt;
+}
+
+/// Bound widening for a fallback reached by failure: the square root of
+/// its predicted-variance ratio to the primary, clamped to [1, 8]; 1 for
+/// any other plan or when either variance is unknown.
+double FailoverWidening(const std::vector<CandidateScore>& cs, PlanKind kind) {
+  if (kind != PlanKind::kFallbackBasic && kind != PlanKind::kFallbackHouse) {
+    return 1.0;
+  }
+  const CandidateScore* primary = FindCandidate(cs, PlanKind::kPrimarySynopsis);
+  const CandidateScore* fallback = FindCandidate(cs, kind);
+  if (primary == nullptr || fallback == nullptr ||
+      primary->mean_variance <= 0.0 || fallback->mean_variance <= 0.0) {
+    return 1.0;
+  }
+  return std::clamp(std::sqrt(fallback->mean_variance / primary->mean_variance),
+                    1.0, kMaxFailoverWidening);
+}
+
+ApproximateResult WidenBounds(const ApproximateResult& in, double factor) {
+  ApproximateResult out;
+  for (ApproximateGroupRow row : in.rows()) {
+    for (double& e : row.std_errors) e *= factor;
+    for (double& b : row.bounds) b *= factor;
+    out.Add(std::move(row));
+  }
+  return out;
+}
+
 }  // namespace
 
 const char* PlanKindToString(PlanKind kind) {
@@ -217,6 +292,10 @@ std::string PlanReport::ToString() const {
     oss << "\n";
   }
   if (escalations > 0) oss << "escalations: " << escalations << "\n";
+  if (!failures.empty()) {
+    oss << "failed over (bounds x" << bound_widening << "): " << failures
+        << "\n";
+  }
   oss << "candidates:\n";
   for (const CandidateScore& c : candidates) {
     oss << "  " << PlanKindToString(c.kind) << ": ";
@@ -398,6 +477,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     }
     c.eligible = true;
     c.predicted_relative_error = prediction->max_relative_bound;
+    c.mean_variance = prediction->mean_variance;
     c.predicted_cost_ms = static_cast<double>(synopsis->sample().num_rows()) *
                           options_.ms_per_sample_row;
     c.detail = prediction->exact_model ? "moment model"
@@ -582,6 +662,16 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
 Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
                                            const GroupByQuery& query,
                                            const PlanChoice& choice) const {
+  if (const char* site = RungOf(choice.kind).failpoint;
+      site != nullptr && CONGRESS_FAILPOINT_HIT(site)) {
+    return resilience::FailpointError(site);
+  }
+  // A fallback that failed to build reports why, as its rung's cause.
+  auto missing = [](const Status& build_status, const char* what) {
+    return build_status.ok()
+               ? Status::FailedPrecondition(std::string(what) + " not built")
+               : build_status;
+  };
   const double confidence =
       query.budget.has_error_budget() ? query.budget.confidence : 0.0;
   auto sample_answer = [&](const AquaSynopsis& synopsis)
@@ -597,12 +687,12 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
       return sample_answer(*snapshot.synopsis);
     case PlanKind::kFallbackBasic:
       if (snapshot.fallback_basic == nullptr) {
-        return Status::FailedPrecondition("fallback-basic not built");
+        return missing(snapshot.fallback_basic_status, "fallback-basic");
       }
       return sample_answer(*snapshot.fallback_basic);
     case PlanKind::kFallbackHouse:
       if (snapshot.fallback_house == nullptr) {
-        return Status::FailedPrecondition("fallback-house not built");
+        return missing(snapshot.fallback_house_status, "fallback-house");
       }
       return sample_answer(*snapshot.fallback_house);
     case PlanKind::kHistogram: {
@@ -625,72 +715,115 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
       return ExecuteCombinedPlan(snapshot, query, choice.outlier_strata,
                                  confidence);
     case PlanKind::kExact: {
+      // ExecuteExact has already applied HAVING and sorted by key.
       auto exact = ExecuteExactOnSnapshot(snapshot, query);
       if (!exact.ok()) return exact.status();
-      ApproximateResult result = ExactAsApproximate(*exact);
-      result.FilterHaving(query.having);
-      result.SortByKey();
-      return result;
+      return ExactAsApproximate(*exact);
     }
   }
   return Status::Internal("unknown plan kind");
 }
 
-Result<PlannedAnswer> Planner::Run(const AquaSnapshot& snapshot,
-                                   const GroupByQuery& query) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto planned = Plan(snapshot, query);
-  if (!planned.ok()) return planned.status();
+Result<PlannedAnswer> Planner::Run(
+    const AquaSnapshot& snapshot, const GroupByQuery& query,
+    std::chrono::steady_clock::time_point deadline) const {
+  auto plan = [&]() -> Result<PlanReport> {
+    const auto t0 = std::chrono::steady_clock::now();
+    auto planned = Plan(snapshot, query);
+    if (!planned.ok()) return planned.status();
+    CONGRESS_METRIC_INCR("planner.plans", 1);
+    CONGRESS_METRIC_RECORD_NANOS(
+        "planner.plan_nanos",
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+    return planned;
+  };
   PlannedAnswer answer;
-  answer.report = std::move(planned).value();
-  CONGRESS_METRIC_INCR("planner.plans", 1);
-  CONGRESS_METRIC_RECORD_NANOS(
-      "planner.plan_nanos",
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+  PlanReport& report = answer.report;
+  if (query.budget.active()) {
+    auto planned = plan();
+    if (!planned.ok()) return planned.status();
+    report = std::move(planned).value();
+  } else if (snapshot.synopsis == nullptr) {
+    return Status::InvalidArgument("snapshot has no synopsis");
+  }
+  // A budget-free query starts at the primary (PlanChoice's default)
+  // unscored: only the failure walk needs the scores.
 
   // Execute, then verify the promise against the realized bounds and
-  // escalate toward the exact endpoint while it is broken. The ladder is
-  // finite and ends at a plan that satisfies any error budget.
+  // escalate toward the exact endpoint while it is broken. A failed
+  // attempt moves along the failure walk instead. Every move goes to a
+  // plan not yet attempted, so the loop is finite.
+  uint32_t attempted = 0;
   while (true) {
-    auto result = Execute(snapshot, query, answer.report.chosen);
-    if (!result.ok()) return result.status();
-    answer.result = std::move(result).value();
+    const PlanKind kind = report.chosen.kind;
+    if (attempted != 0 && std::chrono::steady_clock::now() >= deadline) {
+      return Status::DeadlineExceeded(
+          "resilient query deadline expired before " +
+          std::string(RungOf(kind).name) + " rung; " + report.failures);
+    }
+    attempted |= Bit(kind);
+    auto result = Execute(snapshot, query, report.chosen);
+    if (!result.ok()) {
+      if (!report.failures.empty()) report.failures += "; ";
+      report.failures += RungOf(kind).name;
+      report.failures += ": " + result.status().ToString();
+      if (report.candidates.empty()) {
+        auto planned = plan();
+        if (!planned.ok()) return planned.status();
+        report.candidates = std::move(planned->candidates);
+      }
+      const std::optional<PlanKind> next =
+          NextAfterFailure(report.candidates, attempted);
+      if (!next.has_value()) {
+        return Status::Internal("all degradation rungs failed: " +
+                                report.failures);
+      }
+      report.chosen = PlanChoice{*next, {}};
+      report.bound_widening = FailoverWidening(report.candidates, *next);
+      continue;
+    }
+    answer.result = report.bound_widening == 1.0
+                        ? std::move(result).value()
+                        : WidenBounds(*result, report.bound_widening);
     if (!query.budget.has_error_budget()) break;
     const double realized =
         WorstRelativeBound(answer.result, options_.estimate_floor);
-    answer.report.realized_relative_error = realized;
+    report.realized_relative_error = realized;
     if (realized <= query.budget.relative_error) break;
 
+    auto untried = [&](PlanKind k) {
+      const CandidateScore* c = FindCandidate(report.candidates, k);
+      return c != nullptr && c->eligible && (attempted & Bit(k)) == 0;
+    };
     PlanChoice next;
-    if (answer.report.chosen.kind != PlanKind::kCombined &&
-        answer.report.chosen.kind != PlanKind::kExact) {
-      const CandidateScore* combined =
-          FindCandidate(answer.report.candidates, PlanKind::kCombined);
-      if (combined != nullptr && combined->eligible) {
-        next.kind = PlanKind::kCombined;
-        const std::vector<Stratum>& strata =
-            snapshot.synopsis->sample().strata();
-        next.outlier_strata = TopStrataByPopulation(
-            strata, std::min(options_.max_outlier_strata, strata.size() - 1));
-      }
+    if (untried(PlanKind::kCombined)) {
+      next.kind = PlanKind::kCombined;
+      const std::vector<Stratum>& strata =
+          snapshot.synopsis->sample().strata();
+      next.outlier_strata = TopStrataByPopulation(
+          strata, std::min(options_.max_outlier_strata, strata.size() - 1));
+    } else if (untried(PlanKind::kExact)) {
+      next.kind = PlanKind::kExact;
+    } else {
+      break;  // Nowhere stronger.
     }
-    if (next.kind == PlanKind::kPrimarySynopsis &&
-        answer.report.chosen.kind != PlanKind::kExact) {
-      const CandidateScore* exact =
-          FindCandidate(answer.report.candidates, PlanKind::kExact);
-      if (exact != nullptr && exact->eligible) next.kind = PlanKind::kExact;
-    }
-    if (next.kind == PlanKind::kPrimarySynopsis) break;  // Nowhere stronger.
-    answer.report.chosen = next;
-    answer.report.escalations += 1;
+    report.chosen = std::move(next);
+    report.bound_widening = 1.0;
+    report.escalations += 1;
     CONGRESS_METRIC_INCR("planner.escalations", 1);
   }
-  if (answer.report.chosen.kind == PlanKind::kCombined) {
+  if (!report.failures.empty()) {
+    CONGRESS_METRIC_INCR("resilience.degraded_answers", 1);
+    if (report.chosen.kind == PlanKind::kExact) {
+      CONGRESS_METRIC_INCR("resilience.exact_rebuilds", 1);
+    }
+  }
+  if (report.chosen.kind == PlanKind::kCombined) {
     CONGRESS_METRIC_INCR("planner.combined_plans", 1);
-  } else if (answer.report.chosen.kind == PlanKind::kExact) {
+  } else if (report.chosen.kind == PlanKind::kExact) {
     CONGRESS_METRIC_INCR("planner.exact_plans", 1);
   }
   return answer;

@@ -1,6 +1,7 @@
 #ifndef CONGRESS_PLANNER_PLANNER_H_
 #define CONGRESS_PLANNER_PLANNER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -19,8 +20,8 @@ namespace congress::planner {
 /// promise only ever moves toward kCombined / kExact.
 enum class PlanKind {
   kPrimarySynopsis = 0,  ///< The snapshot's configured synopsis.
-  kFallbackBasic = 1,    ///< Degradation-ladder BasicCongress synopsis.
-  kFallbackHouse = 2,    ///< Degradation-ladder House synopsis.
+  kFallbackBasic = 1,    ///< Fallback BasicCongress synopsis.
+  kFallbackHouse = 2,    ///< Fallback House synopsis.
   kHistogram = 3,        ///< Fleet group histogram (residual model).
   kWavelet = 4,          ///< Fleet wavelet synopsis (residual model).
   kCombined = 5,         ///< Exact outlier strata + sampled tail, stitched.
@@ -57,6 +58,9 @@ struct CandidateScore {
   /// Predicted worst-group relative half-width at the promised
   /// confidence; +inf when no prediction applies.
   double predicted_relative_error = std::numeric_limits<double>::infinity();
+  /// Predicted mean estimator variance of a sample plan (0 when unscored);
+  /// sets the widening of a fallback reached by failure.
+  double mean_variance = 0.0;
   double predicted_cost_ms = 0.0;
   /// Ineligibility reason, or a one-line model note.
   std::string detail;
@@ -83,8 +87,14 @@ struct PlanReport {
   /// answer; -1 until Run() verified one.
   double realized_relative_error = -1.0;
   /// Times verification found the promise broken and re-planned up the
-  /// kCombined -> kExact ladder.
+  /// kCombined -> kExact ladder. Failure moves are not counted here.
   size_t escalations = 0;
+  /// Every failed attempt in the order tried, as "<rung>: <Status>; ..."
+  /// (rungs primary, basic_congress, house, exact). Empty if none.
+  std::string failures;
+  /// Factor applied to the delivered answer's std_errors and bounds: the
+  /// variance-derived widening of a fallback reached by failure, else 1.
+  double bound_widening = 1.0;
 
   std::string ToString() const;
 };
@@ -115,6 +125,13 @@ Result<ApproximateResult> ExecuteCombinedPlan(
 /// escalates toward kCombined / kExact if the promise is broken — the
 /// exact endpoint satisfies any budget, so an error promise is always
 /// eventually honored when the base relation is available.
+/// A failed attempt — an error Status, or a hit at the plan's failpoint
+/// site "aqua/primary_answer", "aqua/fallback_basic", "aqua/fallback_house"
+/// or "aqua/exact_rebuild" — is the other trigger. It moves to the first
+/// untried plan of the failure walk: primary, the fallbacks by predicted
+/// error (PlanKind order on ties, unscored last), exact; never combined or
+/// a summary. A fallback so reached has its bounds widened by
+/// clamp(sqrt(fallback / primary mean_variance), 1, 8).
 class Planner {
  public:
   explicit Planner(PlannerOptions options = PlannerOptions{});
@@ -125,9 +142,14 @@ class Planner {
 
   /// Plans, executes, verifies, and (if needed) escalates. With no active
   /// budget the primary synopsis answers directly — bit-identical to
-  /// AquaSynopsis::Answer.
-  Result<PlannedAnswer> Run(const AquaSnapshot& snapshot,
-                            const GroupByQuery& query) const;
+  /// AquaSynopsis::Answer — and the fleet is scored only if that attempt
+  /// fails, so a healthy budget-free report lists no candidates. Every
+  /// attempt after the first checks `deadline` (DeadlineExceeded);
+  /// Internal when the failure walk is spent.
+  Result<PlannedAnswer> Run(
+      const AquaSnapshot& snapshot, const GroupByQuery& query,
+      std::chrono::steady_clock::time_point deadline =
+          std::chrono::steady_clock::time_point::max()) const;
 
  private:
   Result<ApproximateResult> Execute(const AquaSnapshot& snapshot,

@@ -1,5 +1,7 @@
 #include "core/degradation.h"
 
+#include <chrono>
+#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -52,6 +54,17 @@ class DegradationTest : public ::testing::Test {
         engine_.RegisterTable("sales", SalesTable(), SalesConfig()).ok());
   }
   void TearDown() override { FailpointRegistry::Global().DisableAll(); }
+
+  /// Checkpoints the engine's relation and restores it into `restored`,
+  /// which then has no base relation and no fallbacks.
+  void CheckpointAndRestore(AquaEngine* restored) {
+    const std::string path = ::testing::TempDir() + "/degradation_test.snap";
+    ASSERT_TRUE(engine_.Checkpoint("sales", path).ok());
+    Status st = restored->RestoreTable("sales", path, SalesConfig());
+    std::remove(path.c_str());
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  }
+
   AquaEngine engine_;
 };
 
@@ -101,7 +114,81 @@ TEST_F(DegradationTest, ParseAndBindErrorsBypassTheLadder) {
           .ok());
 }
 
+TEST_F(DegradationTest, RestoredSnapshotAnswersFromThePrimary) {
+  AquaEngine restored;
+  ASSERT_NO_FATAL_FAILURE(CheckpointAndRestore(&restored));
+
+  auto answer = restored.QueryResilient(kSql);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->degradation.level, DegradationLevel::kNone);
+  EXPECT_GT(answer->epoch, 0u);
+  EXPECT_EQ(answer->result.num_groups(), 2u);
+
+  auto exact = restored.QueryExact(kSql);
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), StatusCode::kFailedPrecondition);
+
+  // A restored relation has no ingest to drain, so Refresh publishes
+  // nothing.
+  const uint64_t epoch = restored.epoch();
+  EXPECT_TRUE(restored.Refresh("sales").ok());
+  EXPECT_EQ(restored.epoch(), epoch);
+}
+
 #ifndef CONGRESS_DISABLE_FAILPOINTS
+TEST_F(DegradationTest, RestoredSnapshotHasNoRungBelowThePrimary) {
+  AquaEngine restored;
+  ASSERT_NO_FATAL_FAILURE(CheckpointAndRestore(&restored));
+  ScopedFailpoint primary("aqua/primary_answer");
+  auto answer = restored.QueryResilient(kSql);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kInternal);
+  const std::string text = answer.status().ToString();
+  EXPECT_NE(text.find("primary"), std::string::npos);
+  EXPECT_NE(text.find("basic_congress"), std::string::npos);
+  EXPECT_NE(text.find("house"), std::string::npos);
+  EXPECT_NE(text.find("exact"), std::string::npos);
+  EXPECT_NE(text.find("fallback unavailable"), std::string::npos);
+}
+
+TEST_F(DegradationTest, UnscorableFallbacksAreTriedNotSkipped) {
+  // The error model cannot score MAX, so both fallbacks predict +inf,
+  // keep their order and derive no widening. The walk still tries each
+  // one rather than skipping it as ineligible; their own estimator
+  // refuses MAX too, so the exact rung answers.
+  constexpr char kMaxSql[] =
+      "SELECT region, MAX(amount) FROM sales GROUP BY region";
+  ScopedFailpoint primary("aqua/primary_answer");
+  auto answer = engine_.QueryResilient(kMaxSql);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->degradation.level, DegradationLevel::kExactRebuild);
+  EXPECT_EQ(answer->degradation.bound_widening, 1.0);
+  const std::string& cause = answer->degradation.cause;
+  const size_t basic = cause.find("basic_congress: InvalidArgument");
+  const size_t house = cause.find("house: InvalidArgument");
+  ASSERT_NE(basic, std::string::npos) << cause;
+  ASSERT_NE(house, std::string::npos) << cause;
+  EXPECT_LT(basic, house);
+
+  auto exact = engine_.QueryExact(kMaxSql);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_EQ(answer->result.num_groups(), exact->rows().size());
+  for (const GroupResult& row : exact->rows()) {
+    const ApproximateGroupRow* got = answer->result.Find(row.key);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->estimates[0], row.aggregates[0]);
+  }
+}
+
+TEST_F(DegradationTest, PassedDeadlineStopsTheWalkAfterThePrimary) {
+  ScopedFailpoint primary("aqua/primary_answer");
+  auto answer = engine_.QueryResilient(
+      kSql, std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(answer.status().ToString().find("primary"), std::string::npos);
+}
+
 TEST_F(DegradationTest, FirstRungFallsBackToBasicCongress) {
   ScopedFailpoint primary("aqua/primary_answer");
   auto answer = engine_.QueryResilient(kSql);

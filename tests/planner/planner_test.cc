@@ -8,6 +8,7 @@
 #include "core/aqua.h"
 #include "engine/executor.h"
 #include "planner/error_model.h"
+#include "resilience/failpoint.h"
 #include "sql/parser.h"
 
 namespace congress {
@@ -335,6 +336,43 @@ TEST_F(PlannerTest, FleetMembersJoinThePlanUnderTimeBudgets) {
     }
   }
 }
+
+#ifndef CONGRESS_DISABLE_FAILPOINTS
+TEST_F(PlannerTest, FailedChosenPlanEscalatesInsteadOfErroring) {
+  GroupByQuery query = SumQuery();
+  query.budget.relative_error = 0.5;
+  query.budget.confidence = 0.9;
+  Planner planner;
+  auto report = planner.Plan(*snapshot_, query);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->chosen.kind, PlanKind::kPrimarySynopsis);
+
+  // The scorer's choice fails; the failure walk moves on and verification
+  // still holds the answer to the promise.
+  resilience::ScopedFailpoint primary("aqua/primary_answer");
+  auto planned = planner.Run(*snapshot_, query);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_NE(planned->report.chosen.kind, PlanKind::kPrimarySynopsis);
+  EXPECT_EQ(planned->report.failures.rfind("primary: ", 0), 0u)
+      << planned->report.failures;
+  EXPECT_GT(planned->result.num_groups(), 0u);
+  EXPECT_GE(planned->report.realized_relative_error, 0.0);
+  EXPECT_LE(planned->report.realized_relative_error, 0.5);
+}
+
+TEST_F(PlannerTest, NoBudgetRunScoresTheFleetOnlyAfterAFailure) {
+  Planner planner;
+  auto healthy = planner.Run(*snapshot_, SumQuery());
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  EXPECT_TRUE(healthy->report.candidates.empty());
+
+  resilience::ScopedFailpoint primary("aqua/primary_answer");
+  auto failed_over = planner.Run(*snapshot_, SumQuery());
+  ASSERT_TRUE(failed_over.ok()) << failed_over.status().ToString();
+  EXPECT_EQ(failed_over->report.candidates.size(), planner::kNumPlanKinds);
+  EXPECT_NE(failed_over->report.chosen.kind, PlanKind::kPrimarySynopsis);
+}
+#endif  // CONGRESS_DISABLE_FAILPOINTS
 
 TEST_F(PlannerTest, JoinSampleEligibilityRequiresFactMeasures) {
   Table fact{
