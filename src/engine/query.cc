@@ -1,6 +1,7 @@
 #include "engine/query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace congress {
@@ -70,43 +71,48 @@ std::string GroupByQuery::ToString() const {
   return oss.str();
 }
 
+bool PassesHaving(const std::vector<HavingCondition>& having,
+                  const double* values, size_t num_values) {
+  for (const HavingCondition& cond : having) {
+    if (cond.aggregate_index >= num_values ||
+        !cond.Matches(values[cond.aggregate_index])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+namespace result_rows {
+
+bool Orderable(const GroupKey& key) {
+  for (const Value& v : key) {
+    if (v.is_double() && std::isnan(v.AsDouble())) return false;
+  }
+  return true;
+}
+
+}  // namespace result_rows
+
 void QueryResult::Add(GroupKey key, std::vector<double> aggregates) {
-  index_.emplace(key, rows_.size());
+  searchable_ = searchable_ && result_rows::Extends(rows_, key);
   rows_.push_back(GroupResult{std::move(key), std::move(aggregates)});
 }
 
 const GroupResult* QueryResult::Find(const GroupKey& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  return &rows_[it->second];
+  return result_rows::Find(rows_, searchable_, key);
 }
 
 void QueryResult::SortByKey() {
-  std::sort(rows_.begin(), rows_.end(),
-            [](const GroupResult& a, const GroupResult& b) {
-              return a.key < b.key;
-            });
-  index_.clear();
-  for (size_t i = 0; i < rows_.size(); ++i) index_.emplace(rows_[i].key, i);
+  searchable_ = result_rows::SortByKey(&rows_, searchable_);
 }
 
 void QueryResult::FilterHaving(const std::vector<HavingCondition>& having) {
   if (having.empty()) return;
-  std::vector<GroupResult> kept;
-  for (GroupResult& row : rows_) {
-    bool pass = true;
-    for (const HavingCondition& cond : having) {
-      if (cond.aggregate_index >= row.aggregates.size() ||
-          !cond.Matches(row.aggregates[cond.aggregate_index])) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) kept.push_back(std::move(row));
-  }
-  rows_ = std::move(kept);
-  index_.clear();
-  for (size_t i = 0; i < rows_.size(); ++i) index_.emplace(rows_[i].key, i);
+  auto fails = [&having](const GroupResult& row) {
+    return !PassesHaving(having, row.aggregates.data(), row.aggregates.size());
+  };
+  rows_.erase(std::remove_if(rows_.begin(), rows_.end(), fails), rows_.end());
+  searchable_ = searchable_ || result_rows::Searchable(rows_);
 }
 
 std::string QueryResult::ToString(size_t max_rows) const {

@@ -162,16 +162,6 @@ constexpr Ops kScalarOps = {
     ScalarScanSlots8,
 };
 
-/// CONGRESS_SIMD=OFF|off|0|scalar forces the scalar table at startup —
-/// the runtime half of the parity-testing knob (the compile-time half is
-/// the -DCONGRESS_SIMD=OFF build, which defines CONGRESS_SIMD_DISABLED).
-bool SimdDisabledByEnv() {
-  const char* env = std::getenv("CONGRESS_SIMD");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "OFF") == 0 || std::strcmp(env, "off") == 0 ||
-         std::strcmp(env, "0") == 0 || std::strcmp(env, "scalar") == 0;
-}
-
 struct Resolved {
   const Ops* ops;
   const char* name;
@@ -179,7 +169,7 @@ struct Resolved {
 
 Resolved Resolve() {
 #if !defined(CONGRESS_SIMD_DISABLED)
-  if (!SimdDisabledByEnv()) {
+  if (!DisabledByEnv()) {
 #if defined(__x86_64__) || defined(_M_X64)
     if (__builtin_cpu_supports("avx2")) {
       return {detail::Avx2Ops(), "avx2"};
@@ -198,6 +188,16 @@ const Resolved& Active_() {
 }
 
 }  // namespace
+
+// CONGRESS_SIMD=OFF|off|0|scalar forces the scalar table at startup — the
+// runtime half of the parity-testing knob (the compile-time half is the
+// -DCONGRESS_SIMD=OFF build, which defines CONGRESS_SIMD_DISABLED).
+bool DisabledByEnv() {
+  const char* env = std::getenv("CONGRESS_SIMD");
+  if (env == nullptr) return false;
+  return std::strcmp(env, "OFF") == 0 || std::strcmp(env, "off") == 0 ||
+         std::strcmp(env, "0") == 0 || std::strcmp(env, "scalar") == 0;
+}
 
 const Ops& Active() { return *Active_().ops; }
 

@@ -123,6 +123,11 @@ bool Enabled();
 /// "avx2", "neon", or "scalar" — whatever Active() resolved to.
 const char* LevelName();
 
+/// True when the CONGRESS_SIMD environment knob (OFF|off|0|scalar) asks
+/// for the portable code paths. Read by every runtime ISA dispatch — this
+/// table and util/crc32c — when it resolves.
+bool DisabledByEnv();
+
 }  // namespace congress::simd
 
 #endif  // CONGRESS_UTIL_SIMD_H_

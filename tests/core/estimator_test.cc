@@ -1,6 +1,10 @@
 #include "core/estimator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -273,6 +277,418 @@ TEST(EstimatorTest, AvgIsRatioOfSumAndCount) {
   for (const auto& row : approx->rows()) {
     EXPECT_NEAR(row.estimates[2], row.estimates[0] / row.estimates[1], 1e-9);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Naive reference: one pass over the sample rows, one (group, stratum) cell
+// per matching row, groups found by a linear == search over first-row
+// keys (so NaN keys never merge), strata rolled up in ascending id.
+// ---------------------------------------------------------------------------
+
+struct RefCell {
+  uint64_t matches = 0;
+  double sum_v = 0.0;
+  double sum_v2 = 0.0;
+  double max_abs = 0.0;
+};
+
+struct RefGroup {
+  GroupKey key;
+  uint64_t support = 0;
+  std::map<uint32_t, std::vector<RefCell>> cells;  // stratum -> per agg.
+};
+
+double RefVariance(double big_n, double n, double sum_v, double sum_v2) {
+  if (n < 2.0) return 0.0;
+  const double mean = sum_v / n;
+  const double ss = std::max(0.0, sum_v2 - n * mean * mean);
+  return big_n * std::max(0.0, big_n - n) * (ss / (n - 1.0)) / n;
+}
+
+double RefCovariance(double big_n, double n, double m, double sum_v) {
+  if (n < 2.0) return 0.0;
+  const double scov = (sum_v - sum_v * m / n) / (n - 1.0);
+  return big_n * std::max(0.0, big_n - n) * scov / n;
+}
+
+ApproximateResult NaiveEstimate(const StratifiedSample& sample,
+                                const GroupByQuery& query,
+                                const EstimatorOptions& options) {
+  const Table& rows = sample.rows();
+  const size_t num_aggs = query.aggregates.size();
+  std::vector<RefGroup> groups;
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    GroupKey key = rows.KeyForRow(r, query.group_columns);
+    size_t g = 0;
+    while (g < groups.size() && !(groups[g].key == key)) ++g;
+    if (g == groups.size()) groups.push_back(RefGroup{key, 0, {}});
+    const uint32_t stratum = sample.row_strata()[r];
+    if (std::find(options.excluded_strata.begin(),
+                  options.excluded_strata.end(),
+                  stratum) != options.excluded_strata.end()) {
+      continue;
+    }
+    if (query.predicate != nullptr &&
+        !query.predicate->Matches(rows, r)) {
+      continue;
+    }
+    groups[g].support += 1;
+    std::vector<RefCell>& cells = groups[g].cells[stratum];
+    cells.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const double v = AggregateInput(query.aggregates[a], rows, r);
+      cells[a].matches += 1;
+      cells[a].sum_v += v;
+      cells[a].sum_v2 += v * v;
+      cells[a].max_abs = std::max(cells[a].max_abs, std::fabs(v));
+    }
+  }
+  const double cheb = 1.0 / std::sqrt(1.0 - options.confidence);
+  const double hoeff_ln = std::log(2.0 / (1.0 - options.confidence)) / 2.0;
+  ApproximateResult out;
+  for (const RefGroup& group : groups) {
+    if (group.support == 0) continue;
+    ApproximateGroupRow row;
+    row.key = group.key;
+    row.support = group.support;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      double est_sum = 0, est_cnt = 0, var_sum = 0, var_cnt = 0, cov = 0,
+             c2 = 0;
+      for (const auto& [stratum, cells] : group.cells) {
+        const Stratum& s = sample.strata()[stratum];
+        const RefCell& c = cells[a];
+        const double sf = s.ScaleFactor();
+        const double n = static_cast<double>(s.sample_count);
+        const double big_n = static_cast<double>(s.population);
+        const double m = static_cast<double>(c.matches);
+        est_sum += sf * c.sum_v;
+        est_cnt += sf * m;
+        var_sum += RefVariance(big_n, n, c.sum_v, c.sum_v2);
+        var_cnt += RefVariance(big_n, n, m, m);
+        cov += RefCovariance(big_n, n, m, c.sum_v);
+        c2 += n * (sf * c.max_abs) * (sf * c.max_abs);
+      }
+      double est = 0.0;
+      double variance = 0.0;
+      const AggregateKind kind = query.aggregates[a].kind;
+      if (kind == AggregateKind::kSum) {
+        est = est_sum;
+        variance = var_sum;
+      } else if (kind == AggregateKind::kCount) {
+        est = est_cnt;
+        variance = var_cnt;
+      } else if (est_cnt > 0.0) {
+        est = est_sum / est_cnt;
+        variance = std::max(
+            0.0, (var_sum - 2.0 * est * cov + est * est * var_cnt) /
+                     (est_cnt * est_cnt));
+      }
+      const double se = std::sqrt(variance);
+      double bound = se;
+      if (options.bound_method == BoundMethod::kChebyshev ||
+          (options.bound_method == BoundMethod::kHoeffding &&
+           kind == AggregateKind::kAvg)) {
+        bound = cheb * se;
+      } else if (options.bound_method == BoundMethod::kHoeffding) {
+        bound = std::sqrt(hoeff_ln * c2);
+      }
+      row.estimates.push_back(est);
+      row.std_errors.push_back(se);
+      row.bounds.push_back(bound);
+    }
+    out.Add(std::move(row));
+  }
+  out.FilterHaving(query.having);
+  out.SortByKey();
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Keys must match value for value, down to the sign of a zero and NaN.
+bool SameKey(const GroupKey& a, const GroupKey& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type()) return false;
+    if (a[i].is_double() ? !SameBits(a[i].AsDouble(), b[i].AsDouble())
+                         : a[i] != b[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectNear(const std::vector<double>& got,
+                const std::vector<double>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const double scale = std::max(std::fabs(got[i]), std::fabs(want[i]));
+    EXPECT_LE(std::fabs(got[i] - want[i]), 1e-12 * scale)
+        << what << "[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+void ExpectMatchesReference(const ApproximateResult& got,
+                            const ApproximateResult& want,
+                            const std::string& what) {
+  ASSERT_EQ(got.num_groups(), want.num_groups()) << what;
+  for (size_t i = 0; i < got.num_groups(); ++i) {
+    const ApproximateGroupRow& g = got.rows()[i];
+    const ApproximateGroupRow& w = want.rows()[i];
+    ASSERT_TRUE(SameKey(g.key, w.key))
+        << what << " row " << i << ": " << GroupKeyToString(g.key) << " vs "
+        << GroupKeyToString(w.key);
+    EXPECT_EQ(g.support, w.support) << what << " row " << i;
+    ExpectNear(g.estimates, w.estimates, what + " estimates");
+    ExpectNear(g.std_errors, w.std_errors, what + " std_errors");
+    ExpectNear(g.bounds, w.bounds, what + " bounds");
+  }
+}
+
+void ExpectBitIdentical(const ApproximateResult& a, const ApproximateResult& b,
+                        const std::string& what) {
+  ASSERT_EQ(a.num_groups(), b.num_groups()) << what;
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    const ApproximateGroupRow& x = a.rows()[i];
+    const ApproximateGroupRow& y = b.rows()[i];
+    ASSERT_TRUE(SameKey(x.key, y.key)) << what << " row " << i;
+    EXPECT_EQ(x.support, y.support) << what;
+    for (size_t k = 0; k < x.estimates.size(); ++k) {
+      EXPECT_TRUE(SameBits(x.estimates[k], y.estimates[k])) << what;
+      EXPECT_TRUE(SameBits(x.std_errors[k], y.std_errors[k])) << what;
+      EXPECT_TRUE(SameBits(x.bounds[k], y.bounds[k])) << what;
+    }
+  }
+}
+
+/// g0 int64, g1 string, g2 double holding both zeros (the grouping
+/// columns); x double with NaN and both zeros, y int64 (non-grouping);
+/// v double and w int64 to aggregate.
+Table RandomTable(uint64_t seed, size_t n) {
+  Table t{Schema({Field{"g0", DataType::kInt64},
+                  Field{"g1", DataType::kString},
+                  Field{"g2", DataType::kDouble},
+                  Field{"x", DataType::kDouble},
+                  Field{"y", DataType::kInt64},
+                  Field{"v", DataType::kDouble},
+                  Field{"w", DataType::kInt64}})};
+  Random rng(seed);
+  const char* strings[] = {"ant", "bee", "cat", "dog"};
+  const double g2_values[] = {-0.0, 0.0, 1.5, 2.5};
+  const double x_values[] = {std::nan(""), -0.0, 0.0, 1.0, 2.0, -3.0};
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(
+        t.AppendRow({Value(static_cast<int64_t>(rng.UniformInt(5))),
+                     Value(strings[rng.UniformInt(4)]),
+                     Value(g2_values[rng.UniformInt(4)]),
+                     Value(x_values[rng.UniformInt(6)]),
+                     Value(static_cast<int64_t>(rng.UniformInt(10))),
+                     Value((rng.NextDouble() - 0.3) * 100.0),
+                     Value(static_cast<int64_t>(rng.UniformInt(1000)) - 200)})
+            .ok());
+  }
+  return t;
+}
+
+TEST(EstimatorReferenceTest, RandomTablesMatchNaiveReference) {
+  // Covered sets (subsets of the grouping columns, in any order, with a
+  // repeat) fold per stratum; the rest add a non-grouping column (NaN
+  // and signed-zero keys) and fold per finer unit.
+  const std::vector<std::vector<size_t>> group_sets = {
+      {}, {0}, {1}, {2}, {2, 0}, {0, 1, 2}, {2, 1, 0}, {0, 0},
+      {3}, {4}, {0, 3}, {3, 2}, {1, 4}};
+  const std::vector<AggregateSpec> aggregates = {
+      {AggregateKind::kSum, 5}, {AggregateKind::kCount, 0},
+      {AggregateKind::kAvg, 5}, {AggregateKind::kSum, 6},
+      {AggregateKind::kAvg, 6}};
+  const std::vector<PredicatePtr> predicates = {
+      nullptr, MakeRangePredicate(5, 0.0, 1e9), MakeLessEqualPredicate(4, 5.0)};
+  for (uint64_t seed : {1u, 2u}) {
+    Table t = RandomTable(seed, 600);
+    Random rng(seed * 31);
+    auto sample =
+        BuildSample(t, {0, 1, 2}, AllocationStrategy::kCongress, 180.0, &rng);
+    ASSERT_TRUE(sample.ok());
+    for (const std::vector<size_t>& columns : group_sets) {
+      for (size_t p = 0; p < predicates.size(); ++p) {
+        for (int variant = 0; variant < 3; ++variant) {
+          GroupByQuery q;
+          q.group_columns = columns;
+          q.aggregates = aggregates;
+          q.predicate = predicates[p];
+          EstimatorOptions options;
+          options.bound_method = static_cast<BoundMethod>(variant);
+          if (variant == 1) {
+            q.having = {HavingCondition{1, CompareOp::kGt, 40.0}};
+          }
+          if (variant == 2) options.excluded_strata = {0, 3, 5};
+          std::string what = "seed " + std::to_string(seed) + " cols " +
+                             std::to_string(columns.size()) + " pred " +
+                             std::to_string(p) + " variant " +
+                             std::to_string(variant);
+          auto got = EstimateGroupBy(*sample, q, options);
+          ASSERT_TRUE(got.ok()) << what;
+          ExpectMatchesReference(*got, NaiveEstimate(*sample, q, options),
+                                 what);
+        }
+      }
+    }
+  }
+}
+
+TEST(EstimatorReferenceTest, BitIdenticalAcrossThreadCounts) {
+  Table t = RandomTable(3, 3000);
+  Random rng(9);
+  auto sample =
+      BuildSample(t, {0, 1, 2}, AllocationStrategy::kSenate, 900.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  for (const std::vector<size_t>& columns :
+       std::vector<std::vector<size_t>>{{0}, {0, 1, 2}, {3}, {1, 4}}) {
+    GroupByQuery q;
+    q.group_columns = columns;
+    q.aggregates = {{AggregateKind::kSum, 5},
+                    {AggregateKind::kCount, 0},
+                    {AggregateKind::kAvg, 6}};
+    q.predicate = MakeRangePredicate(5, -10.0, 1e9);
+    EstimatorOptions options;
+    options.excluded_strata = {1};
+    auto serial = EstimateGroupBy(*sample, q, options);
+    ASSERT_TRUE(serial.ok());
+    for (size_t threads : {4u, 8u}) {
+      ExecutorOptions execution;
+      execution.num_threads = threads;
+      execution.morsel_size = 64;
+      auto parallel = EstimateGroupBy(*sample, q, options, execution);
+      ASSERT_TRUE(parallel.ok());
+      ExpectBitIdentical(*serial, *parallel,
+                         std::to_string(threads) + " threads");
+    }
+  }
+}
+
+/// One stratum declared with +0.0 whose first sample row holds -0.0.
+StratifiedSample SignedZeroSample() {
+  StratifiedSample sample(Schema({Field{"k", DataType::kDouble},
+                                  Field{"x", DataType::kDouble},
+                                  Field{"v", DataType::kDouble}}),
+                          {0});
+  EXPECT_TRUE(sample.DeclareStratum({Value(0.0)}, 40).ok());
+  EXPECT_TRUE(sample.DeclareStratum({Value(7.0)}, 10).ok());
+  // Rows (k, x, v).
+  for (const std::vector<double>& row :
+       std::vector<std::vector<double>>{{7.0, -0.0, 1.0},
+                                        {-0.0, 0.0, -5.0},
+                                        {0.0, -0.0, 2.0},
+                                        {0.0, 0.0, 3.0}}) {
+    EXPECT_TRUE(
+        sample.AppendRowValues({Value(row[0]), Value(row[1]), Value(row[2])})
+            .ok());
+  }
+  return sample;
+}
+
+TEST(EstimatorReferenceTest, SignedZeroKeyComesFromFirstSampleRow) {
+  const StratifiedSample sample = SignedZeroSample();
+  ASSERT_FALSE(std::signbit(sample.strata()[0].key[0].AsDouble()));
+  for (size_t column : {0u, 1u}) {  // Covered, then uncovered.
+    GroupByQuery q;
+    q.group_columns = {column};
+    q.aggregates = {{AggregateKind::kSum, 2}, {AggregateKind::kCount, 0}};
+    // The predicate rejects the zero group's first sample row; the key
+    // still comes from that row.
+    q.predicate = MakeRangePredicate(2, 0.0, 10.0);
+    auto got = EstimateGroupBy(sample, q);
+    ASSERT_TRUE(got.ok());
+    ExpectMatchesReference(*got, NaiveEstimate(sample, q, {}),
+                           "column " + std::to_string(column));
+    const ApproximateGroupRow* zero = got->Find({Value(0.0)});
+    ASSERT_NE(zero, nullptr);
+    EXPECT_TRUE(std::signbit(zero->key[0].AsDouble())) << column;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Index-free container: Find must return what a hash index over the rows,
+// built in row order with first-insert-wins, returned.
+// ---------------------------------------------------------------------------
+
+ApproximateGroupRow Row(GroupKey key, double estimate) {
+  ApproximateGroupRow row;
+  row.key = std::move(key);
+  row.estimates = {estimate};
+  row.std_errors = {0.0};
+  row.bounds = {0.0};
+  return row;
+}
+
+void ExpectFindMatchesHashIndex(const ApproximateResult& result,
+                                const std::vector<GroupKey>& probes) {
+  std::unordered_map<GroupKey, size_t, GroupKeyHash> index;
+  for (size_t i = 0; i < result.rows().size(); ++i) {
+    index.emplace(result.rows()[i].key, i);
+  }
+  for (const GroupKey& probe : probes) {
+    auto it = index.find(probe);
+    const ApproximateGroupRow* want =
+        it == index.end() ? nullptr : &result.rows()[it->second];
+    EXPECT_EQ(result.Find(probe), want) << GroupKeyToString(probe);
+  }
+}
+
+TEST(ApproximateResultTest, FindMatchesHashIndexSemantics) {
+  const double nan = std::nan("");
+  std::vector<GroupKey> probes = {
+      {Value(int64_t{1})}, {Value(int64_t{2})}, {Value(int64_t{3})},
+      {Value(int64_t{9})}, {Value(0.0)},        {Value(-0.0)},
+      {Value(nan)},        {Value("s")},        {}};
+  ApproximateResult r;
+  r.Add(Row({Value(int64_t{3})}, 3.0));
+  r.Add(Row({Value(int64_t{1})}, 1.0));
+  r.Add(Row({Value(int64_t{3})}, 30.0));  // Duplicate: the first wins.
+  r.Add(Row({Value(-0.0)}, 4.0));
+  r.Add(Row({Value(nan)}, 5.0));
+  r.Add(Row({Value(0.0)}, 6.0));  // Equal to -0.0.
+  r.Add(Row({Value("s")}, 7.0));
+  ExpectFindMatchesHashIndex(r, probes);  // Unsorted adds.
+  EXPECT_EQ(r.Find({Value(int64_t{3})})->estimates[0], 3.0);
+  EXPECT_EQ(r.Find({Value(nan)}), nullptr);
+  r.SortByKey();
+  ExpectFindMatchesHashIndex(r, probes);
+  r.FilterHaving({HavingCondition{0, CompareOp::kNe, 1.0}});
+  ExpectFindMatchesHashIndex(r, probes);
+  EXPECT_EQ(r.Find({Value(int64_t{1})}), nullptr);
+
+  // A strictly increasing answer binary-searches, before and after HAVING.
+  ApproximateResult sorted;
+  for (int64_t k = 0; k < 50; k += 2) {
+    sorted.Add(Row({Value(k)}, static_cast<double>(k)));
+  }
+  std::vector<GroupKey> int_probes;
+  for (int64_t k = -1; k < 52; ++k) int_probes.push_back({Value(k)});
+  ExpectFindMatchesHashIndex(sorted, int_probes);
+  sorted.FilterHaving({HavingCondition{0, CompareOp::kGt, 20.0}});
+  ExpectFindMatchesHashIndex(sorted, int_probes);
+  EXPECT_EQ(sorted.Find({Value(int64_t{20})}), nullptr);
+  ASSERT_NE(sorted.Find({Value(int64_t{22})}), nullptr);
+}
+
+TEST(ApproximateResultTest, NanInLaterKeyColumnStillFound) {
+  // Under operator<, NaN compares unordered: these adjacent keys look
+  // strictly increasing, yet binary search for (5, 0) would miss it. A
+  // NaN anywhere in a key therefore forces the linear scan.
+  const double nan = std::nan("");
+  ApproximateResult r;
+  r.Add(Row({Value(5.0), Value(int64_t{0})}, 1.0));
+  r.Add(Row({Value(nan), Value(int64_t{1})}, 2.0));
+  r.Add(Row({Value(3.0), Value(int64_t{2})}, 3.0));
+  r.Add(Row({Value(4.0), Value(int64_t{3})}, 4.0));
+  ExpectFindMatchesHashIndex(r, {{Value(5.0), Value(int64_t{0})},
+                                 {Value(3.0), Value(int64_t{2})},
+                                 {Value(4.0), Value(int64_t{3})},
+                                 {Value(nan), Value(int64_t{1})}});
+  ASSERT_NE(r.Find({Value(5.0), Value(int64_t{0})}), nullptr);
 }
 
 TEST(ApproximateResultTest, FindAndSort) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <unordered_map>
+
 namespace congress {
 namespace {
 
@@ -82,6 +85,67 @@ TEST(QueryResultTest, StringKeys) {
   const GroupResult* row = r.Find({Value("alpha"), Value(int64_t{1})});
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(r.Find({Value("alpha"), Value(int64_t{2})}), nullptr);
+}
+
+/// Find must return what a hash index over the rows, built in row order
+/// with first-insert-wins, returned.
+void ExpectFindMatchesHashIndex(const QueryResult& result,
+                                const std::vector<GroupKey>& probes) {
+  std::unordered_map<GroupKey, size_t, GroupKeyHash> index;
+  for (size_t i = 0; i < result.rows().size(); ++i) {
+    index.emplace(result.rows()[i].key, i);
+  }
+  for (const GroupKey& probe : probes) {
+    auto it = index.find(probe);
+    const GroupResult* want =
+        it == index.end() ? nullptr : &result.rows()[it->second];
+    EXPECT_EQ(result.Find(probe), want) << GroupKeyToString(probe);
+  }
+}
+
+TEST(QueryResultTest, FindMatchesHashIndexSemantics) {
+  const double nan = std::nan("");
+  const std::vector<GroupKey> probes = {
+      {Value(int64_t{1})}, {Value(int64_t{2})}, {Value(int64_t{3})},
+      {Value(0.0)},        {Value(-0.0)},       {Value(nan)},
+      {Value("z")},        {Value(int64_t{7})}};
+  QueryResult r;
+  r.Add({Value(int64_t{3})}, {3.0});
+  r.Add({Value(nan)}, {8.0});
+  r.Add({Value(int64_t{1})}, {1.0});
+  r.Add({Value(int64_t{3})}, {30.0});  // Duplicate key: the first wins.
+  r.Add({Value(0.0)}, {4.0});
+  r.Add({Value(-0.0)}, {5.0});  // Equal to 0.0.
+  r.Add({Value("z")}, {6.0});
+  ExpectFindMatchesHashIndex(r, probes);  // Unsorted adds.
+  EXPECT_DOUBLE_EQ(r.Find({Value(int64_t{3})})->aggregates[0], 3.0);
+  EXPECT_EQ(r.Find({Value(nan)}), nullptr);
+  r.SortByKey();
+  ExpectFindMatchesHashIndex(r, probes);
+  r.FilterHaving({HavingCondition{0, CompareOp::kGe, 4.0}});
+  ExpectFindMatchesHashIndex(r, probes);
+
+  // Key-ordered adds (the engines' output) binary-search.
+  QueryResult sorted;
+  for (int64_t k = 0; k < 40; k += 3) sorted.Add({Value(k)}, {1.0 * k});
+  std::vector<GroupKey> int_probes;
+  for (int64_t k = -2; k < 42; ++k) int_probes.push_back({Value(k)});
+  ExpectFindMatchesHashIndex(sorted, int_probes);
+  sorted.FilterHaving({HavingCondition{0, CompareOp::kLt, 20.0}});
+  ExpectFindMatchesHashIndex(sorted, int_probes);
+}
+
+TEST(QueryResultTest, FilterHavingKeepsOrder) {
+  QueryResult r;
+  r.Add({Value(int64_t{4})}, {4.0});
+  r.Add({Value(int64_t{2})}, {2.0});
+  r.Add({Value(int64_t{9})}, {9.0});
+  r.Add({Value(int64_t{1})}, {1.0});
+  r.FilterHaving({HavingCondition{0, CompareOp::kGt, 1.5}});
+  ASSERT_EQ(r.num_groups(), 3u);
+  EXPECT_EQ(r.rows()[0].key[0], Value(int64_t{4}));
+  EXPECT_EQ(r.rows()[1].key[0], Value(int64_t{2}));
+  EXPECT_EQ(r.rows()[2].key[0], Value(int64_t{9}));
 }
 
 }  // namespace

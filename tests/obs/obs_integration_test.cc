@@ -2,16 +2,19 @@
 // the exact engine over a 50k-row lineitem table under an obs::Scope
 // must attribute nonzero time to the intern / merge / aggregate stages
 // (project / aggregate when a covering index supplies the group ids) and
-// bump the engine counters.
+// bump the engine counters. The sample estimator likewise projects
+// strata, without interning, for queries on its grouping columns.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "core/estimator.h"
 #include "engine/executor.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
+#include "sampling/builder.h"
 #include "storage/group_index.h"
 #include "tpcd/lineitem.h"
 #include "tpcd/workload.h"
@@ -123,6 +126,60 @@ TEST(ObsIntegrationTest, CoveringScanEmitsProjectSpan) {
   ASSERT_TRUE(ExecuteExact(data->table, query).ok());
   EXPECT_EQ(registry.GetCounter("engine.exact_covering_scans").value(),
             covering_before + 1);
+#endif
+}
+
+TEST(ObsIntegrationTest, CoveredEstimateProjectsStrata) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  tpcd::LineitemConfig config;
+  config.num_tuples = 50'000;
+  config.num_groups = 200;
+  config.seed = 42;
+  auto data = tpcd::GenerateLineitem(config);
+  ASSERT_TRUE(data.ok());
+  Random rng(7);
+  auto sample = BuildSample(data->table, tpcd::LineitemGroupingColumns(),
+                            AllocationStrategy::kCongress, 2'500.0, &rng);
+  ASSERT_TRUE(sample.ok());
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t covered_before =
+      registry.GetCounter("estimator.covered_queries").value();
+  auto has_intern = [](const obs::Scope& root) {
+    for (const auto& [path, seconds] : root.Flatten()) {
+      if (path.find("intern") != std::string::npos) return true;
+    }
+    return false;
+  };
+
+  // Qg2 groups on two of the three grouping columns: its output groups
+  // are unions of strata, read off the strata with no per-row hashing.
+  obs::Scope root("query");
+  ExecutorOptions options;
+  options.scope = &root;
+  auto covered = EstimateGroupBy(*sample, tpcd::MakeQg2(), {}, options);
+  ASSERT_TRUE(covered.ok());
+  EXPECT_GT(covered->num_groups(), 0u);
+  const obs::Scope* project = root.Find("estimate/project");
+  ASSERT_NE(project, nullptr);
+  EXPECT_EQ(project->invocations(), 1u);
+  EXPECT_GT(project->total_nanos(), 0u);
+  EXPECT_FALSE(has_intern(root));
+  EXPECT_EQ(registry.GetCounter("estimator.covered_queries").value(),
+            covered_before + 1);
+
+  // Grouping on a non-grouping column interns finer units instead and
+  // does not count as covered.
+  GroupByQuery uncovered = tpcd::MakeQg2();
+  uncovered.group_columns = {tpcd::kLQuantity};
+  obs::Scope other("query");
+  options.scope = &other;
+  ASSERT_TRUE(EstimateGroupBy(*sample, uncovered, {}, options).ok());
+  EXPECT_TRUE(has_intern(other));
+  EXPECT_EQ(registry.GetCounter("estimator.covered_queries").value(),
+            covered_before + 1);
 #endif
 }
 

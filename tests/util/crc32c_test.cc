@@ -4,6 +4,9 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
+
+#include "util/simd.h"
 
 namespace congress {
 namespace {
@@ -27,6 +30,53 @@ TEST(Crc32cTest, KnownVectors) {
   unsigned char ascending[32];
   for (int i = 0; i < 32; ++i) ascending[i] = static_cast<unsigned char>(i);
   EXPECT_EQ(Crc32c(ascending, sizeof(ascending)), 0x46DD794Eu);
+}
+
+TEST(Crc32cTest, TablePathMatchesKnownVectors) {
+  // The reference path on its own, whichever path Crc32c resolved to.
+  EXPECT_EQ(Crc32cExtendTable(0, "123456789", 9), 0xE3069283u);
+  unsigned char zeros[32];
+  std::memset(zeros, 0, sizeof(zeros));
+  EXPECT_EQ(Crc32cExtendTable(0, zeros, sizeof(zeros)), 0x8A9136AAu);
+  unsigned char ones[32];
+  std::memset(ones, 0xFF, sizeof(ones));
+  EXPECT_EQ(Crc32cExtendTable(0, ones, sizeof(ones)), 0x62A8AB43u);
+  unsigned char descending[32];
+  for (int i = 0; i < 32; ++i) {
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  EXPECT_EQ(Crc32cExtendTable(0, descending, sizeof(descending)),
+            0x113FDB5Cu);
+  EXPECT_EQ(Crc32c(descending, sizeof(descending)), 0x113FDB5Cu);
+}
+
+TEST(Crc32cTest, ActivePathMatchesTableAtEveryLengthAndAlignment) {
+  // Every length 0-4096 at every start alignment 0-7, from a zero CRC and
+  // extending a running CRC: the resolved path (hardware where the CPU
+  // has it) must agree with the byte table bit for bit.
+  SCOPED_TRACE(Crc32cLevelName());
+  constexpr size_t kMaxLen = 4096;
+  std::vector<unsigned char> buffer(kMaxLen + 16);
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& b : buffer) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(state >> 56);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    const unsigned char* base = buffer.data() + align;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(Crc32cExtend(0, base, len), Crc32cExtendTable(0, base, len))
+          << "align=" << align << " len=" << len;
+      ASSERT_EQ(Crc32cExtend(0xDEADBEEFu, base, len),
+                Crc32cExtendTable(0xDEADBEEFu, base, len))
+          << "align=" << align << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, SimdKillSwitchForcesTable) {
+  if (!simd::DisabledByEnv()) GTEST_SKIP() << "run with CONGRESS_SIMD=OFF";
+  EXPECT_STREQ(Crc32cLevelName(), "table");
 }
 
 TEST(Crc32cTest, ExtendMatchesOneShot) {
