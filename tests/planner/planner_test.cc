@@ -262,6 +262,88 @@ TEST_F(PlannerTest, FullPopulationCombinedPlanMatchesExact) {
   }
 }
 
+TEST(PlannerNaNTest, CombinedPlanPairsGroupsAroundANaNKey) {
+  // Strata on g; the query groups on the non-grouping column x, so a
+  // group can span the exact outlier stratum (g = 0) and the sampled tail
+  // (g = 1). The exact part's
+  // first-occurrence keys [0, 2, NaN, 1] stay out of order after sorting
+  // (NaN compares unordered), so no merge-join may be trusted to pair
+  // them with the tail's [1, 2]: every non-NaN group must come out once,
+  // its exact and sampled parts summed.
+  Table t{Schema({Field{"g", DataType::kInt64}, Field{"x", DataType::kDouble},
+                  Field{"amount", DataType::kDouble}})};
+  const double nan = std::nan("");
+  auto fill = [&](int64_t g, double x, double amount) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(t.AppendRow({Value(g), Value(x), Value(amount + i)}).ok());
+    }
+  };
+  fill(0, 0.0, 1.0);
+  fill(0, 2.0, 10.0);
+  fill(0, nan, 100.0);
+  fill(0, 1.0, 1000.0);
+  fill(1, 1.0, 20.0);
+  fill(1, 2.0, 200.0);
+  SynopsisConfig config;
+  config.grouping_columns = {"g"};
+  config.sample_fraction = 1.0;  // The tail is exact too.
+  config.seed = 3;
+  AquaEngine engine;
+  Status registered = engine.RegisterTable("t", std::move(t), config);
+  ASSERT_TRUE(registered.ok()) << registered.ToString();
+  auto snapshot = engine.GetSnapshot("t");
+  ASSERT_TRUE(snapshot.ok());
+  std::vector<uint32_t> outliers;
+  const std::vector<Stratum>& strata = (*snapshot)->synopsis->sample().strata();
+  for (uint32_t s = 0; s < strata.size(); ++s) {
+    if (strata[s].key[0] == Value(int64_t{0})) outliers.push_back(s);
+  }
+  ASSERT_EQ(outliers.size(), 1u);
+
+  GroupByQuery query;
+  query.group_columns = {1};  // x
+  query.aggregates.emplace_back(AggregateKind::kSum, 2);
+  query.aggregates.emplace_back(AggregateKind::kCount, 2);
+  auto combined = ExecuteCombinedPlan(**snapshot, query, outliers, 0.95);
+  ASSERT_TRUE(combined.ok()) << combined.status().ToString();
+
+  struct Expected {
+    double x;
+    double sum;
+    double count;
+    GroupProvenance provenance;
+  };
+  const Expected expected[] = {{0.0, 6.0, 3, GroupProvenance::kExact},
+                               {1.0, 3003.0 + 63.0, 6,
+                                GroupProvenance::kCombined},
+                               {2.0, 33.0 + 603.0, 6,
+                                GroupProvenance::kCombined}};
+  for (const Expected& e : expected) {
+    int seen = 0;
+    for (const ApproximateGroupRow& row : combined->rows()) {
+      if (row.key[0].AsDouble() != e.x) continue;
+      ++seen;
+      EXPECT_NEAR(row.estimates[0], e.sum, 1e-9) << "x = " << e.x;
+      EXPECT_NEAR(row.estimates[1], e.count, 1e-9) << "x = " << e.x;
+      EXPECT_EQ(row.support, static_cast<uint64_t>(e.count)) << "x = " << e.x;
+      EXPECT_EQ(row.provenance, e.provenance) << "x = " << e.x;
+    }
+    EXPECT_EQ(seen, 1) << "x = " << e.x;
+  }
+  // A NaN key equals no key, so each NaN row stands alone, exact.
+  ASSERT_EQ(combined->num_groups(), 6u);
+  int nan_rows = 0;
+  double nan_sum = 0.0;
+  for (const ApproximateGroupRow& row : combined->rows()) {
+    if (!std::isnan(row.key[0].AsDouble())) continue;
+    ++nan_rows;
+    nan_sum += row.estimates[0];
+    EXPECT_EQ(row.provenance, GroupProvenance::kExact);
+  }
+  EXPECT_EQ(nan_rows, 3);
+  EXPECT_NEAR(nan_sum, 303.0, 1e-9);
+}
+
 TEST_F(PlannerTest, SqlBudgetRoutesThroughPlanner) {
   auto result = engine_.Query(
       "SELECT region, SUM(amount) FROM sales GROUP BY region "
