@@ -60,13 +60,12 @@ int main() {
               census->num_rows(),
               static_cast<double>(biggest) / static_cast<double>(smallest));
 
-  // One synopsis per strategy, same 1% space.
-  SynopsisManager manager;
-  for (auto [name, strategy] :
-       std::initializer_list<std::pair<const char*, AllocationStrategy>>{
-           {"uniform (House)", AllocationStrategy::kHouse},
-           {"Senate", AllocationStrategy::kSenate},
-           {"Congress", AllocationStrategy::kCongress}}) {
+  // One synopsis per strategy, same space: uniform (House), Senate and
+  // Congress, in that order.
+  std::vector<AquaSynopsis> synopses;
+  for (AllocationStrategy strategy :
+       {AllocationStrategy::kHouse, AllocationStrategy::kSenate,
+        AllocationStrategy::kCongress}) {
     SynopsisConfig sconfig;
     sconfig.strategy = strategy;
     // A tight space budget (0.2%) makes the uniform sample's small-state
@@ -74,12 +73,16 @@ int main() {
     sconfig.sample_fraction = 0.002;
     sconfig.grouping_columns = {"st", "gen"};
     sconfig.seed = 3;
-    Status st = manager.Register(name, *census, sconfig);
-    if (!st.ok()) {
-      std::printf("register failed: %s\n", st.ToString().c_str());
+    auto synopsis = AquaSynopsis::Build(*census, sconfig);
+    if (!synopsis.ok()) {
+      std::printf("build failed: %s\n",
+                  synopsis.status().ToString().c_str());
       return 1;
     }
+    synopses.push_back(std::move(synopsis).value());
   }
+  const AquaSynopsis& uniform = synopses[0];
+  const AquaSynopsis& congress = synopses[2];
 
   // The analyst's roll-up / drill-down path: nationwide, per gender, per
   // state, per state x gender.
@@ -99,10 +102,8 @@ int main() {
   std::printf("%18s %18s %18s\n", "uniform (House)", "Senate", "Congress");
   for (const QueryCase& c : cases) {
     std::printf("%-32s", c.label);
-    for (const char* name : {"uniform (House)", "Senate", "Congress"}) {
-      auto synopsis = manager.Get(name);
-      if (!synopsis.ok()) continue;
-      std::printf("%18.2f", L1(*census, **synopsis, c.query));
+    for (const AquaSynopsis& synopsis : synopses) {
+      std::printf("%18.2f", L1(*census, synopsis, c.query));
     }
     std::printf("\n");
   }
@@ -111,13 +112,11 @@ int main() {
               "competitive everywhere.)\n");
 
   // Show the small-state effect concretely.
-  auto uniform = manager.Get("uniform (House)");
-  auto congress = manager.Get("Congress");
-  if (uniform.ok() && congress.ok()) {
+  {
     GroupByQuery per_state = AvgIncome({tpcd::kState});
     auto exact = ExecuteExact(*census, per_state);
-    auto u = (*uniform)->Answer(per_state);
-    auto c = (*congress)->Answer(per_state);
+    auto u = uniform.Answer(per_state);
+    auto c = congress.Answer(per_state);
     if (exact.ok() && u.ok() && c.ok()) {
       // Smallest state = highest state id under Zipf rank order.
       GroupKey smallest_state = {Value(int64_t{49})};

@@ -231,15 +231,13 @@ int main() {
                 recovered.status().ToString().c_str());
     return 1;
   }
-  SynopsisConfig restore_config = sconfig;
-  auto restored = AquaSynopsis::Restore(std::move(recovered->image.sample),
-                                        restore_config,
-                                        recovered->image.tuples_seen);
+  auto restored = AquaSynopsis::FromSample(
+      std::move(recovered->image.sample), sconfig,
+      recovered->image.target_size, recovered->image.tuples_seen);
   if (!restored.ok()) {
     std::printf("restore failed: %s\n", restored.status().ToString().c_str());
     return 1;
   }
-  SynopsisHealth health = restored->Health();
   GroupByQuery qg2 = tpcd::MakeQg2();
   auto answer_after_restart = restored->Answer(qg2);
   std::printf(
@@ -247,8 +245,8 @@ int main() {
       "%zu rows), Qg2 answers %zu groups; inserts now rejected "
       "(maintainer RNG not persisted)\n",
       recovered->report.clean ? "clean" : "damaged",
-      static_cast<unsigned long long>(health.tuples_seen), health.num_strata,
-      health.num_rows,
+      static_cast<unsigned long long>(restored->tuples_seen()),
+      restored->sample().strata().size(), restored->sample().num_rows(),
       answer_after_restart.ok() ? answer_after_restart->num_groups() : 0);
 
   // Deliberately corrupt the checkpoint: flip one byte mid-file, where

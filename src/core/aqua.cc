@@ -333,11 +333,6 @@ Result<QueryResult> AquaEngine::QueryVia(const std::string& sql,
 }
 
 Result<ResilientAnswer> AquaEngine::QueryResilient(
-    const std::string& sql) const {
-  return QueryResilient(sql, std::chrono::steady_clock::time_point::max());
-}
-
-Result<ResilientAnswer> AquaEngine::QueryResilient(
     const std::string& sql,
     std::chrono::steady_clock::time_point deadline) const {
   // Parse/bind errors are the caller's bug, not a synopsis failure — no
@@ -442,7 +437,7 @@ Status AquaEngine::Checkpoint(const std::string& name,
   image.strategy = static_cast<uint32_t>(synopsis.config().strategy);
   image.target_size = synopsis.target_size();
   image.seed = synopsis.config().seed;
-  image.tuples_seen = synopsis.Health().tuples_seen;
+  image.tuples_seen = synopsis.tuples_seen();
   image.sample = synopsis.sample();
   CONGRESS_METRIC_INCR("resilience.engine_checkpoints", 1);
   return resilience::WriteSnapshot(image, path);
@@ -457,10 +452,17 @@ Status AquaEngine::RestoreTable(const std::string& name,
   }
   auto recovered = resilience::RecoverSnapshot(path);
   if (!recovered.ok()) return recovered.status();
-  auto synopsis =
-      AquaSynopsis::Restore(std::move(recovered->image.sample), config,
-                            recovered->image.tuples_seen);
+  // The image is authoritative for the grouping columns, the target size
+  // and the stream position; `config` supplies everything else. The
+  // maintainer RNG is not in the image, so the stream cannot resume and
+  // the restored relation is never incremental.
+  SynopsisConfig restored_config = config;
+  restored_config.incremental = false;
+  auto synopsis = AquaSynopsis::FromSample(
+      std::move(recovered->image.sample), restored_config,
+      recovered->image.target_size, recovered->image.tuples_seen);
   if (!synopsis.ok()) return synopsis.status();
+  CONGRESS_METRIC_INCR("synopsis.restores", 1);
 
   MaintenanceState state;
   state.config = synopsis->config();

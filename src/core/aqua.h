@@ -93,16 +93,14 @@ class AquaEngine {
   /// DegradationReason projects the plan report: the rung that answered,
   /// why the rungs tried before it failed, and the bound widening.
   /// ResilientAnswer::epoch names the snapshot generation that served it.
-  /// Fails only when every rung fails, or the SQL does not parse/bind.
-  Result<ResilientAnswer> QueryResilient(const std::string& sql) const;
-
-  /// Deadline-aware variant for the serving loop: every attempt after the
-  /// first checks `deadline`, so a query that keeps failing downward stops
-  /// burning time once its budget is gone and returns DeadlineExceeded
-  /// naming the rungs it did try.
+  /// Every attempt after the first checks `deadline`, so a query that
+  /// keeps failing downward stops burning time once its budget is gone
+  /// and returns DeadlineExceeded naming the rungs it did try. Fails only
+  /// when every rung fails, or the SQL does not parse/bind.
   Result<ResilientAnswer> QueryResilient(
       const std::string& sql,
-      std::chrono::steady_clock::time_point deadline) const;
+      std::chrono::steady_clock::time_point deadline =
+          std::chrono::steady_clock::time_point::max()) const;
 
   /// The rewritten SQL text the strategy would send to the back-end DBMS
   /// (Figures 8-11), with the synopsis relation named "bs_<table>".

@@ -3,14 +3,12 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/estimator.h"
 #include "core/rewriter.h"
 #include "sampling/allocation.h"
 #include "sampling/builder.h"
-#include "sampling/maintenance.h"
 #include "sampling/moments.h"
 #include "sampling/stratified_sample.h"
 #include "storage/table.h"
@@ -37,12 +35,10 @@ struct SynopsisConfig {
   /// Error-bound settings for approximate answers.
   EstimatorOptions estimator;
 
-  /// Default physical rewrite strategy for AnswerVia-less calls.
-  RewriteStrategy rewrite = RewriteStrategy::kNestedIntegrated;
-
-  /// If true, build via the one-pass incremental maintainer (Section 6)
-  /// so the synopsis keeps absorbing Insert()s; otherwise build with the
-  /// two-pass exact-allocation path and reject inserts.
+  /// If true, build by one-pass construction through the incremental
+  /// maintainer (Section 6); AquaEngine additionally keeps the stream
+  /// open for Insert/Refresh. Otherwise build with the two-pass
+  /// exact-allocation path.
   bool incremental = false;
 
   /// Ingest shards for the engine's streaming path (sampling/shard.h);
@@ -85,45 +81,26 @@ Result<std::vector<size_t>> ResolveGroupingIndices(
 Result<uint64_t> ResolveSampleSize(const SynopsisConfig& config,
                                    uint64_t num_rows);
 
-/// A synopsis's vital signs, for health endpoints and the degradation
-/// ladder's decision making.
-struct SynopsisHealth {
-  bool restored_from_snapshot = false;  ///< Came from RecoverSnapshot.
-  bool can_insert = false;              ///< Has a live maintainer.
-  size_t num_strata = 0;
-  size_t num_rows = 0;
-  uint64_t tuples_seen = 0;  ///< Stream position (maintainer or snapshot).
-};
-
-/// An Aqua-style synopsis over one base relation: a stratified sample,
-/// its precomputed rewrite materializations, and (optionally) a live
-/// incremental maintainer. This is the library's main facade.
+/// An Aqua-style synopsis over one base relation: a stratified sample and
+/// its precomputed rewrite materializations. This is the library's main
+/// facade. A synopsis is an immutable value, so concurrent readers can
+/// share it without synchronization; AquaEngine owns the only live
+/// maintainer and mints a new synopsis on every publish.
 class AquaSynopsis {
  public:
   /// Builds a synopsis from `base`. The base table is only read during
-  /// the build; it is not retained.
+  /// the build; it is not retained. With config.incremental the sample
+  /// comes from one-pass construction (BuildSampleOnePass).
   static Result<AquaSynopsis> Build(const Table& base,
                                     const SynopsisConfig& config);
 
-  /// Reconstructs a read-only synopsis from a recovered sample (see
-  /// resilience/recovery.h): the rewrite materializations are rebuilt,
-  /// queries are served, but Insert() is rejected — maintainer RNG state
-  /// is not persisted, so the stream cannot resume; rebuild when the base
-  /// relation becomes available again. `tuples_seen` records the stream
-  /// position the snapshot captured. Grouping columns come from the
-  /// sample itself, not `config`.
-  static Result<AquaSynopsis> Restore(StratifiedSample sample,
-                                      const SynopsisConfig& config,
-                                      uint64_t tuples_seen);
-
-  /// Freezes a maintainer-produced sample into a fully immutable,
-  /// query-only synopsis: the rewrite materializations are built once and
-  /// the result holds no maintainer, so concurrent readers can share it
-  /// without synchronization. This is the publish step of the snapshot
-  /// lifecycle — the engine streams inserts into an off-to-the-side
-  /// maintainer and calls FromSample to mint the next published synopsis.
-  /// `tuples_seen` records the maintainer's stream position at the
-  /// freeze. Insert() on the result is rejected.
+  /// Freezes a sample into a synopsis: the rewrite materializations are
+  /// built once. This is the publish step of the engine's snapshot
+  /// lifecycle and the restart step of recovery (resilience/recovery.h).
+  /// The sample is authoritative for grouping structure, so
+  /// config().grouping_columns is re-derived from it. `target_sample_size`
+  /// is the sample-size target X and `tuples_seen` the stream position
+  /// the sample describes.
   static Result<AquaSynopsis> FromSample(StratifiedSample sample,
                                          const SynopsisConfig& config,
                                          uint64_t target_sample_size,
@@ -138,29 +115,21 @@ class AquaSynopsis {
   Result<QueryResult> AnswerVia(const GroupByQuery& query,
                                 RewriteStrategy strategy) const;
 
-  /// Streams a newly inserted base tuple into the maintainer. Requires
-  /// config.incremental; the visible sample updates on Refresh().
-  Status Insert(const std::vector<Value>& row);
-
-  /// Re-snapshots the maintainer and rebuilds the rewrite
-  /// materializations. No-op for non-incremental synopses.
-  Status Refresh();
-
   const StratifiedSample& sample() const { return sample_; }
   const Rewriter& rewriter() const { return *rewriter_; }
   const SynopsisConfig& config() const { return config_; }
-  /// Per-stratum column moments, computed once per (re)build so the
-  /// planner can score this synopsis in O(#strata).
+  /// Per-stratum column moments, computed once per build so the planner
+  /// can score this synopsis in O(#strata).
   const SampleMoments& moments() const { return moments_; }
   /// Column indices of the grouping columns in the base schema.
   const std::vector<size_t>& grouping_column_indices() const {
     return grouping_indices_;
   }
 
-  bool restored_from_snapshot() const { return restored_; }
-  /// The configured sample-size target X resolved at build time.
+  /// The sample-size target X.
   uint64_t target_size() const { return target_sample_size_; }
-  SynopsisHealth Health() const;
+  /// Base tuples the sample describes (the stream position).
+  uint64_t tuples_seen() const { return tuples_seen_; }
 
  private:
   AquaSynopsis() = default;
@@ -170,40 +139,8 @@ class AquaSynopsis {
   StratifiedSample sample_;
   SampleMoments moments_;
   std::shared_ptr<Rewriter> rewriter_;
-  std::shared_ptr<SampleMaintainer> maintainer_;  // Null unless incremental.
   uint64_t target_sample_size_ = 0;
-  bool restored_ = false;
-  uint64_t restored_tuples_seen_ = 0;
-};
-
-/// A registry of synopses by relation name — the middleware face of Aqua
-/// (Figure 1): register base tables once, answer queries against their
-/// synopses thereafter.
-class SynopsisManager {
- public:
-  /// Builds and registers a synopsis for `name`. Fails if already present.
-  Status Register(const std::string& name, const Table& base,
-                  const SynopsisConfig& config);
-
-  /// Removes a synopsis.
-  Status Drop(const std::string& name);
-
-  bool Has(const std::string& name) const;
-  Result<const AquaSynopsis*> Get(const std::string& name) const;
-
-  /// Forwards to the named synopsis.
-  Result<ApproximateResult> Answer(const std::string& name,
-                                   const GroupByQuery& query) const;
-  Result<QueryResult> AnswerVia(const std::string& name,
-                                const GroupByQuery& query,
-                                RewriteStrategy strategy) const;
-  Status Insert(const std::string& name, const std::vector<Value>& row);
-  Status Refresh(const std::string& name);
-
-  std::vector<std::string> Names() const;
-
- private:
-  std::unordered_map<std::string, std::unique_ptr<AquaSynopsis>> synopses_;
+  uint64_t tuples_seen_ = 0;
 };
 
 }  // namespace congress

@@ -120,7 +120,8 @@ std::unique_ptr<SampleMaintainer> MakeCongressTargetMaintainer(
 
 /// Strategy-dispatched maintainer factory: the one switch over
 /// AllocationStrategy that every one-pass construction site shares
-/// (synopsis builds, BuildSampleOnePass, the engine's register path).
+/// (BuildSampleOnePass, which one-pass synopsis builds use, and the
+/// engine's ingest shards).
 std::unique_ptr<SampleMaintainer> MakeMaintainer(
     AllocationStrategy strategy, Schema base_schema,
     std::vector<size_t> grouping_columns, uint64_t x, uint64_t seed);

@@ -161,7 +161,6 @@ void AquaServer::Enqueue(uint64_t session, Pending pending) {
     // time_point addition below must never overflow the clock rep.
     constexpr std::chrono::milliseconds kMaxBudget{4ull * 60 * 60 * 1000};
     budget = std::min(budget, kMaxBudget);
-    pending.has_deadline = true;
     pending.deadline = pending.enqueued + budget;
   }
   queue_.push_back(std::move(pending));
@@ -212,7 +211,7 @@ Response AquaServer::Execute(const Pending& pending) const {
   response.queue_seconds = Seconds(start - pending.enqueued);
 
   // A request whose budget died in the queue is not worth executing.
-  if (pending.has_deadline && start >= pending.deadline) {
+  if (start >= pending.deadline) {
     response.status = Status::DeadlineExceeded(
         "deadline expired after " +
         std::to_string(response.queue_seconds) + "s in queue");
@@ -231,10 +230,7 @@ Response AquaServer::Execute(const Pending& pending) const {
     }
     case QueryMode::kResilient: {
       auto answer =
-          pending.has_deadline
-              ? engine_->QueryResilient(pending.request.sql,
-                                        pending.deadline)
-              : engine_->QueryResilient(pending.request.sql);
+          engine_->QueryResilient(pending.request.sql, pending.deadline);
       if (answer.ok()) {
         response.result = std::move(answer->result);
         response.degradation = std::move(answer->degradation);

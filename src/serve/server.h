@@ -175,8 +175,9 @@ class AquaServer {
     std::promise<Response> promise;
     ResponseCallback callback;
     std::chrono::steady_clock::time_point enqueued;
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
+    /// max() when the request has no deadline: it never expires.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
 
     void Resolve(Response response) {
       if (callback) {

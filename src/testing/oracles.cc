@@ -1474,7 +1474,7 @@ Status CheckPlannerIdentity(const Table& table,
 
     if (plain.having.empty()) {
       auto via = (*snapshot)->synopsis->AnswerVia(
-          plain, (*snapshot)->synopsis->config().rewrite);
+          plain, RewriteStrategy::kNestedIntegrated);
       CONGRESS_RETURN_NOT_OK(via.status());
       CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
           *via, planned->result.ToQueryResult(), 1e-9,

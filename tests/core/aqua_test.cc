@@ -1,10 +1,15 @@
 #include "core/aqua.h"
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "resilience/recovery.h"
+#include "tpcd/lineitem.h"
 
 namespace congress {
 namespace {
@@ -34,6 +39,25 @@ SynopsisConfig SalesConfig() {
   config.sample_fraction = 0.2;
   config.seed = 3;
   return config;
+}
+
+/// Bit-for-bit equality of two samples: strata metadata, the
+/// row->stratum mapping and every sampled value.
+void ExpectSamplesIdentical(const StratifiedSample& a,
+                            const StratifiedSample& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.strata().size(), b.strata().size());
+  for (size_t s = 0; s < a.strata().size(); ++s) {
+    EXPECT_EQ(a.strata()[s].key, b.strata()[s].key);
+    EXPECT_EQ(a.strata()[s].population, b.strata()[s].population);
+    EXPECT_EQ(a.strata()[s].sample_count, b.strata()[s].sample_count);
+  }
+  EXPECT_EQ(a.row_strata(), b.row_strata());
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    for (size_t c = 0; c < a.rows().num_columns(); ++c) {
+      EXPECT_EQ(a.rows().GetValue(r, c), b.rows().GetValue(r, c));
+    }
+  }
 }
 
 class AquaEngineTest : public ::testing::Test {
@@ -152,30 +176,88 @@ TEST_F(AquaEngineTest, InsertRequiresIncrementalSynopsis) {
 }
 
 TEST_F(AquaEngineTest, IncrementalInsertFlowsThrough) {
-  SynopsisConfig config = SalesConfig();
-  config.incremental = true;
-  AquaEngine engine;
-  ASSERT_TRUE(engine.RegisterTable("live", SalesTable(), config).ok());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        engine.Insert("live", {Value("north"), Value(int64_t{2}), Value(5.0)})
-            .ok());
-  }
-  ASSERT_TRUE(engine.Refresh("live").ok());
-  auto table = engine.GetTable("live");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->num_rows(), 1100u);
+  struct Case {
+    AllocationStrategy strategy;
+    int inserts;
+    int64_t kind;
+    double amount;
+  };
+  for (const Case& c : {Case{AllocationStrategy::kCongress, 100, 2, 5.0},
+                        Case{AllocationStrategy::kSenate, 50, 0, 2.0}}) {
+    SCOPED_TRACE(AllocationStrategyToString(c.strategy));
+    SynopsisConfig config = SalesConfig();
+    config.strategy = c.strategy;
+    config.incremental = true;
+    AquaEngine engine;
+    ASSERT_TRUE(engine.RegisterTable("live", SalesTable(), config).ok());
+    // A brand-new group streams in.
+    for (int i = 0; i < c.inserts; ++i) {
+      ASSERT_TRUE(engine
+                      .Insert("live", {Value("north"), Value(c.kind),
+                                       Value(c.amount)})
+                      .ok());
+    }
+    ASSERT_TRUE(engine.Refresh("live").ok());
+    const uint64_t rows = 1000u + static_cast<uint64_t>(c.inserts);
+    auto table = engine.GetTable("live");
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ((*table)->num_rows(), rows);
+    auto synopsis = engine.GetSynopsis("live");
+    ASSERT_TRUE(synopsis.ok());
+    const StratifiedSample& sample = (*synopsis)->sample();
+    EXPECT_EQ(sample.total_population(), rows);
+    auto stratum = sample.StratumIndex({Value("north"), Value(c.kind)});
+    ASSERT_TRUE(stratum.ok());
+    EXPECT_GT(sample.strata()[*stratum].sample_count, 0u);
 
-  auto approx = engine.Query(
-      "SELECT region, SUM(amount) FROM live GROUP BY region");
-  ASSERT_TRUE(approx.ok());
-  EXPECT_NE(approx->Find({Value("north")}), nullptr);
-  auto exact = engine.QueryExact(
-      "SELECT region, SUM(amount) FROM live GROUP BY region");
-  ASSERT_TRUE(exact.ok());
-  const GroupResult* north = exact->Find({Value("north")});
-  ASSERT_NE(north, nullptr);
-  EXPECT_DOUBLE_EQ(north->aggregates[0], 500.0);
+    auto approx = engine.Query(
+        "SELECT region, SUM(amount) FROM live GROUP BY region");
+    ASSERT_TRUE(approx.ok());
+    EXPECT_NE(approx->Find({Value("north")}), nullptr);
+    auto exact = engine.QueryExact(
+        "SELECT region, SUM(amount) FROM live GROUP BY region");
+    ASSERT_TRUE(exact.ok());
+    const GroupResult* north = exact->Find({Value("north")});
+    ASSERT_NE(north, nullptr);
+    EXPECT_DOUBLE_EQ(north->aggregates[0], c.inserts * c.amount);
+  }
+}
+
+TEST_F(AquaEngineTest, BuildMatchesFirstPublishBitForBit) {
+  // One-pass AquaSynopsis::Build and the engine's register path are one
+  // mechanism: the first published sample equals the built one bit for
+  // bit, for every strategy and shard count. The skewed table spans
+  // several register batches, so four shards really split the stream.
+  tpcd::LineitemConfig lineitem;
+  lineitem.num_tuples = 5000;
+  lineitem.num_groups = 64;
+  lineitem.seed = 17;
+  auto data = tpcd::GenerateLineitem(lineitem);
+  ASSERT_TRUE(data.ok());
+  const Table& base = data->table;
+  for (AllocationStrategy strategy :
+       {AllocationStrategy::kHouse, AllocationStrategy::kSenate,
+        AllocationStrategy::kBasicCongress, AllocationStrategy::kCongress}) {
+    SynopsisConfig config;
+    config.strategy = strategy;
+    config.sample_fraction = 0.1;
+    config.grouping_columns = tpcd::LineitemGroupingColumnNames();
+    config.incremental = true;
+    auto built = AquaSynopsis::Build(base, config);
+    ASSERT_TRUE(built.ok());
+    for (size_t shards : {1u, 4u}) {
+      SCOPED_TRACE(std::string(AllocationStrategyToString(strategy)) + " x" +
+                   std::to_string(shards));
+      config.ingest_shards = shards;
+      AquaEngine engine;
+      ASSERT_TRUE(engine.RegisterTable("live", base, config).ok());
+      auto published = engine.GetSynopsis("live");
+      ASSERT_TRUE(published.ok());
+      ExpectSamplesIdentical(built->sample(), (*published)->sample());
+      EXPECT_EQ(built->target_size(), (*published)->target_size());
+      EXPECT_EQ(built->tuples_seen(), (*published)->tuples_seen());
+    }
+  }
 }
 
 TEST_F(AquaEngineTest, InsertBatchFlowsThrough) {
@@ -233,20 +315,7 @@ TEST_F(AquaEngineTest, ShardCountInvariantPublish) {
   };
   auto one = run(1);
   auto four = run(4);
-  const StratifiedSample& a = one->sample();
-  const StratifiedSample& b = four->sample();
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  ASSERT_EQ(a.strata().size(), b.strata().size());
-  for (size_t s = 0; s < a.strata().size(); ++s) {
-    EXPECT_EQ(a.strata()[s].key, b.strata()[s].key);
-    EXPECT_EQ(a.strata()[s].population, b.strata()[s].population);
-    EXPECT_EQ(a.strata()[s].sample_count, b.strata()[s].sample_count);
-  }
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.rows().num_columns(); ++c) {
-      EXPECT_EQ(a.rows().GetValue(r, c), b.rows().GetValue(r, c));
-    }
-  }
+  ExpectSamplesIdentical(one->sample(), four->sample());
 }
 
 TEST_F(AquaEngineTest, ConcurrentInsertersWithLiveReader) {
@@ -294,6 +363,43 @@ TEST_F(AquaEngineTest, ConcurrentInsertersWithLiveReader) {
   auto table = engine.GetTable("live");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->num_rows(), 1000u + kThreads * kPerThread);
+}
+
+TEST_F(AquaEngineTest, CheckpointRecordsStreamPositionOfTwoPassRelation) {
+  const std::string path = ::testing::TempDir() + "/aqua_test_two_pass.snap";
+  ASSERT_TRUE(engine_.Checkpoint("sales", path).ok());
+  auto recovered = resilience::RecoverSnapshot(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->image.tuples_seen, 1000u);
+  EXPECT_EQ(recovered->image.target_size, 200u);
+}
+
+TEST_F(AquaEngineTest, RestoredRelationRejectsInserts) {
+  // The maintainer RNG is not in the checkpoint, so the stream cannot
+  // resume: a restored relation serves queries but refuses inserts.
+  SynopsisConfig config = SalesConfig();
+  config.incremental = true;
+  AquaEngine live;
+  ASSERT_TRUE(live.RegisterTable("live", SalesTable(), config).ok());
+  const std::string path = ::testing::TempDir() + "/aqua_test_restore.snap";
+  ASSERT_TRUE(live.Checkpoint("live", path).ok());
+  AquaEngine restored;
+  Status st = restored.RestoreTable("live", path, config);
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto synopsis = restored.GetSynopsis("live");
+  ASSERT_TRUE(synopsis.ok());
+  EXPECT_FALSE((*synopsis)->config().incremental);
+  EXPECT_TRUE(
+      restored.Query("SELECT region, SUM(amount) FROM live GROUP BY region")
+          .ok());
+  const std::vector<Value> row = {Value("east"), Value(int64_t{0}),
+                                  Value(1.0)};
+  EXPECT_EQ(restored.Insert("live", row).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restored.InsertBatch("live", {row}).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(AquaEngineTest, DropTable) {

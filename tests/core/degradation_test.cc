@@ -56,13 +56,23 @@ class DegradationTest : public ::testing::Test {
   void TearDown() override { FailpointRegistry::Global().DisableAll(); }
 
   /// Checkpoints the engine's relation and restores it into `restored`,
-  /// which then has no base relation and no fallbacks.
+  /// which then has no base relation and no fallbacks. The image, not the
+  /// restore config, supplies the target size and stream position.
   void CheckpointAndRestore(AquaEngine* restored) {
     const std::string path = ::testing::TempDir() + "/degradation_test.snap";
     ASSERT_TRUE(engine_.Checkpoint("sales", path).ok());
-    Status st = restored->RestoreTable("sales", path, SalesConfig());
+    SynopsisConfig config = SalesConfig();
+    config.sample_size = 50;
+    Status st = restored->RestoreTable("sales", path, config);
     std::remove(path.c_str());
     ASSERT_TRUE(st.ok()) << st.ToString();
+    auto original = engine_.GetSynopsis("sales");
+    auto recovered = restored->GetSynopsis("sales");
+    ASSERT_TRUE(original.ok());
+    ASSERT_TRUE(recovered.ok());
+    EXPECT_EQ((*recovered)->target_size(), (*original)->target_size());
+    EXPECT_EQ((*recovered)->target_size(), 200u);
+    EXPECT_EQ((*recovered)->tuples_seen(), 1000u);
   }
 
   AquaEngine engine_;

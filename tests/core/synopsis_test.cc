@@ -49,6 +49,8 @@ TEST(AquaSynopsisTest, BuildAndAnswer) {
   EXPECT_EQ(synopsis->sample().total_population(), 1000u);
   EXPECT_EQ(synopsis->grouping_column_indices(),
             (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(synopsis->target_size(), 200u);
+  EXPECT_EQ(synopsis->tuples_seen(), 1000u);
 
   auto answer = synopsis->Answer(SumQuery());
   ASSERT_TRUE(answer.ok());
@@ -115,45 +117,6 @@ TEST(AquaSynopsisTest, BuildValidation) {
   EXPECT_FALSE(AquaSynopsis::Build(base, config).ok());
 }
 
-TEST(AquaSynopsisTest, NonIncrementalRejectsInserts) {
-  Table base = MakeBase();
-  auto synopsis = AquaSynopsis::Build(base, BaseConfig());
-  ASSERT_TRUE(synopsis.ok());
-  Status st =
-      synopsis->Insert({Value("east"), Value(int64_t{0}), Value(1.0)});
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(synopsis->Refresh().ok());  // No-op.
-}
-
-TEST(AquaSynopsisTest, IncrementalInsertAndRefresh) {
-  Table base = MakeBase();
-  SynopsisConfig config = BaseConfig();
-  config.incremental = true;
-  config.strategy = AllocationStrategy::kSenate;
-  auto synopsis = AquaSynopsis::Build(base, config);
-  ASSERT_TRUE(synopsis.ok());
-  uint64_t population_before = synopsis->sample().total_population();
-  EXPECT_EQ(population_before, 1000u);
-
-  // Insert a brand-new group and refresh.
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        synopsis->Insert({Value("north"), Value(int64_t{0}), Value(2.0)})
-            .ok());
-  }
-  ASSERT_TRUE(synopsis->Refresh().ok());
-  EXPECT_EQ(synopsis->sample().total_population(), 1050u);
-  auto idx =
-      synopsis->sample().StratumIndex({Value("north"), Value(int64_t{0})});
-  ASSERT_TRUE(idx.ok());
-  EXPECT_GT(synopsis->sample().strata()[*idx].sample_count, 0u);
-
-  // Queries see the new group after refresh.
-  auto answer = synopsis->Answer(SumQuery());
-  ASSERT_TRUE(answer.ok());
-  EXPECT_NE(answer->Find({Value("north")}), nullptr);
-}
-
 TEST(AquaSynopsisTest, IncrementalCongressStrategy) {
   Table base = MakeBase();
   SynopsisConfig config = BaseConfig();
@@ -162,29 +125,34 @@ TEST(AquaSynopsisTest, IncrementalCongressStrategy) {
   auto synopsis = AquaSynopsis::Build(base, config);
   ASSERT_TRUE(synopsis.ok());
   EXPECT_GT(synopsis->sample().num_rows(), 0u);
+  EXPECT_EQ(synopsis->tuples_seen(), 1000u);
   auto answer = synopsis->Answer(SumQuery());
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->num_groups(), 2u);
 }
 
-TEST(AquaSynopsisTest, RestoreServesQueriesButRejectsInserts) {
+TEST(AquaSynopsisTest, FromSampleServesQueriesLikeItsSource) {
   Table base = MakeBase();
   auto built = AquaSynopsis::Build(base, BaseConfig());
   ASSERT_TRUE(built.ok());
 
-  // Hand the sample alone to Restore, as recovery would after a crash.
-  auto restored =
-      AquaSynopsis::Restore(built->sample(), BaseConfig(), /*tuples_seen=*/1000);
+  // Hand the sample alone to FromSample, as recovery would after a
+  // crash. The sample, not the config, names the grouping columns.
+  SynopsisConfig config = BaseConfig();
+  config.grouping_columns = {"amount"};
+  auto restored = AquaSynopsis::FromSample(built->sample(), config,
+                                           /*target_sample_size=*/150,
+                                           /*tuples_seen=*/1234);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_TRUE(restored->restored_from_snapshot());
-  EXPECT_FALSE(built->restored_from_snapshot());
-
-  SynopsisHealth health = restored->Health();
-  EXPECT_TRUE(health.restored_from_snapshot);
-  EXPECT_FALSE(health.can_insert);
-  EXPECT_EQ(health.num_strata, built->sample().strata().size());
-  EXPECT_EQ(health.num_rows, built->sample().num_rows());
-  EXPECT_EQ(health.tuples_seen, 1000u);
+  EXPECT_EQ(restored->config().grouping_columns,
+            (std::vector<std::string>{"region", "kind"}));
+  EXPECT_EQ(restored->grouping_column_indices(),
+            (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(restored->target_size(), 150u);
+  EXPECT_EQ(restored->tuples_seen(), 1234u);
+  EXPECT_EQ(restored->sample().strata().size(),
+            built->sample().strata().size());
+  EXPECT_EQ(restored->sample().num_rows(), built->sample().num_rows());
 
   // Queries answer identically to the synopsis the sample came from.
   auto original = built->Answer(SumQuery());
@@ -198,57 +166,22 @@ TEST(AquaSynopsisTest, RestoreServesQueriesButRejectsInserts) {
     EXPECT_DOUBLE_EQ(row.estimates[0], other->estimates[0]);
     EXPECT_DOUBLE_EQ(row.bounds[0], other->bounds[0]);
   }
-
-  // The maintainer RNG is gone with the crashed process: no inserts.
-  Status st = restored->Insert({Value("east"), Value(int64_t{0}), Value(1.0)});
-  EXPECT_FALSE(st.ok());
 }
 
-TEST(SynopsisManagerTest, RegisterAnswerDrop) {
+TEST(AquaSynopsisTest, FromSampleRejectsBadGrouping) {
   Table base = MakeBase();
-  SynopsisManager manager;
-  ASSERT_TRUE(manager.Register("sales", base, BaseConfig()).ok());
-  EXPECT_TRUE(manager.Has("sales"));
-  EXPECT_FALSE(manager.Register("sales", base, BaseConfig()).ok());
-
-  auto answer = manager.Answer("sales", SumQuery());
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->num_groups(), 2u);
-
-  auto via =
-      manager.AnswerVia("sales", SumQuery(), RewriteStrategy::kIntegrated);
-  EXPECT_TRUE(via.ok());
-
-  EXPECT_EQ(manager.Names().size(), 1u);
-  EXPECT_TRUE(manager.Drop("sales").ok());
-  EXPECT_FALSE(manager.Has("sales"));
-  EXPECT_FALSE(manager.Drop("sales").ok());
-}
-
-TEST(SynopsisManagerTest, UnknownNameErrors) {
-  SynopsisManager manager;
-  EXPECT_FALSE(manager.Answer("nope", SumQuery()).ok());
-  EXPECT_FALSE(
-      manager.AnswerVia("nope", SumQuery(), RewriteStrategy::kIntegrated)
-          .ok());
-  EXPECT_FALSE(manager.Insert("nope", {}).ok());
-  EXPECT_FALSE(manager.Refresh("nope").ok());
-  EXPECT_FALSE(manager.Get("nope").ok());
-}
-
-TEST(SynopsisManagerTest, InsertThroughManager) {
-  Table base = MakeBase();
-  SynopsisManager manager;
-  SynopsisConfig config = BaseConfig();
-  config.incremental = true;
-  ASSERT_TRUE(manager.Register("sales", base, config).ok());
-  ASSERT_TRUE(
-      manager.Insert("sales", {Value("east"), Value(int64_t{0}), Value(5.0)})
-          .ok());
-  ASSERT_TRUE(manager.Refresh("sales").ok());
-  auto synopsis = manager.Get("sales");
-  ASSERT_TRUE(synopsis.ok());
-  EXPECT_EQ((*synopsis)->sample().total_population(), 1001u);
+  // No grouping columns.
+  StratifiedSample ungrouped(base.schema(), {});
+  EXPECT_EQ(AquaSynopsis::FromSample(ungrouped, BaseConfig(), 1, 0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A grouping column past the end of the schema.
+  StratifiedSample out_of_range(base.schema(), {7});
+  EXPECT_EQ(AquaSynopsis::FromSample(out_of_range, BaseConfig(), 1, 0)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

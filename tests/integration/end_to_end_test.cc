@@ -1,7 +1,10 @@
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/aqua.h"
 #include "core/metrics.h"
-#include "core/synopsis.h"
 #include "engine/executor.h"
 #include "tpcd/lineitem.h"
 #include "tpcd/workload.h"
@@ -30,7 +33,7 @@ class EndToEndTest : public ::testing::Test {
     ASSERT_TRUE(data.ok());
     table_ = new Table(std::move(data->table));
 
-    manager_ = new SynopsisManager();
+    synopses_ = new std::map<std::string, AquaSynopsis>();
     for (auto [name, strategy] :
          std::initializer_list<std::pair<const char*, AllocationStrategy>>{
              {"house", AllocationStrategy::kHouse},
@@ -42,38 +45,43 @@ class EndToEndTest : public ::testing::Test {
       config2.sample_fraction = 0.07;
       config2.grouping_columns = tpcd::LineitemGroupingColumnNames();
       config2.seed = 33;
-      ASSERT_TRUE(manager_->Register(name, *table_, config2).ok());
+      auto synopsis = AquaSynopsis::Build(*table_, config2);
+      ASSERT_TRUE(synopsis.ok());
+      synopses_->emplace(name, std::move(synopsis).value());
     }
   }
 
   static void TearDownTestSuite() {
-    delete manager_;
+    delete synopses_;
     delete table_;
-    manager_ = nullptr;
+    synopses_ = nullptr;
     table_ = nullptr;
+  }
+
+  static const AquaSynopsis& Synopsis(const char* name) {
+    return synopses_->at(name);
   }
 
   static double L1Error(const char* synopsis, const GroupByQuery& query) {
     auto exact = ExecuteExact(*table_, query);
     EXPECT_TRUE(exact.ok());
-    auto approx = manager_->Answer(synopsis, query);
+    auto approx = Synopsis(synopsis).Answer(query);
     EXPECT_TRUE(approx.ok());
     return CompareAnswers(*exact, *approx, 0).l1;
   }
 
   static Table* table_;
-  static SynopsisManager* manager_;
+  static std::map<std::string, AquaSynopsis>* synopses_;
 };
 
 Table* EndToEndTest::table_ = nullptr;
-SynopsisManager* EndToEndTest::manager_ = nullptr;
+std::map<std::string, AquaSynopsis>* EndToEndTest::synopses_ = nullptr;
 
 TEST_F(EndToEndTest, SamplesUseConfiguredSpace) {
   for (const char* name : {"house", "senate", "basic", "congress"}) {
-    auto synopsis = manager_->Get(name);
-    ASSERT_TRUE(synopsis.ok());
-    EXPECT_EQ((*synopsis)->sample().num_rows(), 7000u) << name;
-    EXPECT_EQ((*synopsis)->sample().total_population(), 100000u);
+    const AquaSynopsis& synopsis = Synopsis(name);
+    EXPECT_EQ(synopsis.sample().num_rows(), 7000u) << name;
+    EXPECT_EQ(synopsis.sample().total_population(), 100000u);
   }
 }
 
@@ -84,7 +92,7 @@ TEST_F(EndToEndTest, SenateAndCongressCoverAllGroupsOnQg3) {
   auto exact = ExecuteExact(*table_, MakeQg3());
   ASSERT_TRUE(exact.ok());
   for (const char* name : {"senate", "congress"}) {
-    auto approx = manager_->Answer(name, MakeQg3());
+    auto approx = Synopsis(name).Answer(MakeQg3());
     ASSERT_TRUE(approx.ok());
     auto report = CompareAnswers(*exact, *approx, 0);
     EXPECT_EQ(report.missing_groups, 0u) << name;
@@ -107,7 +115,7 @@ TEST_F(EndToEndTest, Figure14ShapeHouseBeatsSenateOnQg0) {
     for (const auto& q : queries) {
       auto exact = ExecuteExact(*table_, q);
       EXPECT_TRUE(exact.ok());
-      auto approx = manager_->Answer(name, q);
+      auto approx = Synopsis(name).Answer(q);
       EXPECT_TRUE(approx.ok());
       total += CompareAnswers(*exact, *approx, 0).l1;
     }
@@ -135,12 +143,12 @@ TEST_F(EndToEndTest, CongressCompetitiveOnQg2) {
 TEST_F(EndToEndTest, RewriteStrategiesAgreeOnRealWorkload) {
   GroupByQuery q = MakeQg2();
   auto reference =
-      manager_->AnswerVia("congress", q, RewriteStrategy::kIntegrated);
+      Synopsis("congress").AnswerVia(q, RewriteStrategy::kIntegrated);
   ASSERT_TRUE(reference.ok());
   for (auto strategy :
        {RewriteStrategy::kNestedIntegrated, RewriteStrategy::kNormalized,
         RewriteStrategy::kKeyNormalized}) {
-    auto result = manager_->AnswerVia("congress", q, strategy);
+    auto result = Synopsis("congress").AnswerVia(q, strategy);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), reference->num_groups());
     for (const GroupResult& row : reference->rows()) {
@@ -155,7 +163,7 @@ TEST_F(EndToEndTest, RewriteStrategiesAgreeOnRealWorkload) {
 TEST_F(EndToEndTest, ErrorBoundsMostlyCoverTruthOnQg2) {
   auto exact = ExecuteExact(*table_, MakeQg2());
   ASSERT_TRUE(exact.ok());
-  auto approx = manager_->Answer("congress", MakeQg2());
+  auto approx = Synopsis("congress").Answer(MakeQg2());
   ASSERT_TRUE(approx.ok());
   int covered = 0;
   int total = 0;
@@ -193,8 +201,9 @@ TEST_F(EndToEndTest, LargerSampleReducesCongressError) {
 }
 
 TEST_F(EndToEndTest, IncrementalMaintenanceConvergesOnNewData) {
-  // Build an incremental Congress synopsis on half the data, stream the
-  // other half, and verify queries reflect the whole relation.
+  // Register an incremental Congress relation on half the data, stream
+  // the other half through the engine, and verify queries reflect the
+  // whole relation.
   LineitemConfig config;
   config.num_tuples = 20000;
   config.num_groups = 27;
@@ -213,8 +222,9 @@ TEST_F(EndToEndTest, IncrementalMaintenanceConvergesOnNewData) {
   sconfig.grouping_columns = tpcd::LineitemGroupingColumnNames();
   sconfig.incremental = true;
   sconfig.seed = 13;
-  auto synopsis = AquaSynopsis::Build(first_half, sconfig);
-  ASSERT_TRUE(synopsis.ok());
+  AquaEngine engine;
+  ASSERT_TRUE(
+      engine.RegisterTable("lineitem", std::move(first_half), sconfig).ok());
 
   std::vector<Value> row;
   for (size_t r = 10000; r < full.num_rows(); ++r) {
@@ -222,13 +232,16 @@ TEST_F(EndToEndTest, IncrementalMaintenanceConvergesOnNewData) {
     for (size_t c = 0; c < full.num_columns(); ++c) {
       row.push_back(full.GetValue(r, c));
     }
-    ASSERT_TRUE(synopsis->Insert(row).ok());
+    ASSERT_TRUE(engine.Insert("lineitem", row).ok());
   }
-  ASSERT_TRUE(synopsis->Refresh().ok());
-  EXPECT_EQ(synopsis->sample().total_population(), 20000u);
+  ASSERT_TRUE(engine.Refresh("lineitem").ok());
+  auto synopsis = engine.GetSynopsis("lineitem");
+  ASSERT_TRUE(synopsis.ok());
+  EXPECT_EQ((*synopsis)->sample().total_population(), 20000u);
+  EXPECT_EQ((*synopsis)->tuples_seen(), 20000u);
 
   auto exact = ExecuteExact(full, MakeQg2());
-  auto approx = synopsis->Answer(MakeQg2());
+  auto approx = (*synopsis)->Answer(MakeQg2());
   ASSERT_TRUE(exact.ok() && approx.ok());
   auto report = CompareAnswers(*exact, *approx, 0);
   EXPECT_EQ(report.missing_groups, 0u);
