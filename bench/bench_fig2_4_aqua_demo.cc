@@ -29,8 +29,8 @@ void PrintComparison(const char* label, const Table& base,
   std::printf("%-24s %14s %14s %12s %10s\n", "group (flag, status)", "exact",
               "approx", "error1(90%)", "rel.err%");
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = approx->Find(row.key);
-    if (est == nullptr) {
+    const std::optional<ApproximateGroupRow> est = approx->Find(row.key);
+    if (!est) {
       std::printf("%-24s %14.4g %14s %12s %10s\n",
                   GroupKeyToString(row.key).c_str(), row.aggregates[0],
                   "MISSING", "-", "-");

@@ -121,20 +121,20 @@ int main() {
       // Smallest state = highest state id under Zipf rank order.
       GroupKey smallest_state = {Value(int64_t{49})};
       const GroupResult* truth = exact->Find(smallest_state);
-      const ApproximateGroupRow* ur = u->Find(smallest_state);
-      const ApproximateGroupRow* cr = c->Find(smallest_state);
+      const std::optional<ApproximateGroupRow> ur = u->Find(smallest_state);
+      const std::optional<ApproximateGroupRow> cr = c->Find(smallest_state);
       if (truth != nullptr) {
         std::printf("\nsmallest state avg income: exact %.0f | uniform %s "
                     "(support %llu) | congress %.0f (support %llu)\n",
                     truth->aggregates[0],
-                    ur != nullptr
+                    ur.has_value()
                         ? std::to_string(ur->estimates[0]).c_str()
                         : "MISSING",
-                    ur != nullptr
+                    ur.has_value()
                         ? static_cast<unsigned long long>(ur->support)
                         : 0ull,
-                    cr != nullptr ? cr->estimates[0] : 0.0,
-                    cr != nullptr
+                    cr.has_value() ? cr->estimates[0] : 0.0,
+                    cr.has_value()
                         ? static_cast<unsigned long long>(cr->support)
                         : 0ull);
       }

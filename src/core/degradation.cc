@@ -1,5 +1,6 @@
 #include "core/degradation.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace congress {
@@ -19,15 +20,14 @@ const char* DegradationLevelToString(DegradationLevel level) {
 }
 
 ApproximateResult ExactAsApproximate(const QueryResult& exact) {
-  ApproximateResult out;
-  for (const GroupResult& row : exact.rows()) {
-    ApproximateGroupRow approx;
-    approx.key = row.key;
-    approx.estimates = row.aggregates;
-    approx.std_errors.assign(row.aggregates.size(), 0.0);
-    approx.bounds.assign(row.aggregates.size(), 0.0);
-    approx.provenance = GroupProvenance::kExact;
-    out.Add(std::move(approx));
+  const std::vector<GroupResult>& rows = exact.rows();
+  ApproximateResult out(rows.empty() ? 0 : rows[0].key.size(),
+                        rows.empty() ? 0 : rows[0].aggregates.size());
+  out.Reserve(rows.size());
+  for (const GroupResult& row : rows) {
+    // Zero standard errors and bounds: the numbers are exact.
+    std::span<double> numbers = out.Add(row.key, 0, GroupProvenance::kExact);
+    std::copy(row.aggregates.begin(), row.aggregates.end(), numbers.begin());
   }
   return out;
 }

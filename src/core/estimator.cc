@@ -1,6 +1,7 @@
 #include "core/estimator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -38,33 +39,85 @@ const char* GroupProvenanceToString(GroupProvenance provenance) {
   return "unknown";
 }
 
-void ApproximateResult::Add(ApproximateGroupRow row) {
-  searchable_ = searchable_ && result_rows::Extends(rows_, row.key);
-  rows_.push_back(std::move(row));
+void ApproximateResult::Reserve(size_t num_groups) {
+  keys_.reserve(num_groups * key_width_);
+  numbers_.reserve(num_groups * 3 * num_aggs_);
+  support_.reserve(num_groups);
+  provenance_.reserve(num_groups);
 }
 
-const ApproximateGroupRow* ApproximateResult::Find(const GroupKey& key) const {
-  return result_rows::Find(rows_, searchable_, key);
+std::span<double> ApproximateResult::Add(std::span<const Value> key,
+                                         uint64_t support,
+                                         GroupProvenance provenance) {
+  assert(key.size() == key_width_);
+  const size_t n = num_groups();
+  searchable_ = result_rows::Orderable(key) &&
+                (n == 0 || (searchable_ && KeyLess(row(n - 1).key, key)));
+  keys_.insert(keys_.end(), key.begin(), key.end());
+  numbers_.resize(numbers_.size() + 3 * num_aggs_, 0.0);
+  support_.push_back(support);
+  provenance_.push_back(provenance);
+  return {numbers_.data() + n * 3 * num_aggs_, 3 * num_aggs_};
+}
+
+std::optional<ApproximateGroupRow> ApproximateResult::Find(
+    std::span<const Value> key) const {
+  const size_t i = result_rows::Find(num_groups(), searchable_, KeyAt(), key);
+  if (i == num_groups()) return std::nullopt;
+  return row(i);
 }
 
 void ApproximateResult::SortByKey() {
-  searchable_ = result_rows::SortByKey(&rows_, searchable_);
+  if (searchable_) return;
+  ApproximateResult sorted(key_width_, num_aggs_);
+  sorted.Reserve(num_groups());
+  for (size_t i : result_rows::SortedOrder(num_groups(), KeyAt())) {
+    const ApproximateGroupRow r = row(i);
+    std::ranges::copy(row_numbers(i),
+                      sorted.Add(r.key, r.support, r.provenance).begin());
+  }
+  *this = std::move(sorted);
 }
 
 void ApproximateResult::FilterHaving(
     const std::vector<HavingCondition>& having) {
   if (having.empty()) return;
-  auto fails = [&having](const ApproximateGroupRow& row) {
-    return !PassesHaving(having, row.estimates.data(), row.estimates.size());
-  };
-  rows_.erase(std::remove_if(rows_.begin(), rows_.end(), fails), rows_.end());
-  searchable_ = searchable_ || result_rows::Searchable(rows_);
+  const size_t width = 3 * num_aggs_;
+  size_t kept = 0;
+  for (size_t i = 0; i < num_groups(); ++i) {
+    if (!PassesHaving(having, numbers_.data() + i * width, num_aggs_)) {
+      continue;
+    }
+    if (kept != i) {
+      std::move(keys_.begin() + i * key_width_,
+                keys_.begin() + (i + 1) * key_width_,
+                keys_.begin() + kept * key_width_);
+      std::copy_n(numbers_.begin() + i * width, width,
+                  numbers_.begin() + kept * width);
+      support_[kept] = support_[i];
+      provenance_[kept] = provenance_[i];
+    }
+    ++kept;
+  }
+  keys_.resize(kept * key_width_);
+  numbers_.resize(kept * width);
+  support_.resize(kept);
+  provenance_.resize(kept);
+  searchable_ = searchable_ || result_rows::Searchable(num_groups(), KeyAt());
+}
+
+void ApproximateResult::WidenBounds(double factor) {
+  const size_t width = 3 * num_aggs_;
+  for (size_t at = 0; at < numbers_.size(); at += width) {
+    for (size_t k = num_aggs_; k < width; ++k) numbers_[at + k] *= factor;
+  }
 }
 
 QueryResult ApproximateResult::ToQueryResult() const {
   QueryResult out;
-  for (const ApproximateGroupRow& row : rows_) {
-    out.Add(row.key, row.estimates);
+  for (const ApproximateGroupRow& row : rows()) {
+    out.Add(GroupKey(row.key.begin(), row.key.end()),
+            std::vector<double>(row.estimates.begin(), row.estimates.end()));
   }
   out.SortByKey();
   return out;
@@ -72,17 +125,17 @@ QueryResult ApproximateResult::ToQueryResult() const {
 
 std::string ApproximateResult::ToString(size_t max_rows) const {
   std::ostringstream oss;
-  size_t shown = std::min(max_rows, rows_.size());
+  size_t shown = std::min(max_rows, num_groups());
   for (size_t i = 0; i < shown; ++i) {
-    const auto& row = rows_[i];
-    oss << GroupKeyToString(row.key) << " ->";
-    for (size_t a = 0; a < row.estimates.size(); ++a) {
-      oss << " " << row.estimates[a] << " (+-" << row.bounds[a] << ")";
+    const ApproximateGroupRow r = row(i);
+    oss << GroupKeyToString(r.key) << " ->";
+    for (size_t a = 0; a < r.estimates.size(); ++a) {
+      oss << " " << r.estimates[a] << " (+-" << r.bounds[a] << ")";
     }
-    oss << " [" << row.support << " tuples]\n";
+    oss << " [" << r.support << " tuples]\n";
   }
-  if (shown < rows_.size()) {
-    oss << "... (" << (rows_.size() - shown) << " more groups)\n";
+  if (shown < num_groups()) {
+    oss << "... (" << (num_groups() - shown) << " more groups)\n";
   }
   return oss.str();
 }
@@ -157,6 +210,7 @@ FoldUnits StrataUnits(const StratifiedSample& sample,
   };
   units.offsets.assign(strata.size() + 1, 0);
   std::vector<uint32_t> by_first_row;  // Strata with rows, first-row order.
+  by_first_row.reserve(strata.size());
   for (size_t r = 0, end = 0; r < num_rows; r = end) {
     end = run_end(r);
     uint64_t& count = units.offsets[row_strata[r] + 1];
@@ -186,6 +240,8 @@ FoldUnits StrataUnits(const StratifiedSample& sample,
   };
   FlatIdTable dict(by_first_row.size());
   std::vector<uint32_t> rep;  // Output id -> its first stratum.
+  rep.reserve(by_first_row.size());
+  units.first_row.reserve(by_first_row.size());
   for (uint32_t s : by_first_row) {
     const GroupKey& key = strata[s].key;
     size_t hash = positions.size();
@@ -233,6 +289,7 @@ Result<FoldUnits> InternedUnits(const StratifiedSample& sample,
   units.unit_of_row = units.index.row_ids().data();
   units.group_of = std::move(projection->group_of);
   units.stratum_of.resize(units.group_of.size());
+  units.first_row.reserve(units.group_of.size());
   for (size_t u = 0; u < units.group_of.size(); ++u) {
     const uint32_t first = units.rows[units.offsets[u]];
     units.stratum_of[u] = sample.row_strata()[first];
@@ -556,64 +613,68 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   // c_i the per-draw range of the scaled variable; inverting at the
   // target confidence gives t = sqrt(ln(2/(1-conf))/2 * sum c_i^2).
   const double hoeff_ln = std::log(2.0 / (1.0 - options.confidence)) / 2.0;
-  std::vector<double> estimates(num_groups * num_aggs, 0.0);
-  std::vector<double> std_errors(num_groups * num_aggs, 0.0);
-  std::vector<double> bounds(num_groups * num_aggs, 0.0);
-  for (size_t i = 0; i < num_groups * num_aggs; ++i) {
-    const size_t g = i / num_aggs;
-    const size_t a = i % num_aggs;
+  // Each group's estimates, standard errors and bounds, laid out as the
+  // answer stores them.
+  const size_t width = 3 * num_aggs;
+  std::vector<double> numbers(num_groups * width, 0.0);
+  for (size_t g = 0; g < num_groups; ++g) {
     const CountRollUp& count = counts[g];
-    double est = 0.0;
-    double variance = 0.0;
-    double hoeff_c2 = 0.0;
-    bool has_range = true;  // AVG has none: Chebyshev fallback.
-    if (query.aggregates[a].kind == AggregateKind::kCount) {
-      est = count.est;
-      variance = count.var;
-      hoeff_c2 = count.hoeff_c2;
-    } else {
-      const InputRollUp& r = sums[g * num_inputs + input_of[a]];
-      if (query.aggregates[a].kind == AggregateKind::kSum) {
-        est = r.est;
-        variance = r.var;
-        hoeff_c2 = r.hoeff_c2;
+    double* estimates = numbers.data() + g * width;
+    double* std_errors = estimates + num_aggs;
+    double* bounds = std_errors + num_aggs;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      double est = 0.0;
+      double variance = 0.0;
+      double hoeff_c2 = 0.0;
+      bool has_range = true;  // AVG has none: Chebyshev fallback.
+      if (query.aggregates[a].kind == AggregateKind::kCount) {
+        est = count.est;
+        variance = count.var;
+        hoeff_c2 = count.hoeff_c2;
       } else {
-        has_range = false;
-        if (count.est > 0.0) {
-          est = r.est / count.est;
-          // Delta-method variance of the ratio estimator.
-          variance = (r.var - 2.0 * est * r.cov + est * est * count.var) /
-                     (count.est * count.est);
-          if (variance < 0.0) variance = 0.0;
+        const InputRollUp& r = sums[g * num_inputs + input_of[a]];
+        if (query.aggregates[a].kind == AggregateKind::kSum) {
+          est = r.est;
+          variance = r.var;
+          hoeff_c2 = r.hoeff_c2;
+        } else {
+          has_range = false;
+          if (count.est > 0.0) {
+            est = r.est / count.est;
+            // Delta-method variance of the ratio estimator.
+            variance = (r.var - 2.0 * est * r.cov + est * est * count.var) /
+                       (count.est * count.est);
+            if (variance < 0.0) variance = 0.0;
+          }
         }
       }
-    }
-    const double std_err = std::sqrt(std::max(0.0, variance));
-    estimates[i] = est;
-    std_errors[i] = std_err;
-    switch (options.bound_method) {
-      case BoundMethod::kStandardError:
-        bounds[i] = std_err;
-        break;
-      case BoundMethod::kChebyshev:
-        bounds[i] = cheb * std_err;
-        break;
-      case BoundMethod::kHoeffding:
-        bounds[i] =
-            has_range ? std::sqrt(hoeff_ln * hoeff_c2) : cheb * std_err;
-        break;
+      const double std_err = std::sqrt(std::max(0.0, variance));
+      estimates[a] = est;
+      std_errors[a] = std_err;
+      switch (options.bound_method) {
+        case BoundMethod::kStandardError:
+          bounds[a] = std_err;
+          break;
+        case BoundMethod::kChebyshev:
+          bounds[a] = cheb * std_err;
+          break;
+        case BoundMethod::kHoeffding:
+          bounds[a] =
+              has_range ? std::sqrt(hoeff_ln * hoeff_c2) : cheb * std_err;
+          break;
+      }
     }
   }
 
   // Output: groups with a matching row that pass HAVING, taken in
   // first-occurrence order and sorted by key with comparisons identical
-  // to a sort of the rows; each row is built once, in its final place.
+  // to a sort of the rows; each group's key values and numbers are then
+  // appended once, in their final place.
   std::vector<uint32_t> order;
   order.reserve(num_groups);
   for (uint32_t g = 0; g < num_groups; ++g) {
     if (counts[g].support > 0 &&
-        PassesHaving(query.having, estimates.data() + g * num_aggs,
-                     num_aggs)) {
+        PassesHaving(query.having, numbers.data() + g * width, num_aggs)) {
       order.push_back(g);
     }
   }
@@ -621,18 +682,16 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return row_less(units.first_row[a], units.first_row[b]);
   });
-  ApproximateResult result;
+  ApproximateResult result(query.group_columns.size(), num_aggs);
+  result.Reserve(order.size());
+  GroupKey key(query.group_columns.size());
   for (uint32_t g : order) {
-    ApproximateGroupRow row;
-    row.key = rows.KeyForRow(units.first_row[g], query.group_columns);
-    row.support = counts[g].support;
-    const size_t at = g * num_aggs;
-    row.estimates.assign(estimates.begin() + at,
-                         estimates.begin() + at + num_aggs);
-    row.std_errors.assign(std_errors.begin() + at,
-                          std_errors.begin() + at + num_aggs);
-    row.bounds.assign(bounds.begin() + at, bounds.begin() + at + num_aggs);
-    result.Add(std::move(row));
+    for (size_t c = 0; c < key.size(); ++c) {
+      key[c] = rows.GetValue(units.first_row[g], query.group_columns[c]);
+    }
+    std::span<double> out =
+        result.Add(key, counts[g].support, GroupProvenance::kSampled);
+    std::copy_n(numbers.begin() + g * width, width, out.begin());
   }
   return result;
 }

@@ -1,6 +1,9 @@
 #ifndef CONGRESS_CORE_ESTIMATOR_H_
 #define CONGRESS_CORE_ESTIMATOR_H_
 
+#include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,31 +50,86 @@ enum class GroupProvenance : uint8_t {
 
 const char* GroupProvenanceToString(GroupProvenance provenance);
 
-/// One output group of an approximate answer: the scaled estimates plus,
-/// per aggregate, the standard error and the half-width error bound at
-/// the configured confidence.
+/// One output group of an approximate answer, viewed in place inside its
+/// ApproximateResult: the group's key, the scaled estimates plus, per
+/// aggregate, the standard error and the half-width error bound at the
+/// configured confidence. A view stays valid until its result is next
+/// modified, moved or destroyed.
 struct ApproximateGroupRow {
-  GroupKey key;
-  std::vector<double> estimates;
-  std::vector<double> std_errors;
-  std::vector<double> bounds;
+  std::span<const Value> key;
+  std::span<const double> estimates;
+  std::span<const double> std_errors;
+  std::span<const double> bounds;
   uint64_t support = 0;  ///< Sample tuples contributing to this group.
   GroupProvenance provenance = GroupProvenance::kSampled;
 };
 
 /// An approximate group-by answer with error bounds. Convertible to a
 /// plain QueryResult (estimates only) for error-metric comparison against
-/// exact answers. Rows live in one key-ordered vector with no key index,
-/// exactly as in QueryResult (see result_rows).
+/// exact answers.
+///
+/// Every group carries key_width() key values and num_aggregates()
+/// aggregates, so the answer is stored flat, in row order and with no key
+/// index: one array of keys (key_width() values per group), one array of
+/// numbers holding each group's estimates, then its standard errors, then
+/// its bounds (3 * num_aggregates() doubles per group, the order they take
+/// on the wire), and one support and one provenance per group. An answer
+/// thus costs a constant number of allocations however many groups it
+/// has. Lookups follow QueryResult's rules (see result_rows).
 class ApproximateResult {
  public:
-  /// Appends a group row.
-  void Add(ApproximateGroupRow row);
-  size_t num_groups() const { return rows_.size(); }
-  const std::vector<ApproximateGroupRow>& rows() const { return rows_; }
-  const ApproximateGroupRow* Find(const GroupKey& key) const;
+  ApproximateResult() = default;
+  /// An empty answer whose groups have `key_width` key values and
+  /// `num_aggregates` aggregates each.
+  ApproximateResult(size_t key_width, size_t num_aggregates)
+      : key_width_(key_width), num_aggs_(num_aggregates) {}
+
+  size_t key_width() const { return key_width_; }
+  size_t num_aggregates() const { return num_aggs_; }
+  size_t num_groups() const { return support_.size(); }
+
+  /// Makes room for `num_groups` groups in total.
+  void Reserve(size_t num_groups);
+
+  /// Appends a group keyed `key` (key_width() values, not a view into
+  /// this answer) and returns its 3 * num_aggregates() numbers, zeroed,
+  /// for the caller to fill: estimates, then standard errors, then
+  /// bounds. The span is valid until the next modification of the answer.
+  std::span<double> Add(std::span<const Value> key, uint64_t support,
+                        GroupProvenance provenance);
+
+  /// The view of group `i` (0 <= i < num_groups()).
+  ApproximateGroupRow row(size_t i) const {
+    const double* numbers = numbers_.data() + i * 3 * num_aggs_;
+    ApproximateGroupRow view;
+    view.key = {keys_.data() + i * key_width_, key_width_};
+    view.estimates = {numbers, num_aggs_};
+    view.std_errors = {numbers + num_aggs_, num_aggs_};
+    view.bounds = {numbers + 2 * num_aggs_, num_aggs_};
+    view.support = support_[i];
+    view.provenance = provenance_[i];
+    return view;
+  }
+  /// Group `i`'s estimates, standard errors and bounds, contiguous in
+  /// that order.
+  std::span<const double> row_numbers(size_t i) const {
+    return {numbers_.data() + i * 3 * num_aggs_, 3 * num_aggs_};
+  }
+  /// Every group's view, in row order: a random-access range valid while
+  /// the answer is unmodified.
+  auto rows() const {
+    return std::views::iota(size_t{0}, num_groups()) |
+           std::views::transform([this](size_t i) { return row(i); });
+  }
+
+  /// The first group whose key equals `key`, or nullopt.
+  std::optional<ApproximateGroupRow> Find(std::span<const Value> key) const;
+  std::optional<ApproximateGroupRow> Find(const GroupKey& key) const {
+    return Find(std::span<const Value>(key));
+  }
   /// Keys strictly increasing and NaN-free, as QueryResult::searchable.
   bool searchable() const { return searchable_; }
+  /// Sorts the groups by key unless they are already searchable.
   void SortByKey();
 
   /// Drops groups whose *estimated* aggregates fail any HAVING condition
@@ -79,13 +137,24 @@ class ApproximateResult {
   /// or mis-dropped, with likelihood governed by the group's bound).
   void FilterHaving(const std::vector<HavingCondition>& having);
 
+  /// Multiplies every standard error and bound by `factor`, in place.
+  void WidenBounds(double factor);
+
   /// Drops the bounds, keeping just the point estimates.
   QueryResult ToQueryResult() const;
 
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  std::vector<ApproximateGroupRow> rows_;
+  /// Group i's key, for the result_rows helpers.
+  auto KeyAt() const { return [this](size_t i) { return row(i).key; }; }
+
+  size_t key_width_ = 0;
+  size_t num_aggs_ = 0;
+  std::vector<Value> keys_;      // num_groups() x key_width_.
+  std::vector<double> numbers_;  // num_groups() x 3 * num_aggs_.
+  std::vector<uint64_t> support_;
+  std::vector<GroupProvenance> provenance_;
   /// Keys strictly increasing and NaN-free (result_rows::Searchable).
   bool searchable_ = true;
 };

@@ -84,7 +84,7 @@ bool PassesHaving(const std::vector<HavingCondition>& having,
 
 namespace result_rows {
 
-bool Orderable(const GroupKey& key) {
+bool Orderable(std::span<const Value> key) {
   for (const Value& v : key) {
     if (v.is_double() && std::isnan(v.AsDouble())) return false;
   }
@@ -94,16 +94,25 @@ bool Orderable(const GroupKey& key) {
 }  // namespace result_rows
 
 void QueryResult::Add(GroupKey key, std::vector<double> aggregates) {
-  searchable_ = searchable_ && result_rows::Extends(rows_, key);
+  searchable_ = searchable_ && result_rows::Orderable(key) &&
+                (rows_.empty() || KeyLess(rows_.back().key, key));
   rows_.push_back(GroupResult{std::move(key), std::move(aggregates)});
 }
 
-const GroupResult* QueryResult::Find(const GroupKey& key) const {
-  return result_rows::Find(rows_, searchable_, key);
+const GroupResult* QueryResult::Find(std::span<const Value> key) const {
+  const size_t i = result_rows::Find(rows_.size(), searchable_, KeyAt(), key);
+  return i < rows_.size() ? &rows_[i] : nullptr;
 }
 
 void QueryResult::SortByKey() {
-  searchable_ = result_rows::SortByKey(&rows_, searchable_);
+  if (searchable_) return;
+  std::vector<GroupResult> sorted;
+  sorted.reserve(rows_.size());
+  for (size_t i : result_rows::SortedOrder(rows_.size(), KeyAt())) {
+    sorted.push_back(std::move(rows_[i]));
+  }
+  rows_ = std::move(sorted);
+  searchable_ = result_rows::Searchable(rows_.size(), KeyAt());
 }
 
 void QueryResult::FilterHaving(const std::vector<HavingCondition>& having) {
@@ -112,7 +121,7 @@ void QueryResult::FilterHaving(const std::vector<HavingCondition>& having) {
     return !PassesHaving(having, row.aggregates.data(), row.aggregates.size());
   };
   rows_.erase(std::remove_if(rows_.begin(), rows_.end(), fails), rows_.end());
-  searchable_ = searchable_ || result_rows::Searchable(rows_);
+  searchable_ = searchable_ || result_rows::Searchable(rows_.size(), KeyAt());
 }
 
 std::string QueryResult::ToString(size_t max_rows) const {

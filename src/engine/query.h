@@ -70,57 +70,63 @@ struct GroupByQuery {
 bool PassesHaving(const std::vector<HavingCondition>& having,
                   const double* values, size_t num_values);
 
-/// The key-ordered row store behind QueryResult and ApproximateResult. A
-/// result keeps its rows in one vector and no key index: Add appends, and
-/// the result tracks whether its keys are strictly increasing and free of
+/// The lookup rules QueryResult and ApproximateResult share. A result
+/// keeps its rows in row order with no key index: Add appends, and the
+/// result tracks whether its keys are strictly increasing and free of
 /// NaN. While they are, Find binary-searches. Otherwise Find scans and
 /// returns the first row whose key compares equal — the row a hash index
 /// built in row order returned, so a NaN key is never found and of two
-/// equal keys (such as 0.0 and -0.0) the earlier row wins.
+/// equal keys (such as 0.0 and -0.0) the earlier row wins. Each helper
+/// reads the keys of rows 0..n-1 through `key_at(i)`.
 namespace result_rows {
 
 /// False when `key` holds a NaN, which compares unordered under
 /// GroupKey's operator< and so ends any binary-searchable run.
-bool Orderable(const GroupKey& key);
+bool Orderable(std::span<const Value> key);
 
-/// Whether appending a row keyed `next` keeps `rows` binary-searchable.
-template <typename Row>
-bool Extends(const std::vector<Row>& rows, const GroupKey& next) {
-  return Orderable(next) && (rows.empty() || rows.back().key < next);
-}
-
-template <typename Row>
-bool Searchable(const std::vector<Row>& rows) {
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (!Orderable(rows[i].key)) return false;
-    if (i > 0 && !(rows[i - 1].key < rows[i].key)) return false;
+template <typename KeyAt>
+bool Searchable(size_t n, const KeyAt& key_at) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!Orderable(key_at(i))) return false;
+    if (i > 0 && !KeyLess(key_at(i - 1), key_at(i))) return false;
   }
   return true;
 }
 
-template <typename Row>
-const Row* Find(const std::vector<Row>& rows, bool searchable,
-                const GroupKey& key) {
+/// The row whose key equals `key` under the rules above, or n.
+template <typename KeyAt>
+size_t Find(size_t n, bool searchable, const KeyAt& key_at,
+            std::span<const Value> key) {
   if (searchable) {
-    auto it = std::lower_bound(
-        rows.begin(), rows.end(), key,
-        [](const Row& row, const GroupKey& k) { return row.key < k; });
-    return it != rows.end() && it->key == key ? &*it : nullptr;
+    size_t lo = 0;
+    size_t hi = n;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (KeyLess(key_at(mid), key)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo < n && KeyEqual(key_at(lo), key) ? lo : n;
   }
-  for (const Row& row : rows) {
-    if (row.key == key) return &row;
+  for (size_t i = 0; i < n; ++i) {
+    if (KeyEqual(key_at(i), key)) return i;
   }
-  return nullptr;
+  return n;
 }
 
-/// Sorts `rows` by key unless they are already a searchable run, which a
-/// sort would leave unchanged. Returns whether the result is searchable.
-template <typename Row>
-bool SortByKey(std::vector<Row>* rows, bool searchable) {
-  if (searchable) return true;
-  std::sort(rows->begin(), rows->end(),
-            [](const Row& a, const Row& b) { return a.key < b.key; });
-  return Searchable(*rows);
+/// The rows in key order: the permutation std::sort gives the rows
+/// themselves, since it compares and moves indices exactly as it would
+/// the rows they stand for.
+template <typename KeyAt>
+std::vector<size_t> SortedOrder(size_t n, const KeyAt& key_at) {
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&key_at](size_t a, size_t b) {
+    return KeyLess(key_at(a), key_at(b));
+  });
+  return order;
 }
 
 }  // namespace result_rows
@@ -146,7 +152,10 @@ class QueryResult {
   const std::vector<GroupResult>& rows() const { return rows_; }
 
   /// Pointer to the row for `key`, or nullptr if that group is absent.
-  const GroupResult* Find(const GroupKey& key) const;
+  const GroupResult* Find(std::span<const Value> key) const;
+  const GroupResult* Find(const GroupKey& key) const {
+    return Find(std::span<const Value>(key));
+  }
 
   /// Whether the keys are strictly increasing and NaN-free, so Find
   /// binary-searches and two such answers can be merged by key.
@@ -163,6 +172,11 @@ class QueryResult {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
+  /// Row i's key, for the result_rows helpers.
+  auto KeyAt() const {
+    return [this](size_t i) -> const GroupKey& { return rows_[i].key; };
+  }
+
   std::vector<GroupResult> rows_;
   /// Keys strictly increasing and NaN-free (result_rows::Searchable).
   bool searchable_ = true;

@@ -146,8 +146,7 @@ Result<serve::Response> AquaClient::Attempt(const serve::Request& request,
 
   const uint64_t correlation_id = next_correlation_id_++;
   std::string frame;
-  EncodeFrame(FrameType::kRequest, correlation_id,
-              EncodeRequest(wire_request), &frame);
+  AppendRequestFrame(correlation_id, wire_request, &frame);
 
   Status sent = WriteFull(frame.data(), frame.size(), deadline);
   if (!sent.ok()) {

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -462,9 +463,18 @@ bool TcpFrontEnd::DispatchRequest(Connection* conn, uint64_t correlation_id,
 
 bool TcpFrontEnd::QueueResponse(Connection* conn, uint64_t correlation_id,
                                 const serve::Response& response) {
-  const std::string payload = EncodeResponse(response);
-  EncodeFrame(FrameType::kResponse, correlation_id, payload,
-              &conn->write_buf);
+  Status fits = AppendResponseFrame(correlation_id, response,
+                                    options_.max_frame_bytes, &conn->write_buf);
+  if (!fits.ok()) {
+    // The peer would refuse the oversize frame as a protocol violation
+    // and retry the query; a definite OutOfRange answers it instead and
+    // keeps the connection.
+    serve::Response refusal;
+    refusal.status = std::move(fits);
+    (void)AppendResponseFrame(correlation_id, refusal,
+                              std::numeric_limits<size_t>::max(),
+                              &conn->write_buf);
+  }
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   CONGRESS_METRIC_INCR("net.frames_out", 1);
   return FlushWrites(conn);

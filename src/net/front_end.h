@@ -30,7 +30,9 @@ struct FrontEndOptions {
   size_t max_connections = 64;
   int listen_backlog = 64;
   /// Frames advertising a larger payload are rejected at the header,
-  /// before any payload is buffered.
+  /// before any payload is buffered. The limit bounds outgoing frames
+  /// too: an answer whose payload would exceed it is replied to with an
+  /// OutOfRange status instead, on the same connection.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Backpressure: a connection whose un-flushed response bytes exceed
   /// this stops being read until the peer drains it.

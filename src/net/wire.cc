@@ -1,6 +1,8 @@
 #include "net/wire.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "resilience/wire.h"
@@ -11,6 +13,9 @@ namespace congress::net {
 namespace {
 
 namespace rw = ::congress::resilience::wire;
+
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies little-endian words as they lie in memory");
 
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("malformed frame: " + what);
@@ -24,65 +29,163 @@ bool PlausibleCount(const rw::Cursor& in, uint32_t count,
   return static_cast<size_t>(count) <= in.remaining() / min_bytes_each;
 }
 
-void PutGroupRow(std::string* out, const ApproximateGroupRow& row) {
-  rw::PutU32(out, static_cast<uint32_t>(row.key.size()));
-  for (const Value& v : row.key) rw::PutValue(out, v);
-  rw::PutU32(out, static_cast<uint32_t>(row.estimates.size()));
-  for (double v : row.estimates) rw::PutDouble(out, v);
-  for (double v : row.std_errors) rw::PutDouble(out, v);
-  for (double v : row.bounds) rw::PutDouble(out, v);
-  rw::PutU64(out, row.support);
-  rw::PutU8(out, static_cast<uint8_t>(row.provenance));
+/// Lays out little-endian fields. Given no buffer it only counts their
+/// bytes: each encoder runs once that way to size its buffer exactly, and
+/// once more to copy the fields in, so one function fixes both the size
+/// and the bytes, and no write checks capacity or grows a buffer.
+class Writer {
+ public:
+  explicit Writer(char* buffer) : buffer_(buffer) {}
+
+  size_t size() const { return size_; }
+
+  void U8(uint8_t v) { Bytes(&v, sizeof(v)); }
+  void U32(uint32_t v) { Bytes(&v, sizeof(v)); }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void Double(double v) { Bytes(&v, sizeof(v)); }
+  void Bytes(const void* data, size_t n) {
+    // `data` may be null when n is 0.
+    if (buffer_ != nullptr && n != 0) std::memcpy(buffer_ + size_, data, n);
+    size_ += n;
+  }
+  void String(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  /// The encoding of rw::PutValue: a type tag, then the value.
+  void Val(const Value& v) {
+    U8(static_cast<uint8_t>(v.type()));
+    switch (v.type()) {
+      case DataType::kInt64:
+        U64(static_cast<uint64_t>(v.AsInt64()));
+        break;
+      case DataType::kDouble:
+        Double(v.AsDouble());
+        break;
+      case DataType::kString:
+        String(v.AsString());
+        break;
+    }
+  }
+
+ private:
+  char* const buffer_;
+  size_t size_ = 0;
+};
+
+void PutRequest(const serve::Request& request, Writer* out) {
+  out->U8(static_cast<uint8_t>(request.mode));
+  out->String(request.sql);
+  out->String(request.table);
+  out->String(request.idempotency_token);
+  out->U64(static_cast<uint64_t>(request.deadline.count()));
+  out->U32(static_cast<uint32_t>(request.rows.size()));
+  for (const std::vector<Value>& row : request.rows) {
+    out->U32(static_cast<uint32_t>(row.size()));
+    for (const Value& v : row) out->Val(v);
+  }
 }
 
-bool GetGroupRow(rw::Cursor* in, ApproximateGroupRow* row) {
-  uint32_t key_size = 0;
-  if (!in->GetU32(&key_size) || !PlausibleCount(*in, key_size, 1)) {
-    return false;
+void PutResponse(const serve::Response& response, Writer* out) {
+  out->U8(static_cast<uint8_t>(response.status.code()));
+  out->String(response.status.message());
+  out->U8(static_cast<uint8_t>(response.degradation.level));
+  out->String(response.degradation.cause);
+  out->Double(response.degradation.bound_widening);
+  out->U64(response.epoch);
+  out->Double(response.queue_seconds);
+  out->Double(response.exec_seconds);
+  const ApproximateResult& result = response.result;
+  out->U32(static_cast<uint32_t>(result.num_groups()));
+  const uint32_t key_width = static_cast<uint32_t>(result.key_width());
+  const uint32_t num_aggs = static_cast<uint32_t>(result.num_aggregates());
+  for (size_t i = 0; i < result.num_groups(); ++i) {
+    const ApproximateGroupRow row = result.row(i);
+    out->U32(key_width);
+    for (const Value& v : row.key) out->Val(v);
+    out->U32(num_aggs);
+    // Estimates, standard errors and bounds lie in the answer in wire
+    // order.
+    const std::span<const double> numbers = result.row_numbers(i);
+    out->Bytes(numbers.data(), numbers.size_bytes());
+    out->U64(row.support);
+    out->U8(static_cast<uint8_t>(row.provenance));
   }
-  row->key.resize(key_size);
-  for (Value& v : row->key) {
-    if (!rw::GetValue(in, &v)) return false;
-  }
-  uint32_t num_aggs = 0;
-  // Each aggregate carries three doubles (24 bytes) below.
-  if (!in->GetU32(&num_aggs) || !PlausibleCount(*in, num_aggs, 24)) {
-    return false;
-  }
-  row->estimates.resize(num_aggs);
-  row->std_errors.resize(num_aggs);
-  row->bounds.resize(num_aggs);
-  for (double& v : row->estimates) {
-    if (!in->GetDouble(&v)) return false;
-  }
-  for (double& v : row->std_errors) {
-    if (!in->GetDouble(&v)) return false;
-  }
-  for (double& v : row->bounds) {
-    if (!in->GetDouble(&v)) return false;
-  }
-  uint8_t provenance = 0;
-  if (!in->GetU64(&row->support) || !in->GetU8(&provenance)) return false;
-  if (provenance > static_cast<uint8_t>(GroupProvenance::kCombined)) {
-    return false;
-  }
-  row->provenance = static_cast<GroupProvenance>(provenance);
-  return true;
+}
+
+template <typename Message>
+size_t PayloadBytes(void (*put)(const Message&, Writer*),
+                    const Message& message) {
+  Writer counter(nullptr);
+  put(message, &counter);
+  return counter.size();
+}
+
+template <typename Message>
+std::string EncodePayload(void (*put)(const Message&, Writer*),
+                          const Message& message) {
+  std::string out(PayloadBytes(put, message), '\0');
+  Writer writer(out.data());
+  put(message, &writer);
+  return out;
+}
+
+/// Bytes of one response group besides its key values: key count,
+/// aggregate count, three doubles per aggregate, support and provenance.
+size_t GroupBytesBesidesKey(size_t num_aggs) { return 17 + 24 * num_aggs; }
+
+void PutPayload(const std::string& payload, Writer* out) {
+  out->Bytes(payload.data(), payload.size());
+}
+
+/// Appends one frame to `out`: the header, written in place ahead of the
+/// `payload_size`-byte payload that `put` lays out straight into `out`.
+template <typename Message>
+void AppendFrame(FrameType type, uint64_t correlation_id,
+                 void (*put)(const Message&, Writer*), const Message& message,
+                 size_t payload_size, std::string* out) {
+  const size_t start = out->size();
+  out->resize(start + kFrameHeaderBytes + payload_size);
+  char* header = out->data() + start;
+  char* payload = header + kFrameHeaderBytes;
+  Writer body(payload);
+  put(message, &body);
+  Writer fields(header);
+  fields.U32(kWireMagic);
+  fields.U8(kWireVersion);
+  fields.U8(static_cast<uint8_t>(type));
+  fields.U8(0);  // flags lo
+  fields.U8(0);  // flags hi
+  fields.U64(correlation_id);
+  fields.U32(static_cast<uint32_t>(payload_size));
+  fields.U32(MaskCrc32c(Crc32c(payload, payload_size)));
 }
 
 }  // namespace
 
 void EncodeFrame(FrameType type, uint64_t correlation_id,
                  const std::string& payload, std::string* out) {
-  rw::PutU32(out, kWireMagic);
-  rw::PutU8(out, kWireVersion);
-  rw::PutU8(out, static_cast<uint8_t>(type));
-  rw::PutU8(out, 0);  // flags lo
-  rw::PutU8(out, 0);  // flags hi
-  rw::PutU64(out, correlation_id);
-  rw::PutU32(out, static_cast<uint32_t>(payload.size()));
-  rw::PutU32(out, MaskCrc32c(Crc32c(payload.data(), payload.size())));
-  out->append(payload);
+  AppendFrame(type, correlation_id, PutPayload, payload, payload.size(), out);
+}
+
+void AppendRequestFrame(uint64_t correlation_id, const serve::Request& request,
+                        std::string* out) {
+  AppendFrame(FrameType::kRequest, correlation_id, PutRequest, request,
+              PayloadBytes(PutRequest, request), out);
+}
+
+Status AppendResponseFrame(uint64_t correlation_id,
+                           const serve::Response& response,
+                           size_t max_payload_bytes, std::string* out) {
+  const size_t size = PayloadBytes(PutResponse, response);
+  if (size > max_payload_bytes) {
+    return Status::OutOfRange("answer of " + std::to_string(size) +
+                              " bytes exceeds frame limit " +
+                              std::to_string(max_payload_bytes));
+  }
+  AppendFrame(FrameType::kResponse, correlation_id, PutResponse, response,
+              size, out);
+  return Status::OK();
 }
 
 Result<FrameHeader> DecodeFrameHeader(const char* data, size_t size,
@@ -136,18 +239,7 @@ Status VerifyFramePayload(const FrameHeader& header, const char* payload,
 }
 
 std::string EncodeRequest(const serve::Request& request) {
-  std::string out;
-  rw::PutU8(&out, static_cast<uint8_t>(request.mode));
-  rw::PutString(&out, request.sql);
-  rw::PutString(&out, request.table);
-  rw::PutString(&out, request.idempotency_token);
-  rw::PutU64(&out, static_cast<uint64_t>(request.deadline.count()));
-  rw::PutU32(&out, static_cast<uint32_t>(request.rows.size()));
-  for (const std::vector<Value>& row : request.rows) {
-    rw::PutU32(&out, static_cast<uint32_t>(row.size()));
-    for (const Value& v : row) rw::PutValue(&out, v);
-  }
-  return out;
+  return EncodePayload(PutRequest, request);
 }
 
 Result<serve::Request> DecodeRequest(const char* payload, size_t size) {
@@ -186,20 +278,7 @@ Result<serve::Request> DecodeRequest(const char* payload, size_t size) {
 }
 
 std::string EncodeResponse(const serve::Response& response) {
-  std::string out;
-  rw::PutU8(&out, static_cast<uint8_t>(response.status.code()));
-  rw::PutString(&out, response.status.message());
-  rw::PutU8(&out, static_cast<uint8_t>(response.degradation.level));
-  rw::PutString(&out, response.degradation.cause);
-  rw::PutDouble(&out, response.degradation.bound_widening);
-  rw::PutU64(&out, response.epoch);
-  rw::PutDouble(&out, response.queue_seconds);
-  rw::PutDouble(&out, response.exec_seconds);
-  rw::PutU32(&out, static_cast<uint32_t>(response.result.num_groups()));
-  for (const ApproximateGroupRow& row : response.result.rows()) {
-    PutGroupRow(&out, row);
-  }
-  return out;
+  return EncodePayload(PutResponse, response);
 }
 
 Result<serve::Response> DecodeResponse(const char* payload, size_t size) {
@@ -229,14 +308,56 @@ Result<serve::Response> DecodeResponse(const char* payload, size_t size) {
     return Malformed("response timing truncated");
   }
   uint32_t num_groups = 0;
-  // Each group needs at least key count + agg count + support + tag.
-  if (!in.GetU32(&num_groups) || !PlausibleCount(in, num_groups, 17)) {
+  if (!in.GetU32(&num_groups) ||
+      !PlausibleCount(in, num_groups, GroupBytesBesidesKey(0))) {
     return Malformed("response group count implausible");
   }
+  // Every group of an answer has the same key width and aggregate count.
+  // The first group's widths fix them, and bound the count once more,
+  // before the answer is sized for all its groups.
+  const size_t groups_bytes = in.remaining();
+  ApproximateResult& result = response.result;
+  GroupKey key;
   for (uint32_t g = 0; g < num_groups; ++g) {
-    ApproximateGroupRow row;
-    if (!GetGroupRow(&in, &row)) return Malformed("response group truncated");
-    response.result.Add(std::move(row));
+    uint32_t key_width = 0;
+    if (!in.GetU32(&key_width)) return Malformed("response group truncated");
+    if (g == 0) {
+      if (!PlausibleCount(in, key_width, 1)) {
+        return Malformed("response group truncated");
+      }
+      key.resize(key_width);
+    } else if (key_width != result.key_width()) {
+      return Malformed("response groups differ in key width");
+    }
+    for (Value& v : key) {
+      if (!rw::GetValue(&in, &v)) return Malformed("response group truncated");
+    }
+    uint32_t num_aggs = 0;
+    if (!in.GetU32(&num_aggs)) return Malformed("response group truncated");
+    if (g == 0) {
+      // A key value takes at least 5 bytes (tag and string length).
+      const size_t min_group_bytes =
+          GroupBytesBesidesKey(num_aggs) + 5 * size_t{key_width};
+      if (!PlausibleCount(in, num_aggs, 24) ||
+          num_groups > groups_bytes / min_group_bytes) {
+        return Malformed("response group count implausible");
+      }
+      result = ApproximateResult(key_width, num_aggs);
+      result.Reserve(num_groups);
+    } else if (num_aggs != result.num_aggregates()) {
+      return Malformed("response groups differ in aggregate count");
+    }
+    const char* numbers = nullptr;
+    uint64_t support = 0;
+    uint8_t provenance = 0;
+    if (!in.GetBytes(24 * size_t{num_aggs}, &numbers) || !in.GetU64(&support) ||
+        !in.GetU8(&provenance) ||
+        provenance > static_cast<uint8_t>(GroupProvenance::kCombined)) {
+      return Malformed("response group truncated");
+    }
+    std::span<double> out =
+        result.Add(key, support, static_cast<GroupProvenance>(provenance));
+    if (!out.empty()) std::memcpy(out.data(), numbers, out.size_bytes());
   }
   if (in.remaining() != 0) return Malformed("trailing bytes after response");
   return response;

@@ -69,6 +69,20 @@ struct FrameHeader {
 void EncodeFrame(FrameType type, uint64_t correlation_id,
                  const std::string& payload, std::string* out);
 
+/// Appends a whole request frame to `out`: the payload is encoded in
+/// place, straight into `out`, and its header written ahead of it. The
+/// bytes equal EncodeFrame over EncodeRequest.
+void AppendRequestFrame(uint64_t correlation_id, const serve::Request& request,
+                        std::string* out);
+
+/// Appends a whole response frame to `out` as AppendRequestFrame does. An
+/// answer whose payload would exceed `max_payload_bytes` is not written:
+/// OutOfRange ("answer of N bytes exceeds frame limit M"), `out` as it
+/// was.
+Status AppendResponseFrame(uint64_t correlation_id,
+                           const serve::Response& response,
+                           size_t max_payload_bytes, std::string* out);
+
 /// Parses the fixed header from `data` (at least kFrameHeaderBytes).
 /// Rejects bad magic, unknown version, unknown type, and nonzero flags
 /// with InvalidArgument, and payloads over `max_frame_bytes` with
@@ -80,9 +94,14 @@ Result<FrameHeader> DecodeFrameHeader(const char* data, size_t size,
 Status VerifyFramePayload(const FrameHeader& header, const char* payload,
                           size_t size);
 
-/// Request/response body codecs. Encoding never fails; decoding returns
-/// InvalidArgument on any structural violation (truncation, bad enum
-/// tags, length lies) and never reads past the payload.
+/// Request/response body codecs. Encoding never fails; it sizes the
+/// payload exactly first and then copies little-endian words into it,
+/// each group's estimates, standard errors and bounds as one block.
+/// Decoding returns InvalidArgument on any structural violation
+/// (truncation, bad enum tags, length lies, groups of one answer that
+/// differ in key width or aggregate count) and never reads past the
+/// payload; a response's groups are decoded straight into an answer
+/// sized for all of them.
 std::string EncodeRequest(const serve::Request& request);
 Result<serve::Request> DecodeRequest(const char* payload, size_t size);
 

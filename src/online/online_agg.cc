@@ -139,7 +139,7 @@ Result<ApproximateResult> OnlineAggregator::CurrentEstimate() const {
   const size_t num_aggs = query_.aggregates.size();
   const double cheb = 1.0 / std::sqrt(1.0 - options_.confidence);
 
-  ApproximateResult result;
+  ApproximateResult result(query_.group_columns.size(), num_aggs);
   for (size_t g = 0; g < groups_.size(); ++g) {
     const GroupState& state = groups_[g];
     if (state.matched == 0) continue;  // Group not (yet) represented.
@@ -151,12 +151,11 @@ Result<ApproximateResult> OnlineAggregator::CurrentEstimate() const {
     const double big_n = static_cast<double>(state.population);
     const double sf = big_n / n;
 
-    ApproximateGroupRow row;
-    row.key = group_keys_[g];
-    row.support = state.matched;
-    row.estimates.assign(num_aggs, 0.0);
-    row.std_errors.assign(num_aggs, 0.0);
-    row.bounds.assign(num_aggs, 0.0);
+    std::span<double> numbers =
+        result.Add(group_keys_[g], state.matched, GroupProvenance::kSampled);
+    double* estimates = numbers.data();
+    double* std_errors = estimates + num_aggs;
+    double* bounds = std_errors + num_aggs;
     double est_cnt = sf * static_cast<double>(state.matched);
     for (size_t a = 0; a < num_aggs; ++a) {
       const AggregateSpec& spec = query_.aggregates[a];
@@ -169,22 +168,19 @@ Result<ApproximateResult> OnlineAggregator::CurrentEstimate() const {
       switch (spec.kind) {
         case AggregateKind::kSum:
         case AggregateKind::kCount:
-          row.estimates[a] =
-              spec.kind == AggregateKind::kCount ? est_cnt : est_sum;
-          row.std_errors[a] = std::sqrt(variance);
+          estimates[a] = spec.kind == AggregateKind::kCount ? est_cnt : est_sum;
+          std_errors[a] = std::sqrt(variance);
           break;
         case AggregateKind::kAvg:
-          row.estimates[a] = est_cnt > 0.0 ? est_sum / est_cnt : 0.0;
+          estimates[a] = est_cnt > 0.0 ? est_sum / est_cnt : 0.0;
           // Crude delta-method: scale the SUM error by 1/count.
-          row.std_errors[a] =
-              est_cnt > 0.0 ? std::sqrt(variance) / est_cnt : 0.0;
+          std_errors[a] = est_cnt > 0.0 ? std::sqrt(variance) / est_cnt : 0.0;
           break;
         default:
           break;
       }
-      row.bounds[a] = cheb * row.std_errors[a];
+      bounds[a] = cheb * std_errors[a];
     }
-    result.Add(std::move(row));
   }
   result.FilterHaving(query_.having);
   result.SortByKey();

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -176,17 +177,16 @@ double WorstRelativeBound(const ApproximateResult& result, double floor) {
 /// the scorer never offers summaries against an error promise.
 ApproximateResult SummaryAsApproximate(const QueryResult& answer,
                                        double residual) {
-  ApproximateResult out;
-  for (const GroupResult& row : answer.rows()) {
-    ApproximateGroupRow approx;
-    approx.key = row.key;
-    approx.estimates = row.aggregates;
-    approx.std_errors.assign(row.aggregates.size(), 0.0);
-    approx.bounds.resize(row.aggregates.size());
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      approx.bounds[a] = residual * std::fabs(row.aggregates[a]);
+  const std::vector<GroupResult>& rows = answer.rows();
+  const size_t k = rows.empty() ? 0 : rows[0].aggregates.size();
+  ApproximateResult out(rows.empty() ? 0 : rows[0].key.size(), k);
+  out.Reserve(rows.size());
+  for (const GroupResult& row : rows) {
+    std::span<double> numbers = out.Add(row.key, 0, GroupProvenance::kSampled);
+    for (size_t a = 0; a < k; ++a) {
+      numbers[a] = row.aggregates[a];
+      numbers[2 * k + a] = residual * std::fabs(row.aggregates[a]);
     }
-    out.Add(std::move(approx));
   }
   return out;
 }
@@ -233,16 +233,6 @@ double FailoverWidening(const std::vector<CandidateScore>& cs, PlanKind kind) {
   }
   return std::clamp(std::sqrt(fallback->mean_variance / primary->mean_variance),
                     1.0, kMaxFailoverWidening);
-}
-
-ApproximateResult WidenBounds(const ApproximateResult& in, double factor) {
-  ApproximateResult out;
-  for (ApproximateGroupRow row : in.rows()) {
-    for (double& e : row.std_errors) e *= factor;
-    for (double& b : row.bounds) b *= factor;
-    out.Add(std::move(row));
-  }
-  return out;
 }
 
 }  // namespace
@@ -379,85 +369,89 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   // combined bound of an internal slot is the tail's; AVG propagates the
   // ratio bound (b_S + |avg| b_C) / C.
   const std::vector<GroupResult>& exact_rows = exact_part.rows();
-  const std::vector<ApproximateGroupRow>& tail_rows = tail->rows();
-  std::vector<std::pair<const GroupResult*, const ApproximateGroupRow*>>
-      parts;
-  parts.reserve(exact_rows.size() + tail_rows.size());
+  const size_t num_tail = tail->num_groups();
+  constexpr size_t kNoTail = std::numeric_limits<size_t>::max();
+  // (exact row or nullptr, tail row index or kNoTail) per output group.
+  std::vector<std::pair<const GroupResult*, size_t>> parts;
+  parts.reserve(exact_rows.size() + num_tail);
   if (exact_part.searchable() && tail->searchable()) {
     size_t i = 0;
     size_t j = 0;
-    while (i < exact_rows.size() || j < tail_rows.size()) {
-      if (j == tail_rows.size() ||
-          (i < exact_rows.size() && exact_rows[i].key < tail_rows[j].key)) {
-        parts.emplace_back(&exact_rows[i++], nullptr);
+    auto tail_key = [&tail](size_t j) { return tail->row(j).key; };
+    while (i < exact_rows.size() || j < num_tail) {
+      if (j == num_tail ||
+          (i < exact_rows.size() && KeyLess(exact_rows[i].key, tail_key(j)))) {
+        parts.emplace_back(&exact_rows[i++], kNoTail);
       } else if (i == exact_rows.size() ||
-                 tail_rows[j].key < exact_rows[i].key) {
-        parts.emplace_back(nullptr, &tail_rows[j++]);
+                 KeyLess(tail_key(j), exact_rows[i].key)) {
+        parts.emplace_back(nullptr, j++);
       } else {
-        parts.emplace_back(&exact_rows[i++], &tail_rows[j++]);
+        parts.emplace_back(&exact_rows[i++], j++);
       }
     }
   } else {
     std::unordered_map<GroupKey, size_t, GroupKeyHash> part_of;
     for (const GroupResult& row : exact_rows) {
       part_of.emplace(row.key, parts.size());
-      parts.emplace_back(&row, nullptr);
+      parts.emplace_back(&row, kNoTail);
     }
-    for (const ApproximateGroupRow& row : tail_rows) {
-      auto it = part_of.find(row.key);
+    for (size_t j = 0; j < num_tail; ++j) {
+      const std::span<const Value> key = tail->row(j).key;
+      auto it = part_of.find(GroupKey(key.begin(), key.end()));
       if (it != part_of.end()) {
-        parts[it->second].second = &row;
+        parts[it->second].second = j;
       } else {
-        parts.emplace_back(nullptr, &row);
+        parts.emplace_back(nullptr, j);
       }
     }
   }
-  ApproximateResult result;
+  const size_t num_aggs = query.aggregates.size();
+  ApproximateResult result(tail->key_width(), num_aggs);
+  result.Reserve(parts.size());
   std::vector<double> value(slots), bound(slots), se(slots);
-  for (const auto& [exact, sampled] : parts) {
+  for (const auto& [exact, j] : parts) {
+    const std::optional<ApproximateGroupRow> sampled =
+        j == kNoTail ? std::nullopt : std::optional(tail->row(j));
     for (size_t k = 0; k < slots; ++k) {
       value[k] = (exact != nullptr ? exact->aggregates[k] : 0.0) +
-                 (sampled != nullptr ? sampled->estimates[k] : 0.0);
-      bound[k] = sampled != nullptr ? sampled->bounds[k] : 0.0;
-      se[k] = sampled != nullptr ? sampled->std_errors[k] : 0.0;
+                 (sampled ? sampled->estimates[k] : 0.0);
+      bound[k] = sampled ? sampled->bounds[k] : 0.0;
+      se[k] = sampled ? sampled->std_errors[k] : 0.0;
     }
-    ApproximateGroupRow out;
-    out.key = exact != nullptr ? exact->key : sampled->key;
-    const size_t num_aggs = query.aggregates.size();
-    out.estimates.resize(num_aggs);
-    out.std_errors.resize(num_aggs);
-    out.bounds.resize(num_aggs);
+    const double exact_count =
+        exact != nullptr ? exact->aggregates[plan.count_slot] : 0.0;
+    const uint64_t support = (sampled ? sampled->support : 0) +
+                             static_cast<uint64_t>(std::llround(exact_count));
+    GroupProvenance provenance = GroupProvenance::kSampled;
+    if (exact != nullptr && sampled) {
+      provenance = GroupProvenance::kCombined;
+    } else if (exact != nullptr) {
+      provenance = GroupProvenance::kExact;
+    }
+    std::span<double> numbers =
+        exact != nullptr ? result.Add(exact->key, support, provenance)
+                         : result.Add(sampled->key, support, provenance);
+    double* estimates = numbers.data();
+    double* std_errors = estimates + num_aggs;
+    double* bounds = std_errors + num_aggs;
     for (size_t a = 0; a < num_aggs; ++a) {
       const size_t slot = plan.value_slot[a];
       if (query.aggregates[a].kind == AggregateKind::kAvg) {
         const double s = value[slot];
         const double c = value[plan.count_slot];
         const double avg = c > 0.0 ? s / c : 0.0;
-        out.estimates[a] = avg;
+        estimates[a] = avg;
         if (c > 0.0) {
-          out.bounds[a] =
+          bounds[a] =
               (bound[slot] + std::fabs(avg) * bound[plan.count_slot]) / c;
-          out.std_errors[a] =
-              (se[slot] + std::fabs(avg) * se[plan.count_slot]) / c;
+          std_errors[a] = (se[slot] + std::fabs(avg) * se[plan.count_slot]) / c;
         }
       } else {
-        out.estimates[a] = value[slot];
-        out.std_errors[a] = se[slot];
-        out.bounds[a] = bound[slot];
+        estimates[a] = value[slot];
+        std_errors[a] = se[slot];
+        bounds[a] = bound[slot];
       }
     }
-    const double exact_count =
-        exact != nullptr ? exact->aggregates[plan.count_slot] : 0.0;
-    out.support = (sampled != nullptr ? sampled->support : 0) +
-                  static_cast<uint64_t>(std::llround(exact_count));
-    if (exact != nullptr && sampled != nullptr) {
-      out.provenance = GroupProvenance::kCombined;
-    } else if (exact != nullptr) {
-      out.provenance = GroupProvenance::kExact;
-    } else {
-      out.provenance = GroupProvenance::kSampled;
-    }
-    result.Add(std::move(out));
   }
   result.FilterHaving(query.having);
   result.SortByKey();  // No-op after the merge-join.
@@ -814,9 +808,10 @@ Result<PlannedAnswer> Planner::Run(
       report.bound_widening = FailoverWidening(report.candidates, *next);
       continue;
     }
-    answer.result = report.bound_widening == 1.0
-                        ? std::move(result).value()
-                        : WidenBounds(*result, report.bound_widening);
+    answer.result = std::move(result).value();
+    if (report.bound_widening != 1.0) {
+      answer.result.WidenBounds(report.bound_widening);
+    }
     if (!query.budget.has_error_budget()) break;
     const double realized =
         WorstRelativeBound(answer.result, options_.estimate_floor);

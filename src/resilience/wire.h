@@ -1,6 +1,7 @@
 #ifndef CONGRESS_RESILIENCE_WIRE_H_
 #define CONGRESS_RESILIENCE_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -12,28 +13,26 @@ namespace congress::resilience::wire {
 /// Little-endian primitive encoding for the snapshot format. Writers
 /// append to a std::string; readers advance a cursor over a byte range
 /// and return false on underflow (the recovery loader treats that as a
-/// truncated/corrupt section, never as UB).
+/// truncated/corrupt section, never as UB). Words are copied whole, as
+/// they lie in memory, which is their encoding on a little-endian host.
+
+static_assert(std::endian::native == std::endian::little,
+              "snapshot words are copied as they lie in memory");
 
 inline void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
 inline void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 inline void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 inline void PutDouble(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 inline void PutString(std::string* out, const std::string& s) {
@@ -56,38 +55,30 @@ struct Cursor {
     *v = static_cast<uint8_t>(*p++);
     return true;
   }
-  bool GetU32(uint32_t* v) {
-    if (remaining() < 4) return false;
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 4;
-    *v = out;
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (remaining() < 8) return false;
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 8;
-    *v = out;
-    return true;
-  }
-  bool GetDouble(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
+  bool GetU32(uint32_t* v) { return GetWord(v); }
+  bool GetU64(uint64_t* v) { return GetWord(v); }
+  bool GetDouble(double* v) { return GetWord(v); }
+  /// Points `*data` at the next `n` bytes and steps over them.
+  bool GetBytes(size_t n, const char** data) {
+    if (remaining() < n) return false;
+    *data = p;
+    p += n;
     return true;
   }
   bool GetString(std::string* s) {
     uint32_t len;
-    if (!GetU32(&len)) return false;
-    if (remaining() < len) return false;
-    s->assign(p, len);
-    p += len;
+    const char* data = nullptr;
+    if (!GetU32(&len) || !GetBytes(len, &data)) return false;
+    s->assign(data, len);
+    return true;
+  }
+
+ private:
+  template <typename Word>
+  bool GetWord(Word* v) {
+    if (remaining() < sizeof(Word)) return false;
+    std::memcpy(v, p, sizeof(Word));
+    p += sizeof(Word);
     return true;
   }
 };

@@ -69,7 +69,7 @@ size_t Value::Hash() const {
   return seed;
 }
 
-std::string GroupKeyToString(const GroupKey& key) {
+std::string GroupKeyToString(std::span<const Value> key) {
   std::string out = "(";
   for (size_t i = 0; i < key.size(); ++i) {
     if (i > 0) out += ", ";

@@ -2,7 +2,9 @@
 #define CONGRESS_STORAGE_VALUE_H_
 
 #include <cstdint>
+#include <algorithm>
 #include <functional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -75,8 +77,17 @@ struct GroupKeyHash {
   }
 };
 
+/// GroupKey's operator< and operator== for keys viewed in place (such as
+/// an ApproximateGroupRow's): column by column with Value's operators.
+inline bool KeyLess(std::span<const Value> a, std::span<const Value> b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+inline bool KeyEqual(std::span<const Value> a, std::span<const Value> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
 /// Renders a group key as "(v1, v2, ...)".
-std::string GroupKeyToString(const GroupKey& key);
+std::string GroupKeyToString(std::span<const Value> key);
 
 }  // namespace congress
 

@@ -348,11 +348,12 @@ Status CheckThreadInvariance(const Table& table,
         "estimator@1t", "estimator" + suffix));
     // The determinism contract covers the error bounds too, not just the
     // point estimates.
-    for (size_t g = 0; g < estimate1->rows().size(); ++g) {
-      const ApproximateGroupRow& r1 = estimate1->rows()[g];
-      const ApproximateGroupRow& rt = estimate_t->rows()[g];
-      if (r1.support != rt.support || r1.std_errors != rt.std_errors ||
-          r1.bounds != rt.bounds) {
+    for (size_t g = 0; g < estimate1->num_groups(); ++g) {
+      const ApproximateGroupRow r1 = estimate1->row(g);
+      const ApproximateGroupRow rt = estimate_t->row(g);
+      if (r1.support != rt.support ||
+          !std::ranges::equal(r1.std_errors, rt.std_errors) ||
+          !std::ranges::equal(r1.bounds, rt.bounds)) {
         return Status::Internal(
             "estimator bounds for group " + GroupKeyToString(r1.key) +
             " differ between 1 and " + std::to_string(threads) + " threads");
@@ -477,11 +478,12 @@ Status CheckVectorizedIdentity(const Table& table,
         est_ref->ToQueryResult(), est_vec->ToQueryResult(), 0.0,
         "estimator-scalar" + suffix, "estimator-vectorized" + suffix));
     // The scalar/vectorized contract covers the error bounds too.
-    for (size_t g = 0; g < est_ref->rows().size(); ++g) {
-      const ApproximateGroupRow& r = est_ref->rows()[g];
-      const ApproximateGroupRow& v = est_vec->rows()[g];
-      if (r.support != v.support || r.std_errors != v.std_errors ||
-          r.bounds != v.bounds) {
+    for (size_t g = 0; g < est_ref->num_groups(); ++g) {
+      const ApproximateGroupRow r = est_ref->row(g);
+      const ApproximateGroupRow v = est_vec->row(g);
+      if (r.support != v.support ||
+          !std::ranges::equal(r.std_errors, v.std_errors) ||
+          !std::ranges::equal(r.bounds, v.bounds)) {
         return Status::Internal(
             "estimator bounds for group " + GroupKeyToString(r.key) +
             " differ between scalar and vectorized paths" + suffix);
@@ -985,13 +987,15 @@ Status CompareApproximateBitwise(const ApproximateResult& observed,
                             std::to_string(expected.num_groups()));
   }
   for (const ApproximateGroupRow& row : observed.rows()) {
-    const ApproximateGroupRow* ref = expected.Find(row.key);
-    if (ref == nullptr) {
+    const std::optional<ApproximateGroupRow> ref = expected.Find(row.key);
+    if (!ref) {
       return Status::Internal(label + ": group " + GroupKeyToString(row.key) +
                               " absent from the serial recompute");
     }
-    if (row.estimates != ref->estimates || row.std_errors != ref->std_errors ||
-        row.bounds != ref->bounds || row.support != ref->support) {
+    if (!std::ranges::equal(row.estimates, ref->estimates) ||
+        !std::ranges::equal(row.std_errors, ref->std_errors) ||
+        !std::ranges::equal(row.bounds, ref->bounds) ||
+        row.support != ref->support) {
       return Status::Internal(label + ": group " + GroupKeyToString(row.key) +
                               " differs from the serial recompute");
     }

@@ -110,8 +110,8 @@ Result<CoverageReport> RunCoverage(const CoverageConfig& config) {
     CONGRESS_RETURN_NOT_OK(estimate.status());
 
     for (const GroupResult& truth : exact->rows()) {
-      const ApproximateGroupRow* est = estimate->Find(truth.key);
-      if (est == nullptr) {
+      const std::optional<ApproximateGroupRow> est = estimate->Find(truth.key);
+      if (!est) {
         ++report.missing_groups;
         continue;
       }
@@ -265,8 +265,9 @@ Result<BudgetCoverageReport> RunBudgetCoverage(
       ++tier.kind_runs[kind];
 
       for (const GroupResult& truth : exact->rows()) {
-        const ApproximateGroupRow* est = planned->result.Find(truth.key);
-        if (est == nullptr) {
+        const std::optional<ApproximateGroupRow> est =
+            planned->result.Find(truth.key);
+        if (!est) {
           ++tier.missing_groups;
           continue;
         }

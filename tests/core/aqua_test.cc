@@ -99,8 +99,8 @@ TEST_F(AquaEngineTest, SqlQueryEndToEnd) {
       "SELECT region, SUM(amount) FROM sales GROUP BY region");
   ASSERT_TRUE(exact.ok());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = approx->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = approx->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     EXPECT_NEAR(est->estimates[0], row.aggregates[0],
                 0.2 * row.aggregates[0]);
     EXPECT_GT(est->bounds[0], 0.0);
@@ -213,7 +213,7 @@ TEST_F(AquaEngineTest, IncrementalInsertFlowsThrough) {
     auto approx = engine.Query(
         "SELECT region, SUM(amount) FROM live GROUP BY region");
     ASSERT_TRUE(approx.ok());
-    EXPECT_NE(approx->Find({Value("north")}), nullptr);
+    EXPECT_TRUE(approx->Find({Value("north")}).has_value());
     auto exact = engine.QueryExact(
         "SELECT region, SUM(amount) FROM live GROUP BY region");
     ASSERT_TRUE(exact.ok());

@@ -184,8 +184,8 @@ TEST_F(DegradationTest, UnscorableFallbacksAreTriedNotSkipped) {
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(answer->result.num_groups(), exact->rows().size());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* got = answer->result.Find(row.key);
-    ASSERT_NE(got, nullptr);
+    const auto got = answer->result.Find(row.key);
+    ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->estimates[0], row.aggregates[0]);
   }
 }
@@ -242,8 +242,8 @@ TEST_F(DegradationTest, LastRungIsExactWithZeroWidthBounds) {
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(answer->result.num_groups(), exact->rows().size());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = answer->result.Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = answer->result.Find(row.key);
+    ASSERT_TRUE(est.has_value());
     EXPECT_DOUBLE_EQ(est->estimates[0], row.aggregates[0]);
     EXPECT_DOUBLE_EQ(est->std_errors[0], 0.0);
     EXPECT_DOUBLE_EQ(est->bounds[0], 0.0);
@@ -275,8 +275,8 @@ TEST_F(DegradationTest, WideningScalesFallbackBounds) {
   ASSERT_TRUE(second.ok());
   ASSERT_EQ(first->result.num_groups(), second->result.num_groups());
   for (const ApproximateGroupRow& row : first->result.rows()) {
-    const ApproximateGroupRow* other = second->result.Find(row.key);
-    ASSERT_NE(other, nullptr);
+    const auto other = second->result.Find(row.key);
+    ASSERT_TRUE(other.has_value());
     EXPECT_DOUBLE_EQ(row.bounds[0], other->bounds[0]);
     EXPECT_DOUBLE_EQ(row.estimates[0], other->estimates[0]);
   }
@@ -312,8 +312,8 @@ TEST_F(DegradationTest, WideningIsDerivedFromFallbackVarianceNotFixed) {
   ASSERT_TRUE(raw.ok());
   ASSERT_EQ(raw->num_groups(), answer->result.num_groups());
   for (const ApproximateGroupRow& row : raw->rows()) {
-    const ApproximateGroupRow* served = answer->result.Find(row.key);
-    ASSERT_NE(served, nullptr);
+    const auto served = answer->result.Find(row.key);
+    ASSERT_TRUE(served.has_value());
     EXPECT_DOUBLE_EQ(served->bounds[0], row.bounds[0] * widening);
     EXPECT_DOUBLE_EQ(served->std_errors[0], row.std_errors[0] * widening);
     EXPECT_DOUBLE_EQ(served->estimates[0], row.estimates[0]);

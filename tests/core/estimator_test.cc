@@ -59,8 +59,8 @@ TEST(EstimatorTest, FullSampleReproducesExactAnswer) {
   ASSERT_TRUE(exact.ok() && approx.ok());
   ASSERT_EQ(approx->num_groups(), exact->num_groups());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = approx->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = approx->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     for (size_t a = 0; a < row.aggregates.size(); ++a) {
       EXPECT_NEAR(est->estimates[a], row.aggregates[a],
                   1e-9 * std::max(1.0, std::fabs(row.aggregates[a])));
@@ -85,7 +85,7 @@ TEST(EstimatorTest, UnbiasedOverManySamples) {
     auto approx = EstimateGroupBy(*sample, q);
     ASSERT_TRUE(approx.ok());
     for (const auto& row : approx->rows()) {
-      sums[row.key] += row.estimates[0];
+      sums[GroupKey(row.key.begin(), row.key.end())] += row.estimates[0];
     }
   }
   for (const GroupResult& row : exact->rows()) {
@@ -127,8 +127,8 @@ TEST(EstimatorTest, PredicateRestrictsSupport) {
   auto approx_all = EstimateGroupBy(*sample, q_all);
   ASSERT_TRUE(approx_all.ok());
   for (const auto& row : approx->rows()) {
-    const ApproximateGroupRow* all = approx_all->Find(row.key);
-    ASSERT_NE(all, nullptr);
+    const auto all = approx_all->Find(row.key);
+    ASSERT_TRUE(all.has_value());
     EXPECT_LT(row.support, all->support);
     EXPECT_LT(row.estimates[1], all->estimates[1]);
   }
@@ -214,8 +214,8 @@ TEST(EstimatorTest, BoundCoversTruthMostOfTheTime) {
     auto approx = EstimateGroupBy(*sample, q);
     ASSERT_TRUE(approx.ok());
     for (const GroupResult& row : exact->rows()) {
-      const ApproximateGroupRow* est = approx->Find(row.key);
-      ASSERT_NE(est, nullptr);
+      const auto est = approx->Find(row.key);
+      ASSERT_TRUE(est.has_value());
       ++total;
       if (std::fabs(est->estimates[0] - row.aggregates[0]) <=
           est->bounds[0]) {
@@ -345,12 +345,11 @@ ApproximateResult NaiveEstimate(const StratifiedSample& sample,
   }
   const double cheb = 1.0 / std::sqrt(1.0 - options.confidence);
   const double hoeff_ln = std::log(2.0 / (1.0 - options.confidence)) / 2.0;
-  ApproximateResult out;
+  ApproximateResult out(query.group_columns.size(), num_aggs);
   for (const RefGroup& group : groups) {
     if (group.support == 0) continue;
-    ApproximateGroupRow row;
-    row.key = group.key;
-    row.support = group.support;
+    std::span<double> numbers =
+        out.Add(group.key, group.support, GroupProvenance::kSampled);
     for (size_t a = 0; a < num_aggs; ++a) {
       double est_sum = 0, est_cnt = 0, var_sum = 0, var_cnt = 0, cov = 0,
              c2 = 0;
@@ -392,11 +391,10 @@ ApproximateResult NaiveEstimate(const StratifiedSample& sample,
       } else if (options.bound_method == BoundMethod::kHoeffding) {
         bound = std::sqrt(hoeff_ln * c2);
       }
-      row.estimates.push_back(est);
-      row.std_errors.push_back(se);
-      row.bounds.push_back(bound);
+      numbers[a] = est;
+      numbers[num_aggs + a] = se;
+      numbers[2 * num_aggs + a] = bound;
     }
-    out.Add(std::move(row));
   }
   out.FilterHaving(query.having);
   out.SortByKey();
@@ -408,7 +406,7 @@ bool SameBits(double a, double b) {
 }
 
 /// Keys must match value for value, down to the sign of a zero and NaN.
-bool SameKey(const GroupKey& a, const GroupKey& b) {
+bool SameKey(std::span<const Value> a, std::span<const Value> b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].type() != b[i].type()) return false;
@@ -420,8 +418,8 @@ bool SameKey(const GroupKey& a, const GroupKey& b) {
   return true;
 }
 
-void ExpectNear(const std::vector<double>& got,
-                const std::vector<double>& want, const std::string& what) {
+void ExpectNear(std::span<const double> got, std::span<const double> want,
+                const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (size_t i = 0; i < got.size(); ++i) {
     const double scale = std::max(std::fabs(got[i]), std::fabs(want[i]));
@@ -435,8 +433,8 @@ void ExpectMatchesReference(const ApproximateResult& got,
                             const std::string& what) {
   ASSERT_EQ(got.num_groups(), want.num_groups()) << what;
   for (size_t i = 0; i < got.num_groups(); ++i) {
-    const ApproximateGroupRow& g = got.rows()[i];
-    const ApproximateGroupRow& w = want.rows()[i];
+    const ApproximateGroupRow g = got.row(i);
+    const ApproximateGroupRow w = want.row(i);
     ASSERT_TRUE(SameKey(g.key, w.key))
         << what << " row " << i << ": " << GroupKeyToString(g.key) << " vs "
         << GroupKeyToString(w.key);
@@ -451,8 +449,8 @@ void ExpectBitIdentical(const ApproximateResult& a, const ApproximateResult& b,
                         const std::string& what) {
   ASSERT_EQ(a.num_groups(), b.num_groups()) << what;
   for (size_t i = 0; i < a.num_groups(); ++i) {
-    const ApproximateGroupRow& x = a.rows()[i];
-    const ApproximateGroupRow& y = b.rows()[i];
+    const ApproximateGroupRow x = a.row(i);
+    const ApproximateGroupRow y = b.row(i);
     ASSERT_TRUE(SameKey(x.key, y.key)) << what << " row " << i;
     EXPECT_EQ(x.support, y.support) << what;
     for (size_t k = 0; k < x.estimates.size(); ++k) {
@@ -603,8 +601,8 @@ TEST(EstimatorReferenceTest, SignedZeroKeyComesFromFirstSampleRow) {
     ASSERT_TRUE(got.ok());
     ExpectMatchesReference(*got, NaiveEstimate(sample, q, {}),
                            "column " + std::to_string(column));
-    const ApproximateGroupRow* zero = got->Find({Value(0.0)});
-    ASSERT_NE(zero, nullptr);
+    const auto zero = got->Find({Value(0.0)});
+    ASSERT_TRUE(zero.has_value());
     EXPECT_TRUE(std::signbit(zero->key[0].AsDouble())) << column;
   }
 }
@@ -614,26 +612,29 @@ TEST(EstimatorReferenceTest, SignedZeroKeyComesFromFirstSampleRow) {
 // built in row order with first-insert-wins, returned.
 // ---------------------------------------------------------------------------
 
-ApproximateGroupRow Row(GroupKey key, double estimate) {
-  ApproximateGroupRow row;
-  row.key = std::move(key);
-  row.estimates = {estimate};
-  row.std_errors = {0.0};
-  row.bounds = {0.0};
-  return row;
+/// Appends a one-aggregate group with zero-width bounds.
+void AddRow(ApproximateResult* result, const GroupKey& key, double estimate) {
+  result->Add(key, 0, GroupProvenance::kSampled)[0] = estimate;
 }
 
 void ExpectFindMatchesHashIndex(const ApproximateResult& result,
                                 const std::vector<GroupKey>& probes) {
   std::unordered_map<GroupKey, size_t, GroupKeyHash> index;
-  for (size_t i = 0; i < result.rows().size(); ++i) {
-    index.emplace(result.rows()[i].key, i);
+  for (size_t i = 0; i < result.num_groups(); ++i) {
+    const std::span<const Value> key = result.row(i).key;
+    index.emplace(GroupKey(key.begin(), key.end()), i);
   }
   for (const GroupKey& probe : probes) {
     auto it = index.find(probe);
-    const ApproximateGroupRow* want =
-        it == index.end() ? nullptr : &result.rows()[it->second];
-    EXPECT_EQ(result.Find(probe), want) << GroupKeyToString(probe);
+    const auto got = result.Find(probe);
+    if (it == index.end()) {
+      EXPECT_FALSE(got.has_value()) << GroupKeyToString(probe);
+      continue;
+    }
+    ASSERT_TRUE(got.has_value()) << GroupKeyToString(probe);
+    // The same row: its key lies at the same place in the answer.
+    EXPECT_EQ(got->key.data(), result.row(it->second).key.data())
+        << GroupKeyToString(probe);
   }
 }
 
@@ -643,35 +644,35 @@ TEST(ApproximateResultTest, FindMatchesHashIndexSemantics) {
       {Value(int64_t{1})}, {Value(int64_t{2})}, {Value(int64_t{3})},
       {Value(int64_t{9})}, {Value(0.0)},        {Value(-0.0)},
       {Value(nan)},        {Value("s")},        {}};
-  ApproximateResult r;
-  r.Add(Row({Value(int64_t{3})}, 3.0));
-  r.Add(Row({Value(int64_t{1})}, 1.0));
-  r.Add(Row({Value(int64_t{3})}, 30.0));  // Duplicate: the first wins.
-  r.Add(Row({Value(-0.0)}, 4.0));
-  r.Add(Row({Value(nan)}, 5.0));
-  r.Add(Row({Value(0.0)}, 6.0));  // Equal to -0.0.
-  r.Add(Row({Value("s")}, 7.0));
+  ApproximateResult r(1, 1);
+  AddRow(&r, {Value(int64_t{3})}, 3.0);
+  AddRow(&r, {Value(int64_t{1})}, 1.0);
+  AddRow(&r, {Value(int64_t{3})}, 30.0);  // Duplicate: the first wins.
+  AddRow(&r, {Value(-0.0)}, 4.0);
+  AddRow(&r, {Value(nan)}, 5.0);
+  AddRow(&r, {Value(0.0)}, 6.0);  // Equal to -0.0.
+  AddRow(&r, {Value("s")}, 7.0);
   ExpectFindMatchesHashIndex(r, probes);  // Unsorted adds.
   EXPECT_EQ(r.Find({Value(int64_t{3})})->estimates[0], 3.0);
-  EXPECT_EQ(r.Find({Value(nan)}), nullptr);
+  EXPECT_FALSE(r.Find({Value(nan)}).has_value());
   r.SortByKey();
   ExpectFindMatchesHashIndex(r, probes);
   r.FilterHaving({HavingCondition{0, CompareOp::kNe, 1.0}});
   ExpectFindMatchesHashIndex(r, probes);
-  EXPECT_EQ(r.Find({Value(int64_t{1})}), nullptr);
+  EXPECT_FALSE(r.Find({Value(int64_t{1})}).has_value());
 
   // A strictly increasing answer binary-searches, before and after HAVING.
-  ApproximateResult sorted;
+  ApproximateResult sorted(1, 1);
   for (int64_t k = 0; k < 50; k += 2) {
-    sorted.Add(Row({Value(k)}, static_cast<double>(k)));
+    AddRow(&sorted, {Value(k)}, static_cast<double>(k));
   }
   std::vector<GroupKey> int_probes;
   for (int64_t k = -1; k < 52; ++k) int_probes.push_back({Value(k)});
   ExpectFindMatchesHashIndex(sorted, int_probes);
   sorted.FilterHaving({HavingCondition{0, CompareOp::kGt, 20.0}});
   ExpectFindMatchesHashIndex(sorted, int_probes);
-  EXPECT_EQ(sorted.Find({Value(int64_t{20})}), nullptr);
-  ASSERT_NE(sorted.Find({Value(int64_t{22})}), nullptr);
+  EXPECT_FALSE(sorted.Find({Value(int64_t{20})}).has_value());
+  ASSERT_TRUE(sorted.Find({Value(int64_t{22})}).has_value());
 }
 
 TEST(ApproximateResultTest, NanInLaterKeyColumnStillFound) {
@@ -679,38 +680,183 @@ TEST(ApproximateResultTest, NanInLaterKeyColumnStillFound) {
   // strictly increasing, yet binary search for (5, 0) would miss it. A
   // NaN anywhere in a key therefore forces the linear scan.
   const double nan = std::nan("");
-  ApproximateResult r;
-  r.Add(Row({Value(5.0), Value(int64_t{0})}, 1.0));
-  r.Add(Row({Value(nan), Value(int64_t{1})}, 2.0));
-  r.Add(Row({Value(3.0), Value(int64_t{2})}, 3.0));
-  r.Add(Row({Value(4.0), Value(int64_t{3})}, 4.0));
+  ApproximateResult r(2, 1);
+  AddRow(&r, {Value(5.0), Value(int64_t{0})}, 1.0);
+  AddRow(&r, {Value(nan), Value(int64_t{1})}, 2.0);
+  AddRow(&r, {Value(3.0), Value(int64_t{2})}, 3.0);
+  AddRow(&r, {Value(4.0), Value(int64_t{3})}, 4.0);
   ExpectFindMatchesHashIndex(r, {{Value(5.0), Value(int64_t{0})},
                                  {Value(3.0), Value(int64_t{2})},
                                  {Value(4.0), Value(int64_t{3})},
                                  {Value(nan), Value(int64_t{1})}});
-  ASSERT_NE(r.Find({Value(5.0), Value(int64_t{0})}), nullptr);
+  ASSERT_TRUE(r.Find({Value(5.0), Value(int64_t{0})}).has_value());
 }
 
 TEST(ApproximateResultTest, FindAndSort) {
-  ApproximateResult r;
-  ApproximateGroupRow row1;
-  row1.key = {Value(int64_t{2})};
-  row1.estimates = {1.0};
-  row1.std_errors = {0.0};
-  row1.bounds = {0.0};
-  ApproximateGroupRow row2;
-  row2.key = {Value(int64_t{1})};
-  row2.estimates = {2.0};
-  row2.std_errors = {0.0};
-  row2.bounds = {0.0};
-  r.Add(row1);
-  r.Add(row2);
+  ApproximateResult r(1, 1);
+  AddRow(&r, {Value(int64_t{2})}, 1.0);
+  AddRow(&r, {Value(int64_t{1})}, 2.0);
   r.SortByKey();
   EXPECT_EQ(r.rows()[0].key[0], Value(int64_t{1}));
-  ASSERT_NE(r.Find({Value(int64_t{2})}), nullptr);
-  EXPECT_EQ(r.Find({Value(int64_t{3})}), nullptr);
+  ASSERT_TRUE(r.Find({Value(int64_t{2})}).has_value());
+  EXPECT_FALSE(r.Find({Value(int64_t{3})}).has_value());
   QueryResult qr = r.ToQueryResult();
   EXPECT_EQ(qr.num_groups(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Flat layout: every group's key values, numbers, support and provenance
+// move together.
+// ---------------------------------------------------------------------------
+
+GroupProvenance TagProvenance(double tag) {
+  return tag > 2.5 ? GroupProvenance::kExact : GroupProvenance::kSampled;
+}
+
+/// Appends a two-aggregate group whose numbers all derive from `tag`.
+void AddTagged(ApproximateResult* result, const GroupKey& key, double tag) {
+  std::span<double> numbers =
+      result->Add(key, static_cast<uint64_t>(tag), TagProvenance(tag));
+  for (size_t i = 0; i < numbers.size(); ++i) numbers[i] = tag + 0.125 * i;
+}
+
+/// The group carries the numbers AddTagged gave it for `tag`.
+void ExpectTagged(const ApproximateGroupRow& row, double tag) {
+  ASSERT_EQ(row.estimates.size(), 2u);
+  EXPECT_EQ(row.estimates[0], tag);
+  EXPECT_EQ(row.estimates[1], tag + 0.125);
+  EXPECT_EQ(row.std_errors[0], tag + 0.25);
+  EXPECT_EQ(row.std_errors[1], tag + 0.375);
+  EXPECT_EQ(row.bounds[0], tag + 0.5);
+  EXPECT_EQ(row.bounds[1], tag + 0.625);
+  EXPECT_EQ(row.support, static_cast<uint64_t>(tag));
+  EXPECT_EQ(row.provenance, TagProvenance(tag));
+}
+
+TEST(ApproximateResultTest, SortByKeyMovesEachGroupWhole) {
+  // Two-column keys mixing strings, signed zeros and a NaN; the order
+  // must be the one std::sort gives GroupKeys.
+  const double nan = std::nan("");
+  const std::vector<GroupKey> keys = {
+      {Value("west"), Value(1.0)},
+      {Value("east"), Value(-0.0)},
+      {Value("east"), Value(nan)},
+      {Value(""), Value(2.0)},
+      {Value("east"), Value(-1.0)},
+      {Value("a long string key"), Value(0.0)},
+  };
+  ApproximateResult r(2, 2);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    AddTagged(&r, keys[i], static_cast<double>(i));
+  }
+  EXPECT_FALSE(r.searchable());
+  std::vector<size_t> want(keys.size());
+  for (size_t i = 0; i < want.size(); ++i) want[i] = i;
+  auto key_less = [&keys](size_t a, size_t b) { return keys[a] < keys[b]; };
+  std::sort(want.begin(), want.end(), key_less);
+  r.SortByKey();
+  ASSERT_EQ(r.num_groups(), keys.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const ApproximateGroupRow row = r.row(i);
+    EXPECT_TRUE(SameKey(row.key, keys[want[i]])) << i;
+    ExpectTagged(row, static_cast<double>(want[i]));
+  }
+  // The NaN key is never found; the others are, numbers and all.
+  EXPECT_FALSE(r.Find({Value("east"), Value(nan)}).has_value());
+  const auto zero =
+      r.Find({Value("east"), Value(0.0)});
+  ASSERT_TRUE(zero.has_value());
+  EXPECT_TRUE(std::signbit(zero->key[1].AsDouble()));
+  ExpectTagged(*zero, 1.0);
+}
+
+TEST(ApproximateResultTest, FilterHavingCompactsStringKeyedGroups) {
+  ApproximateResult r(1, 2);
+  const std::vector<std::string> names = {
+      "alpha",
+      "a much longer name",
+      "gamma",
+      "delta",
+      "epsilon",
+  };
+  for (size_t i = 0; i < names.size(); ++i) {
+    AddTagged(&r, {Value(names[i])}, static_cast<double>(i));
+  }
+  const std::vector<HavingCondition> even_tags = {
+      HavingCondition{0, CompareOp::kNe, 1.0},
+      HavingCondition{0, CompareOp::kNe, 3.0},
+  };
+  r.FilterHaving(even_tags);
+  ASSERT_EQ(r.num_groups(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.row(i).key[0].AsString(), names[2 * i]);
+    ExpectTagged(r.row(i), static_cast<double>(2 * i));
+  }
+  ASSERT_TRUE(r.Find({Value("epsilon")}).has_value());
+  EXPECT_FALSE(r.Find({Value("delta")}).has_value());
+}
+
+TEST(ApproximateResultTest, WidenBoundsScalesErrorsNotEstimates) {
+  ApproximateResult r(1, 2);
+  AddTagged(&r, {Value(int64_t{1})}, 1.0);
+  AddTagged(&r, {Value(int64_t{2})}, 2.0);
+  r.WidenBounds(2.0);
+  for (size_t i = 0; i < 2; ++i) {
+    const ApproximateGroupRow row = r.row(i);
+    const double tag = static_cast<double>(i + 1);
+    EXPECT_EQ(row.estimates[0], tag);
+    EXPECT_EQ(row.estimates[1], tag + 0.125);
+    EXPECT_EQ(row.std_errors[0], 2.0 * (tag + 0.25));
+    EXPECT_EQ(row.std_errors[1], 2.0 * (tag + 0.375));
+    EXPECT_EQ(row.bounds[0], 2.0 * (tag + 0.5));
+    EXPECT_EQ(row.bounds[1], 2.0 * (tag + 0.625));
+  }
+}
+
+TEST(ApproximateResultTest, ZeroKeyWidthHoldsTheSingleGroup) {
+  // No GROUP BY: one group with an empty key.
+  ApproximateResult r(0, 2);
+  AddTagged(&r, {}, 3.0);
+  EXPECT_TRUE(r.searchable());
+  ASSERT_TRUE(r.Find(GroupKey{}).has_value());
+  EXPECT_TRUE(r.Find(GroupKey{})->key.empty());
+  ExpectTagged(*r.Find(GroupKey{}), 3.0);
+
+  // The estimator answers a query without group columns the same way.
+  const Table t = MakeTable();
+  Random rng(3);
+  auto sample = BuildSample(t, {0}, AllocationStrategy::kSenate, 60.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  GroupByQuery q;
+  q.aggregates = {{AggregateKind::kSum, 2}, {AggregateKind::kCount, 0}};
+  auto got = EstimateGroupBy(*sample, q);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->key_width(), 0u);
+  EXPECT_EQ(got->num_aggregates(), 2u);
+  ASSERT_EQ(got->num_groups(), 1u);
+  EXPECT_TRUE(got->row(0).key.empty());
+  EXPECT_EQ(got->row(0).support, sample->num_rows());
+}
+
+TEST(ApproximateResultTest, MovedFromResultIsEmptyAndReusable) {
+  const double nan = std::nan("");
+  ApproximateResult r(1, 2);
+  AddTagged(&r, {Value(nan)}, 0.0);
+  AddTagged(&r, {Value(int64_t{7})}, 1.0);
+  ApproximateResult moved = std::move(r);
+  ASSERT_EQ(moved.num_groups(), 2u);
+  ExpectTagged(moved.row(1), 1.0);
+  // The moved-from answer is what is under test.
+  EXPECT_EQ(r.num_groups(), 0u);
+  EXPECT_TRUE(r.rows().empty());
+  EXPECT_FALSE(r.Find({Value(int64_t{7})}).has_value());
+  // Refilled, it is an answer like any other: searchable again once its
+  // NaN key is gone.
+  AddTagged(&r, {Value(int64_t{1})}, 2.0);
+  AddTagged(&r, {Value(int64_t{2})}, 3.0);
+  EXPECT_TRUE(r.searchable());
+  ASSERT_TRUE(r.Find({Value(int64_t{2})}).has_value());
+  ExpectTagged(*r.Find({Value(int64_t{2})}), 3.0);
 }
 
 }  // namespace

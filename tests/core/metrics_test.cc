@@ -105,13 +105,9 @@ TEST(MetricsTest, SecondAggregateColumn) {
 
 TEST(MetricsTest, ApproximateResultOverload) {
   QueryResult exact = MakeResult({{1, 100.0}});
-  ApproximateResult approx;
-  ApproximateGroupRow row;
-  row.key = {Value(int64_t{1})};
-  row.estimates = {110.0};
-  row.std_errors = {0.0};
-  row.bounds = {0.0};
-  approx.Add(row);
+  ApproximateResult approx(1, 1);
+  approx.Add(GroupKey{Value(int64_t{1})}, 0, GroupProvenance::kSampled)[0] =
+      110.0;
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_DOUBLE_EQ(report.linf, 10.0);
 }

@@ -114,8 +114,8 @@ TEST_F(OlapTest, SliceAppliesPredicate) {
   auto sliced = nav.Current();
   ASSERT_TRUE(sliced.ok());
   for (const auto& row : sliced->rows()) {
-    const ApproximateGroupRow* full = unsliced->Find(row.key);
-    ASSERT_NE(full, nullptr);
+    const auto full = unsliced->Find(row.key);
+    ASSERT_TRUE(full.has_value());
     EXPECT_LT(row.estimates[0], full->estimates[0]);
   }
   nav.Slice(nullptr);
@@ -142,8 +142,8 @@ TEST_F(OlapTest, EstimatesTrackExactThroughTheDrillPath) {
     ASSERT_TRUE(exact.ok());
     ASSERT_EQ(approx->num_groups(), exact->num_groups());
     for (const GroupResult& row : exact->rows()) {
-      const ApproximateGroupRow* est = approx->Find(row.key);
-      ASSERT_NE(est, nullptr);
+      const auto est = approx->Find(row.key);
+      ASSERT_TRUE(est.has_value());
       // 20% sample: within 30% relative error per group at every level.
       EXPECT_NEAR(est->estimates[0], row.aggregates[0],
                   0.3 * row.aggregates[0] + 1.0);

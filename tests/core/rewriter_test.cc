@@ -130,8 +130,8 @@ TEST(RewriterTest, MatchesEstimatorPointEstimates) {
   auto estimated = EstimateGroupBy(sample, q);
   ASSERT_TRUE(rewritten.ok() && estimated.ok());
   for (const GroupResult& row : rewritten->rows()) {
-    const ApproximateGroupRow* est = estimated->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = estimated->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     for (size_t a = 0; a < row.aggregates.size(); ++a) {
       EXPECT_NEAR(row.aggregates[a], est->estimates[a],
                   1e-6 * std::fabs(est->estimates[a]) + 1e-9);

@@ -59,8 +59,8 @@ TEST(AquaSynopsisTest, BuildAndAnswer) {
   auto exact = ExecuteExact(base, SumQuery());
   ASSERT_TRUE(exact.ok());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = answer->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = answer->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     // 20% Congress sample on mild data: within 25%.
     EXPECT_NEAR(est->estimates[0], row.aggregates[0],
                 0.25 * row.aggregates[0]);
@@ -161,8 +161,8 @@ TEST(AquaSynopsisTest, FromSampleServesQueriesLikeItsSource) {
   ASSERT_TRUE(recovered.ok());
   ASSERT_EQ(original->num_groups(), recovered->num_groups());
   for (const ApproximateGroupRow& row : original->rows()) {
-    const ApproximateGroupRow* other = recovered->Find(row.key);
-    ASSERT_NE(other, nullptr);
+    const auto other = recovered->Find(row.key);
+    ASSERT_TRUE(other.has_value());
     EXPECT_DOUBLE_EQ(row.estimates[0], other->estimates[0]);
     EXPECT_DOUBLE_EQ(row.bounds[0], other->bounds[0]);
   }

@@ -127,8 +127,8 @@ TEST(ExpressionAggregateTest, EstimatorUnbiasedOnExpression) {
   auto approx = EstimateGroupBy(*sample, q);
   ASSERT_TRUE(approx.ok());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = approx->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = approx->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     EXPECT_NEAR(est->estimates[0], row.aggregates[0], 1e-9);
   }
 }

@@ -65,7 +65,7 @@ TEST(QueryResultTest, SortByKeyOrdersAndReindexes) {
 TEST(QueryResultTest, EmptyKeySingleton) {
   QueryResult r;
   r.Add({}, {42.0});
-  const GroupResult* row = r.Find({});
+  const GroupResult* row = r.Find(GroupKey{});
   ASSERT_NE(row, nullptr);
   EXPECT_DOUBLE_EQ(row->aggregates[0], 42.0);
 }

@@ -168,8 +168,8 @@ TEST_F(EndToEndTest, ErrorBoundsMostlyCoverTruthOnQg2) {
   int covered = 0;
   int total = 0;
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = approx->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = approx->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     ++total;
     if (std::abs(est->estimates[0] - row.aggregates[0]) <= est->bounds[0]) {
       ++covered;

@@ -95,7 +95,7 @@ TEST(HavingTest, EstimatorAndRewriterApplyHaving) {
   auto estimated = EstimateGroupBy(*sample, q);
   ASSERT_TRUE(estimated.ok());
   EXPECT_EQ(estimated->num_groups(), 2u);  // AVG 20 and 100.
-  EXPECT_EQ(estimated->Find({Value(int64_t{2})}), nullptr);
+  EXPECT_FALSE(estimated->Find({Value(int64_t{2})}).has_value());
 
   Rewriter rewriter(*sample);
   for (auto strategy :
@@ -197,7 +197,7 @@ TEST(HavingTest, CensusStatesAboveThreshold) {
   EXPECT_LT(exact->num_groups(), 30u);
   size_t agree = 0;
   for (const GroupResult& row : exact->rows()) {
-    if (approx->Find(row.key) != nullptr) ++agree;
+    if (approx->Find(row.key).has_value()) ++agree;
   }
   EXPECT_GE(agree + 2, exact->num_groups());  // At most 2 borderline misses.
   EXPECT_LE(approx->num_groups(), exact->num_groups() + 2);

@@ -100,7 +100,7 @@ TEST_F(SqlEndToEndTest, WherePlusHaving) {
   // HAVING thresholds agree on all but borderline groups.
   size_t agree = 0;
   for (const GroupResult& row : exact->rows()) {
-    if (approx->Find(row.key) != nullptr) ++agree;
+    if (approx->Find(row.key).has_value()) ++agree;
   }
   EXPECT_GE(agree + 2, exact->num_groups());
 }

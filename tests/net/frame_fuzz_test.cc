@@ -102,12 +102,13 @@ TEST(FrameFuzzTest, MutatedValidFramesNeverCrashTheDecoders) {
   for (int i = 0; i < 500; ++i) {
     serve::Response response;
     response.status = Status::OK();
-    ApproximateGroupRow row;
-    row.key = {Value(static_cast<int64_t>(i))};
-    row.estimates = {1.0};
-    row.std_errors = {0.1};
-    row.bounds = {0.2};
-    response.result.Add(std::move(row));
+    response.result = ApproximateResult(1, 1);
+    const GroupKey key = {Value(static_cast<int64_t>(i))};
+    std::span<double> numbers =
+        response.result.Add(key, 0, GroupProvenance::kSampled);
+    numbers[0] = 1.0;  // Estimate.
+    numbers[1] = 0.1;  // Standard error.
+    numbers[2] = 0.2;  // Bound.
     std::string frame;
     EncodeFrame(FrameType::kResponse, i, EncodeResponse(response), &frame);
     FeedDecoders(Mutate(&rng, frame));

@@ -339,6 +339,35 @@ TEST_F(TcpFrontEndTest, OversizeFrameIsRejectedBeforeBuffering) {
   }));
 }
 
+TEST_F(TcpFrontEndTest, OversizeAnswerGetsOutOfRangeInsteadOfRetries) {
+  // The frame limit bounds answers too. Both ends share a limit the
+  // request fits in but the two-group answer does not: the front-end
+  // must answer once with a definite OutOfRange, not send a frame the
+  // client rejects as a protocol violation and retries.
+  constexpr size_t kLimit = 120;
+  FrontEndOptions options;
+  options.max_frame_bytes = kLimit;
+  StartFrontEnd(options);
+  ClientOptions client_options;
+  client_options.max_frame_bytes = kLimit;
+  AquaClient client("127.0.0.1", front_end_->port(), client_options);
+  auto response = client.Query(kSql);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status.code(), StatusCode::kOutOfRange);
+  const std::string& message = response->status.message();
+  EXPECT_NE(message.find("exceeds frame limit 120"), std::string::npos)
+      << message;
+  EXPECT_EQ(client.stats().attempts, 1u);
+  EXPECT_EQ(client.stats().transport_errors, 0u);
+  EXPECT_EQ(server_->stats().completed, 1u);
+  // The connection stays open and serves the next request.
+  auto again = client.Query(kSql);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(client.stats().transport_errors, 0u);
+  EXPECT_EQ(front_end_->stats().accepts, 1u);
+}
+
 TEST_F(TcpFrontEndTest, UndecodableBodyGetsErrorResponseAndKeepsConnection) {
   StartFrontEnd();
   // A correctly framed (CRC-valid) payload whose first byte is an

@@ -49,8 +49,8 @@ TEST(OnlineAggTest, FullScanIsExact) {
     ASSERT_TRUE(estimate.ok() && exact.ok());
     ASSERT_EQ(estimate->num_groups(), exact->num_groups());
     for (const GroupResult& row : exact->rows()) {
-      const ApproximateGroupRow* est = estimate->Find(row.key);
-      ASSERT_NE(est, nullptr);
+      const auto est = estimate->Find(row.key);
+      ASSERT_TRUE(est.has_value());
       EXPECT_NEAR(est->estimates[0], row.aggregates[0], 1e-9);
       EXPECT_NEAR(est->estimates[1], row.aggregates[1], 1e-9);
       EXPECT_NEAR(est->std_errors[0], 0.0, 1e-9);  // FPC at full scan.
@@ -95,8 +95,8 @@ TEST(OnlineAggTest, UniformScanUnderRepresentsSmallGroups) {
   ASSERT_TRUE(estimate.ok());
   // The 20-tuple group has ~0.3 expected tuples at this point; usually
   // absent or barely present while the striding scan has 10.
-  const ApproximateGroupRow* small = estimate->Find({Value(int64_t{3})});
-  if (small != nullptr) {
+  const auto small = estimate->Find({Value(int64_t{3})});
+  if (small.has_value()) {
     EXPECT_LT(small->support, 5u);
   }
 }
@@ -134,8 +134,8 @@ TEST(OnlineAggTest, PredicateSupported) {
   auto estimate = agg->CurrentEstimate();
   ASSERT_TRUE(estimate.ok());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* est = estimate->Find(row.key);
-    ASSERT_NE(est, nullptr);
+    const auto est = estimate->Find(row.key);
+    ASSERT_TRUE(est.has_value());
     EXPECT_NEAR(est->estimates[0], row.aggregates[0], 1e-9);
   }
 }
@@ -157,8 +157,8 @@ TEST(OnlineAggTest, BoundsCoverTruthDuringScan) {
     auto estimate = agg->CurrentEstimate();
     ASSERT_TRUE(estimate.ok());
     for (const GroupResult& row : exact->rows()) {
-      const ApproximateGroupRow* est = estimate->Find(row.key);
-      if (est == nullptr) continue;
+      const auto est = estimate->Find(row.key);
+      if (!est) continue;
       ++total;
       if (std::abs(est->estimates[0] - row.aggregates[0]) <= est->bounds[0]) {
         ++covered;

@@ -133,8 +133,8 @@ TEST_F(PlannerTest, NoBudgetRunIsBitIdenticalToSynopsisAnswer) {
   ASSERT_TRUE(direct.ok());
   ASSERT_EQ(planned->result.num_groups(), direct->num_groups());
   for (const ApproximateGroupRow& row : direct->rows()) {
-    const ApproximateGroupRow* got = planned->result.Find(row.key);
-    ASSERT_NE(got, nullptr);
+    const auto got = planned->result.Find(row.key);
+    ASSERT_TRUE(got.has_value());
     for (size_t a = 0; a < row.estimates.size(); ++a) {
       EXPECT_EQ(got->estimates[a], row.estimates[a]);
       EXPECT_EQ(got->std_errors[a], row.std_errors[a]);
@@ -157,8 +157,8 @@ TEST_F(PlannerTest, ErrorBudgetIsHonoredOrEscalated) {
   auto exact = ExecuteExact(*snapshot_->table, query);
   ASSERT_TRUE(exact.ok());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* got = planned->result.Find(row.key);
-    ASSERT_NE(got, nullptr);
+    const auto got = planned->result.Find(row.key);
+    ASSERT_TRUE(got.has_value());
     for (size_t a = 0; a < row.aggregates.size(); ++a) {
       EXPECT_LE(std::fabs(got->estimates[a] - row.aggregates[a]),
                 got->bounds[a] + 1e-9);
@@ -253,8 +253,8 @@ TEST_F(PlannerTest, FullPopulationCombinedPlanMatchesExact) {
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(combined->num_groups(), exact->rows().size());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* got = combined->Find(row.key);
-    ASSERT_NE(got, nullptr);
+    const auto got = combined->Find(row.key);
+    ASSERT_TRUE(got.has_value());
     for (size_t a = 0; a < row.aggregates.size(); ++a) {
       EXPECT_NEAR(got->estimates[a], row.aggregates[a],
                   1e-9 * std::max(1.0, std::fabs(row.aggregates[a])));
@@ -353,8 +353,8 @@ TEST_F(PlannerTest, SqlBudgetRoutesThroughPlanner) {
       "SELECT region, SUM(amount) FROM sales GROUP BY region");
   ASSERT_TRUE(exact.ok());
   for (const GroupResult& row : exact->rows()) {
-    const ApproximateGroupRow* got = result->Find(row.key);
-    ASSERT_NE(got, nullptr);
+    const auto got = result->Find(row.key);
+    ASSERT_TRUE(got.has_value());
     EXPECT_LE(got->bounds[0], 0.05 * std::fabs(got->estimates[0]) + 1e-9);
   }
 }

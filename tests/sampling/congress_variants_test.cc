@@ -155,7 +155,7 @@ TEST(CongressVariantsTest, AllVariantsGiveUnbiasedEstimates) {
       auto approx = EstimateGroupBy(*sample, q);
       ASSERT_TRUE(approx.ok());
       for (const auto& row : approx->rows()) {
-        sums[row.key] += row.estimates[0];
+        sums[GroupKey(row.key.begin(), row.key.end())] += row.estimates[0];
       }
     }
     for (const GroupResult& row : exact->rows()) {

@@ -350,8 +350,8 @@ TEST_F(AquaServerTest, WriteRequestsStreamIntoTheEngine) {
   r = server.Submit(*session, read).get();
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.result.num_groups(), 3u);
-  const ApproximateGroupRow* north = r.result.Find({Value("north")});
-  ASSERT_NE(north, nullptr);
+  const auto north = r.result.Find({Value("north")});
+  ASSERT_TRUE(north.has_value());
   EXPECT_DOUBLE_EQ(north->estimates[0], 100.0);  // 40 rows x 2.5.
 
   // A write against an unknown table fails the request, not the server.
