@@ -5,8 +5,8 @@
 // front-end (DESIGN.md §15): producers buffer into per-core chunk queues
 // without ever taking the writer lock, a live reader keeps answering
 // from the pinned snapshot the whole time, and Refresh() merges the
-// shards and atomically publishes the next snapshot (DESIGN.md §14) —
-// in deterministic mode bit-identical to a serial rebuild.
+// shards, replays them into one serial maintainer and atomically
+// publishes the next snapshot (DESIGN.md §14).
 //
 // Part 2 adds the operational story: the stream is checkpointed to disk
 // every 10K inserts (with the I/O overlapped on a background writer), a

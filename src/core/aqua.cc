@@ -136,10 +136,10 @@ Status AquaEngine::PublishLocked(const std::string& name,
   snapshot->name = name;
 
   // Freeze the primary synopsis. Incremental relations drain the ingest
-  // shards — the merge replays (deterministic) or re-allocates
-  // (free-running) the buffered rows into the publishable sample, and
-  // the drained rows extend the working table in merge order, so the
-  // snapshot's table and synopsis describe the same stream prefix.
+  // shards — the merge replays the buffered rows into the serial
+  // maintainer, and the drained rows extend the working table in the
+  // same order, so the snapshot's table and synopsis describe the same
+  // stream prefix.
   // Non-incremental relations rebuild from the working table, which is
   // what registration built in the first place.
   if (state->ingest != nullptr) {
@@ -206,9 +206,6 @@ Status AquaEngine::RegisterTable(const std::string& name, Table table,
     ingest_options.target_sample_size = *size;
     ingest_options.seed = config.seed;
     ingest_options.num_shards = config.ingest_shards;
-    ingest_options.mode = config.free_running_ingest
-                              ? IngestMode::kFreeRunning
-                              : IngestMode::kDeterministic;
     state.ingest = std::make_shared<ShardedMaintainer>(table.schema(),
                                                        *indices,
                                                        ingest_options);

@@ -43,16 +43,9 @@ struct SynopsisConfig {
 
   /// Ingest shards for the engine's streaming path (sampling/shard.h);
   /// 0 picks one per hardware thread. Only meaningful with
-  /// `incremental`. The default (deterministic) ingest mode publishes
-  /// bit-identical samples at any shard count.
+  /// `incremental`. With a single producer, published samples are
+  /// bit-identical at any shard count.
   size_t ingest_shards = 0;
-
-  /// Switches the engine's sharded ingest to free-running mode: each
-  /// shard maintains its own sample at producer time and publishes merge
-  /// re-allocations, trading bit-level determinism for parallel
-  /// maintenance throughput (DESIGN.md §15). Validated statistically by
-  /// testing::RunCoverage rather than bitwise oracles.
-  bool free_running_ingest = false;
 
   uint64_t seed = 42;
 

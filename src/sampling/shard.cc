@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -30,83 +28,13 @@ Status ValidateRow(const Schema& schema, const RowValues& row) {
   return Status::OK();
 }
 
-/// Same decorrelation as the engine's per-table seed mixing: shard i gets
-/// an independent RNG stream derived from the user seed.
-uint64_t MixSeed(uint64_t seed, uint64_t salt) {
-  return seed + 0x9E3779B97F4A7C15ull * (salt + 1);
-}
-
 size_t DefaultShards() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return std::min<size_t>(hw, 8);
 }
 
-/// Splits a group's merged quota `k` across shards in proportion to the
-/// group's per-shard populations (largest-remainder apportionment), then
-/// clamps each share to the candidate rows that shard actually holds,
-/// redistributing any shortfall to shards with spare candidates in shard
-/// order. Deterministic given its inputs.
-std::vector<uint64_t> SplitQuota(uint64_t k, const std::vector<uint64_t>& pops,
-                                 const std::vector<uint64_t>& avail) {
-  const size_t s = pops.size();
-  std::vector<uint64_t> quota(s, 0);
-  uint64_t n = 0;
-  for (uint64_t p : pops) n += p;
-  if (n == 0 || k == 0) return quota;
-
-  std::vector<double> remainder(s, 0.0);
-  uint64_t assigned = 0;
-  for (size_t i = 0; i < s; ++i) {
-    double exact = static_cast<double>(k) * static_cast<double>(pops[i]) /
-                   static_cast<double>(n);
-    quota[i] = static_cast<uint64_t>(std::floor(exact));
-    remainder[i] = exact - static_cast<double>(quota[i]);
-    assigned += quota[i];
-  }
-  std::vector<size_t> order(s);
-  for (size_t i = 0; i < s; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (remainder[a] != remainder[b]) return remainder[a] > remainder[b];
-    return a < b;
-  });
-  for (size_t i = 0; assigned < k && i < s; ++i) {
-    quota[order[i]] += 1;
-    ++assigned;
-  }
-
-  uint64_t deficit = 0;
-  for (size_t i = 0; i < s; ++i) {
-    if (quota[i] > avail[i]) {
-      deficit += quota[i] - avail[i];
-      quota[i] = avail[i];
-    }
-  }
-  while (deficit > 0) {
-    bool progress = false;
-    for (size_t i = 0; i < s && deficit > 0; ++i) {
-      if (quota[i] < avail[i]) {
-        quota[i] += 1;
-        --deficit;
-        progress = true;
-      }
-    }
-    if (!progress) break;  // Fewer candidates than k in total: under-fill.
-  }
-  return quota;
-}
-
 }  // namespace
-
-const char* IngestModeToString(IngestMode mode) {
-  switch (mode) {
-    case IngestMode::kDeterministic:
-      return "deterministic";
-    case IngestMode::kFreeRunning:
-      return "free-running";
-  }
-  return "unknown";
-}
 
 /// One buffered tuple: its global arrival sequence, its pre-interned
 /// group key (the row's projection onto the grouping columns), and the
@@ -132,8 +60,8 @@ struct ShardedMaintainer::Chunk {
 };
 
 /// Cache-line-isolated per-shard state. Producers touch only `tail`, the
-/// ticket counters, `rows_enqueued`, and (free-running) the private
-/// maintainer; `head`/`consumed` belong to the merger.
+/// ticket counters and `rows_enqueued`; `head`/`consumed` belong to the
+/// merger.
 struct alignas(64) ShardedMaintainer::Shard {
   std::atomic<Chunk*> tail{nullptr};
   std::atomic<uint64_t> rows_enqueued{0};
@@ -150,10 +78,6 @@ struct alignas(64) ShardedMaintainer::Shard {
   // --- merger-only cursor (guarded by merge_mu_) ---
   Chunk* head = nullptr;
   size_t consumed = 0;
-
-  // --- free-running mode: shard-private maintainer ---
-  std::mutex maintainer_mu;
-  std::unique_ptr<SampleMaintainer> maintainer;
 };
 
 ShardedMaintainer::ShardedMaintainer(Schema base_schema,
@@ -162,8 +86,7 @@ ShardedMaintainer::ShardedMaintainer(Schema base_schema,
     : schema_(std::move(base_schema)),
       grouping_columns_(std::move(grouping_columns)),
       options_(options),
-      chunk_rows_(std::max<size_t>(16, options.chunk_rows)),
-      merge_rng_(MixSeed(options.seed, 0x5eed)) {
+      chunk_rows_(std::max<size_t>(16, options.chunk_rows)) {
   if (options_.num_shards == 0) options_.num_shards = DefaultShards();
   key_dicts_.resize(grouping_columns_.size());
   for (size_t j = 0; j < grouping_columns_.size(); ++j) {
@@ -171,26 +94,16 @@ ShardedMaintainer::ShardedMaintainer(Schema base_schema,
       key_dicts_[j] = std::make_unique<KeyDict>();
     }
   }
-  const uint64_t per_shard_budget = std::max<uint64_t>(
-      1, (options_.target_sample_size + options_.num_shards - 1) /
-             options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     Chunk* first = new Chunk(chunk_rows_);
     shard->tail.store(first, std::memory_order_relaxed);
     shard->head = first;
-    if (options_.mode == IngestMode::kFreeRunning) {
-      shard->maintainer =
-          MakeMaintainer(options_.strategy, schema_, grouping_columns_,
-                         per_shard_budget, MixSeed(options_.seed, i));
-    }
     shards_.push_back(std::move(shard));
   }
-  if (options_.mode == IngestMode::kDeterministic) {
-    serial_ = MakeMaintainer(options_.strategy, schema_, grouping_columns_,
-                             options_.target_sample_size, options_.seed);
-  }
+  serial_ = MakeMaintainer(options_.strategy, schema_, grouping_columns_,
+                           options_.target_sample_size, options_.seed);
 }
 
 ShardedMaintainer::~ShardedMaintainer() {
@@ -354,18 +267,6 @@ Status ShardedMaintainer::IngestRows(const std::vector<Value>* rows,
   }
   shard->rows_enqueued.fetch_add(n, std::memory_order_relaxed);
   shard->exit.fetch_add(1, std::memory_order_seq_cst);
-
-  if (options_.mode == IngestMode::kFreeRunning) {
-    // Apply the batch to the shard's private maintainer now, so the
-    // sampling work runs on producer threads instead of inside the
-    // merge. The per-shard mutex is uncontended unless two producer
-    // batches round-robin onto the same shard simultaneously.
-    std::lock_guard<std::mutex> lock(shard->maintainer_mu);
-    for (size_t i = 0; i < n; ++i) {
-      CONGRESS_RETURN_NOT_OK(
-          shard->maintainer->InsertWithKey(rows[i], keys[key_of_row[i]]));
-    }
-  }
   return Status::OK();
 }
 
@@ -424,86 +325,6 @@ std::vector<ShardedMaintainer::BufferedRow> ShardedMaintainer::DrainAll() {
   return drained;
 }
 
-Result<StratifiedSample> ShardedMaintainer::MergeShardSamples(
-    std::vector<StratifiedSample> shard_samples) {
-  const size_t s = shard_samples.size();
-  // Exact merged populations: every shard maintainer counts every row it
-  // was fed, so summing per-stratum populations reproduces the group
-  // census of the merged stream.
-  std::unordered_map<GroupKey, uint64_t, GroupKeyHash> populations;
-  for (const StratifiedSample& sample : shard_samples) {
-    for (const Stratum& stratum : sample.strata()) {
-      populations[stratum.key] += stratum.population;
-    }
-  }
-  std::vector<std::pair<GroupKey, uint64_t>> counts(populations.begin(),
-                                                    populations.end());
-  auto stats = GroupStatistics::FromCounts(std::move(counts));
-  if (!stats.ok()) return stats.status();
-
-  // Re-run the allocation strategy over the merged census and round to
-  // integer per-group quotas (never above a group's population).
-  Allocation allocation =
-      Allocate(options_.strategy, *stats,
-               static_cast<double>(options_.target_sample_size));
-  std::vector<uint64_t> quotas = RoundAllocation(*stats, allocation);
-
-  // Index each shard's candidate rows by merged group, and record the
-  // shard-local population of every group for the proportional split.
-  std::vector<std::vector<std::vector<size_t>>> candidates(s);
-  std::vector<std::vector<uint64_t>> shard_pops(s);
-  for (size_t i = 0; i < s; ++i) {
-    candidates[i].resize(stats->num_groups());
-    shard_pops[i].assign(stats->num_groups(), 0);
-    const StratifiedSample& sample = shard_samples[i];
-    std::vector<size_t> group_of_stratum(sample.strata().size());
-    for (size_t st = 0; st < sample.strata().size(); ++st) {
-      auto idx = stats->IndexOf(sample.strata()[st].key);
-      if (!idx.ok()) return idx.status();
-      group_of_stratum[st] = *idx;
-      shard_pops[i][*idx] = sample.strata()[st].population;
-    }
-    for (size_t r = 0; r < sample.num_rows(); ++r) {
-      candidates[i][group_of_stratum[sample.row_strata()[r]]].push_back(r);
-    }
-  }
-
-  StratifiedSample merged(schema_, grouping_columns_);
-  for (size_t g = 0; g < stats->num_groups(); ++g) {
-    CONGRESS_RETURN_NOT_OK(
-        merged.DeclareStratum(stats->keys()[g], stats->counts()[g]));
-  }
-  std::vector<Value> row;
-  for (size_t g = 0; g < stats->num_groups(); ++g) {
-    std::vector<uint64_t> pops(s), avail(s);
-    for (size_t i = 0; i < s; ++i) {
-      pops[i] = shard_pops[i][g];
-      avail[i] = candidates[i][g].size();
-    }
-    std::vector<uint64_t> split = SplitQuota(quotas[g], pops, avail);
-    for (size_t i = 0; i < s; ++i) {
-      if (split[i] == 0) continue;
-      // Uniform without replacement within the shard's candidates: each
-      // candidate is itself a uniform draw from the shard's slice of the
-      // group, so every population row ends up included with probability
-      // ~quota_g / n_g.
-      std::vector<uint64_t> picks =
-          merge_rng_.SampleWithoutReplacement(avail[i], split[i]);
-      std::sort(picks.begin(), picks.end());
-      const Table& rows = shard_samples[i].rows();
-      for (uint64_t p : picks) {
-        size_t r = candidates[i][g][static_cast<size_t>(p)];
-        row.clear();
-        for (size_t c = 0; c < rows.num_columns(); ++c) {
-          row.push_back(rows.GetValue(r, c));
-        }
-        CONGRESS_RETURN_NOT_OK(merged.AppendRowValues(row));
-      }
-    }
-  }
-  return merged;
-}
-
 Result<PublishDelta> ShardedMaintainer::MaterializeForPublish() {
   std::lock_guard<std::mutex> lock(merge_mu_);
   const auto start = std::chrono::steady_clock::now();
@@ -512,34 +333,13 @@ Result<PublishDelta> ShardedMaintainer::MaterializeForPublish() {
   PublishDelta delta;
   delta.merged_rows.reserve(drained.size());
 
-  Result<StratifiedSample> sample = [&]() -> Result<StratifiedSample> {
-    if (options_.mode == IngestMode::kDeterministic) {
-      // Replay in global sequence order into the persistent serial
-      // maintainer: identical to having fed the rows serially.
-      for (BufferedRow& buffered : drained) {
-        CONGRESS_RETURN_NOT_OK(
-            serial_->InsertWithKey(buffered.row, buffered.key));
-        delta.merged_rows.push_back(std::move(buffered.row));
-      }
-      return MaterializeSnapshot(serial_.get(),
-                                 options_.target_sample_size);
-    }
-    for (BufferedRow& buffered : drained) {
-      delta.merged_rows.push_back(std::move(buffered.row));
-    }
-    std::vector<StratifiedSample> shard_samples;
-    shard_samples.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      std::lock_guard<std::mutex> shard_lock(shard->maintainer_mu);
-      auto shard_sample = MaterializeSnapshot(
-          shard->maintainer.get(),
-          std::max<uint64_t>(1,
-                             options_.target_sample_size / shards_.size()));
-      if (!shard_sample.ok()) return shard_sample.status();
-      shard_samples.push_back(std::move(*shard_sample));
-    }
-    return MergeShardSamples(std::move(shard_samples));
-  }();
+  // Replay in global sequence order into the persistent serial
+  // maintainer: identical to having fed the rows serially.
+  for (BufferedRow& buffered : drained) {
+    CONGRESS_RETURN_NOT_OK(serial_->InsertWithKey(buffered.row, buffered.key));
+    delta.merged_rows.push_back(std::move(buffered.row));
+  }
+  auto sample = MaterializeSnapshot(serial_.get(), options_.target_sample_size);
   if (!sample.ok()) return sample.status();
 
   tuples_merged_.fetch_add(drained.size(), std::memory_order_relaxed);
@@ -581,7 +381,5 @@ uint64_t ShardedMaintainer::pending_rows() const {
 }
 
 size_t ShardedMaintainer::num_shards() const { return shards_.size(); }
-
-IngestMode ShardedMaintainer::mode() const { return options_.mode; }
 
 }  // namespace congress

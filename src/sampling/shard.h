@@ -17,31 +17,6 @@
 
 namespace congress {
 
-/// How the sharded ingest front-end turns buffered rows into a sample.
-enum class IngestMode {
-  /// Shards only *buffer*: rows are stamped with a global sequence number
-  /// on arrival and replayed into one persistent serial maintainer at
-  /// merge time, sorted by sequence. With a single producer the published
-  /// sample is bit-identical to feeding the same rows through the serial
-  /// maintainer directly, at any shard count; with concurrent producers
-  /// the replay is serial-equivalent (some interleaving of the completed
-  /// inserts). This is the mode the maintenance-vs-rebuild and
-  /// crash-recovery oracles rely on.
-  kDeterministic = 0,
-  /// Each shard additionally owns a private maintainer (budget X /
-  /// num_shards) that absorbs its rows at producer time, so maintenance
-  /// work parallelizes with the producers instead of serializing into the
-  /// merge. The merge re-allocates the global budget over the merged
-  /// group populations and draws each group's quota from the shard
-  /// samples uniformly, population-proportionally. The result is a valid
-  /// stratified sample (exact populations, per-group uniform rows) but
-  /// not bit-identical to any serial run — it is validated statistically
-  /// by testing::RunCoverage.
-  kFreeRunning = 1,
-};
-
-const char* IngestModeToString(IngestMode mode);
-
 /// Configuration for a ShardedMaintainer.
 struct ShardedIngestOptions {
   AllocationStrategy strategy = AllocationStrategy::kCongress;
@@ -51,7 +26,6 @@ struct ShardedIngestOptions {
   /// Number of ingest shards; 0 picks one per hardware thread (capped at
   /// 8 — beyond that merge fan-in costs more than contention saves).
   size_t num_shards = 0;
-  IngestMode mode = IngestMode::kDeterministic;
   /// Rows per buffer chunk. Each shard's queue grows in chunks of this
   /// many slots; bigger chunks amortize allocation, smaller ones bound
   /// the memory retained between merges.
@@ -71,10 +45,16 @@ struct PublishDelta {
 /// Sharded, lock-free streaming ingest front-end for the incremental
 /// maintainers (DESIGN.md §15). Producers append batches to per-shard
 /// multi-producer chunk queues — slot claims are CAS-only, publication is
-/// one release store per row, and nothing on the hot path takes a lock —
-/// while a single merger (serialized internally, typically the engine's
-/// publish step) drains the shards and folds the buffered rows into a
-/// publishable StratifiedSample according to the IngestMode.
+/// one release store per row, and nothing on the hot path takes a lock.
+/// Every row is stamped with a global sequence number on arrival. A
+/// single merger (serialized internally, typically the engine's publish
+/// step) drains the shards and replays the buffered rows, sorted by
+/// sequence, into one persistent serial maintainer. With a single
+/// producer the published sample is bit-identical to feeding the same
+/// rows through the serial maintainer directly, at any shard count. With
+/// concurrent producers it is bit-identical to feeding the serial
+/// maintainer every merge's `PublishDelta::merged_rows` in order: one
+/// interleaving of the completed inserts.
 ///
 /// Thread safety: Insert/InsertBatch may be called from any number of
 /// threads concurrently with each other and with MaterializeForPublish.
@@ -114,7 +94,6 @@ class ShardedMaintainer {
   uint64_t pending_rows() const;
 
   size_t num_shards() const;
-  IngestMode mode() const;
 
  private:
   struct Chunk;
@@ -126,8 +105,6 @@ class ShardedMaintainer {
   /// merge_mu_.
   struct BufferedRow;
   std::vector<BufferedRow> DrainAll();
-  Result<StratifiedSample> MergeShardSamples(
-      std::vector<StratifiedSample> shard_samples);
 
   /// Shared string dictionary for one string-typed grouping column.
   /// Read-mostly: repeated key values resolve to their code under a
@@ -155,11 +132,9 @@ class ShardedMaintainer {
 
   /// Serializes merges; producers never touch it.
   std::mutex merge_mu_;
-  /// Deterministic mode: the persistent serial maintainer every merge
-  /// replays into (same seed as a non-sharded build).
+  /// The persistent serial maintainer every merge replays into (same
+  /// seed as a non-sharded build).
   std::unique_ptr<SampleMaintainer> serial_;
-  /// Free-running mode: RNG for the merge-time quota draws.
-  Random merge_rng_;
 };
 
 }  // namespace congress

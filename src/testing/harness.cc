@@ -122,9 +122,9 @@ std::vector<PropConfig> BuildDefaultConfigs() {
     PropConfig c;
     c.name = "sharded_ingest";
     c.description =
-        "sharded streaming ingest: deterministic mode bit-identical to the "
-        "serial maintainer at 1/4/8 shards, concurrent producers tear "
-        "nothing, free-running merges stay valid, engine publishes are "
+        "sharded streaming ingest: bit-identical to the serial maintainer "
+        "at 1/4/8 shards, concurrent producers tear nothing and publish "
+        "the serial replay of the merged rows, engine publishes are "
         "shard-count invariant with monotonic epochs";
     c.spec.num_rows = 2000;
     c.spec.num_grouping_columns = 2;

@@ -41,9 +41,9 @@ struct PropConfig {
   /// prove the catalog's reader path race-free.
   bool concurrent = false;
 
-  /// Run the sharded-ingest oracle (deterministic shard-count bit
-  /// invariance, concurrent-producer tear checks, free-running sample
-  /// validity, engine publish invariance) instead of the query oracles.
+  /// Run the sharded-ingest oracle (shard-count bit invariance,
+  /// concurrent-producer tear and serial-replay checks, engine publish
+  /// invariance) instead of the query oracles.
   /// All four allocation strategies are exercised; run it under TSan to
   /// prove the chunk-queue claim/publish/reclaim protocol race-free.
   bool sharded_ingest = false;

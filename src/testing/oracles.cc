@@ -1252,9 +1252,8 @@ Status CheckShardedIngestConsistency(const Table& table,
     return Status::OK();
   };
 
-  // (a) Deterministic mode, single producer: 1, 4 and 8 shards — with a
-  // mid-stream merge — must all publish the serial maintainer's sample
-  // bit for bit.
+  // (a) Single producer: 1, 4 and 8 shards — with a mid-stream merge —
+  // must all publish the serial maintainer's sample bit for bit.
   const size_t merge_at = n / 2;
   auto run_sharded = [&](size_t shards) -> Result<StratifiedSample> {
     ShardedIngestOptions options;
@@ -1262,7 +1261,6 @@ Status CheckShardedIngestConsistency(const Table& table,
     options.target_sample_size = sample_size;
     options.seed = seed;
     options.num_shards = shards;
-    options.mode = IngestMode::kDeterministic;
     options.chunk_rows = 64;  // Small chunks exercise queue rollover.
     ShardedMaintainer sharded(table.schema(), grouping, options);
     std::vector<std::vector<Value>> batch;
@@ -1307,57 +1305,57 @@ Status CheckShardedIngestConsistency(const Table& table,
         "serial replay"));
   }
 
-  // (b)+(c) Concurrent producers, both modes: every row lands exactly
-  // once, nothing tears.
-  auto concurrent_run = [&](IngestMode ingest_mode) -> Result<PublishDelta> {
-    ShardedIngestOptions options;
-    options.strategy = strategy;
-    options.target_sample_size = sample_size;
-    options.seed = seed;
-    options.num_shards = 4;
-    options.mode = ingest_mode;
-    options.chunk_rows = 32;
-    ShardedMaintainer sharded(table.schema(), grouping, options);
-    constexpr size_t kProducers = 4;
-    std::vector<std::thread> producers;
-    std::vector<Status> producer_status(kProducers, Status::OK());
-    producers.reserve(kProducers);
-    for (size_t t = 0; t < kProducers; ++t) {
-      producers.emplace_back([&, t] {
-        std::vector<std::vector<Value>> batch;
-        for (size_t r = t; r < n; r += kProducers) {
-          batch.push_back(row_at(r));
-          if (batch.size() == 16) {
-            producer_status[t] = sharded.InsertBatch(batch);
-            batch.clear();
-            if (!producer_status[t].ok()) return;
-          }
+  // (b) Concurrent producers: every row lands exactly once, nothing
+  // tears, and the published sample is the serial maintainer's for the
+  // interleaving the merge reports — feeding `merged_rows` in order to a
+  // fresh serial maintainer must reproduce it bit for bit.
+  ShardedIngestOptions options;
+  options.strategy = strategy;
+  options.target_sample_size = sample_size;
+  options.seed = seed;
+  options.num_shards = 4;
+  options.chunk_rows = 32;
+  ShardedMaintainer sharded(table.schema(), grouping, options);
+  constexpr size_t kProducers = 4;
+  std::vector<std::thread> producers;
+  std::vector<Status> producer_status(kProducers, Status::OK());
+  producers.reserve(kProducers);
+  for (size_t t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      std::vector<std::vector<Value>> batch;
+      for (size_t r = t; r < n; r += kProducers) {
+        batch.push_back(row_at(r));
+        if (batch.size() == 16) {
+          producer_status[t] = sharded.InsertBatch(batch);
+          batch.clear();
+          if (!producer_status[t].ok()) return;
         }
-        if (!batch.empty()) producer_status[t] = sharded.InsertBatch(batch);
-      });
-    }
-    for (std::thread& producer : producers) producer.join();
-    for (const Status& st : producer_status) CONGRESS_RETURN_NOT_OK(st);
-    return sharded.MaterializeForPublish();
-  };
-
-  auto deterministic = concurrent_run(IngestMode::kDeterministic);
-  CONGRESS_RETURN_NOT_OK(deterministic.status());
-  if (deterministic->merged_rows.size() != n) {
+      }
+      if (!batch.empty()) producer_status[t] = sharded.InsertBatch(batch);
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  for (const Status& st : producer_status) CONGRESS_RETURN_NOT_OK(st);
+  auto concurrent = sharded.MaterializeForPublish();
+  CONGRESS_RETURN_NOT_OK(concurrent.status());
+  if (concurrent->merged_rows.size() != n) {
     return Status::Internal(
-        name + " deterministic concurrent: merge returned " +
-        std::to_string(deterministic->merged_rows.size()) + " of " +
+        name + " concurrent: merge returned " +
+        std::to_string(concurrent->merged_rows.size()) + " of " +
         std::to_string(n) + " rows");
   }
-  CONGRESS_RETURN_NOT_OK(
-      check_valid(deterministic->sample, name + " deterministic concurrent"));
+  CONGRESS_RETURN_NOT_OK(check_valid(concurrent->sample, name + " concurrent"));
+  auto replay = MakeMaintainer(table, grouping, strategy, sample_size, seed);
+  for (const std::vector<Value>& row : concurrent->merged_rows) {
+    CONGRESS_RETURN_NOT_OK(replay->Insert(row));
+  }
+  auto replayed = MaterializeSnapshot(replay.get(), sample_size);
+  CONGRESS_RETURN_NOT_OK(replayed.status());
+  CONGRESS_RETURN_NOT_OK(CheckSamplesIdentical(
+      concurrent->sample, *replayed, name + " concurrent",
+      "serial replay of merged rows"));
 
-  auto free_running = concurrent_run(IngestMode::kFreeRunning);
-  CONGRESS_RETURN_NOT_OK(free_running.status());
-  CONGRESS_RETURN_NOT_OK(
-      check_valid(free_running->sample, name + " free-running concurrent"));
-
-  // (d) The full engine publish path is shard-count invariant, and every
+  // (c) The full engine publish path is shard-count invariant, and every
   // Refresh bumps the catalog epoch.
   SynopsisConfig config;
   config.strategy = strategy;

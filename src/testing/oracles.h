@@ -124,16 +124,15 @@ Status CheckConcurrentSnapshotConsistency(const Table& table,
                                           uint64_t sample_size, uint64_t seed);
 
 /// Sharded streaming ingest consistency for one strategy (DESIGN.md §15):
-/// (a) deterministic mode with a single producer publishes bit-identical
+/// (a) a single producer publishes bit-identical
 /// samples at 1, 4 and 8 shards — including a mid-stream merge — and all
 /// of them equal the plain serial maintainer snapshotted at the same
-/// stream positions; (b) deterministic mode under concurrent producers
-/// loses no rows and tears none (exact per-group populations, every
-/// sampled row keyed to its stratum); (c) free-running mode under
-/// concurrent producers still publishes a valid stratified sample (exact
-/// populations, no stratum oversampled, rows consistent with strata);
-/// (d) the full engine publish path is shard-count invariant and bumps
-/// the catalog epoch monotonically. Run under TSan this also proves the
+/// stream positions; (b) under concurrent producers the merge loses no
+/// rows and tears none (exact per-group populations, every sampled row
+/// keyed to its stratum), and its sample is bit-identical to a fresh
+/// serial maintainer fed the merge's `merged_rows` in order; (c) the full
+/// engine publish path is shard-count invariant and bumps the catalog
+/// epoch monotonically. Run under TSan this also proves the
 /// chunk-queue claim/publish/reclaim protocol is race-free.
 Status CheckShardedIngestConsistency(const Table& table,
                                      const std::vector<size_t>& grouping,

@@ -9,7 +9,6 @@
 #include "core/aqua.h"
 #include "engine/executor.h"
 #include "sampling/builder.h"
-#include "sampling/shard.h"
 #include "util/random.h"
 
 namespace congress::testing {
@@ -72,39 +71,8 @@ Result<CoverageReport> RunCoverage(const CoverageConfig& config) {
 
     const double x =
         config.sample_fraction * static_cast<double>(table.num_rows());
-    auto sample = [&]() -> Result<StratifiedSample> {
-      if (config.ingest_shards == 0) {
-        Random rng(spec.seed * 0x9e3779b97f4a7c15ULL + 1);
-        return BuildSample(table, grouping, config.strategy, x, &rng);
-      }
-      // Free-running sharded ingest: single producer, round-robin
-      // batches — still deterministic in the config, but the sample is
-      // the shard-merged one whose coverage this experiment gates.
-      ShardedIngestOptions options;
-      options.strategy = config.strategy;
-      options.target_sample_size = std::max<uint64_t>(
-          1, static_cast<uint64_t>(x));
-      options.seed = spec.seed * 0x9e3779b97f4a7c15ULL + 1;
-      options.num_shards = config.ingest_shards;
-      options.mode = IngestMode::kFreeRunning;
-      ShardedMaintainer sharded(table.schema(), grouping, options);
-      std::vector<std::vector<Value>> batch;
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        std::vector<Value> row;
-        row.reserve(table.num_columns());
-        for (size_t c = 0; c < table.num_columns(); ++c) {
-          row.push_back(table.GetValue(r, c));
-        }
-        batch.push_back(std::move(row));
-        if (batch.size() == 64 || r + 1 == table.num_rows()) {
-          CONGRESS_RETURN_NOT_OK(sharded.InsertBatch(batch));
-          batch.clear();
-        }
-      }
-      auto delta = sharded.MaterializeForPublish();
-      CONGRESS_RETURN_NOT_OK(delta.status());
-      return std::move(delta->sample);
-    }();
+    Random rng(spec.seed * 0x9e3779b97f4a7c15ULL + 1);
+    auto sample = BuildSample(table, grouping, config.strategy, x, &rng);
     CONGRESS_RETURN_NOT_OK(sample.status());
     auto estimate = EstimateGroupBy(*sample, query, est_options);
     CONGRESS_RETURN_NOT_OK(estimate.status());

@@ -30,12 +30,6 @@ struct CoverageConfig {
   double confidence = 0.95;
   BoundMethod bound_method = BoundMethod::kChebyshev;
   uint64_t num_runs = 200;
-  /// When > 0, each run's sample comes from a free-running
-  /// ShardedMaintainer with this many shards (batches routed round-robin)
-  /// instead of the two-pass BuildSample — the statistical gate for the
-  /// ingest mode whose merges are not bitwise-reproducible against a
-  /// serial run (DESIGN.md §15). Coverage must clear the same floor.
-  size_t ingest_shards = 0;
 };
 
 /// Tallied coverage. Trials where the variance is not estimable (fewer

@@ -61,14 +61,12 @@ void ExpectSamplesIdentical(const StratifiedSample& a,
 }
 
 ShardedIngestOptions Options(AllocationStrategy strategy, size_t shards,
-                             IngestMode mode, uint64_t target = 60,
-                             uint64_t seed = 7) {
+                             uint64_t target = 60, uint64_t seed = 7) {
   ShardedIngestOptions options;
   options.strategy = strategy;
   options.target_sample_size = target;
   options.seed = seed;
   options.num_shards = shards;
-  options.mode = mode;
   options.chunk_rows = 32;  // Small chunks exercise queue rollover.
   return options;
 }
@@ -83,8 +81,7 @@ TEST(ShardedMaintainerTest, DeterministicMatchesSerialOnePass) {
   for (size_t shards : {size_t{1}, size_t{4}, size_t{8}}) {
     ShardedMaintainer sharded(
         TwoColSchema(), {0},
-        Options(AllocationStrategy::kCongress, shards,
-                IngestMode::kDeterministic));
+        Options(AllocationStrategy::kCongress, shards));
     // Mixed single-row and batched ingest from one producer.
     for (size_t r = 0; r < 100; ++r) {
       ASSERT_TRUE(sharded.Insert(rows[r]).ok());
@@ -105,8 +102,7 @@ TEST(ShardedMaintainerTest, MidStreamMergeIsShardCountInvariant) {
   auto run = [&](size_t shards) {
     ShardedMaintainer sharded(
         TwoColSchema(), {0},
-        Options(AllocationStrategy::kSenate, shards,
-                IngestMode::kDeterministic));
+        Options(AllocationStrategy::kSenate, shards));
     EXPECT_TRUE(
         sharded.InsertBatch({rows.begin(), rows.begin() + 250}).ok());
     auto mid = sharded.MaterializeForPublish();
@@ -129,8 +125,7 @@ TEST(ShardedMaintainerTest, MidStreamMergeIsShardCountInvariant) {
 TEST(ShardedMaintainerTest, CountersTrackIngestAndMerge) {
   const auto rows = AllRows(MakeStream(200));
   ShardedMaintainer sharded(TwoColSchema(), {0},
-                            Options(AllocationStrategy::kHouse, 4,
-                                    IngestMode::kDeterministic));
+                            Options(AllocationStrategy::kHouse, 4));
   ASSERT_TRUE(sharded.InsertBatch(rows).ok());
   EXPECT_EQ(sharded.tuples_ingested(), 200u);
   EXPECT_EQ(sharded.tuples_merged(), 0u);
@@ -139,13 +134,11 @@ TEST(ShardedMaintainerTest, CountersTrackIngestAndMerge) {
   EXPECT_EQ(sharded.tuples_merged(), 200u);
   EXPECT_EQ(sharded.pending_rows(), 0u);
   EXPECT_EQ(sharded.num_shards(), 4u);
-  EXPECT_EQ(sharded.mode(), IngestMode::kDeterministic);
 }
 
 TEST(ShardedMaintainerTest, BadRowRejectsWholeBatch) {
   ShardedMaintainer sharded(TwoColSchema(), {0},
-                            Options(AllocationStrategy::kCongress, 2,
-                                    IngestMode::kDeterministic));
+                            Options(AllocationStrategy::kCongress, 2));
   std::vector<std::vector<Value>> batch = {Row(1, 1.0),
                                            {Value(int64_t{2})},  // Bad arity.
                                            Row(3, 3.0)};
@@ -157,8 +150,7 @@ TEST(ShardedMaintainerTest, BadRowRejectsWholeBatch) {
 TEST(ShardedMaintainerTest, ConcurrentProducersLoseNothing) {
   const auto rows = AllRows(MakeStream(800));
   ShardedMaintainer sharded(TwoColSchema(), {0},
-                            Options(AllocationStrategy::kCongress, 4,
-                                    IngestMode::kDeterministic));
+                            Options(AllocationStrategy::kCongress, 4));
   constexpr size_t kThreads = 4;
   std::vector<std::thread> producers;
   for (size_t t = 0; t < kThreads; ++t) {
@@ -193,8 +185,7 @@ TEST(ShardedMaintainerTest, MergeConcurrentWithProducersStaysConsistent) {
   // across the merge sequence — rows in flight land in a later merge.
   const auto rows = AllRows(MakeStream(1200));
   ShardedMaintainer sharded(TwoColSchema(), {0},
-                            Options(AllocationStrategy::kCongress, 4,
-                                    IngestMode::kDeterministic));
+                            Options(AllocationStrategy::kCongress, 4));
   std::atomic<bool> done{false};
   std::thread producer([&] {
     std::vector<std::vector<Value>> batch;
@@ -223,52 +214,12 @@ TEST(ShardedMaintainerTest, MergeConcurrentWithProducersStaysConsistent) {
   EXPECT_EQ(last->tuples_seen, 1200u);
 }
 
-TEST(ShardedMaintainerTest, FreeRunningPublishesValidSample) {
-  const auto rows = AllRows(MakeStream(900));
-  ShardedMaintainer sharded(TwoColSchema(), {0},
-                            Options(AllocationStrategy::kCongress, 4,
-                                    IngestMode::kFreeRunning, /*target=*/80));
-  constexpr size_t kThreads = 3;
-  std::vector<std::thread> producers;
-  for (size_t t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&, t] {
-      std::vector<std::vector<Value>> batch;
-      for (size_t r = t; r < rows.size(); r += kThreads) {
-        batch.push_back(rows[r]);
-        if (batch.size() == 32) {
-          ASSERT_TRUE(sharded.InsertBatch(batch).ok());
-          batch.clear();
-        }
-      }
-      if (!batch.empty()) ASSERT_TRUE(sharded.InsertBatch(batch).ok());
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-
-  auto delta = sharded.MaterializeForPublish();
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(delta->sample.total_population(), 900u);
-  uint64_t sampled = 0;
-  for (const Stratum& stratum : delta->sample.strata()) {
-    EXPECT_LE(stratum.sample_count, stratum.population);
-    sampled += stratum.sample_count;
-  }
-  EXPECT_EQ(delta->sample.num_rows(), sampled);
-  EXPECT_GT(sampled, 0u);
-  // Every sampled row keys to its stratum (no torn rows).
-  for (size_t r = 0; r < delta->sample.num_rows(); ++r) {
-    const Stratum& stratum =
-        delta->sample.strata()[delta->sample.row_strata()[r]];
-    EXPECT_EQ(GroupKey{delta->sample.rows().GetValue(r, 0)}, stratum.key);
-  }
-}
-
 TEST(ShardedMaintainerTest, SenateShrinkUnderConcurrentInsert) {
   // Senate's per-group target shrinks every time a new group appears
-  // (X / num_groups), so a stream that keeps discovering groups forces
-  // ShrinkTo on reservoirs that other threads are concurrently feeding
-  // through the shard front-end. The published sample must stay within
-  // every post-shrink bound.
+  // (X / num_groups), so a stream that keeps discovering groups, fed by
+  // concurrent producers through the shard front-end, forces ShrinkTo on
+  // reservoirs during the merge's replay. The published sample must stay
+  // within every post-shrink bound.
   constexpr size_t kRows = 1000;
   std::vector<std::vector<Value>> rows;
   rows.reserve(kRows);
@@ -280,7 +231,7 @@ TEST(ShardedMaintainerTest, SenateShrinkUnderConcurrentInsert) {
   }
   ShardedMaintainer sharded(TwoColSchema(), {0},
                             Options(AllocationStrategy::kSenate, 4,
-                                    IngestMode::kFreeRunning, /*target=*/48));
+                                    /*target=*/48));
   constexpr size_t kThreads = 4;
   std::vector<std::thread> producers;
   for (size_t t = 0; t < kThreads; ++t) {
@@ -309,8 +260,7 @@ TEST(ShardedMaintainerTest, SenateShrinkUnderConcurrentInsert) {
 
 TEST(ShardedMaintainerTest, ZeroShardsPicksHardwareDefault) {
   ShardedMaintainer sharded(TwoColSchema(), {0},
-                            Options(AllocationStrategy::kCongress, 0,
-                                    IngestMode::kDeterministic));
+                            Options(AllocationStrategy::kCongress, 0));
   EXPECT_GE(sharded.num_shards(), 1u);
   EXPECT_LE(sharded.num_shards(), 8u);
 }
