@@ -49,15 +49,19 @@ int Run(int argc, char** argv) {
     auto grouping = tpcd::LineitemGroupingColumns();
 
     Stopwatch census_sw;
-    GroupStatistics stats = GroupStatistics::Compute(base, grouping);
+    auto census = GroupCensus::Build(base, grouping);
     double census_s = census_sw.ElapsedSeconds();
+    if (!census.ok()) {
+      std::printf("census failed at T=%llu\n",
+                  static_cast<unsigned long long>(t));
+      return 1;
+    }
 
     Allocation allocation =
-        AllocateCongress(stats, 0.07 * static_cast<double>(t));
+        AllocateCongress(census->stats, 0.07 * static_cast<double>(t));
     Stopwatch build_sw;
     Random rng(7);
-    auto sample =
-        BuildStratifiedSample(base, grouping, stats, allocation, &rng);
+    auto sample = BuildStratifiedSample(base, *census, allocation, &rng);
     double build_s = build_sw.ElapsedSeconds();
     if (!sample.ok()) {
       std::printf("build failed at T=%llu\n",

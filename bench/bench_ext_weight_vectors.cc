@@ -60,7 +60,12 @@ int Run(int argc, char** argv) {
   const uint64_t per_group = bench::ArgOr(argc, argv, "--per-group", 20'000);
   Table base = MakeVarianceSkewedTable(per_group, 42);
   std::vector<size_t> grouping = {0, 1};
-  GroupStatistics stats = GroupStatistics::Compute(base, grouping);
+  auto census = GroupCensus::Build(base, grouping);
+  if (!census.ok()) {
+    std::printf("census failed: %s\n", census.status().ToString().c_str());
+    return 1;
+  }
+  const GroupStatistics& stats = census->stats;
   const double x = static_cast<double>(base.num_rows()) * 0.02;
 
   // Plain Congress (all groups equal-sized, so this is uniform space).
@@ -68,8 +73,8 @@ int Run(int argc, char** argv) {
 
   // Congress + variance criterion (Figure 19's max-and-rescale over the
   // grouping vectors plus the dispersion vector).
-  auto dispersion = DispersionWeightVector(base, stats, grouping, 2,
-                                           VarianceCriterion::kStdDev);
+  auto dispersion =
+      DispersionWeightVector(base, *census, 2, VarianceCriterion::kStdDev);
   if (!dispersion.ok()) {
     std::printf("criterion failed: %s\n",
                 dispersion.status().ToString().c_str());
@@ -87,9 +92,8 @@ int Run(int argc, char** argv) {
   double weighted_err = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
     Random rng(100 + trial);
-    auto s_plain = BuildStratifiedSample(base, grouping, stats, plain, &rng);
-    auto s_weighted =
-        BuildStratifiedSample(base, grouping, stats, *weighted, &rng);
+    auto s_plain = BuildStratifiedSample(base, *census, plain, &rng);
+    auto s_weighted = BuildStratifiedSample(base, *census, *weighted, &rng);
     if (!s_plain.ok() || !s_weighted.ok()) {
       std::printf("build failed\n");
       return 1;

@@ -43,7 +43,12 @@ int main() {
   }
   const Table& base = data->table;
   auto grouping = tpcd::LineitemGroupingColumns();
-  GroupStatistics stats = GroupStatistics::Compute(base, grouping);
+  auto census = GroupCensus::Build(base, grouping);
+  if (!census.ok()) {
+    std::printf("census failed: %s\n", census.status().ToString().c_str());
+    return 1;
+  }
+  const GroupStatistics& stats = census->stats;
   const double x = 20'000.0;
   Random rng(17);
 
@@ -58,10 +63,8 @@ int main() {
                 preferred.status().ToString().c_str());
     return 1;
   }
-  auto sample_pref =
-      BuildStratifiedSample(base, grouping, stats, *preferred, &rng);
-  auto sample_plain =
-      BuildStratifiedSample(base, grouping, stats, plain, &rng);
+  auto sample_pref = BuildStratifiedSample(base, *census, *preferred, &rng);
+  auto sample_plain = BuildStratifiedSample(base, *census, plain, &rng);
   if (!sample_pref.ok() || !sample_plain.ok()) {
     std::printf("build failed\n");
     return 1;
@@ -78,7 +81,7 @@ int main() {
       stats, x, {{}, {0}, {1}, {0, 1}, {0, 1, 2}});
   if (restricted.ok()) {
     auto sample_restricted =
-        BuildStratifiedSample(base, grouping, stats, *restricted, &rng);
+        BuildStratifiedSample(base, *census, *restricted, &rng);
     if (sample_restricted.ok()) {
       std::printf("Congress restricted to the workload's groupings: Qg2 L1 "
                   "%.2f%% (scale-down f %.3f vs %.3f unrestricted — less "
@@ -109,10 +112,8 @@ int main() {
   std::sort(dates.begin(), dates.end());
   Allocation uniform = AllocateHouse(stats, x);
   if (decayed.ok()) {
-    auto sample_decay =
-        BuildStratifiedSample(base, grouping, stats, *decayed, &rng);
-    auto sample_uniform =
-        BuildStratifiedSample(base, grouping, stats, uniform, &rng);
+    auto sample_decay = BuildStratifiedSample(base, *census, *decayed, &rng);
+    auto sample_uniform = BuildStratifiedSample(base, *census, uniform, &rng);
     if (sample_decay.ok() && sample_uniform.ok()) {
       // Query only the most recent quartile of dates — the paper's sales
       // promotion analysis over recent data.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "engine/executor.h"
@@ -10,25 +11,24 @@
 #include "resilience/snapshot_io.h"
 #include "sql/emitter.h"
 #include "sql/parser.h"
-#include "storage/group_index.h"
 
 namespace congress {
 
 namespace {
 
-/// Builds one fallback synopsis from the working table: the primary's
-/// config with the strategy swapped and incremental maintenance off
-/// (fallbacks are frozen, like everything else in a snapshot). Failure is
-/// recorded in the snapshot, not fatal — the planner's failure walk
+/// Builds one fallback synopsis from the working table's census: the
+/// primary's config with the strategy swapped and incremental maintenance
+/// off (fallbacks are frozen, like everything else in a snapshot). Failure
+/// is recorded in the snapshot, not fatal — the planner's failure walk
 /// reports it as the rung's cause.
-void BuildFallback(const Table& table, const SynopsisConfig& primary,
-                   AllocationStrategy strategy,
+void BuildFallback(const Table& table, const GroupCensus& census,
+                   const SynopsisConfig& primary, AllocationStrategy strategy,
                    std::shared_ptr<const AquaSynopsis>* slot,
                    Status* slot_status) {
   SynopsisConfig fallback = primary;
   fallback.strategy = strategy;
   fallback.incremental = false;
-  auto built = AquaSynopsis::Build(table, fallback);
+  auto built = AquaSynopsis::Build(table, census, fallback);
   if (!built.ok()) {
     *slot = nullptr;
     *slot_status = built.status();
@@ -38,17 +38,17 @@ void BuildFallback(const Table& table, const SynopsisConfig& primary,
   *slot_status = Status::OK();
 }
 
-/// Builds the optional histogram/wavelet fleet members over the base
-/// table at the synopsis grouping, then measures each one's residual —
-/// the mean over finest groups and measures of |summary - exact| /
-/// max(|exact|, 1) — against one exact reference answer. The residual is
+/// Builds the optional histogram/wavelet fleet members from the base
+/// table's census, then measures each one's residual — the mean over
+/// finest groups and measures of |summary - exact| / max(|exact|, 1) —
+/// against one exact reference answer. The residual is
 /// the planner's accuracy score for summaries, which carry no
 /// probabilistic error model. Neither member is built by default, and
 /// then the reference scan is skipped too.
-void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
+void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config,
+                const GroupCensus& census) {
   if (!config.fleet_histogram && !config.fleet_wavelet) return;
-  const std::vector<size_t>& grouping =
-      snapshot->synopsis->grouping_column_indices();
+  const std::vector<size_t>& grouping = census.index->columns();
   const Table& table = *snapshot->table;
   std::vector<size_t> measures;
   for (size_t c = 0; c < table.schema().num_fields(); ++c) {
@@ -65,8 +65,8 @@ void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
     reference.aggregates.emplace_back(AggregateKind::kSum, m);
   }
   reference.aggregates.emplace_back(AggregateKind::kCount, 0);
-  auto exact = ExecuteExact(table, reference, config.execution,
-                            snapshot->base_group_index.get());
+  auto exact =
+      ExecuteExact(table, reference, config.execution, census.index.get());
   if (!exact.ok()) {
     if (config.fleet_histogram) snapshot->histogram_status = exact.status();
     if (config.fleet_wavelet) snapshot->wavelet_status = exact.status();
@@ -88,43 +88,36 @@ void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config) {
     return cells > 0 ? total / static_cast<double>(cells) : 0.0;
   };
 
+  // A failed build or reference answer becomes the member's status.
+  auto install = [&](auto built, auto* member, Status* status,
+                     double* residual) {
+    if (!built.ok()) {
+      *status = built.status();
+      return;
+    }
+    auto answer = built->Answer(reference);
+    if (!answer.ok()) {
+      *status = answer.status();
+      return;
+    }
+    *residual = residual_of(*answer);
+    using Summary = std::remove_reference_t<decltype(*built)>;
+    *member = std::make_shared<const Summary>(std::move(built).value());
+    *status = Status::OK();
+  };
   if (config.fleet_histogram) {
     GroupHistogram::Options options;
     options.measure_columns = measures;
     options.execution = config.execution;
-    auto built = GroupHistogram::Build(table, grouping, options);
-    if (!built.ok()) {
-      snapshot->histogram_status = built.status();
-    } else {
-      auto answer = built->Answer(reference);
-      if (!answer.ok()) {
-        snapshot->histogram_status = answer.status();
-      } else {
-        snapshot->histogram_residual = residual_of(*answer);
-        snapshot->histogram =
-            std::make_shared<const GroupHistogram>(std::move(built).value());
-        snapshot->histogram_status = Status::OK();
-      }
-    }
+    install(GroupHistogram::Build(table, census, options), &snapshot->histogram,
+            &snapshot->histogram_status, &snapshot->histogram_residual);
   }
   if (config.fleet_wavelet) {
     WaveletSynopsis::Options options;
     options.measure_columns = measures;
     options.execution = config.execution;
-    auto built = WaveletSynopsis::Build(table, grouping, options);
-    if (!built.ok()) {
-      snapshot->wavelet_status = built.status();
-    } else {
-      auto answer = built->Answer(reference);
-      if (!answer.ok()) {
-        snapshot->wavelet_status = answer.status();
-      } else {
-        snapshot->wavelet_residual = residual_of(*answer);
-        snapshot->wavelet =
-            std::make_shared<const WaveletSynopsis>(std::move(built).value());
-        snapshot->wavelet_status = Status::OK();
-      }
-    }
+    install(WaveletSynopsis::Build(table, census, options), &snapshot->wavelet,
+            &snapshot->wavelet_status, &snapshot->wavelet_residual);
   }
 }
 
@@ -134,14 +127,13 @@ Status AquaEngine::PublishLocked(const std::string& name,
                                  MaintenanceState* state) {
   auto snapshot = std::make_shared<AquaSnapshot>();
   snapshot->name = name;
+  const SynopsisConfig& config = state->config;
 
-  // Freeze the primary synopsis. Incremental relations drain the ingest
-  // shards — the merge replays the buffered rows into the serial
+  // Incremental relations freeze the primary synopsis by draining the
+  // ingest shards — the merge replays the buffered rows into the serial
   // maintainer, and the drained rows extend the working table in the
   // same order, so the snapshot's table and synopsis describe the same
   // stream prefix.
-  // Non-incremental relations rebuild from the working table, which is
-  // what registration built in the first place.
   if (state->ingest != nullptr) {
     auto delta = state->ingest->MaterializeForPublish();
     if (!delta.ok()) return delta.status();
@@ -149,13 +141,24 @@ Status AquaEngine::PublishLocked(const std::string& name,
       CONGRESS_RETURN_NOT_OK(state->working_table.AppendRow(row));
     }
     auto synopsis = AquaSynopsis::FromSample(
-        std::move(delta->sample), state->config, state->target_sample_size,
+        std::move(delta->sample), config, state->target_sample_size,
         delta->tuples_seen);
     if (!synopsis.ok()) return synopsis.status();
     snapshot->synopsis =
         std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
-  } else {
-    auto synopsis = AquaSynopsis::Build(state->working_table, state->config);
+  }
+
+  // One census of the working table feeds the two-pass primary, both
+  // fallbacks and the fleet; its index is the snapshot's
+  // base_group_index, through which combined plans pull outlier rows.
+  auto grouping =
+      ResolveGroupingIndices(state->working_table.schema(), config);
+  if (!grouping.ok()) return grouping.status();
+  auto census =
+      GroupCensus::Build(state->working_table, *grouping, config.execution);
+  if (state->ingest == nullptr) {
+    if (!census.ok()) return census.status();
+    auto synopsis = AquaSynopsis::Build(state->working_table, *census, config);
     if (!synopsis.ok()) return synopsis.status();
     snapshot->synopsis =
         std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
@@ -164,25 +167,25 @@ Status AquaEngine::PublishLocked(const std::string& name,
   snapshot->table = std::make_shared<const Table>(state->working_table);
 
   // The whole fleet is part of the snapshot, so the read path never builds
-  // (or caches) anything: the fallbacks, the row→stratum index combined
-  // plans pull outlier rows through, and the optional histogram/wavelet.
-  // (Restored relations never publish through here: RestoreTable marks
-  // their fleet unavailable, and Refresh has no ingest to drain for them.)
-  auto index = GroupIndex::Build(*snapshot->table,
-                                 snapshot->synopsis->grouping_column_indices(),
-                                 state->config.execution);
-  if (index.ok()) {
-    snapshot->base_group_index =
-        std::make_shared<const GroupIndex>(std::move(index).value());
+  // (or caches) anything. (Restored relations never publish through
+  // here: RestoreTable marks their fleet unavailable, and Refresh has no
+  // ingest to drain for them.)
+  if (census.ok()) {
+    snapshot->base_group_index = census->index;
+    BuildFleet(snapshot.get(), config, *census);
+    const SynopsisConfig& primary = snapshot->synopsis->config();
+    BuildFallback(state->working_table, *census, primary,
+                  AllocationStrategy::kBasicCongress, &snapshot->fallback_basic,
+                  &snapshot->fallback_basic_status);
+    BuildFallback(state->working_table, *census, primary,
+                  AllocationStrategy::kHouse, &snapshot->fallback_house,
+                  &snapshot->fallback_house_status);
+  } else {  // Only an incremental relation publishes without a census.
+    snapshot->fallback_basic_status = census.status();
+    snapshot->fallback_house_status = census.status();
+    if (config.fleet_histogram) snapshot->histogram_status = census.status();
+    if (config.fleet_wavelet) snapshot->wavelet_status = census.status();
   }
-  BuildFleet(snapshot.get(), state->config);
-  const SynopsisConfig& primary = snapshot->synopsis->config();
-  BuildFallback(state->working_table, primary,
-                AllocationStrategy::kBasicCongress, &snapshot->fallback_basic,
-                &snapshot->fallback_basic_status);
-  BuildFallback(state->working_table, primary, AllocationStrategy::kHouse,
-                &snapshot->fallback_house, &snapshot->fallback_house_status);
-
   return catalog_.Publish(std::move(snapshot));
 }
 

@@ -29,8 +29,9 @@ namespace congress {
 /// lives in the engine twice. The *published* side is an immutable
 /// AquaSnapshot in an RCU-style Catalog — read paths (Query, QueryExact,
 /// QueryVia, QueryResilient, ExplainRewrite, Get*, Checkpoint) pin one
-/// snapshot with a wait-free atomic load and answer from it alone, so
-/// they are const, lock-free, and race-free against any writer. The
+/// snapshot by copying the catalog's current pointer (one short mutex
+/// hold that no build ever occupies) and answer from it alone, so they
+/// are const and race-free against any writer. The
 /// *maintenance* side has two tiers: Insert/InsertBatch append to a
 /// sharded lock-free ingest buffer (sampling/shard.h, DESIGN.md §15) and
 /// never take the writer lock, so ingest overlaps queries *and*

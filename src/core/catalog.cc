@@ -80,6 +80,23 @@ std::shared_ptr<const AquaSnapshot> Catalog::Pin(
                                              holder->snapshot.get());
 }
 
+void Catalog::Install(std::shared_ptr<const CatalogVersion> next,
+                      std::chrono::steady_clock::time_point start) {
+  const uint64_t epoch = next->epoch();
+  {
+    std::lock_guard<std::mutex> lock(current_mu_);
+    current_.swap(next);
+  }
+  epoch_.store(epoch, std::memory_order_release);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  CONGRESS_METRIC_RECORD_NANOS(
+      "catalog.swap_latency",
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()));
+  CONGRESS_METRIC_SET("catalog.epoch", static_cast<double>(epoch));
+}
+
 Status Catalog::Publish(std::shared_ptr<AquaSnapshot> snapshot) {
   if (snapshot == nullptr || snapshot->synopsis == nullptr ||
       snapshot->table == nullptr || snapshot->name.empty()) {
@@ -95,16 +112,7 @@ Status Catalog::Publish(std::shared_ptr<AquaSnapshot> snapshot) {
   const std::string name = snapshot->name;
   next->snapshots_[name] =
       std::shared_ptr<const AquaSnapshot>(std::move(snapshot));
-  current_.store(std::shared_ptr<const CatalogVersion>(std::move(next)),
-                 std::memory_order_release);
-  epoch_.store(epoch, std::memory_order_release);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  CONGRESS_METRIC_RECORD_NANOS(
-      "catalog.swap_latency",
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-  CONGRESS_METRIC_SET("catalog.epoch", static_cast<double>(epoch));
+  Install(std::move(next), start);
   CONGRESS_METRIC_INCR("catalog.published_snapshots", 1);
   return Status::OK();
 }
@@ -117,19 +125,9 @@ Status Catalog::Remove(const std::string& name) {
   }
   const auto start = std::chrono::steady_clock::now();
   auto next = std::make_shared<CatalogVersion>(*current);
-  const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  next->epoch_ = epoch;
+  next->epoch_ = epoch_.load(std::memory_order_relaxed) + 1;
   next->snapshots_.erase(name);
-  current_.store(std::shared_ptr<const CatalogVersion>(std::move(next)),
-                 std::memory_order_release);
-  epoch_.store(epoch, std::memory_order_release);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  CONGRESS_METRIC_RECORD_NANOS(
-      "catalog.swap_latency",
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-  CONGRESS_METRIC_SET("catalog.epoch", static_cast<double>(epoch));
+  Install(std::move(next), start);
   return Status::OK();
 }
 

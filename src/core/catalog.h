@@ -2,6 +2,7 @@
 #define CONGRESS_CORE_CATALOG_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -107,12 +108,12 @@ class CatalogVersion {
   std::map<std::string, std::shared_ptr<const AquaSnapshot>> snapshots_;
 };
 
-/// RCU-style publication point for AquaSnapshots. Readers acquire the
-/// current CatalogVersion with one atomic shared_ptr load — wait-free,
-/// never blocked by writers. Writers (register / refresh / drop) copy
-/// the current version, splice in the new snapshot, and atomically swap
-/// the pointer under a light mutex that only serializes writers against
-/// each other. Old versions and their snapshots are reclaimed by
+/// RCU-style publication point for AquaSnapshots. Readers copy the
+/// current CatalogVersion pointer under a mutex held only for that copy
+/// or a swap, so no reader ever waits for a build. Writers (register /
+/// refresh / drop) copy the current version and splice in the new
+/// snapshot under a mutex that only serializes writers, then swap the
+/// pointer. Old versions and their snapshots are reclaimed by
 /// shared_ptr reference counting when the last reader releases them —
 /// epoch-based reclamation with the count standing in for the grace
 /// period, which is exactly right at this scale.
@@ -126,9 +127,10 @@ class Catalog {
  public:
   Catalog();
 
-  /// Current generation; one atomic load, never blocks.
+  /// Current generation: one pointer copy under current_mu_.
   std::shared_ptr<const CatalogVersion> Current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   /// Pins the named snapshot for a reader: the returned handle keeps the
@@ -153,9 +155,15 @@ class Catalog {
   }
 
  private:
+  /// Makes `next` current; the old version is released after the pointer
+  /// lock, so no reader waits out its destruction.
+  void Install(std::shared_ptr<const CatalogVersion> next,
+               std::chrono::steady_clock::time_point start);
+
   /// Serializes writers; readers never touch it.
   std::mutex writer_mu_;
-  std::atomic<std::shared_ptr<const CatalogVersion>> current_;
+  mutable std::mutex current_mu_;  ///< Held for one pointer copy or swap.
+  std::shared_ptr<const CatalogVersion> current_;
   std::atomic<uint64_t> epoch_{0};
   /// Shared with Pin() handles so a handle released after the catalog is
   /// destroyed still has a live counter to decrement.

@@ -43,27 +43,39 @@ Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
                                          const SynopsisConfig& config) {
   auto indices = ResolveGroupingIndices(base.schema(), config);
   if (!indices.ok()) return indices.status();
+  if (!config.incremental) {
+    auto census = GroupCensus::Build(base, *indices, config.execution);
+    if (!census.ok()) return census.status();
+    return Build(base, *census, config);
+  }
   auto size = ResolveSampleSize(config, base.num_rows());
   if (!size.ok()) return size.status();
-  const uint64_t sample_size = *size;
 
   CONGRESS_METRIC_INCR("synopsis.builds", 1);
   CONGRESS_SPAN(build_span, config.execution.scope, "synopsis_build");
-  if (config.incremental) {
-    CONGRESS_SPAN(maintain_span, build_span.scope(), "maintenance");
-    auto sample = BuildSampleOnePass(base, *indices, config.strategy,
-                                     sample_size, config.seed);
-    maintain_span.Stop();
-    if (!sample.ok()) return sample.status();
-    return FromSample(std::move(sample).value(), config, sample_size,
-                      base.num_rows());
-  }
+  CONGRESS_SPAN(maintain_span, build_span.scope(), "maintenance");
+  auto sample = BuildSampleOnePass(base, *indices, config.strategy, *size,
+                                   config.seed);
+  maintain_span.Stop();
+  if (!sample.ok()) return sample.status();
+  return FromSample(std::move(sample).value(), config, *size,
+                    base.num_rows());
+}
+
+Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
+                                         const GroupCensus& census,
+                                         const SynopsisConfig& config) {
+  auto size = ResolveSampleSize(config, base.num_rows());
+  if (!size.ok()) return size.status();
+
+  CONGRESS_METRIC_INCR("synopsis.builds", 1);
+  CONGRESS_SPAN(build_span, config.execution.scope, "synopsis_build");
   Random rng(config.seed);
-  auto sample = BuildSample(base, *indices, config.strategy,
-                            static_cast<double>(sample_size), &rng,
+  auto sample = BuildSample(base, census, config.strategy,
+                            static_cast<double>(*size), &rng,
                             config.execution.WithScope(build_span.scope()));
   if (!sample.ok()) return sample.status();
-  return FromSample(std::move(sample).value(), config, sample_size,
+  return FromSample(std::move(sample).value(), config, *size,
                     base.num_rows());
 }
 

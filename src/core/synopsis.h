@@ -83,8 +83,16 @@ class AquaSynopsis {
  public:
   /// Builds a synopsis from `base`. The base table is only read during
   /// the build; it is not retained. With config.incremental the sample
-  /// comes from one-pass construction (BuildSampleOnePass).
+  /// comes from one-pass construction (BuildSampleOnePass); otherwise the
+  /// form below builds from the census of `base`.
   static Result<AquaSynopsis> Build(const Table& base,
+                                    const SynopsisConfig& config);
+
+  /// Two-pass build over the census of `base` at the configured grouping
+  /// columns (config.incremental is not consulted). A publish builds its
+  /// primary and both fallbacks this way from one census.
+  static Result<AquaSynopsis> Build(const Table& base,
+                                    const GroupCensus& census,
                                     const SynopsisConfig& config);
 
   /// Freezes a sample into a synopsis: the rewrite materializations are

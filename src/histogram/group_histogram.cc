@@ -2,14 +2,20 @@
 
 #include <algorithm>
 
-#include "sampling/allocation.h"
-#include "storage/group_index.h"
-
 namespace congress {
 
 Result<GroupHistogram> GroupHistogram::Build(
     const Table& table, const std::vector<size_t>& grouping_columns,
     const Options& options) {
+  auto census = GroupCensus::Build(table, grouping_columns, options.execution);
+  if (!census.ok()) return census.status();
+  return Build(table, *census, options);
+}
+
+Result<GroupHistogram> GroupHistogram::Build(const Table& table,
+                                             const GroupCensus& census,
+                                             const Options& options) {
+  const std::vector<size_t>& grouping_columns = census.index->columns();
   if (grouping_columns.empty()) {
     return Status::InvalidArgument("at least one grouping column required");
   }
@@ -27,48 +33,25 @@ Result<GroupHistogram> GroupHistogram::Build(
   if (table.num_rows() == 0) {
     return Status::FailedPrecondition("table is empty");
   }
+  CONGRESS_RETURN_NOT_OK(census.CheckTable(table));
 
-  // Census of the finest groups (sorted by key, as GroupStatistics does).
-  GroupStatistics stats =
-      GroupStatistics::Compute(table, grouping_columns, options.execution);
+  const GroupStatistics& stats = census.stats;
 
   GroupHistogram histogram;
   histogram.grouping_columns_ = grouping_columns;
   histogram.measure_columns_ = options.measure_columns;
   histogram.group_keys_ = stats.keys();
 
-  // Per-group measure sums: intern the grouping columns once, then
-  // accumulate each group's rows in ascending row order (parallel across
-  // disjoint groups, so sums are bit-identical to a serial scan).
+  // Per-group measure sums, in row order within each group.
   const size_t m = stats.num_groups();
   const size_t num_measures = options.measure_columns.size();
   std::vector<std::vector<double>> group_sums(
       m, std::vector<double>(num_measures, 0.0));
-  auto index = GroupIndex::Build(table, grouping_columns, options.execution);
-  if (!index.ok()) return index.status();
-  std::vector<size_t> stats_index(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    auto idx = stats.IndexOf(index->keys()[g]);
-    if (!idx.ok()) return idx.status();
-    stats_index[g] = *idx;
-  }
-  GroupIndex::RowLists lists = index->GroupRows();
-  std::vector<std::pair<size_t, size_t>> chunks = BalancedGroupChunks(
-      lists.offsets, std::max<uint64_t>(table.num_rows() / 64 + 1, 1024));
-  ParallelFor(options.execution.ResolvedThreads(), chunks.size(),
-              [&](size_t c) {
-                for (size_t g = chunks[c].first; g < chunks[c].second; ++g) {
-                  std::vector<double>& sums = group_sums[stats_index[g]];
-                  for (uint64_t r = lists.offsets[g]; r < lists.offsets[g + 1];
-                       ++r) {
-                    const size_t row = lists.rows[static_cast<size_t>(r)];
-                    for (size_t k = 0; k < num_measures; ++k) {
-                      sums[k] +=
-                          table.NumericAt(row, options.measure_columns[k]);
-                    }
-                  }
-                }
-              });
+  census.ForEachRow(options.execution, [&](size_t slot, size_t row) {
+    for (size_t k = 0; k < num_measures; ++k) {
+      group_sums[slot][k] += table.NumericAt(row, options.measure_columns[k]);
+    }
+  });
 
   // Equi-depth bucketization over the sorted group sequence: close a
   // bucket when it holds >= total/num_buckets tuples.
@@ -97,26 +80,28 @@ Result<GroupHistogram> GroupHistogram::Build(
   return histogram;
 }
 
-Result<QueryResult> GroupHistogram::Answer(const GroupByQuery& query) const {
+Result<QueryResult> AnswerFromGroupTotals(
+    const GroupByQuery& query, const std::vector<size_t>& grouping_columns,
+    const std::vector<size_t>& measure_columns,
+    const std::vector<GroupKey>& group_keys,
+    const std::vector<std::vector<double>>& totals, const std::string& kind) {
   if (query.predicate != nullptr) {
     return Status::InvalidArgument(
-        "histogram synopses cannot evaluate tuple predicates");
+        kind + " synopses cannot evaluate tuple predicates");
   }
   if (query.aggregates.empty()) {
     return Status::InvalidArgument("query has no aggregates");
   }
-  // Each query grouping column must be one of the histogram's grouping
+  // Each query grouping column must be one of the synopsis's grouping
   // columns; we project the finest keys.
   std::vector<size_t> positions;
   for (size_t col : query.group_columns) {
-    auto it = std::find(grouping_columns_.begin(), grouping_columns_.end(),
-                        col);
-    if (it == grouping_columns_.end()) {
+    auto it = std::find(grouping_columns.begin(), grouping_columns.end(), col);
+    if (it == grouping_columns.end()) {
       return Status::InvalidArgument(
-          "query groups by a column outside the histogram's dimensions");
+          "query groups by a column outside the " + kind + "'s dimensions");
     }
-    positions.push_back(
-        static_cast<size_t>(it - grouping_columns_.begin()));
+    positions.push_back(static_cast<size_t>(it - grouping_columns.begin()));
   }
   // Map aggregates to measure slots.
   std::vector<int> measure_slot(query.aggregates.size(), -1);
@@ -124,40 +109,31 @@ Result<QueryResult> GroupHistogram::Answer(const GroupByQuery& query) const {
     const AggregateSpec& spec = query.aggregates[a];
     if (spec.kind == AggregateKind::kCount) continue;
     if (spec.kind != AggregateKind::kSum && spec.kind != AggregateKind::kAvg) {
-      return Status::InvalidArgument(
-          "histogram answers SUM/COUNT/AVG only");
+      return Status::InvalidArgument(kind + " answers SUM/COUNT/AVG only");
     }
-    auto it = std::find(measure_columns_.begin(), measure_columns_.end(),
+    auto it = std::find(measure_columns.begin(), measure_columns.end(),
                         spec.column);
-    if (it == measure_columns_.end()) {
+    if (it == measure_columns.end()) {
       return Status::InvalidArgument(
-          "aggregate column was not pre-aggregated into the histogram");
+          "aggregate column was not pre-aggregated into the " + kind);
     }
-    measure_slot[a] = static_cast<int>(it - measure_columns_.begin());
+    measure_slot[a] = static_cast<int>(it - measure_columns.begin());
   }
 
-  // Uniform-spread apportionment: each group in a bucket receives an
-  // equal 1/num_groups share of the bucket's tuple count and sums.
   struct Acc {
     double count = 0.0;
     std::vector<double> sums;
   };
   std::unordered_map<GroupKey, Acc, GroupKeyHash> out_groups;
-  for (const Bucket& bucket : buckets_) {
-    double share = 1.0 / static_cast<double>(bucket.num_groups);
-    for (size_t g = bucket.first_group;
-         g < bucket.first_group + bucket.num_groups; ++g) {
-      GroupKey key;
-      key.reserve(positions.size());
-      for (size_t pos : positions) key.push_back(group_keys_[g][pos]);
-      Acc& acc = out_groups[key];
-      if (acc.sums.empty()) {
-        acc.sums.assign(measure_columns_.size(), 0.0);
-      }
-      acc.count += share * static_cast<double>(bucket.tuple_count);
-      for (size_t k = 0; k < measure_columns_.size(); ++k) {
-        acc.sums[k] += share * bucket.measure_sums[k];
-      }
+  for (size_t g = 0; g < group_keys.size(); ++g) {
+    GroupKey key;
+    key.reserve(positions.size());
+    for (size_t pos : positions) key.push_back(group_keys[g][pos]);
+    Acc& acc = out_groups[key];
+    if (acc.sums.empty()) acc.sums.assign(measure_columns.size(), 0.0);
+    acc.count += totals[0][g];
+    for (size_t k = 0; k < measure_columns.size(); ++k) {
+      acc.sums[k] += totals[1 + k][g];
     }
   }
 
@@ -173,7 +149,7 @@ Result<QueryResult> GroupHistogram::Answer(const GroupByQuery& query) const {
           finals[a] = acc.sums[static_cast<size_t>(measure_slot[a])];
           break;
         case AggregateKind::kAvg:
-          finals[a] = acc.count > 0.0
+          finals[a] = acc.count != 0.0
                           ? acc.sums[static_cast<size_t>(measure_slot[a])] /
                                 acc.count
                           : 0.0;
@@ -187,6 +163,25 @@ Result<QueryResult> GroupHistogram::Answer(const GroupByQuery& query) const {
   result.FilterHaving(query.having);
   result.SortByKey();
   return result;
+}
+
+Result<QueryResult> GroupHistogram::Answer(const GroupByQuery& query) const {
+  // Uniform-spread apportionment: each group in a bucket receives an
+  // equal 1/num_groups share of the bucket's tuple count and sums.
+  std::vector<std::vector<double>> totals(
+      1 + measure_columns_.size(), std::vector<double>(group_keys_.size()));
+  for (const Bucket& bucket : buckets_) {
+    const double share = 1.0 / static_cast<double>(bucket.num_groups);
+    for (size_t g = bucket.first_group;
+         g < bucket.first_group + bucket.num_groups; ++g) {
+      totals[0][g] = share * static_cast<double>(bucket.tuple_count);
+      for (size_t k = 0; k < measure_columns_.size(); ++k) {
+        totals[1 + k][g] = share * bucket.measure_sums[k];
+      }
+    }
+  }
+  return AnswerFromGroupTotals(query, grouping_columns_, measure_columns_,
+                               group_keys_, totals, "histogram");
 }
 
 size_t GroupHistogram::StorageCells() const {

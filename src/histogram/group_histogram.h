@@ -2,10 +2,12 @@
 #define CONGRESS_HISTOGRAM_GROUP_HISTOGRAM_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/estimator.h"
 #include "engine/query.h"
+#include "sampling/allocation.h"
 #include "storage/table.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -36,7 +38,14 @@ class GroupHistogram {
     ExecutorOptions execution;
   };
 
-  /// Builds the histogram over `table` stratified on `grouping_columns`.
+  /// Builds the histogram over `table` stratified on the grouping of
+  /// `census`, which must describe `table`.
+  static Result<GroupHistogram> Build(const Table& table,
+                                      const GroupCensus& census,
+                                      const Options& options);
+
+  /// Interns `table` over `grouping_columns` into a census, then calls
+  /// the form above.
   static Result<GroupHistogram> Build(const Table& table,
                                       const std::vector<size_t>& grouping_columns,
                                       const Options& options);
@@ -67,6 +76,18 @@ class GroupHistogram {
   std::vector<GroupKey> group_keys_;  // All finest groups, sorted.
   std::vector<Bucket> buckets_;
 };
+
+/// Answers a SUM/COUNT/AVG group-by from per-finest-group totals:
+/// totals[0][g] estimates group g's tuple count and totals[1 + k][g] its
+/// sum of measure_columns[k], for the key-sorted finest groups
+/// `group_keys` over `grouping_columns`. The histogram and the wavelet
+/// synopsis differ only in how they estimate those totals; `kind` names
+/// the synopsis in errors.
+Result<QueryResult> AnswerFromGroupTotals(
+    const GroupByQuery& query, const std::vector<size_t>& grouping_columns,
+    const std::vector<size_t>& measure_columns,
+    const std::vector<GroupKey>& group_keys,
+    const std::vector<std::vector<double>>& totals, const std::string& kind);
 
 }  // namespace congress
 

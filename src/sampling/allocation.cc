@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "storage/group_index.h"
+#include "obs/scope.h"
 
 namespace congress {
 
@@ -26,17 +26,9 @@ const char* AllocationStrategyToString(AllocationStrategy strategy) {
 GroupStatistics GroupStatistics::Compute(const Table& table,
                                          const std::vector<size_t>& group_columns,
                                          const ExecutorOptions& options) {
-  auto index = GroupIndex::Build(table, group_columns, options);
-  // A bad grouping spec (e.g. out-of-range column) yields empty statistics
-  // rather than dereferencing an error Result.
-  if (!index.ok()) return GroupStatistics{};
-  std::vector<std::pair<GroupKey, uint64_t>> pairs;
-  pairs.reserve(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    pairs.emplace_back(index->keys()[g], index->counts()[g]);
-  }
-  auto result = FromCounts(std::move(pairs));
-  return std::move(result).value_or(GroupStatistics{});
+  auto census = GroupCensus::Build(table, group_columns, options);
+  if (!census.ok()) return GroupStatistics{};
+  return std::move(census->stats);
 }
 
 Result<GroupStatistics> GroupStatistics::FromCounts(
@@ -69,6 +61,44 @@ Result<size_t> GroupStatistics::IndexOf(const GroupKey& key) const {
     return Status::NotFound("group " + GroupKeyToString(key) + " not present");
   }
   return static_cast<size_t>(it - keys_.begin());
+}
+
+Result<GroupCensus> GroupCensus::Build(const Table& table,
+                                       const std::vector<size_t>& group_columns,
+                                       const ExecutorOptions& options) {
+  CONGRESS_SPAN(census_span, options.scope, "census");
+  auto index = GroupIndex::Build(table, group_columns,
+                                 options.WithScope(census_span.scope()));
+  if (!index.ok()) return index.status();
+  std::vector<std::pair<GroupKey, uint64_t>> pairs;
+  pairs.reserve(index->num_groups());
+  for (size_t g = 0; g < index->num_groups(); ++g) {
+    pairs.emplace_back(index->keys()[g], index->counts()[g]);
+  }
+  auto stats = GroupStatistics::FromCounts(std::move(pairs));
+  if (!stats.ok()) return stats.status();
+  // Resolve each distinct group against the statistics once, so no
+  // consumer maps rows to strata by key.
+  std::vector<size_t> position(index->num_groups());
+  for (size_t g = 0; g < index->num_groups(); ++g) {
+    auto idx = stats->IndexOf(index->keys()[g]);
+    if (!idx.ok()) {
+      return Status::InvalidArgument("table contains group " +
+                                     GroupKeyToString(index->keys()[g]) +
+                                     " absent from statistics");
+    }
+    position[g] = *idx;
+  }
+  return GroupCensus(
+      std::make_shared<const GroupIndex>(std::move(index).value()),
+      std::move(stats).value(), std::move(position));
+}
+
+Status GroupCensus::CheckTable(const Table& table) const {
+  if (index == nullptr || index->num_rows() != table.num_rows()) {
+    return Status::InvalidArgument("census does not describe this table");
+  }
+  return Status::OK();
 }
 
 double Allocation::Total() const {
@@ -232,8 +262,7 @@ Result<Allocation> AllocateCongressOverGroupings(
   return AllocateFromWeightVectors(stats, sample_size, weight_vectors);
 }
 
-Allocation AllocateCongress(const GroupStatistics& stats, double sample_size) {
-  const size_t arity = stats.num_grouping_attributes();
+std::vector<std::vector<size_t>> AllSubGroupings(size_t arity) {
   std::vector<std::vector<size_t>> groupings;
   groupings.reserve(size_t{1} << arity);
   for (size_t mask = 0; mask < (size_t{1} << arity); ++mask) {
@@ -243,7 +272,12 @@ Allocation AllocateCongress(const GroupStatistics& stats, double sample_size) {
     }
     groupings.push_back(std::move(grouping));
   }
-  auto result = AllocateCongressOverGroupings(stats, sample_size, groupings);
+  return groupings;
+}
+
+Allocation AllocateCongress(const GroupStatistics& stats, double sample_size) {
+  auto result = AllocateCongressOverGroupings(
+      stats, sample_size, AllSubGroupings(stats.num_grouping_attributes()));
 #ifdef CONGRESS_PROP_SELFTEST
   // Deliberate off-by-one so the property harness can prove its oracles
   // catch real allocation bugs (the Eq.-6 total no longer equals X).

@@ -1,11 +1,15 @@
 #ifndef CONGRESS_SAMPLING_ALLOCATION_H_
 #define CONGRESS_SAMPLING_ALLOCATION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "storage/group_index.h"
 #include "storage/table.h"
 #include "storage/value.h"
 #include "util/parallel.h"
@@ -25,14 +29,14 @@ const char* AllocationStrategyToString(AllocationStrategy strategy);
 
 /// A census of a relation at the finest grouping G: every non-empty group
 /// and its tuple count. This is the "data cube of counts" that the
-/// two-pass builders consume. Groups are sorted by key so allocations are
-/// deterministic.
+/// two-pass builders consume (inside a GroupCensus). Groups are sorted by
+/// key so allocations are deterministic.
 class GroupStatistics {
  public:
   GroupStatistics() = default;
 
-  /// Scans `table` once and counts groups over `group_columns`
-  /// (morsel-parallel per `options`).
+  /// The statistics of GroupCensus::Build(table, group_columns, options);
+  /// empty when that fails (for example, on an out-of-range column).
   static GroupStatistics Compute(const Table& table,
                                  const std::vector<size_t>& group_columns,
                                  const ExecutorOptions& options = {});
@@ -61,6 +65,50 @@ class GroupStatistics {
   uint64_t total_ = 0;
 };
 
+/// A relation interned once at its finest grouping G, shared by every
+/// sample, fleet summary and snapshot of one publish. A row's stratum is
+/// position[index->row_ids()[row]], its slot in the key-sorted `stats`.
+struct GroupCensus {
+  /// Shared: a published snapshot keeps it as its base_group_index.
+  std::shared_ptr<const GroupIndex> index;
+  GroupStatistics stats;
+  std::vector<size_t> position;
+
+  /// Interns `table` over `group_columns` (morsel-parallel, under a
+  /// `census` span) and reads the statistics off the index. Fails when
+  /// the index does, or when a group has no slot (a NaN key).
+  static Result<GroupCensus> Build(const Table& table,
+                                   const std::vector<size_t>& group_columns,
+                                   const ExecutorOptions& options = {});
+
+  /// InvalidArgument unless the census has one row id per row of `table`.
+  Status CheckTable(const Table& table) const;
+
+  /// Calls visit(slot, row) for every row: each group's rows in ascending
+  /// row order, disjoint groups in parallel, so a per-slot fold is
+  /// bit-identical to a serial scan for every thread count.
+  template <typename Visit>
+  void ForEachRow(const ExecutorOptions& options, const Visit& visit) const {
+    const GroupIndex::RowLists lists = index->GroupRows();
+    const std::vector<std::pair<size_t, size_t>> chunks = BalancedGroupChunks(
+        lists.offsets, std::max<uint64_t>(index->num_rows() / 64 + 1, 1024));
+    ParallelFor(options.ResolvedThreads(), chunks.size(), [&](size_t c) {
+      for (size_t g = chunks[c].first; g < chunks[c].second; ++g) {
+        for (uint64_t r = lists.offsets[g]; r < lists.offsets[g + 1]; ++r) {
+          visit(position[g], static_cast<size_t>(lists.rows[r]));
+        }
+      }
+    });
+  }
+
+ private:
+  /// Only Build makes one. With no default constructor, a braced column
+  /// list like `{0}` cannot convert to a census in overload resolution.
+  GroupCensus(std::shared_ptr<const GroupIndex> i, GroupStatistics s,
+              std::vector<size_t> p)
+      : index(std::move(i)), stats(std::move(s)), position(std::move(p)) {}
+};
+
 /// The result of an allocation strategy: an expected sample size for every
 /// finest group (aligned with GroupStatistics::keys()), plus the paper's
 /// scale-down factor f (Eq. 6; 1.0 for House and Senate).
@@ -86,6 +134,11 @@ Allocation AllocateSenate(const GroupStatistics& stats, double sample_size);
 /// same, i.e. the House/Senate maximum rescaled into X.
 Allocation AllocateBasicCongress(const GroupStatistics& stats,
                                  double sample_size);
+
+/// Every sub-grouping T of a grouping G with `arity` attributes, as
+/// attribute positions, in mask order (bit i of the mask selects position
+/// i): the empty grouping first, G last.
+std::vector<std::vector<size_t>> AllSubGroupings(size_t arity);
 
 /// Congress (Section 4.6, Eqs. 4–6): for every sub-grouping T of G,
 /// compute the S1-optimal per-group allotment s_{g,T} = (X/m_T)(n_g/n_h),

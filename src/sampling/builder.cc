@@ -3,18 +3,20 @@
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "sampling/reservoir.h"
-#include "storage/group_index.h"
 
 namespace congress {
 
+// `options` only carries the span scope, so CONGRESS_DISABLE_OBS builds
+// never read it.
 Result<StratifiedSample> BuildStratifiedSample(
-    const Table& table, const std::vector<size_t>& grouping_columns,
-    const GroupStatistics& stats, const Allocation& allocation, Random* rng,
-    const ExecutorOptions& options) {
+    const Table& table, const GroupCensus& census, const Allocation& allocation,
+    Random* rng, [[maybe_unused]] const ExecutorOptions& options) {
+  const GroupStatistics& stats = census.stats;
   if (allocation.expected_sizes.size() != stats.num_groups()) {
     return Status::InvalidArgument(
         "allocation does not align with group statistics");
   }
+  CONGRESS_RETURN_NOT_OK(census.CheckTable(table));
   std::vector<uint64_t> sizes = RoundAllocation(stats, allocation);
 
   // One reservoir of base-row indices per stratum.
@@ -24,37 +26,20 @@ Result<StratifiedSample> BuildStratifiedSample(
     reservoirs.emplace_back(static_cast<size_t>(k));
   }
 
-  // Intern the grouping columns once (parallel), then resolve each
-  // distinct group against the statistics once instead of per row. The
-  // reservoir Offer loop itself stays serial and in row order, so the RNG
-  // stream — and therefore the sample — is reproducible and independent
-  // of the thread count.
-  CONGRESS_SPAN(index_span, options.scope, "sample_index");
-  auto index = GroupIndex::Build(table, grouping_columns,
-                                 options.WithScope(index_span.scope()));
-  if (!index.ok()) return index.status();
-  index_span.Stop();
-  std::vector<size_t> stats_index(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    auto idx = stats.IndexOf(index->keys()[g]);
-    if (!idx.ok()) {
-      return Status::InvalidArgument("table contains group " +
-                                     GroupKeyToString(index->keys()[g]) +
-                                     " absent from statistics");
-    }
-    stats_index[g] = *idx;
-  }
+  // The census already maps each row to its stratum. The reservoir Offer
+  // loop stays serial and in row order, so the RNG stream — and therefore
+  // the sample — is reproducible and independent of the thread count.
   CONGRESS_SPAN(reservoir_span, options.scope, "reservoir");
-  const std::vector<uint32_t>& row_ids = index->row_ids();
+  const std::vector<uint32_t>& row_ids = census.index->row_ids();
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    reservoirs[stats_index[row_ids[row]]].Offer(static_cast<uint64_t>(row),
-                                                rng);
+    reservoirs[census.position[row_ids[row]]].Offer(static_cast<uint64_t>(row),
+                                                    rng);
   }
   reservoir_span.Stop();
   CONGRESS_METRIC_INCR("sampling.rows_offered", table.num_rows());
 
   CONGRESS_SPAN(materialize_span, options.scope, "materialize");
-  StratifiedSample sample(table.schema(), grouping_columns);
+  StratifiedSample sample(table.schema(), census.index->columns());
   for (size_t i = 0; i < stats.num_groups(); ++i) {
     CONGRESS_RETURN_NOT_OK(
         sample.DeclareStratum(stats.keys()[i], stats.counts()[i]));
@@ -69,6 +54,26 @@ Result<StratifiedSample> BuildStratifiedSample(
   return sample;
 }
 
+Result<StratifiedSample> BuildSample(const Table& table,
+                                     const GroupCensus& census,
+                                     AllocationStrategy strategy,
+                                     double sample_size, Random* rng,
+                                     const ExecutorOptions& options) {
+  if (sample_size <= 0.0) {
+    return Status::InvalidArgument("sample size must be positive");
+  }
+  CONGRESS_METRIC_INCR_DYN(std::string("sampling.builds.") +
+                               AllocationStrategyToString(strategy),
+                           1);
+  if (census.stats.num_groups() == 0) {
+    return Status::FailedPrecondition("table is empty");
+  }
+  CONGRESS_SPAN(allocate_span, options.scope, "allocate");
+  Allocation allocation = Allocate(strategy, census.stats, sample_size);
+  allocate_span.Stop();
+  return BuildStratifiedSample(table, census, allocation, rng, options);
+}
+
 Result<StratifiedSample> BuildSample(
     const Table& table, const std::vector<size_t>& grouping_columns,
     AllocationStrategy strategy, double sample_size, Random* rng,
@@ -76,29 +81,9 @@ Result<StratifiedSample> BuildSample(
   if (grouping_columns.empty()) {
     return Status::InvalidArgument("at least one grouping column required");
   }
-  for (size_t c : grouping_columns) {
-    if (c >= table.num_columns()) {
-      return Status::InvalidArgument("grouping column out of range");
-    }
-  }
-  if (sample_size <= 0.0) {
-    return Status::InvalidArgument("sample size must be positive");
-  }
-  CONGRESS_METRIC_INCR_DYN(std::string("sampling.builds.") +
-                               AllocationStrategyToString(strategy),
-                           1);
-  CONGRESS_SPAN(census_span, options.scope, "census");
-  GroupStatistics stats = GroupStatistics::Compute(
-      table, grouping_columns, options.WithScope(census_span.scope()));
-  census_span.Stop();
-  if (stats.num_groups() == 0) {
-    return Status::FailedPrecondition("table is empty");
-  }
-  CONGRESS_SPAN(allocate_span, options.scope, "allocate");
-  Allocation allocation = Allocate(strategy, stats, sample_size);
-  allocate_span.Stop();
-  return BuildStratifiedSample(table, grouping_columns, stats, allocation, rng,
-                               options);
+  auto census = GroupCensus::Build(table, grouping_columns, options);
+  if (!census.ok()) return census.status();
+  return BuildSample(table, *census, strategy, sample_size, rng, options);
 }
 
 }  // namespace congress

@@ -5,36 +5,16 @@
 #include <unordered_set>
 
 #include "sampling/builder.h"
-#include "storage/group_index.h"
 
 namespace congress {
 
 namespace {
-
-/// Maps every interned group id to its position in `stats`, failing on
-/// the first group (in first-occurrence row order) the statistics lack —
-/// the same group a serial per-row scan would have tripped on first.
-Result<std::vector<size_t>> MapToStats(const GroupIndex& index,
-                                       const GroupStatistics& stats) {
-  std::vector<size_t> stats_index(index.num_groups());
-  for (size_t g = 0; g < index.num_groups(); ++g) {
-    auto idx = stats.IndexOf(index.keys()[g]);
-    if (!idx.ok()) return idx.status();
-    stats_index[g] = *idx;
-  }
-  return stats_index;
-}
 
 Status Validate(const Table& table,
                 const std::vector<size_t>& grouping_columns,
                 double sample_size) {
   if (grouping_columns.empty()) {
     return Status::InvalidArgument("at least one grouping column required");
-  }
-  for (size_t c : grouping_columns) {
-    if (c >= table.num_columns()) {
-      return Status::InvalidArgument("grouping column out of range");
-    }
   }
   if (sample_size <= 0.0) {
     return Status::InvalidArgument("sample size must be positive");
@@ -46,9 +26,9 @@ Status Validate(const Table& table,
 }
 
 StratifiedSample MakeEmptySample(const Table& table,
-                                 const std::vector<size_t>& grouping_columns,
-                                 const GroupStatistics& stats) {
-  StratifiedSample sample(table.schema(), grouping_columns);
+                                 const GroupCensus& census) {
+  const GroupStatistics& stats = census.stats;
+  StratifiedSample sample(table.schema(), census.index->columns());
   for (size_t i = 0; i < stats.num_groups(); ++i) {
     Status st = sample.DeclareStratum(stats.keys()[i], stats.counts()[i]);
     (void)st;
@@ -59,14 +39,14 @@ StratifiedSample MakeEmptySample(const Table& table,
 /// Per-tuple selection with per-finest-group probability `prob[g]`. The
 /// Bernoulli loop is serial and in row order over precomputed ids, so the
 /// RNG stream matches the serial path exactly.
-Result<StratifiedSample> BuildPerTuple(
-    const Table& table, const std::vector<size_t>& grouping_columns,
-    const GroupStatistics& stats, const std::vector<double>& prob, Random* rng,
-    const GroupIndex& index, const std::vector<size_t>& stats_index) {
-  StratifiedSample sample = MakeEmptySample(table, grouping_columns, stats);
-  const std::vector<uint32_t>& row_ids = index.row_ids();
+Result<StratifiedSample> BuildPerTuple(const Table& table,
+                                       const GroupCensus& census,
+                                       const std::vector<double>& prob,
+                                       Random* rng) {
+  StratifiedSample sample = MakeEmptySample(table, census);
+  const std::vector<uint32_t>& row_ids = census.index->row_ids();
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    if (rng->Bernoulli(prob[stats_index[row_ids[row]]])) {
+    if (rng->Bernoulli(prob[census.position[row_ids[row]]])) {
       CONGRESS_RETURN_NOT_OK(sample.Append(table, row));
     }
   }
@@ -75,13 +55,9 @@ Result<StratifiedSample> BuildPerTuple(
 
 /// The Eq. 8 per-group raw shares: max over T of 1 / (m_T * n_{gT}).
 std::vector<double> Eq8RawShares(const GroupStatistics& stats) {
-  const size_t arity = stats.num_grouping_attributes();
   std::vector<double> best(stats.num_groups(), 0.0);
-  for (size_t mask = 0; mask < (size_t{1} << arity); ++mask) {
-    std::vector<size_t> grouping;
-    for (size_t pos = 0; pos < arity; ++pos) {
-      if (mask & (size_t{1} << pos)) grouping.push_back(pos);
-    }
+  for (const auto& grouping :
+       AllSubGroupings(stats.num_grouping_attributes())) {
     // Super-group sizes under this T.
     std::unordered_map<GroupKey, uint64_t, GroupKeyHash> super_counts;
     std::vector<GroupKey> projected(stats.num_groups());
@@ -100,38 +76,31 @@ std::vector<double> Eq8RawShares(const GroupStatistics& stats) {
   return best;
 }
 
-Result<StratifiedSample> BuildGroupFill(
-    const Table& table, const std::vector<size_t>& grouping_columns,
-    const GroupStatistics& stats, double sample_size, Random* rng,
-    const GroupIndex& index, const std::vector<size_t>& stats_index) {
+Result<StratifiedSample> BuildGroupFill(const Table& table,
+                                        const GroupCensus& census,
+                                        double sample_size, Random* rng) {
+  const GroupStatistics& stats = census.stats;
   // Row ids per finest group, for uniform draws from a super-group.
   std::vector<std::vector<uint64_t>> group_rows(stats.num_groups());
-  const std::vector<uint32_t>& row_ids = index.row_ids();
+  const std::vector<uint32_t>& row_ids = census.index->row_ids();
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    group_rows[stats_index[row_ids[row]]].push_back(row);
+    group_rows[census.position[row_ids[row]]].push_back(row);
   }
 
   Allocation congress = AllocateCongress(stats, sample_size);
   const double f = congress.scale_down_factor;
-  const size_t arity = stats.num_grouping_attributes();
 
   std::unordered_set<uint64_t> selected;
-  // Subsets of G by increasing arity, as in the pseudocode.
-  std::vector<size_t> masks;
-  for (size_t mask = 0; mask < (size_t{1} << arity); ++mask) {
-    masks.push_back(mask);
-  }
-  std::sort(masks.begin(), masks.end(), [](size_t a, size_t b) {
-    int pa = __builtin_popcountll(a);
-    int pb = __builtin_popcountll(b);
-    return pa != pb ? pa < pb : a < b;
-  });
-
-  for (size_t mask : masks) {
-    std::vector<size_t> grouping;
-    for (size_t pos = 0; pos < arity; ++pos) {
-      if (mask & (size_t{1} << pos)) grouping.push_back(pos);
-    }
+  // Subsets of G by increasing arity (mask order within one arity), as in
+  // the pseudocode.
+  std::vector<std::vector<size_t>> groupings =
+      AllSubGroupings(stats.num_grouping_attributes());
+  std::stable_sort(groupings.begin(), groupings.end(),
+                   [](const std::vector<size_t>& a,
+                      const std::vector<size_t>& b) {
+                     return a.size() < b.size();
+                   });
+  for (const std::vector<size_t>& grouping : groupings) {
     // Partition finest groups into super-groups under T.
     std::unordered_map<GroupKey, std::vector<size_t>, GroupKeyHash> supers;
     for (size_t i = 0; i < stats.num_groups(); ++i) {
@@ -168,7 +137,7 @@ Result<StratifiedSample> BuildGroupFill(
     }
   }
 
-  StratifiedSample sample = MakeEmptySample(table, grouping_columns, stats);
+  StratifiedSample sample = MakeEmptySample(table, census);
   // Append in row order so each stratum's tuples stay contiguous-ish.
   std::vector<uint64_t> rows(selected.begin(), selected.end());
   std::sort(rows.begin(), rows.end());
@@ -199,18 +168,14 @@ Result<StratifiedSample> BuildCongressVariant(
     double sample_size, CongressVariant variant, Random* rng,
     const ExecutorOptions& options) {
   CONGRESS_RETURN_NOT_OK(Validate(table, grouping_columns, sample_size));
-  auto index = GroupIndex::Build(table, grouping_columns, options);
-  if (!index.ok()) return index.status();
-  GroupStatistics stats =
-      GroupStatistics::Compute(table, grouping_columns, options);
-  auto stats_index = MapToStats(*index, stats);
-  if (!stats_index.ok()) return stats_index.status();
+  auto census = GroupCensus::Build(table, grouping_columns, options);
+  if (!census.ok()) return census.status();
+  const GroupStatistics& stats = census->stats;
 
   switch (variant) {
     case CongressVariant::kExactSize: {
       Allocation allocation = AllocateCongress(stats, sample_size);
-      return BuildStratifiedSample(table, grouping_columns, stats, allocation,
-                                   rng, options);
+      return BuildStratifiedSample(table, *census, allocation, rng, options);
     }
     case CongressVariant::kBernoulli: {
       Allocation allocation = AllocateCongress(stats, sample_size);
@@ -219,8 +184,7 @@ Result<StratifiedSample> BuildCongressVariant(
         prob[i] = std::min(1.0, allocation.expected_sizes[i] /
                                     static_cast<double>(stats.counts()[i]));
       }
-      return BuildPerTuple(table, grouping_columns, stats, prob, rng, *index,
-                           *stats_index);
+      return BuildPerTuple(table, *census, prob, rng);
     }
     case CongressVariant::kEq8: {
       // Eq. 8: normalize the raw shares so the expected total is X.
@@ -233,12 +197,10 @@ Result<StratifiedSample> BuildCongressVariant(
       for (size_t i = 0; i < stats.num_groups(); ++i) {
         prob[i] = std::min(1.0, sample_size * raw[i] / denom);
       }
-      return BuildPerTuple(table, grouping_columns, stats, prob, rng, *index,
-                           *stats_index);
+      return BuildPerTuple(table, *census, prob, rng);
     }
     case CongressVariant::kGroupFill:
-      return BuildGroupFill(table, grouping_columns, stats, sample_size, rng,
-                            *index, *stats_index);
+      return BuildGroupFill(table, *census, sample_size, rng);
   }
   return Status::InvalidArgument("unknown congress variant");
 }

@@ -34,10 +34,10 @@ const char* CongressVariantToString(CongressVariant variant);
 
 /// Builds a congressional sample of `table` using the given construction
 /// variant with target space `sample_size`. All variants take one data
-/// pass after the group census. The census and row→stratum interning are
-/// morsel-parallel per `options`; every random draw happens in a serial
-/// row-order loop over precomputed ids, so samples are reproducible for
-/// any thread count.
+/// pass after the group census (GroupCensus::Build, morsel-parallel per
+/// `options`), which also maps every row to its stratum; every random
+/// draw happens in a serial row-order loop over those ids, so samples are
+/// reproducible for any thread count.
 Result<StratifiedSample> BuildCongressVariant(
     const Table& table, const std::vector<size_t>& grouping_columns,
     double sample_size, CongressVariant variant, Random* rng,

@@ -4,13 +4,10 @@
 #include <cmath>
 #include <limits>
 
-#include "storage/group_index.h"
-
 namespace congress {
 
 Result<std::vector<double>> DispersionWeightVector(
-    const Table& table, const GroupStatistics& stats,
-    const std::vector<size_t>& grouping_columns, size_t value_column,
+    const Table& table, const GroupCensus& census, size_t value_column,
     VarianceCriterion criterion, const ExecutorOptions& options) {
   if (value_column >= table.num_columns()) {
     return Status::InvalidArgument("value column out of range");
@@ -18,44 +15,21 @@ Result<std::vector<double>> DispersionWeightVector(
   if (table.schema().field(value_column).type == DataType::kString) {
     return Status::InvalidArgument("dispersion needs a numeric column");
   }
-  const size_t m = stats.num_groups();
+  CONGRESS_RETURN_NOT_OK(census.CheckTable(table));
+  const size_t m = census.stats.num_groups();
   std::vector<double> sum(m, 0.0);
   std::vector<double> sum2(m, 0.0);
   std::vector<double> lo(m, std::numeric_limits<double>::infinity());
   std::vector<double> hi(m, -std::numeric_limits<double>::infinity());
   std::vector<uint64_t> n(m, 0);
 
-  auto index = GroupIndex::Build(table, grouping_columns, options);
-  if (!index.ok()) return index.status();
-  std::vector<size_t> stats_index(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    auto idx = stats.IndexOf(index->keys()[g]);
-    if (!idx.ok()) {
-      return Status::InvalidArgument(
-          "table contains a group absent from statistics");
-    }
-    stats_index[g] = *idx;
-  }
-  // Per-group moments, parallel across disjoint groups. Each group's rows
-  // are visited in ascending row order (GroupRows lists are sorted), so
-  // the floating-point accumulation order matches a serial table scan.
-  GroupIndex::RowLists lists = index->GroupRows();
-  std::vector<std::pair<size_t, size_t>> chunks = BalancedGroupChunks(
-      lists.offsets, std::max<uint64_t>(table.num_rows() / 64 + 1, 1024));
-  const size_t threads = options.ResolvedThreads();
-  ParallelFor(threads, chunks.size(), [&](size_t c) {
-    for (size_t g = chunks[c].first; g < chunks[c].second; ++g) {
-      const size_t slot = stats_index[g];
-      for (uint64_t r = lists.offsets[g]; r < lists.offsets[g + 1]; ++r) {
-        const size_t row = lists.rows[static_cast<size_t>(r)];
-        double v = table.NumericAt(row, value_column);
-        sum[slot] += v;
-        sum2[slot] += v * v;
-        lo[slot] = std::min(lo[slot], v);
-        hi[slot] = std::max(hi[slot], v);
-        n[slot] += 1;
-      }
-    }
+  census.ForEachRow(options, [&](size_t slot, size_t row) {
+    double v = table.NumericAt(row, value_column);
+    sum[slot] += v;
+    sum2[slot] += v * v;
+    lo[slot] = std::min(lo[slot], v);
+    hi[slot] = std::max(hi[slot], v);
+    n[slot] += 1;
   });
 
   std::vector<double> weights(m, 0.0);
@@ -119,13 +93,9 @@ Result<std::vector<double>> RangeDecayWeightVector(
 Result<Allocation> AllocateCongressWithCriteria(
     const GroupStatistics& stats, double sample_size,
     const std::vector<std::vector<double>>& extra_criteria) {
-  const size_t arity = stats.num_grouping_attributes();
   std::vector<std::vector<double>> vectors;
-  for (size_t mask = 0; mask < (size_t{1} << arity); ++mask) {
-    std::vector<size_t> grouping;
-    for (size_t pos = 0; pos < arity; ++pos) {
-      if (mask & (size_t{1} << pos)) grouping.push_back(pos);
-    }
+  for (const auto& grouping :
+       AllSubGroupings(stats.num_grouping_attributes())) {
     vectors.push_back(GroupingWeightVector(stats, grouping));
   }
   for (const auto& extra : extra_criteria) {

@@ -30,13 +30,13 @@ enum class VarianceCriterion {
 };
 
 /// Computes per-group dispersion weights of `value_column` over the
-/// finest groups. Groups with a single tuple (undefined S) get weight 0.
-/// The table pass is morsel-parallel per `options`; each group's moments
-/// accumulate in ascending row order, so the weights are bit-identical
-/// for every thread count.
+/// finest groups of `census`, which must describe `table`; the weights
+/// align with census.stats. Groups with a single tuple (undefined S) get
+/// weight 0. The table pass is parallel across groups per `options`; each
+/// group's moments accumulate in ascending row order, so the weights are
+/// bit-identical for every thread count.
 Result<std::vector<double>> DispersionWeightVector(
-    const Table& table, const GroupStatistics& stats,
-    const std::vector<size_t>& grouping_columns, size_t value_column,
+    const Table& table, const GroupCensus& census, size_t value_column,
     VarianceCriterion criterion, const ExecutorOptions& options = {});
 
 /// Time/range-decay weights (the paper's "recent sales data better

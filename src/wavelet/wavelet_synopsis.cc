@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sampling/allocation.h"
-#include "storage/group_index.h"
+#include "histogram/group_histogram.h"
 
 namespace congress {
 
@@ -51,6 +50,15 @@ void WaveletSynopsis::HaarInverse(std::vector<double>* values) {
 Result<WaveletSynopsis> WaveletSynopsis::Build(
     const Table& table, const std::vector<size_t>& grouping_columns,
     const Options& options) {
+  auto census = GroupCensus::Build(table, grouping_columns, options.execution);
+  if (!census.ok()) return census.status();
+  return Build(table, *census, options);
+}
+
+Result<WaveletSynopsis> WaveletSynopsis::Build(const Table& table,
+                                               const GroupCensus& census,
+                                               const Options& options) {
+  const std::vector<size_t>& grouping_columns = census.index->columns();
   if (grouping_columns.empty()) {
     return Status::InvalidArgument("at least one grouping column required");
   }
@@ -68,9 +76,9 @@ Result<WaveletSynopsis> WaveletSynopsis::Build(
   if (table.num_rows() == 0) {
     return Status::FailedPrecondition("table is empty");
   }
+  CONGRESS_RETURN_NOT_OK(census.CheckTable(table));
 
-  GroupStatistics stats =
-      GroupStatistics::Compute(table, grouping_columns, options.execution);
+  const GroupStatistics& stats = census.stats;
   const size_t m = stats.num_groups();
   const size_t padded = NextPowerOfTwo(m);
   const size_t num_vectors = 1 + options.measure_columns.size();
@@ -86,35 +94,12 @@ Result<WaveletSynopsis> WaveletSynopsis::Build(
   for (size_t g = 0; g < m; ++g) {
     vectors[0][g] = static_cast<double>(stats.counts()[g]);
   }
-  // Intern the grouping columns once and accumulate each group's measure
-  // sums over its rows in ascending row order (parallel across disjoint
-  // groups — bit-identical to a serial table scan).
-  auto index = GroupIndex::Build(table, grouping_columns, options.execution);
-  if (!index.ok()) return index.status();
-  std::vector<size_t> stats_index(index->num_groups());
-  for (size_t g = 0; g < index->num_groups(); ++g) {
-    auto idx = stats.IndexOf(index->keys()[g]);
-    if (!idx.ok()) return idx.status();
-    stats_index[g] = *idx;
-  }
-  GroupIndex::RowLists lists = index->GroupRows();
-  std::vector<std::pair<size_t, size_t>> chunks = BalancedGroupChunks(
-      lists.offsets, std::max<uint64_t>(table.num_rows() / 64 + 1, 1024));
-  ParallelFor(options.execution.ResolvedThreads(), chunks.size(),
-              [&](size_t c) {
-                for (size_t g = chunks[c].first; g < chunks[c].second; ++g) {
-                  const size_t slot = stats_index[g];
-                  for (uint64_t r = lists.offsets[g]; r < lists.offsets[g + 1];
-                       ++r) {
-                    const size_t row = lists.rows[static_cast<size_t>(r)];
-                    for (size_t k = 0; k < options.measure_columns.size();
-                         ++k) {
-                      vectors[1 + k][slot] +=
-                          table.NumericAt(row, options.measure_columns[k]);
-                    }
-                  }
-                }
-              });
+  // Per-group measure sums, in row order within each group.
+  census.ForEachRow(options.execution, [&](size_t slot, size_t row) {
+    for (size_t k = 0; k < options.measure_columns.size(); ++k) {
+      vectors[1 + k][slot] += table.NumericAt(row, options.measure_columns[k]);
+    }
+  });
 
   // Transform and rank every coefficient across all vectors jointly
   // (orthonormal Haar, so magnitudes are L2-comparable within a vector;
@@ -163,83 +148,8 @@ Result<WaveletSynopsis> WaveletSynopsis::Build(
 }
 
 Result<QueryResult> WaveletSynopsis::Answer(const GroupByQuery& query) const {
-  if (query.predicate != nullptr) {
-    return Status::InvalidArgument(
-        "wavelet synopses cannot evaluate tuple predicates");
-  }
-  if (query.aggregates.empty()) {
-    return Status::InvalidArgument("query has no aggregates");
-  }
-  std::vector<size_t> positions;
-  for (size_t col : query.group_columns) {
-    auto it = std::find(grouping_columns_.begin(), grouping_columns_.end(),
-                        col);
-    if (it == grouping_columns_.end()) {
-      return Status::InvalidArgument(
-          "query groups by a column outside the synopsis dimensions");
-    }
-    positions.push_back(
-        static_cast<size_t>(it - grouping_columns_.begin()));
-  }
-  std::vector<int> measure_slot(query.aggregates.size(), -1);
-  for (size_t a = 0; a < query.aggregates.size(); ++a) {
-    const AggregateSpec& spec = query.aggregates[a];
-    if (spec.kind == AggregateKind::kCount) continue;
-    if (spec.kind != AggregateKind::kSum && spec.kind != AggregateKind::kAvg) {
-      return Status::InvalidArgument("wavelet answers SUM/COUNT/AVG only");
-    }
-    auto it = std::find(measure_columns_.begin(), measure_columns_.end(),
-                        spec.column);
-    if (it == measure_columns_.end()) {
-      return Status::InvalidArgument(
-          "aggregate column was not pre-aggregated into the synopsis");
-    }
-    measure_slot[a] = static_cast<int>(it - measure_columns_.begin());
-  }
-
-  struct Acc {
-    double count = 0.0;
-    std::vector<double> sums;
-  };
-  std::unordered_map<GroupKey, Acc, GroupKeyHash> out_groups;
-  for (size_t g = 0; g < group_keys_.size(); ++g) {
-    GroupKey key;
-    key.reserve(positions.size());
-    for (size_t pos : positions) key.push_back(group_keys_[g][pos]);
-    Acc& acc = out_groups[key];
-    if (acc.sums.empty()) acc.sums.assign(measure_columns_.size(), 0.0);
-    acc.count += reconstructed_[0][g];
-    for (size_t k = 0; k < measure_columns_.size(); ++k) {
-      acc.sums[k] += reconstructed_[1 + k][g];
-    }
-  }
-
-  QueryResult result;
-  for (auto& [key, acc] : out_groups) {
-    std::vector<double> finals(query.aggregates.size(), 0.0);
-    for (size_t a = 0; a < query.aggregates.size(); ++a) {
-      switch (query.aggregates[a].kind) {
-        case AggregateKind::kCount:
-          finals[a] = acc.count;
-          break;
-        case AggregateKind::kSum:
-          finals[a] = acc.sums[static_cast<size_t>(measure_slot[a])];
-          break;
-        case AggregateKind::kAvg:
-          finals[a] = acc.count != 0.0
-                          ? acc.sums[static_cast<size_t>(measure_slot[a])] /
-                                acc.count
-                          : 0.0;
-          break;
-        default:
-          break;
-      }
-    }
-    result.Add(key, std::move(finals));
-  }
-  result.FilterHaving(query.having);
-  result.SortByKey();
-  return result;
+  return AnswerFromGroupTotals(query, grouping_columns_, measure_columns_,
+                               group_keys_, reconstructed_, "wavelet");
 }
 
 }  // namespace congress

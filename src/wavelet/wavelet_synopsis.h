@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "engine/query.h"
+#include "sampling/allocation.h"
 #include "storage/table.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -30,6 +31,14 @@ class WaveletSynopsis {
     ExecutorOptions execution;
   };
 
+  /// Builds the synopsis over `table` at the grouping of `census`, which
+  /// must describe `table`.
+  static Result<WaveletSynopsis> Build(const Table& table,
+                                       const GroupCensus& census,
+                                       const Options& options);
+
+  /// Interns `table` over `grouping_columns` into a census, then calls
+  /// the form above.
   static Result<WaveletSynopsis> Build(
       const Table& table, const std::vector<size_t>& grouping_columns,
       const Options& options);

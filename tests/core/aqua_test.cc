@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "resilience/recovery.h"
 #include "tpcd/lineitem.h"
 
@@ -260,6 +261,48 @@ TEST_F(AquaEngineTest, BuildMatchesFirstPublishBitForBit) {
   }
 }
 
+TEST_F(AquaEngineTest, PublishInternsTheBaseRelationOnce) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  // A publish interns the working table once. The primary, both
+  // fallbacks, the fleet summaries and the snapshot's base_group_index
+  // all read that one census.
+  const obs::Counter& builds =
+      obs::MetricsRegistry::Global().GetCounter("group_index.builds");
+  SynopsisConfig fleet = SalesConfig();
+  fleet.fleet_histogram = true;
+  fleet.fleet_wavelet = true;
+  SynopsisConfig incremental = SalesConfig();
+  incremental.incremental = true;
+  for (const SynopsisConfig& config : {SalesConfig(), fleet, incremental}) {
+    SCOPED_TRACE(std::string(config.incremental ? "incremental"
+                             : config.fleet_histogram ? "fleet"
+                                                      : "default"));
+    AquaEngine engine;
+    uint64_t before = builds.value();
+    ASSERT_TRUE(engine.RegisterTable("t", SalesTable(), config).ok());
+    EXPECT_EQ(builds.value() - before, 1u);
+    auto snapshot = engine.GetSnapshot("t");
+    ASSERT_TRUE(snapshot.ok());
+    EXPECT_NE((*snapshot)->base_group_index, nullptr);
+    EXPECT_NE((*snapshot)->fallback_basic, nullptr);
+    EXPECT_NE((*snapshot)->fallback_house, nullptr);
+    EXPECT_EQ((*snapshot)->histogram != nullptr, config.fleet_histogram);
+    EXPECT_EQ((*snapshot)->wavelet != nullptr, config.fleet_wavelet);
+    if (config.incremental) {
+      ASSERT_TRUE(engine
+                      .Insert("t", {Value("north"), Value(int64_t{2}),
+                                    Value(4.0)})
+                      .ok());
+      before = builds.value();
+      ASSERT_TRUE(engine.Refresh("t").ok());
+      EXPECT_EQ(builds.value() - before, 1u);
+    }
+  }
+#endif
+}
+
 TEST_F(AquaEngineTest, InsertBatchFlowsThrough) {
   SynopsisConfig config = SalesConfig();
   config.incremental = true;
@@ -306,7 +349,9 @@ TEST_F(AquaEngineTest, ShardCountInvariantPublish) {
                                        Value(int64_t{i % 3}),
                                        Value(static_cast<double>(i % 5))})
                       .ok());
-      if (i == 29) EXPECT_TRUE(engine.Refresh("live").ok());
+      if (i == 29) {
+        EXPECT_TRUE(engine.Refresh("live").ok());
+      }
     }
     EXPECT_TRUE(engine.Refresh("live").ok());
     auto synopsis = engine.GetSynopsis("live");

@@ -46,12 +46,14 @@ TEST_P(SamplePropertySweep, BuiltSampleHonorsAllocation) {
   auto [strategy, skew, fraction] = GetParam();
   Table t = SmallLineitem(20000, 27, skew, 101);
   auto grouping = tpcd::LineitemGroupingColumns();
-  GroupStatistics stats = GroupStatistics::Compute(t, grouping);
+  auto census = GroupCensus::Build(t, grouping);
+  ASSERT_TRUE(census.ok());
+  const GroupStatistics& stats = census->stats;
   const double x = fraction * static_cast<double>(t.num_rows());
   Allocation alloc = Allocate(strategy, stats, x);
   auto rounded = RoundAllocation(stats, alloc);
   Random rng(7);
-  auto sample = BuildStratifiedSample(t, grouping, stats, alloc, &rng);
+  auto sample = BuildStratifiedSample(t, *census, alloc, &rng);
   ASSERT_TRUE(sample.ok());
   EXPECT_EQ(sample->num_rows(),
             std::accumulate(rounded.begin(), rounded.end(), uint64_t{0}));

@@ -58,6 +58,48 @@ TEST(GroupStatisticsTest, ComputeDegradesToEmptyOnBadColumn) {
   EXPECT_EQ(stats.total_tuples(), 0u);
 }
 
+TEST(GroupCensusTest, StatsAndPositionsAgreeWithTheIndex) {
+  // Grouping columns of all three types, in non-schema order; -0.0 and
+  // 0.0 share a group.
+  Table t{Schema({Field{"i", DataType::kInt64},
+                  Field{"d", DataType::kDouble},
+                  Field{"s", DataType::kString}})};
+  Random rng(7);
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.25};
+  const char* strings[] = {"x", "y", "z"};
+  for (int row = 0; row < 3000; ++row) {
+    const int64_t i = rng.UniformRange(0, 9);
+    const double d = doubles[rng.UniformRange(0, 3)];
+    const char* s = strings[rng.UniformRange(0, 2)];
+    ASSERT_TRUE(t.AppendRow({Value(i), Value(d), Value(s)}).ok());
+  }
+  const std::vector<size_t> grouping = {2, 1, 0};
+  auto census = GroupCensus::Build(t, grouping);
+  ASSERT_TRUE(census.ok());
+  ASSERT_NE(census->index, nullptr);
+  const GroupIndex& index = *census->index;
+  EXPECT_EQ(index.columns(), grouping);
+  EXPECT_TRUE(census->CheckTable(t).ok());
+
+  std::vector<std::pair<GroupKey, uint64_t>> pairs;
+  for (size_t g = 0; g < index.num_groups(); ++g) {
+    pairs.emplace_back(index.keys()[g], index.counts()[g]);
+  }
+  auto expected = GroupStatistics::FromCounts(std::move(pairs));
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(census->stats.keys(), expected->keys());
+  EXPECT_EQ(census->stats.counts(), expected->counts());
+  EXPECT_EQ(census->stats.total_tuples(), t.num_rows());
+
+  ASSERT_EQ(census->position.size(), index.num_groups());
+  for (size_t row = 0; row < t.num_rows(); ++row) {
+    ASSERT_EQ(census->stats.keys()[census->position[index.row_ids()[row]]],
+              t.KeyForRow(row, grouping))
+        << "row " << row;
+  }
+  EXPECT_FALSE(GroupCensus::Build(t, {5}).ok());
+}
+
 TEST(GroupStatisticsTest, FromCountsRejectsZeroAndDuplicates) {
   EXPECT_FALSE(GroupStatistics::FromCounts({{Key("a", "b"), 0}}).ok());
   EXPECT_FALSE(

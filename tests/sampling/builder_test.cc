@@ -40,11 +40,13 @@ TEST(BuilderTest, SampleSizeMatchesRoundedAllocation) {
 
 TEST(BuilderTest, PerStratumCountsMatchAllocationExactly) {
   Table t = MakeSkewedTable();
-  GroupStatistics stats = GroupStatistics::Compute(t, {0, 1});
+  auto census = GroupCensus::Build(t, {0, 1});
+  ASSERT_TRUE(census.ok());
+  const GroupStatistics& stats = census->stats;
   Allocation alloc = AllocateSenate(stats, 100.0);
   auto rounded = RoundAllocation(stats, alloc);
   Random rng(2);
-  auto sample = BuildStratifiedSample(t, {0, 1}, stats, alloc, &rng);
+  auto sample = BuildStratifiedSample(t, *census, alloc, &rng);
   ASSERT_TRUE(sample.ok());
   for (size_t i = 0; i < stats.num_groups(); ++i) {
     auto idx = sample->StratumIndex(stats.keys()[i]);
@@ -144,11 +146,17 @@ TEST(BuilderTest, ValidatesArguments) {
 
 TEST(BuilderTest, MisalignedAllocationRejected) {
   Table t = MakeSkewedTable();
-  GroupStatistics stats = GroupStatistics::Compute(t, {0, 1});
+  auto census = GroupCensus::Build(t, {0, 1});
+  ASSERT_TRUE(census.ok());
   Allocation bad;
   bad.expected_sizes = {1.0, 2.0};  // Wrong arity.
   Random rng(9);
-  EXPECT_FALSE(BuildStratifiedSample(t, {0, 1}, stats, bad, &rng).ok());
+  EXPECT_FALSE(BuildStratifiedSample(t, *census, bad, &rng).ok());
+  // A census of another table is refused before any row is read.
+  Allocation aligned = AllocateSenate(census->stats, 10.0);
+  Table shorter = t.CloneEmpty();
+  ASSERT_TRUE(shorter.AppendRow({Value("a1"), Value("b1"), Value(0.0)}).ok());
+  EXPECT_FALSE(BuildStratifiedSample(shorter, *census, aligned, &rng).ok());
 }
 
 TEST(BuilderTest, DeterministicGivenSeed) {

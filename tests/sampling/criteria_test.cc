@@ -20,8 +20,10 @@ Table MakeDispersionTable() {
 
 TEST(DispersionTest, StdDevWeightsFavorWildGroup) {
   Table t = MakeDispersionTable();
-  GroupStatistics stats = GroupStatistics::Compute(t, {0});
-  auto weights = DispersionWeightVector(t, stats, {0}, 1,
+  auto census = GroupCensus::Build(t, {0});
+  ASSERT_TRUE(census.ok());
+  const GroupStatistics& stats = census->stats;
+  auto weights = DispersionWeightVector(t, *census, 1,
                                         VarianceCriterion::kStdDev);
   ASSERT_TRUE(weights.ok());
   auto tight = stats.IndexOf({Value("tight")});
@@ -32,10 +34,12 @@ TEST(DispersionTest, StdDevWeightsFavorWildGroup) {
 
 TEST(DispersionTest, NeymanScalesByGroupSize) {
   Table t = MakeDispersionTable();
-  GroupStatistics stats = GroupStatistics::Compute(t, {0});
-  auto stddev = DispersionWeightVector(t, stats, {0}, 1,
+  auto census = GroupCensus::Build(t, {0});
+  ASSERT_TRUE(census.ok());
+  const GroupStatistics& stats = census->stats;
+  auto stddev = DispersionWeightVector(t, *census, 1,
                                        VarianceCriterion::kStdDev);
-  auto neyman = DispersionWeightVector(t, stats, {0}, 1,
+  auto neyman = DispersionWeightVector(t, *census, 1,
                                        VarianceCriterion::kNeyman);
   ASSERT_TRUE(stddev.ok() && neyman.ok());
   // Equal group sizes (100 each): Neyman = 100 * stddev.
@@ -46,9 +50,11 @@ TEST(DispersionTest, NeymanScalesByGroupSize) {
 
 TEST(DispersionTest, RangeCriterion) {
   Table t = MakeDispersionTable();
-  GroupStatistics stats = GroupStatistics::Compute(t, {0});
+  auto census = GroupCensus::Build(t, {0});
+  ASSERT_TRUE(census.ok());
+  const GroupStatistics& stats = census->stats;
   auto weights =
-      DispersionWeightVector(t, stats, {0}, 1, VarianceCriterion::kRange);
+      DispersionWeightVector(t, *census, 1, VarianceCriterion::kRange);
   ASSERT_TRUE(weights.ok());
   auto tight = stats.IndexOf({Value("tight")});
   auto wild = stats.IndexOf({Value("wild")});
@@ -63,8 +69,10 @@ TEST(DispersionTest, SingletonGroupGetsZero) {
   ASSERT_TRUE(t.AppendRow({Value("solo"), Value(7.0)}).ok());
   ASSERT_TRUE(t.AppendRow({Value("pair"), Value(1.0)}).ok());
   ASSERT_TRUE(t.AppendRow({Value("pair"), Value(9.0)}).ok());
-  GroupStatistics stats = GroupStatistics::Compute(t, {0});
-  auto weights = DispersionWeightVector(t, stats, {0}, 1,
+  auto census = GroupCensus::Build(t, {0});
+  ASSERT_TRUE(census.ok());
+  const GroupStatistics& stats = census->stats;
+  auto weights = DispersionWeightVector(t, *census, 1,
                                         VarianceCriterion::kStdDev);
   ASSERT_TRUE(weights.ok());
   auto solo = stats.IndexOf({Value("solo")});
@@ -74,13 +82,19 @@ TEST(DispersionTest, SingletonGroupGetsZero) {
 
 TEST(DispersionTest, Validation) {
   Table t = MakeDispersionTable();
-  GroupStatistics stats = GroupStatistics::Compute(t, {0});
-  EXPECT_FALSE(DispersionWeightVector(t, stats, {0}, 9,
-                                      VarianceCriterion::kStdDev)
-                   .ok());
-  EXPECT_FALSE(DispersionWeightVector(t, stats, {0}, 0,
-                                      VarianceCriterion::kStdDev)
-                   .ok());  // String column.
+  auto census = GroupCensus::Build(t, {0});
+  ASSERT_TRUE(census.ok());
+  EXPECT_FALSE(
+      DispersionWeightVector(t, *census, 9, VarianceCriterion::kStdDev).ok());
+  EXPECT_FALSE(
+      DispersionWeightVector(t, *census, 0, VarianceCriterion::kStdDev)
+          .ok());  // String column.
+  // A census of another table is refused before any row is read.
+  Table shorter = t.CloneEmpty();
+  ASSERT_TRUE(shorter.AppendRow({Value("tight"), Value(1.0)}).ok());
+  EXPECT_FALSE(
+      DispersionWeightVector(shorter, *census, 1, VarianceCriterion::kStdDev)
+          .ok());
 }
 
 GroupStatistics DateStats() {

@@ -163,7 +163,9 @@ TEST(ShardedMaintainerTest, ConcurrentProducersLoseNothing) {
           batch.clear();
         }
       }
-      if (!batch.empty()) ASSERT_TRUE(sharded.InsertBatch(batch).ok());
+      if (!batch.empty()) {
+        ASSERT_TRUE(sharded.InsertBatch(batch).ok());
+      }
     });
   }
   for (std::thread& producer : producers) producer.join();
@@ -196,7 +198,9 @@ TEST(ShardedMaintainerTest, MergeConcurrentWithProducersStaysConsistent) {
         batch.clear();
       }
     }
-    if (!batch.empty()) ASSERT_TRUE(sharded.InsertBatch(batch).ok());
+    if (!batch.empty()) {
+      ASSERT_TRUE(sharded.InsertBatch(batch).ok());
+    }
     done.store(true, std::memory_order_release);
   });
   uint64_t merged = 0;
