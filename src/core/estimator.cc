@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -288,81 +289,13 @@ Result<FoldUnits> InternedUnits(const StratifiedSample& sample,
   units.rows = std::move(lists.rows);
   units.unit_of_row = units.index.row_ids().data();
   units.group_of = std::move(projection->group_of);
+  units.first_row = std::move(projection->first_rows);
   units.stratum_of.resize(units.group_of.size());
-  units.first_row.reserve(units.group_of.size());
   for (size_t u = 0; u < units.group_of.size(); ++u) {
-    const uint32_t first = units.rows[units.offsets[u]];
-    units.stratum_of[u] = sample.row_strata()[first];
-    // Project numbers groups in unit order, and unit ids are
-    // first-occurrence ordered, so a group's first unit holds its first
-    // row.
-    if (units.group_of[u] == units.first_row.size()) {
-      units.first_row.push_back(first);
-    }
+    units.stratum_of[u] = sample.row_strata()[units.index.first_rows()[u]];
   }
   return units;
 }
-
-/// Orders sample rows by their values at `columns` exactly as GroupKey's
-/// operator< orders the keys Table::KeyForRow would build: column by
-/// column, each compared with the operator std::variant applies, so every
-/// comparison (NaN included) gives the same answer — without building the
-/// keys.
-class RowKeyLess {
- public:
-  RowKeyLess(const Table& table, const std::vector<size_t>& columns) {
-    for (size_t c : columns) {
-      Column column;
-      column.type = table.schema().field(c).type;
-      switch (column.type) {
-        case DataType::kInt64:
-          column.i64 = table.Int64Column(c).data();
-          break;
-        case DataType::kDouble:
-          column.f64 = table.DoubleColumn(c).data();
-          break;
-        case DataType::kString:
-          column.codes = table.CodeColumn(c).data();
-          column.dict = &table.Dictionary(c);
-          break;
-      }
-      columns_.push_back(column);
-    }
-  }
-
-  bool operator()(uint32_t a, uint32_t b) const {
-    for (const Column& column : columns_) {
-      switch (column.type) {
-        case DataType::kInt64:
-          if (column.i64[a] < column.i64[b]) return true;
-          if (column.i64[b] < column.i64[a]) return false;
-          break;
-        case DataType::kDouble:
-          if (column.f64[a] < column.f64[b]) return true;
-          if (column.f64[b] < column.f64[a]) return false;
-          break;
-        case DataType::kString: {
-          const std::string& x = column.dict->At(column.codes[a]);
-          const std::string& y = column.dict->At(column.codes[b]);
-          if (x < y) return true;
-          if (y < x) return false;
-          break;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  struct Column {
-    DataType type = DataType::kInt64;
-    const int64_t* i64 = nullptr;
-    const double* f64 = nullptr;
-    const int32_t* codes = nullptr;
-    const StringDictionary* dict = nullptr;
-  };
-  std::vector<Column> columns_;
-};
 
 /// Finite-population variance of the stratified expansion estimator for
 /// one stratum: N(N - n) * S^2 / n, with S^2 the sample variance of the
@@ -475,21 +408,9 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   const size_t num_units = units.stratum_of.size();
   const size_t num_groups = units.first_row.size();
 
-  // Aggregate inputs: COUNT folds none, and aggregates over the same
-  // column (or the same expression object) share one.
-  std::vector<size_t> input_of(num_aggs, 0);
-  std::vector<const AggregateSpec*> inputs;
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const AggregateSpec& spec = query.aggregates[a];
-    if (spec.kind == AggregateKind::kCount) continue;
-    size_t k = 0;
-    while (k < inputs.size() && !(inputs[k]->expression == spec.expression &&
-                                  inputs[k]->column == spec.column)) {
-      ++k;
-    }
-    if (k == inputs.size()) inputs.push_back(&spec);
-    input_of[a] = k;
-  }
+  const AggregateInputs distinct = DistinctInputs(query.aggregates);
+  const std::vector<const AggregateSpec*>& inputs = distinct.specs;
+  const std::vector<size_t>& input_of = distinct.input_of;
   const size_t num_inputs = inputs.size();
 
   // Fold: the units' runs, in ascending row order, into their match
@@ -678,10 +599,8 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
       order.push_back(g);
     }
   }
-  const RowKeyLess row_less(rows, query.group_columns);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return row_less(units.first_row[a], units.first_row[b]);
-  });
+  const RowKeyLess key_less(rows, query.group_columns, units.first_row);
+  std::sort(order.begin(), order.end(), std::cref(key_less));
   ApproximateResult result(query.group_columns.size(), num_aggs);
   result.Reserve(order.size());
   GroupKey key(query.group_columns.size());

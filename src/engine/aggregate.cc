@@ -28,6 +28,24 @@ std::string AggregateSpec::ToString() const {
          std::to_string(column) + ")";
 }
 
+AggregateInputs DistinctInputs(const std::vector<AggregateSpec>& aggregates) {
+  AggregateInputs inputs;
+  inputs.input_of.assign(aggregates.size(), 0);
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const AggregateSpec& spec = aggregates[a];
+    if (spec.kind == AggregateKind::kCount) continue;
+    size_t k = 0;
+    while (k < inputs.specs.size() &&
+           !(inputs.specs[k]->expression == spec.expression &&
+             inputs.specs[k]->column == spec.column)) {
+      ++k;
+    }
+    if (k == inputs.specs.size()) inputs.specs.push_back(&spec);
+    inputs.input_of[a] = k;
+  }
+  return inputs;
+}
+
 Status ValidateAggregate(const AggregateSpec& spec, const Schema& schema) {
   if (spec.kind == AggregateKind::kCount) return Status::OK();
   if (spec.expression != nullptr) return spec.expression->Validate(schema);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "engine/expression.h"
 #include "engine/kernels.h"
@@ -77,12 +78,23 @@ inline void AggregateInputBatch(const AggregateSpec& spec, const Table& table,
   }
 }
 
+/// The distinct value inputs of a SELECT list. Aggregates over the same
+/// column, or over the same expression object, read the same values, so a
+/// scan gathers and folds each input once; COUNT reads none.
+struct AggregateInputs {
+  std::vector<const AggregateSpec*> specs;  ///< One per distinct input.
+  std::vector<size_t> input_of;  ///< Aggregate -> its input (0 for COUNT).
+};
+AggregateInputs DistinctInputs(const std::vector<AggregateSpec>& aggregates);
+
 /// Validates an aggregate against a schema: COUNT needs nothing;
 /// expression aggregates validate their expression; column aggregates
 /// need an in-range numeric column.
 Status ValidateAggregate(const AggregateSpec& spec, const Schema& schema);
 
-/// Streaming accumulator for one (group, aggregate) pair over exact data.
+/// Streaming accumulator for one (group, aggregate) pair over exact data:
+/// the per-value reference whose bits ExecuteExact's fused fold
+/// reproduces (executor_test's NaiveExact folds with it).
 class Accumulator {
  public:
   explicit Accumulator(AggregateKind kind) : kind_(kind) {}
@@ -93,46 +105,6 @@ class Accumulator {
     count_ += 1;
     if (value < min_) min_ = value;
     if (value > max_) max_ = value;
-  }
-
-  /// Batch fold for a row-ordered scan over many groups: folds values[i]
-  /// into base[groups[i] * stride] for i in [0, n), in ascending i, and
-  /// maintains only the state Finish() reads for `kind`. Every target
-  /// must be a `kind` accumulator; `values` is unused (and may be null)
-  /// for COUNT. Each target sees its inputs in order through Add's strict
-  /// comparisons (NaN never wins a MIN/MAX, the first-encountered signed
-  /// zero is kept), so Finish() returns the bits a per-value Add loop
-  /// would.
-  static void AddScattered(AggregateKind kind, const double* values,
-                           const uint32_t* groups, size_t n,
-                           Accumulator* base, size_t stride) {
-    switch (kind) {
-      case AggregateKind::kSum:
-      case AggregateKind::kAvg:
-        for (size_t i = 0; i < n; ++i) {
-          Accumulator& acc = base[groups[i] * stride];
-          acc.sum_ += values[i];
-          acc.count_ += 1;
-        }
-        break;
-      case AggregateKind::kCount:
-        for (size_t i = 0; i < n; ++i) base[groups[i] * stride].count_ += 1;
-        break;
-      case AggregateKind::kMin:
-        for (size_t i = 0; i < n; ++i) {
-          Accumulator& acc = base[groups[i] * stride];
-          if (values[i] < acc.min_) acc.min_ = values[i];
-          acc.count_ += 1;
-        }
-        break;
-      case AggregateKind::kMax:
-        for (size_t i = 0; i < n; ++i) {
-          Accumulator& acc = base[groups[i] * stride];
-          if (values[i] > acc.max_) acc.max_ = values[i];
-          acc.count_ += 1;
-        }
-        break;
-    }
   }
 
   /// Final aggregate value. AVG of an empty group is 0 by convention

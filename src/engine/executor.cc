@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 #include <string>
 
 #include "engine/kernels.h"
@@ -37,6 +39,80 @@ Status ValidateQuery(const Table& table, const GroupByQuery& query) {
   }
   return Status::OK();
 }
+
+/// The running states of one distinct aggregate input, one slot per
+/// group (struct of arrays): the sum when a SUM or AVG reads the input,
+/// the minimum and maximum only when a MIN or MAX does.
+class InputFold {
+ public:
+  /// Keeps the state an aggregate of `kind` reads. Call before folding.
+  void Want(AggregateKind kind, size_t num_groups) {
+    switch (kind) {
+      case AggregateKind::kSum:
+      case AggregateKind::kAvg:
+        sum_.assign(num_groups, 0.0);
+        break;
+      case AggregateKind::kMin:
+        min_.assign(num_groups, std::numeric_limits<double>::infinity());
+        break;
+      case AggregateKind::kMax:
+        max_.assign(num_groups, -std::numeric_limits<double>::infinity());
+        break;
+      case AggregateKind::kCount:  // Reads the group's match count.
+        break;
+    }
+  }
+
+  /// Folds the batch's values into their groups' states: value_at(i)
+  /// into group group_at(i) for i in [0, n), in ascending i. These are
+  /// Accumulator::Add's operations in its order: MIN/MAX compare
+  /// strictly, so a NaN never wins and the first signed zero seen is kept.
+  template <typename GroupAt, typename ValueAt>
+  void Fold(size_t n, const GroupAt& group_at, const ValueAt& value_at) {
+    if (!sum_.empty()) {
+      double* sum = sum_.data();
+      for (size_t i = 0; i < n; ++i) sum[group_at(i)] += value_at(i);
+    }
+    if (!min_.empty()) {
+      double* min = min_.data();
+      for (size_t i = 0; i < n; ++i) {
+        const double v = value_at(i);
+        const uint32_t g = group_at(i);
+        if (v < min[g]) min[g] = v;
+      }
+    }
+    if (!max_.empty()) {
+      double* max = max_.data();
+      for (size_t i = 0; i < n; ++i) {
+        const double v = value_at(i);
+        const uint32_t g = group_at(i);
+        if (v > max[g]) max[g] = v;
+      }
+    }
+  }
+
+  /// Accumulator::Finish for group `g` with `count` > 0 matched rows.
+  double Finish(AggregateKind kind, uint32_t g, uint64_t count) const {
+    switch (kind) {
+      case AggregateKind::kSum:
+        return sum_[g];
+      case AggregateKind::kCount:
+        return static_cast<double>(count);
+      case AggregateKind::kAvg:
+        return sum_[g] / static_cast<double>(count);
+      case AggregateKind::kMin:
+        return min_[g];
+      case AggregateKind::kMax:
+        return max_[g];
+    }
+    return 0.0;
+  }
+
+ private:
+  std::vector<double> sum_;
+  std::vector<double> min_;
+  std::vector<double> max_;
+};
 
 }  // namespace
 
@@ -76,91 +152,170 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
   const uint32_t* row_ids =
       project ? covering->row_ids().data() : own.row_ids().data();
   const uint32_t* group_of = project ? projection.group_of.data() : nullptr;
-  const std::vector<GroupKey>& keys = project ? projection.keys : own.keys();
-  const size_t num_groups = keys.size();
+  const std::vector<uint32_t>& first_rows =
+      project ? projection.first_rows : own.first_rows();
+  const size_t num_groups = first_rows.size();
   const size_t num_aggs = query.aggregates.size();
 
-  // One row-ordered pass: per L1-sized batch, the predicate selects the
-  // survivors, each survivor is mapped to its group, and every aggregate
-  // folds the batch while it is cache-hot. Each group therefore folds its
+  // One fused, row-ordered pass: per L1-sized batch, the predicate
+  // selects the survivors (with no predicate every row of the batch is
+  // walked densely), each survivor is mapped to its group, and every
+  // distinct aggregate input is read once and folded into its running
+  // states while the batch is cache-hot. Each group therefore folds its
   // matching rows in ascending row order — the order of a serial per-row
   // loop — so results are bit-identical for every batch size, thread
   // count and id source.
   //
   // The pass runs on the calling thread; options.num_threads speeds up
-  // only the id build. Folding costs a few ns per row, and splitting rows
-  // between per-group owners (so each still folds in row order) cost as
-  // much again: on a 4-core x86 host the split pass was slower than this
-  // one at 200k rows for 2-8 threads and at 2M rows for 2 threads, and
-  // only about a fifth faster at 2M rows for 4 threads.
+  // only the id build. Folding costs about a nanosecond per row, and
+  // splitting rows between per-group owners (so each still folds in row
+  // order) cost more: on a 4-core x86 host a split pass was slower than
+  // the earlier per-aggregate fold at 200k rows for 2-8 threads and at 2M
+  // rows for 2 threads, and only about a fifth faster at 2M rows for 4
+  // threads.
   CONGRESS_SPAN(aggregate_span, options.scope, "aggregate");
-  std::vector<Accumulator> accs;
-  accs.reserve(num_groups * num_aggs);
-  for (size_t g = 0; g < num_groups; ++g) {
-    for (const AggregateSpec& spec : query.aggregates) {
-      accs.emplace_back(spec.kind);
+  const AggregateInputs inputs = DistinctInputs(query.aggregates);
+  const size_t num_inputs = inputs.specs.size();
+  std::vector<InputFold> folds(num_inputs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const AggregateKind kind = query.aggregates[a].kind;
+    if (kind != AggregateKind::kCount) {
+      folds[inputs.input_of[a]].Want(kind, num_groups);
     }
   }
+  // One match count per group: every aggregate of a group sees the same
+  // rows. With no predicate every row matches, so the index's own counts
+  // are the match counts.
+  std::vector<uint64_t> counts(num_groups, 0);
+  const bool dense = query.predicate == nullptr;
+  if (dense) {
+    const std::vector<uint64_t>& index_counts =
+        project ? covering->counts() : own.counts();
+    for (size_t id = 0; id < index_counts.size(); ++id) {
+      counts[group_of != nullptr ? group_of[id] : id] += index_counts[id];
+    }
+  }
+  bool any_expression = false;
+  for (const AggregateSpec* spec : inputs.specs) {
+    any_expression = any_expression || spec->expression != nullptr;
+  }
+
   const bool tally_on = kernels::kObsEnabled && options.scope != nullptr;
   // Per batched row: its selection slot, its group slot, one input
   // buffer slot, and the source column cells behind the gathers.
-  const uint32_t batch_rows = kernels::AdaptiveBatchRows(16 + 16 * num_aggs);
+  const uint32_t batch_rows =
+      kernels::AdaptiveBatchRows(16 + 16 * std::max<size_t>(num_inputs, 1));
   kernels::KernelTally tally;
   SelectionVector rows;
-  std::vector<uint32_t> groups;
-  std::vector<double> inputs;
+  std::vector<uint32_t> groups(batch_rows);
+  std::vector<double> values(batch_rows);
+  // Folds one batch of m matching rows, the i-th in group group_at(i):
+  // the run [first, first + m) when `run`, else rows[0..m). Plain column
+  // inputs of a run are read in place; every other input is gathered or
+  // evaluated through `rows`, which then holds the batch's rows.
+  auto fold_batch = [&](const auto& group_at, bool run, uint32_t first,
+                        size_t m) {
+    if (!dense) {
+      for (size_t i = 0; i < m; ++i) counts[group_at(i)] += 1;
+    }
+    for (size_t k = 0; k < num_inputs; ++k) {
+      const AggregateSpec& spec = *inputs.specs[k];
+      InputFold& fold = folds[k];
+      tally.eval_batches += 1;
+      tally.eval_rows += m;
+      if (run && spec.expression == nullptr) {
+        if (table.schema().field(spec.column).type == DataType::kInt64) {
+          const int64_t* cells = table.Int64Column(spec.column).data() + first;
+          fold.Fold(m, group_at, [cells](size_t i) {
+            return static_cast<double>(cells[i]);  // As Table::NumericAt.
+          });
+        } else {
+          const double* cells = table.DoubleColumn(spec.column).data() + first;
+          fold.Fold(m, group_at, [cells](size_t i) { return cells[i]; });
+        }
+        continue;
+      }
+      const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
+      AggregateInputBatch(spec, table, rows.data(), m, values.data());
+      if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
+      fold.Fold(m, group_at, [v = values.data()](size_t i) { return v[i]; });
+    }
+  };
   const uint32_t n = static_cast<uint32_t>(table.num_rows());
   for (uint32_t begin = 0; begin < n; begin += batch_rows) {
     const uint32_t end = std::min(n, begin + batch_rows);
-    rows.clear();
-    if (query.predicate == nullptr) {
-      for (uint32_t row = begin; row < end; ++row) rows.push_back(row);
+    uint32_t first = begin;
+    size_t m = end - begin;
+    if (dense) {
+      if (any_expression) {
+        rows.resize(m);
+        for (size_t i = 0; i < m; ++i) {
+          rows[i] = begin + static_cast<uint32_t>(i);
+        }
+      }
     } else {
+      rows.clear();
       const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
       query.predicate->MatchBatch(table, begin, end, nullptr, &rows);
       if (tally_on) tally.match_nanos += kernels::TallyClockNanos() - t0;
       tally.match_batches += 1;
       tally.match_rows_in += end - begin;
       tally.match_rows_selected += rows.size();
-      if (rows.empty()) continue;
+      m = rows.size();
+      if (m == 0) continue;
+      first = rows[0];
     }
-    const size_t m = rows.size();
-    groups.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      const uint32_t id = row_ids[rows[i]];
-      groups[i] = group_of != nullptr ? group_of[id] : id;
-    }
-    if (inputs.size() < m) inputs.resize(m);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      const AggregateSpec& spec = query.aggregates[a];
-      const double* values = nullptr;  // COUNT folds no input values.
-      if (spec.kind != AggregateKind::kCount) {
-        const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
-        AggregateInputBatch(spec, table, rows.data(), m, inputs.data());
-        if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
-        values = inputs.data();
+    // A selection that is one contiguous run (such as a range over a
+    // clustered column) is walked like an unfiltered batch.
+    if (first + m - 1 == (dense ? end - 1 : rows[m - 1])) {
+      const uint32_t* ids = row_ids + first;
+      if (group_of == nullptr) {
+        fold_batch([ids](size_t i) { return ids[i]; }, true, first, m);
+      } else {
+        fold_batch([ids, group_of](size_t i) { return group_of[ids[i]]; },
+                   true, first, m);
       }
-      tally.eval_batches += 1;
-      tally.eval_rows += m;
-      Accumulator::AddScattered(spec.kind, values, groups.data(), m,
-                                accs.data() + a, num_aggs);
+    } else {
+      for (size_t i = 0; i < m; ++i) {
+        const uint32_t id = row_ids[rows[i]];
+        groups[i] = group_of != nullptr ? group_of[id] : id;
+      }
+      fold_batch([g = groups.data()](size_t i) { return g[i]; }, false, first,
+                 m);
     }
   }
   kernels::RecordKernelTally(tally, aggregate_span.scope());
   aggregate_span.Stop();
 
+  // Finalize: each matched group's values, HAVING, then the survivors
+  // sorted by key. Sorting group ids by their first rows, in
+  // first-occurrence order, with comparisons identical to those of the
+  // keys gives the order a key sort of the rows gives, NaN keys included.
   CONGRESS_SPAN(finalize_span, options.scope, "finalize");
-  QueryResult result;
-  for (size_t g = 0; g < num_groups; ++g) {
-    const Accumulator* group = accs.data() + g * num_aggs;
-    if (group[0].count() == 0) continue;  // No row matched the predicate.
-    std::vector<double> finals;
-    finals.reserve(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) finals.push_back(group[a].Finish());
-    result.Add(keys[g], std::move(finals));
+  std::vector<double> finals(num_groups * num_aggs);
+  std::vector<uint32_t> order;
+  order.reserve(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    if (counts[g] == 0) continue;  // No row matched the predicate.
+    double* out = finals.data() + g * num_aggs;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const AggregateKind kind = query.aggregates[a].kind;
+      out[a] = kind == AggregateKind::kCount
+                   ? static_cast<double>(counts[g])
+                   : folds[inputs.input_of[a]].Finish(kind, g, counts[g]);
+    }
+    if (PassesHaving(query.having, out, num_aggs)) order.push_back(g);
   }
-  result.FilterHaving(query.having);
-  result.SortByKey();
+  const RowKeyLess key_less(table, query.group_columns, first_rows);
+  std::sort(order.begin(), order.end(), std::cref(key_less));
+  QueryResult result;
+  result.Reserve(order.size());
+  for (uint32_t g : order) {
+    const double* out = finals.data() + g * num_aggs;
+    // The projection is this call's own, so its keys move out.
+    result.Add(project ? std::move(projection.keys[g]) : own.keys()[g],
+               std::vector<double>(out, out + num_aggs));
+  }
   return result;
 }
 

@@ -19,18 +19,27 @@ class GroupIndex;
 /// finest-strata index): it is projected onto the query's columns once,
 /// with no per-row hashing. Otherwise the query's own grouping columns
 /// are interned (GroupIndex::Build, parallel over `options.num_threads`).
-/// Then one row-ordered pass filters each batch, maps survivors to their
-/// groups and folds the aggregates, so every group folds its rows in
-/// ascending row order. Results are bit-identical for every thread count
-/// and either id source.
+/// Then one fused, row-ordered pass filters each batch, maps survivors to
+/// their groups and folds them: one match count per group, shared by
+/// COUNT, AVG and the empty-group test, and one running state per
+/// distinct aggregate input (a column, or one expression object), shared
+/// by every aggregate over it. Every group folds its rows in ascending
+/// row order, as a per-row Accumulator::Add loop would.
+///
+/// Groups with a matching row that pass HAVING are returned in key order:
+/// their ids, in first-occurrence order, are sorted by their first rows
+/// with RowKeyLess, whose comparisons equal those of the keys, so the
+/// order is the one a key sort gives (NaN keys included). Results are
+/// bit-identical for every thread count and either id source.
 /// A `covering` index with a different row count is InvalidArgument.
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                                  const ExecutorOptions& options = {},
                                  const GroupIndex* covering = nullptr);
 
 /// Computes the number of tuples in each group at the grouping
-/// `group_columns` (COUNT(*) group-by without predicate). Used by the
-/// two-pass sample builders to learn the strata sizes.
+/// `group_columns` (COUNT(*) group-by without predicate), keyed by group.
+/// A convenience over GroupIndex::Build for tests, oracles and examples;
+/// the sample builders read their strata sizes from a GroupCensus.
 std::unordered_map<GroupKey, uint64_t, GroupKeyHash> CountGroups(
     const Table& table, const std::vector<size_t>& group_columns,
     const ExecutorOptions& options = {});

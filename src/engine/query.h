@@ -148,6 +148,9 @@ class QueryResult {
   /// Appends a group row. Keys must be unique.
   void Add(GroupKey key, std::vector<double> aggregates);
 
+  /// Reserves room for `num_groups` rows.
+  void Reserve(size_t num_groups) { rows_.reserve(num_groups); }
+
   size_t num_groups() const { return rows_.size(); }
   const std::vector<GroupResult>& rows() const { return rows_; }
 

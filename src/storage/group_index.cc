@@ -197,6 +197,7 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
     index.row_ids_.assign(n, 0);
     index.keys_.push_back(GroupKey{});
     index.counts_.push_back(n);
+    index.first_rows_.push_back(0);
     index.lookup_.Emplace(GroupKeyHash{}(GroupKey{}), 0,
                           [](uint32_t) { return false; });
     return index;
@@ -219,10 +220,11 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
     const std::vector<int32_t>& codes = table.CodeColumn(group_columns[0]);
     const StringDictionary& dict = table.Dictionary(group_columns[0]);
     index.counts_.assign(dict.size(), 0);
+    index.first_rows_.assign(dict.size(), 0);
     for (size_t row = 0; row < n; ++row) {
       const uint32_t id = static_cast<uint32_t>(codes[row]);
       index.row_ids_[row] = id;
-      index.counts_[id] += 1;
+      if (index.counts_[id]++ == 0) index.first_rows_[id] = row;
     }
     index.keys_.reserve(dict.size());
     for (size_t g = 0; g < dict.size(); ++g) {
@@ -236,7 +238,6 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
     return index;
   }
 
-  std::vector<uint32_t> reps;  // global id -> representative row.
   if (group_columns.size() == 1 &&
       table.schema().field(group_columns[0]).type == DataType::kInt64) {
     // Fast path: a single int64 grouping column probes the raw column
@@ -253,8 +254,8 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
     const auto rows_eq = [&data](size_t a, size_t b) {
       return data[a] == data[b];
     };
-    reps = InternRows(ranges, options, hash_of, rows_eq,
-                      index.row_ids_.data(), &index.counts_);
+    index.first_rows_ = InternRows(ranges, options, hash_of, rows_eq,
+                                   index.row_ids_.data(), &index.counts_);
   } else {
     const std::vector<ColumnRef> refs = ResolveColumns(table, group_columns);
     const auto hash_of = [&refs](size_t row) {
@@ -263,12 +264,13 @@ Result<GroupIndex> GroupIndex::Build(const Table& table,
     const auto rows_eq = [&refs](size_t a, size_t b) {
       return RowsEqual(refs, a, b);
     };
-    reps = InternRows(ranges, options, hash_of, rows_eq,
-                      index.row_ids_.data(), &index.counts_);
+    index.first_rows_ = InternRows(ranges, options, hash_of, rows_eq,
+                                   index.row_ids_.data(), &index.counts_);
   }
 
-  index.keys_.reserve(reps.size());
-  for (uint32_t rep : reps) {
+  // InternRows's representatives are each group's first row.
+  index.keys_.reserve(index.first_rows_.size());
+  for (uint32_t rep : index.first_rows_) {
     index.keys_.push_back(table.KeyForRow(rep, group_columns));
   }
   index.lookup_.Reserve(index.keys_.size());
@@ -321,7 +323,10 @@ Result<GroupIndex::Projection> GroupIndex::Project(
     auto [id, inserted] = dict.Emplace(
         GroupKeyHash{}(key), static_cast<uint32_t>(projection.keys.size()),
         [&](uint32_t cand) { return projection.keys[cand] == key; });
-    if (inserted) projection.keys.push_back(key);
+    if (inserted) {
+      projection.keys.push_back(key);
+      projection.first_rows.push_back(first_rows_[g]);
+    }
     projection.group_of[g] = id;
   }
   return projection;

@@ -56,6 +56,10 @@ class GroupIndex {
   /// Per-group row counts, aligned with keys().
   const std::vector<uint64_t>& counts() const { return counts_; }
 
+  /// Per-group first row: the smallest row carrying the group's id, whose
+  /// values are the group's key. Aligned with keys().
+  const std::vector<uint32_t>& first_rows() const { return first_rows_; }
+
   /// Id of `key`, or NotFound.
   Result<uint32_t> IdOf(const GroupKey& key) const;
 
@@ -64,22 +68,25 @@ class GroupIndex {
   bool Covers(const std::vector<size_t>& columns) const;
 
   /// A coarser grouping read off this one: `group_of` maps each of this
-  /// index's ids to its group at the projected columns, and `keys` holds
-  /// the projected keys in `columns` order. A row's projected id is
-  /// group_of[row_ids()[row]] — no per-row hashing.
+  /// index's ids to its group at the projected columns, `keys` holds the
+  /// projected keys in `columns` order and `first_rows` each projected
+  /// group's first row. A row's projected id is group_of[row_ids()[row]]
+  /// — no per-row hashing.
   struct Projection {
-    std::vector<uint32_t> group_of;  ///< num_groups() entries.
-    std::vector<GroupKey> keys;      ///< Projected id -> key.
+    std::vector<uint32_t> group_of;    ///< num_groups() entries.
+    std::vector<GroupKey> keys;        ///< Projected id -> key.
+    std::vector<uint32_t> first_rows;  ///< Projected id -> first row.
   };
 
   /// Projects onto `columns`, which must be covered (InvalidArgument
   /// otherwise). Interns the projected keys once, walking this index's
   /// groups in id order. Ids are first-occurrence ordered, so the first
   /// group to carry a projected key holds that key's first row: projected
-  /// ids and keys (including a -0.0 vs +0.0 representative) equal those
-  /// of a direct Build over `columns` on the same table. The one
-  /// exception is a single string column, whose direct Build numbers
-  /// groups by dictionary code; the keys are the same either way.
+  /// ids, keys (including a -0.0 vs +0.0 representative) and first rows
+  /// equal those of a direct Build over `columns` on the same table. The
+  /// one exception is a single string column, whose direct Build numbers
+  /// groups by dictionary code; keys and first rows are the same either
+  /// way.
   Result<Projection> Project(const std::vector<size_t>& columns) const;
 
   /// Rows regrouped by id: group g owns rows()[offsets()[g] ..
@@ -97,6 +104,7 @@ class GroupIndex {
   std::vector<GroupKey> keys_;
   std::vector<uint32_t> row_ids_;
   std::vector<uint64_t> counts_;
+  std::vector<uint32_t> first_rows_;
   /// Key lookup for IdOf: GroupKeyHash-hashed probe against keys_.
   FlatIdTable lookup_;
 };

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -231,6 +233,78 @@ std::string Table::ToString(size_t max_rows) const {
   }
   if (shown < num_rows_) oss << "... (" << (num_rows_ - shown) << " more)\n";
   return oss.str();
+}
+
+RowKeyLess::RowKeyLess(const Table& table, const std::vector<size_t>& columns,
+                       std::span<const uint32_t> rows)
+    : width_(columns.size()),
+      types_(columns.size()),
+      dicts_(columns.size(), nullptr),
+      cells_(rows.size() * columns.size()) {
+  for (size_t c = 0; c < width_; ++c) {
+    const size_t col = columns[c];
+    types_[c] = table.schema().field(col).type;
+    Cell* out = cells_.data() + c;
+    switch (types_[c]) {
+      case DataType::kInt64: {
+        const int64_t* data = table.Int64Column(col).data();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          out[i * width_].i64 = data[rows[i]];
+        }
+        break;
+      }
+      case DataType::kDouble: {
+        const double* data = table.DoubleColumn(col).data();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          out[i * width_].f64 = data[rows[i]];
+        }
+        break;
+      }
+      case DataType::kString: {
+        const int32_t* codes = table.CodeColumn(col).data();
+        for (size_t i = 0; i < rows.size(); ++i) {
+          out[i * width_].code = codes[rows[i]];
+        }
+        dicts_[c] = &table.Dictionary(col);
+        break;
+      }
+    }
+  }
+  PackInt64Keys(rows.size());
+}
+
+void RowKeyLess::PackInt64Keys(size_t n) {
+  if (n == 0) return;
+  // Each column's offset from its minimum, in as many bits as its range
+  // needs; later columns take the lower bits.
+  std::vector<int64_t> mins(width_);
+  std::vector<int> bits(width_);
+  int total_bits = 0;
+  for (size_t c = 0; c < width_; ++c) {
+    if (types_[c] != DataType::kInt64) return;
+    int64_t lo = cells_[c].i64;
+    int64_t hi = lo;
+    for (size_t i = 1; i < n; ++i) {
+      lo = std::min(lo, cells_[i * width_ + c].i64);
+      hi = std::max(hi, cells_[i * width_ + c].i64);
+    }
+    mins[c] = lo;
+    bits[c] = std::bit_width(static_cast<uint64_t>(hi) -
+                             static_cast<uint64_t>(lo));
+    total_bits += bits[c];
+  }
+  if (total_bits > 64) return;
+  packed_.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t key = 0;
+    for (size_t c = 0; c < width_; ++c) {
+      const uint64_t offset =
+          static_cast<uint64_t>(cells_[i * width_ + c].i64) -
+          static_cast<uint64_t>(mins[c]);
+      key = bits[c] == 64 ? offset : (key << bits[c]) | offset;
+    }
+    packed_[i] = key;
+  }
 }
 
 }  // namespace congress

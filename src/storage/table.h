@@ -2,6 +2,7 @@
 #define CONGRESS_STORAGE_TABLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -106,6 +107,67 @@ class Table {
   /// One entry per column; only string columns carry data.
   std::vector<Encoding> encodings_;
   size_t num_rows_ = 0;
+};
+
+/// Orders the rows rows[0..n) of `table` by their values at `columns`
+/// exactly as KeyLess orders the keys Table::KeyForRow would build: column
+/// by column, each compared with Value's operator<, so every comparison
+/// (NaN included) gives the same answer, without building the keys. The
+/// comparator takes positions into `rows`: (a, b) compares rows[a] with
+/// rows[b]. Given each group's first row, it sorts group ids into the
+/// order a sort of the groups' keys gives.
+///
+/// The cells are copied once, row-major, so a sort touches one short run
+/// of memory per compared row instead of one cache line per column. When
+/// every column is int64 and the columns' value ranges over `rows` fit
+/// together in 64 bits, each row's cells are packed into one unsigned
+/// integer, most significant column first, whose order is the same
+/// lexicographic order, and a comparison is one integer compare.
+class RowKeyLess {
+ public:
+  RowKeyLess(const Table& table, const std::vector<size_t>& columns,
+             std::span<const uint32_t> rows);
+
+  bool operator()(uint32_t a, uint32_t b) const {
+    if (!packed_.empty()) return packed_[a] < packed_[b];
+    const Cell* x = cells_.data() + a * width_;
+    const Cell* y = cells_.data() + b * width_;
+    for (size_t c = 0; c < width_; ++c) {
+      switch (types_[c]) {
+        case DataType::kInt64:
+          if (x[c].i64 < y[c].i64) return true;
+          if (y[c].i64 < x[c].i64) return false;
+          break;
+        case DataType::kDouble:
+          if (x[c].f64 < y[c].f64) return true;
+          if (y[c].f64 < x[c].f64) return false;
+          break;
+        case DataType::kString: {
+          const std::string& p = dicts_[c]->At(x[c].code);
+          const std::string& q = dicts_[c]->At(y[c].code);
+          if (p < q) return true;
+          if (q < p) return false;
+          break;
+        }
+      }
+    }
+    return false;
+  }
+
+ private:
+  /// Fills packed_ for the n gathered rows when the key packs.
+  void PackInt64Keys(size_t n);
+
+  union Cell {
+    int64_t i64;
+    double f64;
+    int32_t code;  ///< A string cell's dictionary code.
+  };
+  size_t width_;
+  std::vector<DataType> types_;
+  std::vector<const StringDictionary*> dicts_;  ///< Per column, or null.
+  std::vector<Cell> cells_;  ///< rows.size() x columns.size(), row-major.
+  std::vector<uint64_t> packed_;  ///< Per row, when the key packs.
 };
 
 }  // namespace congress

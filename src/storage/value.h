@@ -79,6 +79,7 @@ struct GroupKeyHash {
 
 /// GroupKey's operator< and operator== for keys viewed in place (such as
 /// an ApproximateGroupRow's): column by column with Value's operators.
+/// RowKeyLess (storage/table.h) orders table rows the same way.
 inline bool KeyLess(std::span<const Value> a, std::span<const Value> b) {
   return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
 }

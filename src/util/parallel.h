@@ -13,8 +13,8 @@ class Scope;
 }  // namespace obs
 
 /// Knobs for the morsel-driven scan engine, threaded through ExecuteExact,
-/// CountGroups, GroupIndex::Build, the HashJoin probe, and the synopsis
-/// estimators. The engine always decomposes a scan into fixed-size morsels
+/// GroupIndex::Build (and CountGroups, its census helper for tests and
+/// oracles), the HashJoin probe, and the synopsis estimators. The engine always decomposes a scan into fixed-size morsels
 /// and merges per-morsel partial states in morsel order, so the result is
 /// bit-identical for every thread count (including 1): `num_threads` only
 /// decides how many workers drain the morsel queue.

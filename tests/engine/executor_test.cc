@@ -289,18 +289,23 @@ std::vector<GroupByQuery> CoveredQueries() {
   return queries;
 }
 
-void ExpectCoveringScansIdentical(const Table& t) {
+/// Runs every query against NaiveExact with the query's own index and
+/// with the finest index {s, d, i} covering it, at 1, 4 and 8 threads,
+/// requiring the same bits in the same row order.
+void ExpectCoveringScansIdentical(
+    const Table& t, const std::vector<GroupByQuery>& queries = CoveredQueries(),
+    size_t morsel_size = 256) {
   ExecutorOptions build;
   build.num_threads = 4;
-  build.morsel_size = 256;
+  build.morsel_size = morsel_size;
   auto fine = GroupIndex::Build(t, {2, 1, 0}, build);
   ASSERT_TRUE(fine.ok());
-  for (const GroupByQuery& q : CoveredQueries()) {
+  for (const GroupByQuery& q : queries) {
     const QueryResult reference = NaiveExact(t, q);
     for (size_t threads : {1, 4, 8}) {
       ExecutorOptions options;
       options.num_threads = threads;
-      options.morsel_size = 256;
+      options.morsel_size = morsel_size;
       const std::string label = q.ToString() + " @" +
                                 std::to_string(threads) + " threads";
       auto self_built = ExecuteExact(t, q, options);
@@ -324,6 +329,113 @@ TEST(CoveringScanTest, NanKeysMatchReferenceBitwise) {
   // of std::sort and so depends only on its input order.
   ExpectCoveringScansIdentical(
       RandomTable(12, 2000, 2, {-0.0, 0.0, 1.5}, {"x", "y"}, 3));
+}
+
+// --- Shared fold state ---------------------------------------------------
+//
+// Aggregates of one group see the same rows, and aggregates over the same
+// input see the same values, so a scan may share a match count per group
+// and a running state per distinct input. These cases pin every kind of
+// sharing against the per-aggregate reference.
+
+/// `aggregates` over groupings of double, int64 and string keys, each
+/// with and without a predicate, optionally with `having`.
+std::vector<GroupByQuery> SharingQueries(
+    const std::vector<AggregateSpec>& aggregates,
+    const std::vector<HavingCondition>& having = {}) {
+  std::vector<GroupByQuery> queries;
+  for (const std::vector<size_t>& grouping :
+       std::vector<std::vector<size_t>>{{}, {2}, {1, 0}, {0, 1, 2}}) {
+    GroupByQuery q;
+    q.group_columns = grouping;
+    q.aggregates = aggregates;
+    q.having = having;
+    queries.push_back(q);
+    q.predicate = MakeRangePredicate(3, 0.0, 100.0);
+    queries.push_back(q);
+  }
+  return queries;
+}
+
+Table SharingTable() {
+  return RandomTable(21, 6000, 30, {-0.0, 0.0, 1.5, -2.25, 7.0},
+                     {"x", "y", "z"}, 0);
+}
+
+TEST(SharedFoldTest, AvgAndSumOverOneColumn) {
+  ExpectCoveringScansIdentical(
+      SharingTable(),
+      SharingQueries({AggregateSpec{AggregateKind::kAvg, 3},
+                      AggregateSpec{AggregateKind::kSum, 3}}),
+      512);
+}
+
+TEST(SharedFoldTest, SumMinMaxOverOneColumn) {
+  ExpectCoveringScansIdentical(
+      SharingTable(),
+      SharingQueries({AggregateSpec{AggregateKind::kSum, 3},
+                      AggregateSpec{AggregateKind::kMin, 3},
+                      AggregateSpec{AggregateKind::kMax, 3}}),
+      512);
+}
+
+TEST(SharedFoldTest, MinMaxKeepFirstSignedZeroAndSkipNan) {
+  // d holds -0.0, 0.0 and NaN: MIN and MAX must keep the first zero seen
+  // and never pick a NaN, while SUM over the same input propagates it.
+  ExpectCoveringScansIdentical(
+      RandomTable(23, 2000, 2, {-0.0, 0.0, 1.5}, {"x", "y"}, 4),
+      SharingQueries({AggregateSpec{AggregateKind::kMin, 1},
+                      AggregateSpec{AggregateKind::kMax, 1},
+                      AggregateSpec{AggregateKind::kSum, 1}}),
+      512);
+}
+
+TEST(SharedFoldTest, SharedAndTextuallyEqualExpressions) {
+  // One expression object used twice shares an input; two separate
+  // objects that print alike do not, and all four must agree bitwise
+  // with the reference.
+  const ExpressionPtr shared =
+      MakeBinaryExpr(ArithOp::kMul, MakeColumnExpr(3), MakeColumnExpr(4));
+  auto fresh = [] {
+    return MakeBinaryExpr(ArithOp::kMul, MakeColumnExpr(3), MakeColumnExpr(4));
+  };
+  ExpectCoveringScansIdentical(
+      SharingTable(),
+      SharingQueries({AggregateSpec{AggregateKind::kSum, shared},
+                      AggregateSpec{AggregateKind::kAvg, shared},
+                      AggregateSpec{AggregateKind::kSum, fresh()},
+                      AggregateSpec{AggregateKind::kMax, fresh()}}),
+      512);
+}
+
+TEST(SharedFoldTest, Int64AggregateColumn) {
+  ExpectCoveringScansIdentical(
+      SharingTable(),
+      SharingQueries({AggregateSpec{AggregateKind::kSum, 4},
+                      AggregateSpec{AggregateKind::kAvg, 4},
+                      AggregateSpec{AggregateKind::kMin, 4},
+                      AggregateSpec{AggregateKind::kMax, 0}}),
+      512);
+}
+
+TEST(SharedFoldTest, CountOnly) {
+  ExpectCoveringScansIdentical(
+      SharingTable(),
+      SharingQueries({AggregateSpec{AggregateKind::kCount, 0}}), 512);
+}
+
+TEST(SharedFoldTest, HavingOverNanAndSignedZeroKeys) {
+  // Few groups, as in NanKeysMatchReferenceBitwise, so the key sort over
+  // NaN stays on std::sort's insertion-sort path. Each NaN row is its own
+  // group with a single v, so SUM(v) > 50 keeps some NaN groups and drops
+  // others; the zero group's first row carries -0.0.
+  ExpectCoveringScansIdentical(
+      RandomTable(22, 2000, 2, {-0.0, 0.0, 1.5}, {"x", "y"}, 4),
+      SharingQueries({AggregateSpec{AggregateKind::kSum, 3},
+                      AggregateSpec{AggregateKind::kCount, 0},
+                      AggregateSpec{AggregateKind::kMin, 3}},
+                     {HavingCondition{0, CompareOp::kGt, 50.0}}),
+      512);
 }
 
 TEST(CoveringScanTest, UncoveredGroupingFallsBackToOwnIndex) {

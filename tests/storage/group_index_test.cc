@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "util/random.h"
 #include "util/zipf.h"
@@ -216,6 +219,79 @@ TEST(GroupIndexTest, ProjectionMatchesDirectBuild) {
   }
   EXPECT_FALSE(fine->Covers({0, 3}));
   EXPECT_FALSE(fine->Project({3}).ok());
+}
+
+/// Requires first_rows()[g] to be the smallest row of group g.
+void ExpectFirstRows(const GroupIndex& index, const std::string& label) {
+  ASSERT_EQ(index.first_rows().size(), index.num_groups()) << label;
+  std::vector<uint32_t> expected(index.num_groups(), UINT32_MAX);
+  for (size_t row = index.num_rows(); row-- > 0;) {
+    expected[index.row_ids()[row]] = static_cast<uint32_t>(row);
+  }
+  EXPECT_EQ(index.first_rows(), expected) << label;
+}
+
+/// Columns: i (int64), d (double), s (string), zipf-skewed so morsels
+/// see their keys in different orders.
+Table FirstRowTable() {
+  Table t{Schema({Field{"i", DataType::kInt64},
+                  Field{"d", DataType::kDouble},
+                  Field{"s", DataType::kString}})};
+  Random rng(5);
+  ZipfDistribution zipf(60, 0.9);
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.25};
+  const char* strings[] = {"w", "x", "y", "z"};
+  for (int row = 0; row < 5000; ++row) {
+    const int64_t i = static_cast<int64_t>(zipf.Sample(&rng));
+    const double d = doubles[rng.UniformRange(0, 3)];
+    const char* s = strings[rng.UniformRange(0, 3)];
+    EXPECT_TRUE(t.AppendRow({Value(i), Value(d), Value(s)}).ok());
+  }
+  return t;
+}
+
+TEST(GroupIndexTest, FirstRowsOnEveryBuildPath) {
+  const Table t = FirstRowTable();
+  // {} no-group-by, {2} string dictionary, {0} single int64, and
+  // composite keys; morsels of 512 rows force multi-morsel merges.
+  for (const std::vector<size_t>& cols : std::vector<std::vector<size_t>>{
+           {}, {2}, {0}, {1}, {0, 1}, {2, 1, 0}}) {
+    for (size_t threads : {1u, 4u}) {
+      ExecutorOptions options;
+      options.num_threads = threads;
+      options.morsel_size = 512;
+      auto index = GroupIndex::Build(t, cols, options);
+      ASSERT_TRUE(index.ok());
+      ExpectFirstRows(*index, std::to_string(cols.size()) + " columns @" +
+                                  std::to_string(threads) + " threads");
+    }
+  }
+  auto empty = GroupIndex::Build(t.CloneEmpty(), {0});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->first_rows().empty());
+}
+
+TEST(GroupIndexTest, ProjectionFirstRowsMatchDirectBuild) {
+  const Table t = FirstRowTable();
+  ExecutorOptions options;
+  options.num_threads = 4;
+  options.morsel_size = 512;
+  auto fine = GroupIndex::Build(t, {2, 1, 0}, options);
+  ASSERT_TRUE(fine.ok());
+  for (const std::vector<size_t>& cols : std::vector<std::vector<size_t>>{
+           {}, {0}, {1}, {2}, {0, 1}, {2, 0}, {0, 1, 2}}) {
+    auto direct = GroupIndex::Build(t, cols, options);
+    auto projected = fine->Project(cols);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(projected.ok());
+    ASSERT_EQ(projected->first_rows.size(), projected->keys.size());
+    for (size_t p = 0; p < projected->keys.size(); ++p) {
+      auto id = direct->IdOf(projected->keys[p]);
+      ASSERT_TRUE(id.ok());
+      EXPECT_EQ(projected->first_rows[p], direct->first_rows()[*id])
+          << "projected group " << p;
+    }
+  }
 }
 
 TEST(GroupIndexTest, BalancedGroupChunksCoverAllGroups) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 namespace congress {
 namespace {
 
@@ -112,6 +116,37 @@ TEST(TableTest, EmptyTable) {
   Table t{Schema({Field{"x", DataType::kInt64}})};
   EXPECT_EQ(t.num_rows(), 0u);
   EXPECT_TRUE(t.Int64Column(0).empty());
+}
+
+TEST(RowKeyLessTest, MatchesKeyLessOnEveryPair) {
+  // Columns: small int64s (packable), int64 extremes (too wide to pack
+  // together), doubles with NaN and both zeros, and strings.
+  Table t{Schema({Field{"a", DataType::kInt64}, Field{"b", DataType::kInt64},
+                  Field{"wide", DataType::kInt64},
+                  Field{"d", DataType::kDouble},
+                  Field{"s", DataType::kString}})};
+  const int64_t wides[] = {INT64_MIN, -1, 0, INT64_MAX};
+  const double doubles[] = {-0.0, 0.0, std::nan(""), -2.5, 1.0};
+  const char* strings[] = {"b", "a", "ab"};
+  for (int row = 0; row < 40; ++row) {
+    ASSERT_TRUE(t.AppendRow({Value(int64_t{row % 3 - 1}),
+                             Value(int64_t{(row * 7) % 5}),
+                             Value(wides[row % 4]), Value(doubles[row % 5]),
+                             Value(strings[row % 3])})
+                    .ok());
+  }
+  const std::vector<uint32_t> rows = {39, 0, 7, 12, 3, 25, 18, 30, 1, 22};
+  for (const std::vector<size_t>& cols : std::vector<std::vector<size_t>>{
+           {}, {0}, {1, 0}, {2}, {0, 2}, {2, 2}, {3}, {3, 0}, {4}, {4, 3, 1}}) {
+    const RowKeyLess less(t, cols, rows);
+    for (uint32_t a = 0; a < rows.size(); ++a) {
+      for (uint32_t b = 0; b < rows.size(); ++b) {
+        EXPECT_EQ(less(a, b), KeyLess(t.KeyForRow(rows[a], cols),
+                                      t.KeyForRow(rows[b], cols)))
+            << cols.size() << " columns, rows " << rows[a] << ", " << rows[b];
+      }
+    }
+  }
 }
 
 }  // namespace
