@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "core/rewriter.h"
 #include "tpcd/lineitem.h"
 #include "tpcd/workload.h"
 
@@ -57,11 +58,13 @@ int Run(int argc, char** argv) {
       std::printf("build failed: %s\n", synopsis.status().ToString().c_str());
       return 1;
     }
+    // Materialized once, outside the timing, as in Table 3.
+    const Rewriter rewriter(synopsis->sample());
     std::printf("%-10llu %10llu", static_cast<unsigned long long>(ng),
                 static_cast<unsigned long long>(data->realized_num_groups));
     for (const auto& [name, strategy] : strategies) {
       double t = bench::MeasureSeconds([&] {
-        auto result = synopsis->AnswerVia(qg2, strategy);
+        auto result = rewriter.Answer(qg2, strategy);
         (void)result;
       });
       std::printf(" %18.2f", 1e3 * t);

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/rewriter.h"
 #include "core/synopsis.h"
 #include "engine/executor.h"
 #include "obs/metrics.h"
@@ -89,8 +90,9 @@ int main() {
   }
 
   // 3c. Queries can also run through the SQL-style rewrite plans.
-  auto rewritten =
-      synopsis->AnswerVia(query, RewriteStrategy::kNestedIntegrated);
+  Rewriter rewriter(synopsis->sample());
+  auto rewritten = rewriter.Answer(query, RewriteStrategy::kNestedIntegrated,
+                                   synopsis->config().execution);
   if (rewritten.ok()) {
     std::printf("\nNested-Integrated rewrite agrees on %zu groups.\n",
                 rewritten->num_groups());

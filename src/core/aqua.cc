@@ -16,7 +16,7 @@ namespace congress {
 
 namespace {
 
-/// Builds one fallback synopsis from the working table's census: the
+/// Builds one fallback synopsis from the published table's census: the
 /// primary's config with the strategy swapped and incremental maintenance
 /// off (fallbacks are frozen, like everything else in a snapshot). Failure
 /// is recorded in the snapshot, not fatal — the planner's failure walk
@@ -131,15 +131,17 @@ Status AquaEngine::PublishLocked(const std::string& name,
 
   // Incremental relations freeze the primary synopsis by draining the
   // ingest shards — the merge replays the buffered rows into the serial
-  // maintainer, and the drained rows extend the working table in the
-  // same order, so the snapshot's table and synopsis describe the same
-  // stream prefix.
+  // maintainer, and the drained rows extend a copy of the last published
+  // table in the same order (pinned readers may still hold that one), so
+  // the snapshot's table and synopsis describe the same stream prefix.
   if (state->ingest != nullptr) {
     auto delta = state->ingest->MaterializeForPublish();
     if (!delta.ok()) return delta.status();
+    auto extended = std::make_shared<Table>(*state->table);
     for (const std::vector<Value>& row : delta->merged_rows) {
-      CONGRESS_RETURN_NOT_OK(state->working_table.AppendRow(row));
+      CONGRESS_RETURN_NOT_OK(extended->AppendRow(row));
     }
+    state->table = std::move(extended);
     auto synopsis = AquaSynopsis::FromSample(
         std::move(delta->sample), config, state->target_sample_size,
         delta->tuples_seen);
@@ -148,23 +150,23 @@ Status AquaEngine::PublishLocked(const std::string& name,
         std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
   }
 
-  // One census of the working table feeds the two-pass primary, both
-  // fallbacks and the fleet; its index is the snapshot's
-  // base_group_index, through which combined plans pull outlier rows.
+  // The snapshot shares the state's table. One census of it feeds the
+  // two-pass primary, both fallbacks and the fleet; its index is the
+  // snapshot's base_group_index, through which combined plans pull
+  // outlier rows.
+  snapshot->table = state->table;
+  const Table& table = *snapshot->table;
   auto grouping =
-      ResolveGroupingIndices(state->working_table.schema(), config);
+      ResolveGroupingIndices(table.schema(), config.grouping_columns);
   if (!grouping.ok()) return grouping.status();
-  auto census =
-      GroupCensus::Build(state->working_table, *grouping, config.execution);
+  auto census = GroupCensus::Build(table, *grouping, config.execution);
   if (state->ingest == nullptr) {
     if (!census.ok()) return census.status();
-    auto synopsis = AquaSynopsis::Build(state->working_table, *census, config);
+    auto synopsis = AquaSynopsis::Build(table, *census, config);
     if (!synopsis.ok()) return synopsis.status();
     snapshot->synopsis =
         std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
   }
-
-  snapshot->table = std::make_shared<const Table>(state->working_table);
 
   // The whole fleet is part of the snapshot, so the read path never builds
   // (or caches) anything. (Restored relations never publish through
@@ -174,10 +176,9 @@ Status AquaEngine::PublishLocked(const std::string& name,
     snapshot->base_group_index = census->index;
     BuildFleet(snapshot.get(), config, *census);
     const SynopsisConfig& primary = snapshot->synopsis->config();
-    BuildFallback(state->working_table, *census, primary,
-                  AllocationStrategy::kBasicCongress, &snapshot->fallback_basic,
-                  &snapshot->fallback_basic_status);
-    BuildFallback(state->working_table, *census, primary,
+    BuildFallback(table, *census, primary, AllocationStrategy::kBasicCongress,
+                  &snapshot->fallback_basic, &snapshot->fallback_basic_status);
+    BuildFallback(table, *census, primary,
                   AllocationStrategy::kHouse, &snapshot->fallback_house,
                   &snapshot->fallback_house_status);
   } else {  // Only an incremental relation publishes without a census.
@@ -199,9 +200,11 @@ Status AquaEngine::RegisterTable(const std::string& name, Table table,
   MaintenanceState state;
   state.config = config;
   if (config.incremental) {
-    auto indices = ResolveGroupingIndices(table.schema(), config);
+    auto indices =
+        ResolveGroupingIndices(table.schema(), config.grouping_columns);
     if (!indices.ok()) return indices.status();
-    auto size = ResolveSampleSize(config, table.num_rows());
+    auto size = ResolveSampleSize(config.sample_size, config.sample_fraction,
+                                  table.num_rows());
     if (!size.ok()) return size.status();
     state.target_sample_size = *size;
     ShardedIngestOptions ingest_options;
@@ -213,7 +216,7 @@ Status AquaEngine::RegisterTable(const std::string& name, Table table,
                                                        *indices,
                                                        ingest_options);
     // Feed the base relation through the same batched fast path inserts
-    // take; the initial publish below drains it into the working table.
+    // take; the initial publish below drains it into the relation's table.
     constexpr size_t kRegisterBatchRows = 1024;
     std::vector<std::vector<Value>> batch;
     batch.reserve(kRegisterBatchRows);
@@ -233,9 +236,9 @@ Status AquaEngine::RegisterTable(const std::string& name, Table table,
       CONGRESS_RETURN_NOT_OK(state.ingest->InsertBatch(batch));
     }
     CONGRESS_METRIC_INCR("synopsis.builds", 1);
-    state.working_table = Table(table.schema());
+    state.table = std::make_shared<const Table>(table.schema());
   } else {
-    state.working_table = std::move(table);
+    state.table = std::make_shared<const Table>(std::move(table));
   }
 
   CONGRESS_RETURN_NOT_OK(PublishLocked(name, &state));
@@ -329,7 +332,9 @@ Result<QueryResult> AquaEngine::QueryVia(const std::string& sql,
                                          RewriteStrategy strategy) const {
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
-  return routed->first->synopsis->AnswerVia(routed->second, strategy);
+  const AquaSynopsis& synopsis = *routed->first->synopsis;
+  return Rewriter(synopsis.sample())
+      .Answer(routed->second, strategy, synopsis.config().execution);
 }
 
 Result<ResilientAnswer> AquaEngine::QueryResilient(
@@ -466,13 +471,13 @@ Status AquaEngine::RestoreTable(const std::string& name,
 
   MaintenanceState state;
   state.config = synopsis->config();
-  state.working_table = Table(synopsis->sample().base_schema());
+  state.table = std::make_shared<const Table>(synopsis->sample().base_schema());
   state.target_sample_size = synopsis->target_size();
   state.restored = true;
 
   auto snapshot = std::make_shared<AquaSnapshot>();
   snapshot->name = name;
-  snapshot->table = std::make_shared<const Table>(state.working_table);
+  snapshot->table = state.table;
   snapshot->synopsis =
       std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
   snapshot->base_available = false;

@@ -10,6 +10,7 @@
 
 #include "core/catalog.h"
 #include "core/degradation.h"
+#include "core/rewriter.h"
 #include "core/synopsis.h"
 #include "planner/planner.h"
 #include "sampling/shard.h"
@@ -26,7 +27,7 @@ namespace congress {
 /// mirroring how the paper's experiments score accuracy.
 ///
 /// Concurrency model (snapshot lifecycle): every registered relation
-/// lives in the engine twice. The *published* side is an immutable
+/// has two sides. The *published* side is an immutable
 /// AquaSnapshot in an RCU-style Catalog — read paths (Query, QueryExact,
 /// QueryVia, QueryResilient, ExplainRewrite, Get*, Checkpoint) pin one
 /// snapshot by copying the catalog's current pointer (one short mutex
@@ -36,7 +37,7 @@ namespace congress {
 /// sharded lock-free ingest buffer (sampling/shard.h, DESIGN.md §15) and
 /// never take the writer lock, so ingest overlaps queries *and*
 /// publishes; Register/Drop/Refresh/Restore serialize on writer_mu_, and
-/// Refresh drains the shards into the relation's working table and
+/// Refresh drains the shards into a copy of the relation's table and its
 /// sample, freezes the result into the next snapshot, and atomically
 /// publishes it. A query that pinned a snapshot keeps it alive (and
 /// self-consistent) through concurrent Refresh and even DropTable;
@@ -127,7 +128,7 @@ class AquaEngine {
                      const std::vector<std::vector<Value>>& rows);
 
   /// Freezes the maintenance state into a new immutable snapshot
-  /// (synopsis + fallbacks + table copy) and atomically publishes it.
+  /// (synopsis + fallbacks + base table) and atomically publishes it.
   Status Refresh(const std::string& name);
 
   /// Serializes the *published* snapshot's synopsis to `path` (the
@@ -161,15 +162,15 @@ class AquaEngine {
   int64_t pinned_readers() const { return catalog_.pinned_readers(); }
 
  private:
-  /// Writer-private maintenance state for one relation: the working copy
-  /// of the base table plus the sharded ingest front-end absorbing
-  /// inserts. `working_table` is only touched under writer_mu_; `ingest`
-  /// is internally thread-safe and shared with in-flight inserters (a
-  /// concurrent DropTable just drops this reference — the shards stay
-  /// alive until the last inserter returns).
+  /// Writer-private maintenance state for one relation: the last
+  /// publish's base table, shared with its snapshot and never mutated
+  /// (only touched under writer_mu_), plus the sharded ingest front-end
+  /// absorbing inserts. `ingest` is internally thread-safe and shared
+  /// with in-flight inserters (a concurrent DropTable just drops this
+  /// reference — the shards stay alive until the last inserter returns).
   struct MaintenanceState {
     SynopsisConfig config;
-    Table working_table;
+    std::shared_ptr<const Table> table;
     std::shared_ptr<ShardedMaintainer> ingest;  // Null: non-incremental.
     uint64_t target_sample_size = 0;
     bool restored = false;  ///< Base relation unavailable (RestoreTable).

@@ -10,12 +10,12 @@
 namespace congress {
 
 Result<std::vector<size_t>> ResolveGroupingIndices(
-    const Schema& schema, const SynopsisConfig& config) {
-  if (config.grouping_columns.empty()) {
+    const Schema& schema, const std::vector<std::string>& grouping_columns) {
+  if (grouping_columns.empty()) {
     return Status::InvalidArgument("no grouping columns configured");
   }
   std::vector<size_t> indices;
-  for (const std::string& name : config.grouping_columns) {
+  for (const std::string& name : grouping_columns) {
     auto idx = schema.FieldIndex(name);
     if (!idx.ok()) return idx.status();
     indices.push_back(*idx);
@@ -23,15 +23,14 @@ Result<std::vector<size_t>> ResolveGroupingIndices(
   return indices;
 }
 
-Result<uint64_t> ResolveSampleSize(const SynopsisConfig& config,
-                                   uint64_t num_rows) {
-  uint64_t sample_size = config.sample_size;
+Result<uint64_t> ResolveSampleSize(uint64_t sample_size,
+                                   double sample_fraction, uint64_t num_rows) {
   if (sample_size == 0) {
-    if (config.sample_fraction <= 0.0 || config.sample_fraction > 1.0) {
+    if (sample_fraction <= 0.0 || sample_fraction > 1.0) {
       return Status::InvalidArgument("sample_fraction must be in (0, 1]");
     }
-    sample_size = static_cast<uint64_t>(std::llround(
-        config.sample_fraction * static_cast<double>(num_rows)));
+    sample_size = static_cast<uint64_t>(
+        std::llround(sample_fraction * static_cast<double>(num_rows)));
   }
   if (sample_size == 0) {
     return Status::InvalidArgument("sample size rounds to zero");
@@ -41,14 +40,15 @@ Result<uint64_t> ResolveSampleSize(const SynopsisConfig& config,
 
 Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
                                          const SynopsisConfig& config) {
-  auto indices = ResolveGroupingIndices(base.schema(), config);
+  auto indices = ResolveGroupingIndices(base.schema(), config.grouping_columns);
   if (!indices.ok()) return indices.status();
   if (!config.incremental) {
     auto census = GroupCensus::Build(base, *indices, config.execution);
     if (!census.ok()) return census.status();
     return Build(base, *census, config);
   }
-  auto size = ResolveSampleSize(config, base.num_rows());
+  auto size = ResolveSampleSize(config.sample_size, config.sample_fraction,
+                                base.num_rows());
   if (!size.ok()) return size.status();
 
   CONGRESS_METRIC_INCR("synopsis.builds", 1);
@@ -65,7 +65,8 @@ Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
 Result<AquaSynopsis> AquaSynopsis::Build(const Table& base,
                                          const GroupCensus& census,
                                          const SynopsisConfig& config) {
-  auto size = ResolveSampleSize(config, base.num_rows());
+  auto size = ResolveSampleSize(config.sample_size, config.sample_fraction,
+                                base.num_rows());
   if (!size.ok()) return size.status();
 
   CONGRESS_METRIC_INCR("synopsis.builds", 1);
@@ -103,7 +104,6 @@ Result<AquaSynopsis> AquaSynopsis::FromSample(StratifiedSample sample,
   synopsis.target_sample_size_ = target_sample_size;
   synopsis.tuples_seen_ = tuples_seen;
   synopsis.sample_ = std::move(sample);
-  synopsis.rewriter_ = std::make_shared<Rewriter>(synopsis.sample_);
   synopsis.moments_ = SampleMoments::Compute(synopsis.sample_);
   return synopsis;
 }
@@ -134,11 +134,6 @@ Result<ApproximateResult> AquaSynopsis::Answer(
   }
 #endif
   return result;
-}
-
-Result<QueryResult> AquaSynopsis::AnswerVia(const GroupByQuery& query,
-                                            RewriteStrategy strategy) const {
-  return rewriter_->Answer(query, strategy, config_.execution);
 }
 
 }  // namespace congress

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "core/rewriter.h"
 #include "sampling/allocation.h"
 #include "sampling/builder.h"
 #include "sampling/moments.h"
@@ -63,22 +62,24 @@ struct SynopsisConfig {
   ExecutorOptions execution;
 };
 
-/// Resolves config.grouping_columns against `schema` to column indices.
-/// Shared by the synopsis build paths and AquaEngine's register path.
+/// Resolves grouping column names against `schema` to column indices;
+/// errors on an empty list or an unknown name. Shared by the synopsis and
+/// join-synopsis build paths and AquaEngine's register path.
 Result<std::vector<size_t>> ResolveGroupingIndices(
-    const Schema& schema, const SynopsisConfig& config);
+    const Schema& schema, const std::vector<std::string>& grouping_columns);
 
-/// Resolves the target sample size from config.sample_size /
-/// config.sample_fraction for a relation of `num_rows` rows; errors on
-/// infeasible fractions and sizes that round to zero.
-Result<uint64_t> ResolveSampleSize(const SynopsisConfig& config,
-                                   uint64_t num_rows);
+/// Resolves the target sample size of a relation of `num_rows` rows: the
+/// absolute `sample_size` when non-zero, else `sample_fraction` of the
+/// rows; errors on infeasible fractions and sizes that round to zero.
+Result<uint64_t> ResolveSampleSize(uint64_t sample_size,
+                                   double sample_fraction, uint64_t num_rows);
 
 /// An Aqua-style synopsis over one base relation: a stratified sample and
-/// its precomputed rewrite materializations. This is the library's main
-/// facade. A synopsis is an immutable value, so concurrent readers can
-/// share it without synchronization; AquaEngine owns the only live
-/// maintainer and mints a new synopsis on every publish.
+/// its per-stratum moments. This is the library's main facade. A synopsis
+/// is an immutable value, so concurrent readers can share it without
+/// synchronization; AquaEngine owns the only live maintainer and mints a
+/// new synopsis on every publish. The Section 5.2 rewrite plans are
+/// materialized by constructing a Rewriter over sample().
 class AquaSynopsis {
  public:
   /// Builds a synopsis from `base`. The base table is only read during
@@ -95,9 +96,9 @@ class AquaSynopsis {
                                     const GroupCensus& census,
                                     const SynopsisConfig& config);
 
-  /// Freezes a sample into a synopsis: the rewrite materializations are
-  /// built once. This is the publish step of the engine's snapshot
-  /// lifecycle and the restart step of recovery (resilience/recovery.h).
+  /// Freezes a sample into a synopsis: its moments are computed once.
+  /// This is the publish step of the engine's snapshot lifecycle and the
+  /// restart step of recovery (resilience/recovery.h).
   /// The sample is authoritative for grouping structure, so
   /// config().grouping_columns is re-derived from it. `target_sample_size`
   /// is the sample-size target X and `tuples_seen` the stream position
@@ -111,13 +112,7 @@ class AquaSynopsis {
   /// stratified estimators (Section 5.1).
   Result<ApproximateResult> Answer(const GroupByQuery& query) const;
 
-  /// Approximate answer via a specific physical rewrite strategy
-  /// (Section 5.2); point estimates only.
-  Result<QueryResult> AnswerVia(const GroupByQuery& query,
-                                RewriteStrategy strategy) const;
-
   const StratifiedSample& sample() const { return sample_; }
-  const Rewriter& rewriter() const { return *rewriter_; }
   const SynopsisConfig& config() const { return config_; }
   /// Per-stratum column moments, computed once per build so the planner
   /// can score this synopsis in O(#strata).
@@ -139,7 +134,6 @@ class AquaSynopsis {
   std::vector<size_t> grouping_indices_;
   StratifiedSample sample_;
   SampleMoments moments_;
-  std::shared_ptr<Rewriter> rewriter_;
   uint64_t target_sample_size_ = 0;
   uint64_t tuples_seen_ = 0;
 };

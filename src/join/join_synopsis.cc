@@ -1,89 +1,64 @@
 #include "join/join_synopsis.h"
 
-#include <cmath>
-
-#include "sampling/reservoir.h"
+#include "sampling/builder.h"
 
 namespace congress {
 
 Result<JoinSynopsis> JoinSynopsis::Build(const StarSchema& schema,
                                          const JoinSynopsisConfig& config) {
   CONGRESS_RETURN_NOT_OK(ValidateStarSchema(schema));
-  if (config.grouping_columns.empty()) {
-    return Status::InvalidArgument("no grouping columns configured");
-  }
   auto widener = StarJoinWidener::Create(schema);
   if (!widener.ok()) return widener.status();
   const Schema& widened = widener->widened_schema();
+  auto grouping = ResolveGroupingIndices(widened, config.grouping_columns);
+  if (!grouping.ok()) return grouping.status();
+  auto sample_size = ResolveSampleSize(
+      config.sample_size, config.sample_fraction, schema.fact->num_rows());
+  if (!sample_size.ok()) return sample_size.status();
 
-  std::vector<size_t> grouping;
-  for (const std::string& name : config.grouping_columns) {
-    auto idx = widened.FieldIndex(name);
-    if (!idx.ok()) return idx.status();
-    grouping.push_back(*idx);
+  // Widen every fact row once, keeping only its grouping cells: the
+  // census of that grouping-only table supplies the strata and maps each
+  // fact row to its stratum, as for a base relation.
+  std::vector<Field> key_fields;
+  std::vector<size_t> key_columns;
+  for (size_t c : *grouping) {
+    key_columns.push_back(key_fields.size());
+    key_fields.push_back(widened.field(c));
   }
-
-  uint64_t sample_size = config.sample_size;
-  if (sample_size == 0) {
-    if (config.sample_fraction <= 0.0 || config.sample_fraction > 1.0) {
-      return Status::InvalidArgument("sample_fraction must be in (0, 1]");
-    }
-    sample_size = static_cast<uint64_t>(
-        std::llround(config.sample_fraction *
-                     static_cast<double>(schema.fact->num_rows())));
-  }
-  if (sample_size == 0) {
-    return Status::InvalidArgument("sample size rounds to zero");
-  }
-
-  // Pass 1: census of the widened grouping columns. Only the grouping
-  // cells are fetched per fact row.
+  Table keys{Schema(std::move(key_fields))};
+  keys.Reserve(schema.fact->num_rows());
   std::vector<Value> row;
-  std::vector<std::pair<GroupKey, uint64_t>> count_pairs;
-  {
-    std::unordered_map<GroupKey, uint64_t, GroupKeyHash> counts;
-    for (size_t r = 0; r < schema.fact->num_rows(); ++r) {
-      CONGRESS_RETURN_NOT_OK(widener->Widen(r, &row));
-      GroupKey key;
-      key.reserve(grouping.size());
-      for (size_t c : grouping) key.push_back(row[c]);
-      counts[std::move(key)] += 1;
-    }
-    count_pairs.assign(counts.begin(), counts.end());
-  }
-  auto stats = GroupStatistics::FromCounts(std::move(count_pairs));
-  if (!stats.ok()) return stats.status();
-
-  Allocation allocation =
-      Allocate(config.strategy, *stats, static_cast<double>(sample_size));
-  std::vector<uint64_t> sizes = RoundAllocation(*stats, allocation);
-
-  // Pass 2: per-stratum reservoirs of fact row ids.
-  std::vector<ReservoirSampler<uint64_t>> reservoirs;
-  reservoirs.reserve(stats->num_groups());
-  for (uint64_t k : sizes) reservoirs.emplace_back(static_cast<size_t>(k));
-  Random rng(config.seed);
+  std::vector<Value> cells(grouping->size());
   for (size_t r = 0; r < schema.fact->num_rows(); ++r) {
     CONGRESS_RETURN_NOT_OK(widener->Widen(r, &row));
-    GroupKey key;
-    key.reserve(grouping.size());
-    for (size_t c : grouping) key.push_back(row[c]);
-    auto idx = stats->IndexOf(key);
-    if (!idx.ok()) return idx.status();
-    reservoirs[*idx].Offer(static_cast<uint64_t>(r), &rng);
+    for (size_t i = 0; i < cells.size(); ++i) cells[i] = row[(*grouping)[i]];
+    CONGRESS_RETURN_NOT_OK(keys.AppendRow(cells));
   }
+  auto census = GroupCensus::Build(keys, key_columns);
+  if (!census.ok()) return census.status();
 
+  Random rng(config.seed);
+  auto drawn = DrawStratifiedRows(
+      *census,
+      Allocate(config.strategy, census->stats,
+               static_cast<double>(*sample_size)),
+      &rng);
+  if (!drawn.ok()) return drawn.status();
+
+  // The drawn fact rows are widened again, in stratum order, into the
+  // sample; the full join is never materialized.
   JoinSynopsis synopsis;
   synopsis.widened_schema_ = widened;
-  synopsis.grouping_indices_ = grouping;
+  synopsis.grouping_indices_ = *grouping;
   synopsis.estimator_ = config.estimator;
-  synopsis.sample_ = StratifiedSample(widened, grouping);
-  for (size_t i = 0; i < stats->num_groups(); ++i) {
+  synopsis.sample_ = StratifiedSample(widened, *grouping);
+  const GroupStatistics& stats = census->stats;
+  for (size_t i = 0; i < stats.num_groups(); ++i) {
     CONGRESS_RETURN_NOT_OK(
-        synopsis.sample_.DeclareStratum(stats->keys()[i], stats->counts()[i]));
+        synopsis.sample_.DeclareStratum(stats.keys()[i], stats.counts()[i]));
   }
-  for (const auto& reservoir : reservoirs) {
-    for (uint64_t r : reservoir.items()) {
+  for (const std::vector<uint64_t>& rows : *drawn) {
+    for (uint64_t r : rows) {
       CONGRESS_RETURN_NOT_OK(widener->Widen(static_cast<size_t>(r), &row));
       CONGRESS_RETURN_NOT_OK(synopsis.sample_.AppendRowValues(row));
     }

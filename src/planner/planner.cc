@@ -311,6 +311,10 @@ Result<ApproximateResult> ExecuteCombinedPlan(
     return Status::FailedPrecondition(
         "combined plan needs the retained base relation");
   }
+  if (snapshot.base_group_index == nullptr) {
+    return Status::FailedPrecondition(
+        "combined plan needs the census of the base relation");
+  }
   const AquaSynopsis& synopsis = *snapshot.synopsis;
   const StratifiedSample& sample = synopsis.sample();
   const std::vector<Stratum>& strata = sample.strata();
@@ -324,16 +328,9 @@ Result<ApproximateResult> ExecuteCombinedPlan(
 
   // Exact part: one ExecuteExact scan of the base relation, restricted to
   // the outlier strata by a membership test on the snapshot's row→stratum
-  // index (built once at publish; rebuilt here only for hand-assembled
-  // snapshots), which also serves as the covering index for the scan's
-  // group ids.
-  std::shared_ptr<const GroupIndex> index = snapshot.base_group_index;
-  if (index == nullptr) {
-    auto built = GroupIndex::Build(*snapshot.table,
-                                   sample.grouping_columns(), execution);
-    if (!built.ok()) return built.status();
-    index = std::make_shared<const GroupIndex>(std::move(built).value());
-  }
+  // index (built once at publish), which also serves as the covering
+  // index for the scan's group ids.
+  const std::shared_ptr<const GroupIndex>& index = snapshot.base_group_index;
   std::vector<uint8_t> keep(index->num_groups(), 0);
   for (uint32_t s : outlier_strata) {
     auto id = index->IdOf(strata[s].key);
@@ -563,6 +560,8 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     const std::vector<Stratum>& strata = primary.sample().strata();
     if (!snapshot.base_available) {
       c.detail = "base relation unavailable (restored snapshot)";
+    } else if (snapshot.base_group_index == nullptr) {
+      c.detail = "no census of the base relation";
     } else if (strata.size() < 2) {
       c.detail = "fewer than two strata; nothing to split";
     } else {

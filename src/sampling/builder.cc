@@ -8,21 +8,18 @@ namespace congress {
 
 // `options` only carries the span scope, so CONGRESS_DISABLE_OBS builds
 // never read it.
-Result<StratifiedSample> BuildStratifiedSample(
-    const Table& table, const GroupCensus& census, const Allocation& allocation,
-    Random* rng, [[maybe_unused]] const ExecutorOptions& options) {
+Result<std::vector<std::vector<uint64_t>>> DrawStratifiedRows(
+    const GroupCensus& census, const Allocation& allocation, Random* rng,
+    [[maybe_unused]] const ExecutorOptions& options) {
   const GroupStatistics& stats = census.stats;
   if (allocation.expected_sizes.size() != stats.num_groups()) {
     return Status::InvalidArgument(
         "allocation does not align with group statistics");
   }
-  CONGRESS_RETURN_NOT_OK(census.CheckTable(table));
-  std::vector<uint64_t> sizes = RoundAllocation(stats, allocation);
-
   // One reservoir of base-row indices per stratum.
   std::vector<ReservoirSampler<uint64_t>> reservoirs;
   reservoirs.reserve(stats.num_groups());
-  for (uint64_t k : sizes) {
+  for (uint64_t k : RoundAllocation(stats, allocation)) {
     reservoirs.emplace_back(static_cast<size_t>(k));
   }
 
@@ -31,14 +28,28 @@ Result<StratifiedSample> BuildStratifiedSample(
   // the sample — is reproducible and independent of the thread count.
   CONGRESS_SPAN(reservoir_span, options.scope, "reservoir");
   const std::vector<uint32_t>& row_ids = census.index->row_ids();
-  for (size_t row = 0; row < table.num_rows(); ++row) {
+  for (size_t row = 0; row < row_ids.size(); ++row) {
     reservoirs[census.position[row_ids[row]]].Offer(static_cast<uint64_t>(row),
                                                     rng);
   }
-  reservoir_span.Stop();
-  CONGRESS_METRIC_INCR("sampling.rows_offered", table.num_rows());
+  CONGRESS_METRIC_INCR("sampling.rows_offered", row_ids.size());
+  std::vector<std::vector<uint64_t>> drawn;
+  drawn.reserve(reservoirs.size());
+  for (ReservoirSampler<uint64_t>& reservoir : reservoirs) {
+    drawn.push_back(std::move(reservoir.mutable_items()));
+  }
+  return drawn;
+}
+
+Result<StratifiedSample> BuildStratifiedSample(
+    const Table& table, const GroupCensus& census, const Allocation& allocation,
+    Random* rng, const ExecutorOptions& options) {
+  CONGRESS_RETURN_NOT_OK(census.CheckTable(table));
+  auto drawn = DrawStratifiedRows(census, allocation, rng, options);
+  if (!drawn.ok()) return drawn.status();
 
   CONGRESS_SPAN(materialize_span, options.scope, "materialize");
+  const GroupStatistics& stats = census.stats;
   StratifiedSample sample(table.schema(), census.index->columns());
   for (size_t i = 0; i < stats.num_groups(); ++i) {
     CONGRESS_RETURN_NOT_OK(
@@ -46,8 +57,8 @@ Result<StratifiedSample> BuildStratifiedSample(
   }
   // Append in stratum order: sampled tuples of a group are contiguous,
   // mirroring the paper's "stored compactly in a few disk blocks" point.
-  for (size_t i = 0; i < reservoirs.size(); ++i) {
-    for (uint64_t row : reservoirs[i].items()) {
+  for (const std::vector<uint64_t>& rows : *drawn) {
+    for (uint64_t row : rows) {
       CONGRESS_RETURN_NOT_OK(sample.Append(table, static_cast<size_t>(row)));
     }
   }

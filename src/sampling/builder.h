@@ -11,13 +11,20 @@
 
 namespace congress {
 
-/// Builds a stratified sample of `table` with per-group sizes given by
-/// `allocation` (which must align with census.stats). One pass over the
-/// data using an independent reservoir per group — the "constructing using
-/// a data cube" path of Section 6, where the cube (= the census of
-/// `table`) supplies the target sizes up front and maps every row to its
-/// stratum. The reservoir dispatch loop stays serial so the RNG stream
-/// (and thus the drawn sample) is identical for every thread count.
+/// Draws per-group sizes given by `allocation` (which must align with
+/// census.stats) from the rows the census describes: one pass using an
+/// independent reservoir per group — the "constructing using a data cube"
+/// path of Section 6, where the cube (= the census) supplies the target
+/// sizes up front and maps every row to its stratum. The reservoir
+/// dispatch loop stays serial and in row order so the RNG stream (and
+/// thus the draw) is identical for every thread count. Returns each
+/// stratum's drawn row ids, aligned with census.stats.
+Result<std::vector<std::vector<uint64_t>>> DrawStratifiedRows(
+    const GroupCensus& census, const Allocation& allocation, Random* rng,
+    const ExecutorOptions& options = {});
+
+/// Builds a stratified sample of `table`, whose census is `census`: the
+/// draw above, then the drawn rows appended in stratum order.
 Result<StratifiedSample> BuildStratifiedSample(
     const Table& table, const GroupCensus& census, const Allocation& allocation,
     Random* rng, const ExecutorOptions& options = {});

@@ -94,8 +94,39 @@ Status CheckHavingMembership(const QueryResult& reference,
   return Status::OK();
 }
 
-/// Bit-for-bit equality of two stratified samples: rows, row->stratum
-/// mapping, and strata metadata.
+std::unique_ptr<SampleMaintainer> MakeMaintainer(
+    const Table& table, const std::vector<size_t>& grouping,
+    AllocationStrategy strategy, uint64_t sample_size, uint64_t seed) {
+  switch (strategy) {
+    case AllocationStrategy::kHouse:
+      return MakeHouseMaintainer(table.schema(), grouping, sample_size, seed);
+    case AllocationStrategy::kSenate:
+      return MakeSenateMaintainer(table.schema(), grouping, sample_size, seed);
+    case AllocationStrategy::kBasicCongress:
+      return MakeBasicCongressMaintainer(table.schema(), grouping,
+                                         sample_size, seed);
+    case AllocationStrategy::kCongress:
+      return MakeCongressMaintainer(table.schema(), grouping, sample_size,
+                                    seed);
+  }
+  return nullptr;
+}
+
+Status FeedRows(SampleMaintainer* maintainer, const Table& table,
+                size_t begin, size_t end) {
+  std::vector<Value> row;
+  for (size_t r = begin; r < end; ++r) {
+    row.clear();
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      row.push_back(table.GetValue(r, c));
+    }
+    CONGRESS_RETURN_NOT_OK(maintainer->Insert(row));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status CheckSamplesIdentical(const StratifiedSample& a,
                              const StratifiedSample& b,
                              const std::string& label_a,
@@ -141,39 +172,6 @@ Status CheckSamplesIdentical(const StratifiedSample& a,
   }
   return Status::OK();
 }
-
-std::unique_ptr<SampleMaintainer> MakeMaintainer(
-    const Table& table, const std::vector<size_t>& grouping,
-    AllocationStrategy strategy, uint64_t sample_size, uint64_t seed) {
-  switch (strategy) {
-    case AllocationStrategy::kHouse:
-      return MakeHouseMaintainer(table.schema(), grouping, sample_size, seed);
-    case AllocationStrategy::kSenate:
-      return MakeSenateMaintainer(table.schema(), grouping, sample_size, seed);
-    case AllocationStrategy::kBasicCongress:
-      return MakeBasicCongressMaintainer(table.schema(), grouping,
-                                         sample_size, seed);
-    case AllocationStrategy::kCongress:
-      return MakeCongressMaintainer(table.schema(), grouping, sample_size,
-                                    seed);
-  }
-  return nullptr;
-}
-
-Status FeedRows(SampleMaintainer* maintainer, const Table& table,
-                size_t begin, size_t end) {
-  std::vector<Value> row;
-  for (size_t r = begin; r < end; ++r) {
-    row.clear();
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      row.push_back(table.GetValue(r, c));
-    }
-    CONGRESS_RETURN_NOT_OK(maintainer->Insert(row));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status CheckResultsEqual(const QueryResult& a, const QueryResult& b,
                          double rel_tol, const std::string& label_a,
@@ -1475,8 +1473,10 @@ Status CheckPlannerIdentity(const Table& table,
         planned->result, *direct, name + " no-budget run"));
 
     if (plain.having.empty()) {
-      auto via = (*snapshot)->synopsis->AnswerVia(
-          plain, RewriteStrategy::kNestedIntegrated);
+      const AquaSynopsis& synopsis = *(*snapshot)->synopsis;
+      Rewriter rewriter(synopsis.sample());
+      auto via = rewriter.Answer(plain, RewriteStrategy::kNestedIntegrated,
+                                 synopsis.config().execution);
       CONGRESS_RETURN_NOT_OK(via.status());
       CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
           *via, planned->result.ToQueryResult(), 1e-9,

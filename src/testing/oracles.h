@@ -25,6 +25,14 @@ Status CheckResultsEqual(const QueryResult& a, const QueryResult& b,
                          double rel_tol, const std::string& label_a,
                          const std::string& label_b);
 
+/// Bit-for-bit equality of two stratified samples: strata metadata
+/// (key, population, sample count), the row->stratum mapping and every
+/// sampled value.
+Status CheckSamplesIdentical(const StratifiedSample& a,
+                             const StratifiedSample& b,
+                             const std::string& label_a,
+                             const std::string& label_b);
+
 /// All four Section 5.2 rewrite strategies and the Section 5.1 estimator
 /// produce the same point estimates on `sample`. HAVING is compared
 /// bound-respectingly: membership may differ between plans only for

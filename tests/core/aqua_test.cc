@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "resilience/recovery.h"
+#include "testing/oracles.h"
 #include "tpcd/lineitem.h"
 
 namespace congress {
@@ -40,25 +41,6 @@ SynopsisConfig SalesConfig() {
   config.sample_fraction = 0.2;
   config.seed = 3;
   return config;
-}
-
-/// Bit-for-bit equality of two samples: strata metadata, the
-/// row->stratum mapping and every sampled value.
-void ExpectSamplesIdentical(const StratifiedSample& a,
-                            const StratifiedSample& b) {
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  ASSERT_EQ(a.strata().size(), b.strata().size());
-  for (size_t s = 0; s < a.strata().size(); ++s) {
-    EXPECT_EQ(a.strata()[s].key, b.strata()[s].key);
-    EXPECT_EQ(a.strata()[s].population, b.strata()[s].population);
-    EXPECT_EQ(a.strata()[s].sample_count, b.strata()[s].sample_count);
-  }
-  EXPECT_EQ(a.row_strata(), b.row_strata());
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.rows().num_columns(); ++c) {
-      EXPECT_EQ(a.rows().GetValue(r, c), b.rows().GetValue(r, c));
-    }
-  }
 }
 
 class AquaEngineTest : public ::testing::Test {
@@ -254,7 +236,9 @@ TEST_F(AquaEngineTest, BuildMatchesFirstPublishBitForBit) {
       ASSERT_TRUE(engine.RegisterTable("live", base, config).ok());
       auto published = engine.GetSynopsis("live");
       ASSERT_TRUE(published.ok());
-      ExpectSamplesIdentical(built->sample(), (*published)->sample());
+      Status same = testing::CheckSamplesIdentical(
+          built->sample(), (*published)->sample(), "built", "published");
+      EXPECT_TRUE(same.ok()) << same.ToString();
       EXPECT_EQ(built->target_size(), (*published)->target_size());
       EXPECT_EQ(built->tuples_seen(), (*published)->tuples_seen());
     }
@@ -334,6 +318,48 @@ TEST_F(AquaEngineTest, InsertBatchFlowsThrough) {
   EXPECT_EQ((*table)->num_rows(), 1100u);
 }
 
+TEST_F(AquaEngineTest, NonIncrementalSnapshotSharesTheRegisteredTable) {
+  // A relation that never appends keeps the table it was registered
+  // with: the snapshot holds that very object, not a copy.
+  Table sales = SalesTable();
+  const double* amounts = sales.DoubleColumn(2).data();
+  AquaEngine engine;
+  ASSERT_TRUE(engine.RegisterTable("t", std::move(sales), SalesConfig()).ok());
+  auto before = engine.GetSnapshot("t");
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ((*before)->table->DoubleColumn(2).data(), amounts);
+  ASSERT_TRUE(engine.Refresh("t").ok());  // Nothing to drain: a no-op.
+  auto after = engine.GetSnapshot("t");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ((*after)->table.get(), (*before)->table.get());
+}
+
+TEST_F(AquaEngineTest, IncrementalPublishNeverMutatesAPinnedTable) {
+  SynopsisConfig config = SalesConfig();
+  config.incremental = true;
+  AquaEngine engine;
+  ASSERT_TRUE(engine.RegisterTable("live", SalesTable(), config).ok());
+  auto pinned = engine.GetSnapshot("live");
+  ASSERT_TRUE(pinned.ok());
+  const Table& old_table = *(*pinned)->table;
+  const size_t old_rows = old_table.num_rows();
+  const Value old_last = old_table.GetValue(old_rows - 1, 2);
+
+  ASSERT_TRUE(
+      engine.Insert("live", {Value("north"), Value(int64_t{2}), Value(77.0)})
+          .ok());
+  ASSERT_TRUE(engine.Refresh("live").ok());
+  EXPECT_EQ(old_table.num_rows(), old_rows);
+  EXPECT_EQ(old_table.GetValue(old_rows - 1, 2), old_last);
+
+  auto fresh = engine.GetSnapshot("live");
+  ASSERT_TRUE(fresh.ok());
+  const Table& new_table = *(*fresh)->table;
+  ASSERT_EQ(new_table.num_rows(), old_rows + 1);
+  EXPECT_EQ(new_table.GetValue(old_rows, 0), Value("north"));
+  EXPECT_EQ(new_table.GetValue(old_rows, 2), Value(77.0));
+}
+
 TEST_F(AquaEngineTest, ShardCountInvariantPublish) {
   // Deterministic ingest: the same insert stream publishes bit-identical
   // synopses whether the engine buffers through 1 shard or 4.
@@ -360,7 +386,9 @@ TEST_F(AquaEngineTest, ShardCountInvariantPublish) {
   };
   auto one = run(1);
   auto four = run(4);
-  ExpectSamplesIdentical(one->sample(), four->sample());
+  Status same = testing::CheckSamplesIdentical(one->sample(), four->sample(),
+                                               "1 shard", "4 shards");
+  EXPECT_TRUE(same.ok()) << same.ToString();
 }
 
 TEST_F(AquaEngineTest, ConcurrentInsertersWithLiveReader) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rewriter.h"
 #include "engine/executor.h"
 
 namespace congress {
@@ -82,12 +83,13 @@ TEST(AquaSynopsisTest, AnswerViaEachStrategy) {
   auto synopsis = AquaSynopsis::Build(base, BaseConfig());
   ASSERT_TRUE(synopsis.ok());
   GroupByQuery q = SumQuery();
-  auto reference = synopsis->AnswerVia(q, RewriteStrategy::kIntegrated);
+  Rewriter rewriter(synopsis->sample());
+  auto reference = rewriter.Answer(q, RewriteStrategy::kIntegrated);
   ASSERT_TRUE(reference.ok());
   for (auto strategy :
        {RewriteStrategy::kNestedIntegrated, RewriteStrategy::kNormalized,
         RewriteStrategy::kKeyNormalized}) {
-    auto result = synopsis->AnswerVia(q, strategy);
+    auto result = rewriter.Answer(q, strategy);
     ASSERT_TRUE(result.ok());
     for (const GroupResult& row : reference->rows()) {
       const GroupResult* other = result->Find(row.key);

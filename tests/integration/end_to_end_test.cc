@@ -5,6 +5,7 @@
 
 #include "core/aqua.h"
 #include "core/metrics.h"
+#include "core/rewriter.h"
 #include "engine/executor.h"
 #include "tpcd/lineitem.h"
 #include "tpcd/workload.h"
@@ -142,13 +143,13 @@ TEST_F(EndToEndTest, CongressCompetitiveOnQg2) {
 
 TEST_F(EndToEndTest, RewriteStrategiesAgreeOnRealWorkload) {
   GroupByQuery q = MakeQg2();
-  auto reference =
-      Synopsis("congress").AnswerVia(q, RewriteStrategy::kIntegrated);
+  Rewriter rewriter(Synopsis("congress").sample());
+  auto reference = rewriter.Answer(q, RewriteStrategy::kIntegrated);
   ASSERT_TRUE(reference.ok());
   for (auto strategy :
        {RewriteStrategy::kNestedIntegrated, RewriteStrategy::kNormalized,
         RewriteStrategy::kKeyNormalized}) {
-    auto result = Synopsis("congress").AnswerVia(q, strategy);
+    auto result = rewriter.Answer(q, strategy);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), reference->num_groups());
     for (const GroupResult& row : reference->rows()) {

@@ -4,8 +4,11 @@
 
 #include "core/metrics.h"
 #include "engine/executor.h"
+#include "sampling/builder.h"
 #include "sql/parser.h"
+#include "testing/oracles.h"
 #include "tpcd/star.h"
+#include "util/random.h"
 
 namespace congress {
 namespace {
@@ -72,6 +75,43 @@ TEST(JoinSynopsisTest, BuildsOverDimensionAttributes) {
   // Strata are (priority, brand) pairs from the *dimensions*.
   EXPECT_GT(synopsis->sample().strata().size(), 10u);
   EXPECT_LE(synopsis->sample().strata().size(), 50u);
+}
+
+TEST(JoinSynopsisTest, SampleMatchesBuildOverMaterializedJoin) {
+  // Differential: streaming the fact table through the widener draws the
+  // same sample, bit for bit, as the two-pass builder over the fully
+  // materialized join with the same grouping, strategy, size and RNG.
+  tpcd::StarData data = MakeStar(8'000);
+  StarSchema schema = data.MakeSchema();
+  auto joined = MaterializeStarJoin(schema);
+  ASSERT_TRUE(joined.ok());
+  std::vector<size_t> grouping;
+  for (const std::string& name : BaseConfig().grouping_columns) {
+    auto idx = joined->schema().FieldIndex(name);
+    ASSERT_TRUE(idx.ok());
+    grouping.push_back(*idx);
+  }
+  for (AllocationStrategy strategy :
+       {AllocationStrategy::kHouse, AllocationStrategy::kSenate,
+        AllocationStrategy::kBasicCongress, AllocationStrategy::kCongress}) {
+    for (uint64_t seed : {9u, 31u}) {
+      JoinSynopsisConfig config = BaseConfig();
+      config.strategy = strategy;
+      config.sample_size = 400;
+      config.seed = seed;
+      auto synopsis = JoinSynopsis::Build(schema, config);
+      ASSERT_TRUE(synopsis.ok()) << synopsis.status().ToString();
+      Random rng(seed);
+      auto reference = BuildSample(*joined, grouping, strategy, 400.0, &rng);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      Status same = testing::CheckSamplesIdentical(
+          synopsis->sample(), *reference, "join synopsis",
+          "BuildSample over the materialized join");
+      EXPECT_TRUE(same.ok())
+          << AllocationStrategyToString(strategy) << " seed " << seed << ": "
+          << same.ToString();
+    }
+  }
 }
 
 TEST(JoinSynopsisTest, AnswersMatchExactOnMaterializedJoin) {

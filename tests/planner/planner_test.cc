@@ -262,6 +262,35 @@ TEST_F(PlannerTest, FullPopulationCombinedPlanMatchesExact) {
   }
 }
 
+TEST_F(PlannerTest, CombinedPlanNeedsTheBaseCensus) {
+  // A snapshot without the publish-time census of its base relation
+  // cannot run a combined plan: the planner scores it ineligible, and a
+  // budget query is still answered by another plan.
+  AquaSnapshot uncensused = *snapshot_;
+  uncensused.base_group_index = nullptr;
+  EXPECT_EQ(ExecuteCombinedPlan(uncensused, SumQuery(), {0}, 0.95)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  GroupByQuery query = SumQuery();
+  query.budget.relative_error = 0.05;
+  query.budget.confidence = 0.95;
+  Planner planner;
+  auto report = planner.Plan(uncensused, query);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->ToString().find(
+                "combined-outlier-exact: ineligible: no census of the base "
+                "relation"),
+            std::string::npos)
+      << report->ToString();
+  auto planned = planner.Run(uncensused, query);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_NE(planned->report.chosen.kind, PlanKind::kCombined);
+  EXPECT_GT(planned->result.num_groups(), 0u);
+  EXPECT_LE(planned->report.realized_relative_error, 0.05);
+}
+
 TEST(PlannerNaNTest, CombinedPlanPairsGroupsAroundANaNKey) {
   // Strata on g; the query groups on the non-grouping column x, so a
   // group can span the exact outlier stratum (g = 0) and the sampled tail

@@ -9,6 +9,7 @@
 
 #include "sampling/maintenance.h"
 #include "storage/table.h"
+#include "testing/oracles.h"
 
 namespace congress {
 namespace {
@@ -41,23 +42,6 @@ std::vector<std::vector<Value>> AllRows(const Table& table) {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-void ExpectSamplesIdentical(const StratifiedSample& a,
-                            const StratifiedSample& b) {
-  ASSERT_EQ(a.num_rows(), b.num_rows());
-  ASSERT_EQ(a.strata().size(), b.strata().size());
-  for (size_t s = 0; s < a.strata().size(); ++s) {
-    EXPECT_EQ(a.strata()[s].key, b.strata()[s].key);
-    EXPECT_EQ(a.strata()[s].population, b.strata()[s].population);
-    EXPECT_EQ(a.strata()[s].sample_count, b.strata()[s].sample_count);
-  }
-  EXPECT_EQ(a.row_strata(), b.row_strata());
-  for (size_t r = 0; r < a.num_rows(); ++r) {
-    for (size_t c = 0; c < a.rows().num_columns(); ++c) {
-      EXPECT_EQ(a.rows().GetValue(r, c), b.rows().GetValue(r, c));
-    }
-  }
 }
 
 ShardedIngestOptions Options(AllocationStrategy strategy, size_t shards,
@@ -93,7 +77,9 @@ TEST(ShardedMaintainerTest, DeterministicMatchesSerialOnePass) {
     ASSERT_TRUE(delta.ok()) << delta.status().ToString();
     EXPECT_EQ(delta->tuples_seen, 600u);
     EXPECT_EQ(delta->merged_rows.size(), 600u);
-    ExpectSamplesIdentical(delta->sample, *reference);
+    Status same = testing::CheckSamplesIdentical(delta->sample, *reference,
+                                                 "sharded", "one-pass");
+    EXPECT_TRUE(same.ok()) << same.ToString();
   }
 }
 
@@ -118,8 +104,11 @@ TEST(ShardedMaintainerTest, MidStreamMergeIsShardCountInvariant) {
   const StratifiedSample one = run(1);
   const StratifiedSample four = run(4);
   const StratifiedSample eight = run(8);
-  ExpectSamplesIdentical(one, four);
-  ExpectSamplesIdentical(one, eight);
+  for (const StratifiedSample* other : {&four, &eight}) {
+    Status same = testing::CheckSamplesIdentical(one, *other, "1 shard",
+                                                 "more shards");
+    EXPECT_TRUE(same.ok()) << same.ToString();
+  }
 }
 
 TEST(ShardedMaintainerTest, CountersTrackIngestAndMerge) {
