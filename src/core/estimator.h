@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/query.h"
+#include "sampling/moments.h"
 #include "sampling/stratified_sample.h"
 #include "util/parallel.h"
 #include "util/status.h"
@@ -170,16 +171,20 @@ class ApproximateResult {
 /// uniform-sample failure mode the paper's Figure 4 illustrates).
 ///
 /// The estimate folds and then rolls up, as the paper's Nested-Integrated
-/// plan does (Section 5): every sampled tuple is folded, in ascending row
-/// order, into the per-aggregate sums of its unit — its stratum when the
-/// query groups on a subset of the sample's grouping columns, else its
-/// group over the query's and the grouping columns — parallel across
-/// units per `execution`. The units' scaled terms are then added up per
-/// output group in ascending unit id. Output keys are those of each
-/// group's first sample row, and rows come out sorted by key. Estimates
-/// are bit-identical for every thread count.
+/// plan does (Section 5): the sums of each unit — its stratum when the
+/// query groups on grouping columns, else its group over the query's and
+/// the grouping columns — are scaled and added up per output group in
+/// ascending unit id. `moments` MUST be SampleMoments::Compute(sample);
+/// strata take their row layout, projection, keys and key order from the
+/// roll-up it memoizes. A strata query with no predicate over COUNT(*)
+/// and plain columns reads each stratum's moments and no sample row; any
+/// other query folds its matching rows in ascending row order, as the
+/// moments were folded, so both give the same bits. Output keys are those
+/// of each group's first sample row, and rows come out sorted by key.
+/// Estimates are bit-identical for every thread count.
 Result<ApproximateResult> EstimateGroupBy(
-    const StratifiedSample& sample, const GroupByQuery& query,
+    const StratifiedSample& sample, const SampleMoments& moments,
+    const GroupByQuery& query,
     const EstimatorOptions& options = EstimatorOptions{},
     const ExecutorOptions& execution = {});
 

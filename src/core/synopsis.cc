@@ -112,7 +112,8 @@ Result<ApproximateResult> AquaSynopsis::Answer(
     const GroupByQuery& query) const {
   CONGRESS_FAILPOINT("synopsis/answer");
   auto result =
-      EstimateGroupBy(sample_, query, config_.estimator, config_.execution);
+      EstimateGroupBy(sample_, moments_, query, config_.estimator,
+                      config_.execution);
 #ifndef CONGRESS_DISABLE_OBS
   if (result.ok()) {
     // Mean relative half-width of the error bounds across groups — the

@@ -63,12 +63,13 @@ Result<JoinSynopsis> JoinSynopsis::Build(const StarSchema& schema,
       CONGRESS_RETURN_NOT_OK(synopsis.sample_.AppendRowValues(row));
     }
   }
+  synopsis.moments_ = SampleMoments::Compute(synopsis.sample_);
   return synopsis;
 }
 
 Result<ApproximateResult> JoinSynopsis::Answer(
     const GroupByQuery& query) const {
-  return EstimateGroupBy(sample_, query, estimator_);
+  return EstimateGroupBy(sample_, moments_, query, estimator_);
 }
 
 }  // namespace congress

@@ -52,6 +52,7 @@ class JoinSynopsis {
   Schema widened_schema_;
   std::vector<size_t> grouping_indices_;
   StratifiedSample sample_;
+  SampleMoments moments_;
   EstimatorOptions estimator_;
 };
 

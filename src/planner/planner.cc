@@ -353,7 +353,8 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   EstimatorOptions tail_options = synopsis.config().estimator;
   if (confidence > 0.0) tail_options.confidence = confidence;
   tail_options.excluded_strata = outlier_strata;
-  auto tail = EstimateGroupBy(sample, plan.inner, tail_options, execution);
+  auto tail = EstimateGroupBy(sample, synopsis.moments(), plan.inner,
+                              tail_options, execution);
   if (!tail.ok()) return tail.status();
 
   // Stitch per output group. Each group pairs its exact row with its
@@ -701,7 +702,7 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
     if (confidence <= 0.0) return synopsis.Answer(query);
     EstimatorOptions opts = synopsis.config().estimator;
     opts.confidence = confidence;
-    return EstimateGroupBy(synopsis.sample(), query, opts,
+    return EstimateGroupBy(synopsis.sample(), synopsis.moments(), query, opts,
                            synopsis.config().execution);
   };
   switch (choice.kind) {

@@ -1,9 +1,12 @@
 #include "sampling/moments.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -69,10 +72,40 @@ SampleMoments SampleMoments::Compute(const StratifiedSample& sample) {
 
   const Table& rows = sample.rows();
   const std::vector<uint32_t>& row_strata = sample.row_strata();
+  const size_t num_strata = sample.strata().size();
+
+  // The stratum layout: a counting sort of row_strata(). It counts and
+  // places whole runs of one stratum: samples are usually appended
+  // stratum by stratum, and per-row counter updates would serialize on
+  // one counter through each run.
+  const size_t num_rows = row_strata.size();
+  auto run_end = [&row_strata, num_rows](size_t r) {
+    const uint32_t s = row_strata[r];
+    while (++r < num_rows && row_strata[r] == s) {
+    }
+    return r;
+  };
+  moments.offsets_.assign(num_strata + 1, 0);
+  for (size_t r = 0, end = 0; r < num_rows; r = end) {
+    end = run_end(r);
+    moments.offsets_[row_strata[r] + 1] += end - r;
+  }
+  for (size_t s = 0; s < num_strata; ++s) {
+    moments.offsets_[s + 1] += moments.offsets_[s];
+  }
+  moments.rows_.resize(num_rows);
+  std::vector<uint64_t> cursor(moments.offsets_.begin(),
+                               moments.offsets_.end() - 1);
+  for (size_t r = 0, end = 0; r < num_rows; r = end) {
+    end = run_end(r);
+    uint32_t* out = moments.rows_.data() + cursor[row_strata[r]];
+    cursor[row_strata[r]] += end - r;
+    for (size_t i = r; i < end; ++i) *out++ = static_cast<uint32_t>(i);
+  }
+
   moments.per_stratum_.assign(
-      sample.strata().size(),
-      std::vector<ColumnMoments>(moments.numeric_columns_.size()));
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
+      num_strata, std::vector<ColumnMoments>(moments.numeric_columns_.size()));
+  for (size_t r = 0; r < num_rows; ++r) {
     std::vector<ColumnMoments>& strat = moments.per_stratum_[row_strata[r]];
     for (size_t slot = 0; slot < moments.numeric_columns_.size(); ++slot) {
       const double v = rows.NumericAt(r, moments.numeric_columns_[slot]);
@@ -132,6 +165,41 @@ const GroupedExpansionTerms& SampleMoments::GroupedFor(
   }
 
   const size_t g_count = terms->num_groups;
+
+  // Each group's first sample row and output key, and the groups in key
+  // order. A stratum's first row heads its ascending run, so a group's
+  // first row is the least of its strata's.
+  terms->first_row.assign(g_count, GroupedExpansionTerms::kNoRow);
+  for (size_t s = 0; s < strata.size(); ++s) {
+    if (RowCount(s) == 0) continue;
+    uint32_t& first = terms->first_row[terms->group_of[s]];
+    first = std::min(first, rows_[offsets_[s]]);
+  }
+  const Table& table = sample.rows();
+  std::vector<size_t> columns;
+  for (size_t pos : key_positions) {
+    columns.push_back(sample.grouping_columns()[pos]);
+  }
+  const size_t width = columns.size();
+  terms->keys.resize(g_count * width);
+  std::vector<uint32_t> sampled;  // Groups with a row, and their first rows.
+  std::vector<uint32_t> sampled_rows;
+  for (uint32_t g = 0; g < g_count; ++g) {
+    const uint32_t row = terms->first_row[g];
+    if (row == GroupedExpansionTerms::kNoRow) continue;
+    sampled.push_back(g);
+    sampled_rows.push_back(row);
+    for (size_t c = 0; c < width; ++c) {
+      terms->keys[g * width + c] = table.GetValue(row, columns[c]);
+    }
+  }
+  const RowKeyLess key_less(table, columns, sampled_rows);
+  std::vector<uint32_t> order(sampled.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), std::cref(key_less));
+  terms->key_order.reserve(order.size());
+  for (uint32_t i : order) terms->key_order.push_back(sampled[i]);
+
   const size_t num_slots = numeric_columns_.size();
   terms->population.assign(g_count, 0.0);
   terms->count_terms.assign(g_count, ExpansionTerms{});

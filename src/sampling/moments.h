@@ -53,14 +53,29 @@ struct ExpansionTerms {
 ExpansionTerms StratumExpansionTerms(const Stratum& stratum,
                                      const ColumnMoments& m, bool count_agg);
 
-/// The expansion terms of every covered column, pre-summed per output
-/// group of one roll-up grouping: strata are projected to groups by
-/// selecting `key_positions` from each stratum key (empty = one global
-/// group). Scoring a candidate synopsis against a query then costs
-/// O(#groups × #aggregates) — no per-query stratum pass, no key hashing.
+/// One roll-up of a synopsis grouping: strata are projected to output
+/// groups by selecting `key_positions` from each stratum key (empty = one
+/// global group). It holds what every query over that roll-up shares:
+/// the projection and key order the estimator emits through, and the
+/// expansion terms of every covered column pre-summed per group, so
+/// scoring a candidate synopsis costs O(#groups × #aggregates) — no
+/// per-query stratum pass, no key hashing.
 struct GroupedExpansionTerms {
+  static constexpr uint32_t kNoRow = 0xFFFFFFFFu;
   std::vector<uint32_t> group_of;  ///< Stratum index → dense group id.
   size_t num_groups = 0;
+  /// Per group: its first sample row (kNoRow when none of its strata
+  /// holds a sampled row).
+  std::vector<uint32_t> first_row;
+  /// Per group: key_positions.size() output key values, those of the
+  /// group's first sample row (so a -0.0 there is kept even when the
+  /// stratum key holds +0.0); default values for a group without rows.
+  std::vector<Value> keys;
+  /// The groups with a sampled row, sorted by key (RowKeyLess over their
+  /// first rows). A sampled row found its stratum by key equality, which
+  /// a NaN never satisfies, so no key holds a NaN: the order is total,
+  /// and any subset of the groups sorts into its order here.
+  std::vector<uint32_t> key_order;
   /// Per group: Σ population over the strata with sampled tuples (the
   /// model's COUNT estimate and AVG denominator).
   std::vector<double> population;
@@ -75,16 +90,27 @@ struct TermsCache;
 
 /// Per-stratum, per-numeric-column moments for a stratified sample,
 /// computed once at synopsis build time (one pass over the sampled rows)
-/// so the planner can score candidate synopses without any row access.
-/// Strata follow sample.strata() order; columns follow numeric_columns()
-/// order (the base schema's numeric columns, ascending).
+/// so the planner can score candidate synopses, and the estimator answer
+/// predicate-free queries, without any row access. Strata follow
+/// sample.strata() order; columns follow numeric_columns() order (the
+/// base schema's numeric columns, ascending).
 class SampleMoments {
  public:
   SampleMoments();
 
-  /// One pass over `sample.rows()`: accumulates moments for every
-  /// numeric (kInt64/kDouble) column of the base schema.
+  /// One pass over `sample.rows()`: lays out each stratum's rows and
+  /// accumulates moments for every numeric (kInt64/kDouble) column of the
+  /// base schema, each stratum's rows folded in ascending row order.
   static SampleMoments Compute(const StratifiedSample& sample);
+
+  /// The stratum layout: stratum s owns the sample rows
+  /// stratum_rows()[stratum_offsets()[s] .. stratum_offsets()[s + 1]),
+  /// ascending.
+  const std::vector<uint64_t>& stratum_offsets() const { return offsets_; }
+  const std::vector<uint32_t>& stratum_rows() const { return rows_; }
+  /// Sampled rows of stratum s.
+  uint64_t RowCount(size_t s) const { return offsets_[s + 1] - offsets_[s]; }
+  size_t num_rows() const { return rows_.size(); }
 
   /// Base-schema indices of the covered columns, ascending.
   const std::vector<size_t>& numeric_columns() const {
@@ -97,6 +123,11 @@ class SampleMoments {
   /// (an index into sample.strata()). Returns empty moments for
   /// non-numeric columns.
   const ColumnMoments& Of(size_t stratum, size_t column) const;
+  /// Moments of the column in `slot` (numeric_columns() order) in
+  /// `stratum`, unchecked.
+  const ColumnMoments& AtSlot(size_t stratum, size_t slot) const {
+    return per_stratum_[stratum][slot];
+  }
 
   /// Slot of `column` in numeric_columns() order, SIZE_MAX if uncovered.
   size_t SlotOf(size_t column) const {
@@ -108,8 +139,10 @@ class SampleMoments {
   /// selection never rescans the strata.
   double TotalSumSq(size_t column) const;
 
-  /// The grouped expansion terms for the roll-up selecting
-  /// `key_positions` from each stratum key. `sample` MUST be the sample
+  /// The roll-up selecting `key_positions` from each stratum key: the
+  /// planner scores through its terms, and the estimator reads its
+  /// projection, first rows, keys and key order for every query whose
+  /// group columns are grouping columns. `sample` MUST be the sample
   /// these moments were computed from. Thread-safe: the entry is built
   /// under a lock on first use and memoized (the distinct roll-ups of
   /// one synopsis grouping are few), so steady-state callers only pay a
@@ -122,6 +155,8 @@ class SampleMoments {
   bool empty() const { return per_stratum_.empty(); }
 
  private:
+  std::vector<uint64_t> offsets_;  ///< Stratum layout, see stratum_offsets().
+  std::vector<uint32_t> rows_;
   std::vector<size_t> numeric_columns_;
   std::vector<size_t> column_slot_;  ///< base column -> slot, SIZE_MAX if none.
   std::vector<double> total_sum_sq_;  ///< Per slot: Σv² over all strata.

@@ -347,7 +347,7 @@ GroupIndex::RowLists GroupIndex::GroupRows() const {
 }
 
 std::vector<std::pair<size_t, size_t>> BalancedGroupChunks(
-    const std::vector<uint64_t>& offsets, uint64_t target_rows) {
+    std::span<const uint64_t> offsets, uint64_t target_rows) {
   std::vector<std::pair<size_t, size_t>> chunks;
   const size_t num_groups = offsets.empty() ? 0 : offsets.size() - 1;
   if (num_groups == 0) return chunks;

@@ -2,6 +2,7 @@
 #define CONGRESS_STORAGE_GROUP_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -114,7 +115,7 @@ class GroupIndex {
 /// a skewed group distribution still load-balances across workers. Always
 /// returns at least one chunk when num_groups > 0.
 std::vector<std::pair<size_t, size_t>> BalancedGroupChunks(
-    const std::vector<uint64_t>& offsets, uint64_t target_rows);
+    std::span<const uint64_t> offsets, uint64_t target_rows);
 
 }  // namespace congress
 

@@ -346,6 +346,17 @@ Status RunOracles(const PropConfig& config, uint64_t seed,
     st = CheckVectorizedIdentity(table, samples[s], gen.query);
     if (!st.ok()) return fail("vectorized-identity", context, st);
 
+    for (size_t m = 0; m < samples.size(); ++m) {
+      st = CheckMomentsIdentity(samples[m], gen.query);
+      if (!st.ok()) {
+        return fail("moments-identity",
+                    std::string(AllocationStrategyToString(kStrategies[m])) +
+                        " sample, query " + std::to_string(q) + ": " +
+                        gen.sql,
+                    st);
+      }
+    }
+
     st = CheckFullSampleMatchesExact(table, data->grouping_columns,
                                      kStrategies[s], gen.query, seed + q);
     if (!st.ok()) return fail("full-sample-vs-exact", context, st);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <list>
@@ -22,6 +23,7 @@
 #include "net/client.h"
 #include "net/front_end.h"
 #include "obs/metrics.h"
+#include "obs/scope.h"
 #include "planner/planner.h"
 #include "resilience/checkpoint.h"
 #include "resilience/failpoint.h"
@@ -237,7 +239,8 @@ Status CheckRewriterAgreement(const StratifiedSample& sample,
         RewriteStrategyToString(strategy)));
   }
 
-  auto estimate = EstimateGroupBy(sample, stripped);
+  const SampleMoments moments = SampleMoments::Compute(sample);
+  auto estimate = EstimateGroupBy(sample, moments, stripped);
   CONGRESS_RETURN_NOT_OK(estimate.status());
   CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*integrated,
                                            estimate->ToQueryResult(), 1e-6,
@@ -259,7 +262,7 @@ Status CheckRewriterAgreement(const StratifiedSample& sample,
         *integrated, query.having, *filtered,
         RewriteStrategyToString(strategy)));
   }
-  auto filtered_estimate = EstimateGroupBy(sample, query);
+  auto filtered_estimate = EstimateGroupBy(sample, moments, query);
   CONGRESS_RETURN_NOT_OK(filtered_estimate.status());
   return CheckHavingMembership(*integrated, query.having,
                                filtered_estimate->ToQueryResult(),
@@ -287,7 +290,8 @@ Status CheckFullSampleMatchesExact(const Table& table,
   auto exact = ExecuteExact(table, query);
   CONGRESS_RETURN_NOT_OK(exact.status());
 
-  auto estimate = EstimateGroupBy(*sample, query);
+  auto estimate =
+      EstimateGroupBy(*sample, SampleMoments::Compute(*sample), query);
   CONGRESS_RETURN_NOT_OK(estimate.status());
   CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*exact,
                                            estimate->ToQueryResult(), 1e-9,
@@ -318,7 +322,8 @@ Status CheckThreadInvariance(const Table& table,
 
   auto exact1 = ExecuteExact(table, query, serial);
   CONGRESS_RETURN_NOT_OK(exact1.status());
-  auto estimate1 = EstimateGroupBy(sample, query, {}, serial);
+  const SampleMoments moments = SampleMoments::Compute(sample);
+  auto estimate1 = EstimateGroupBy(sample, moments, query, {}, serial);
   CONGRESS_RETURN_NOT_OK(estimate1.status());
   Rewriter rewriter(sample);
   auto integrated1 =
@@ -339,7 +344,7 @@ Status CheckThreadInvariance(const Table& table,
         CheckResultsEqual(*exact1, *exact_t, 0.0, "exact@1t",
                           "exact" + suffix));
 
-    auto estimate_t = EstimateGroupBy(sample, query, {}, parallel);
+    auto estimate_t = EstimateGroupBy(sample, moments, query, {}, parallel);
     CONGRESS_RETURN_NOT_OK(estimate_t.status());
     CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
         estimate1->ToQueryResult(), estimate_t->ToQueryResult(), 0.0,
@@ -453,6 +458,7 @@ Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query) {
   const GroupByQuery scalar = ScalarizeQuery(query);
+  const SampleMoments moments = SampleMoments::Compute(sample);
   Rewriter rewriter(sample);
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     ExecutorOptions options;
@@ -468,9 +474,9 @@ Status CheckVectorizedIdentity(const Table& table,
         *ref, *vec, 0.0, "exact-scalar" + suffix, "exact-vectorized" + suffix));
     CONGRESS_RETURN_NOT_OK(CheckSameOrder(*ref, *vec, "exact" + suffix));
 
-    auto est_vec = EstimateGroupBy(sample, query, {}, options);
+    auto est_vec = EstimateGroupBy(sample, moments, query, {}, options);
     CONGRESS_RETURN_NOT_OK(est_vec.status());
-    auto est_ref = EstimateGroupBy(sample, scalar, {}, options);
+    auto est_ref = EstimateGroupBy(sample, moments, scalar, {}, options);
     CONGRESS_RETURN_NOT_OK(est_ref.status());
     CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
         est_ref->ToQueryResult(), est_vec->ToQueryResult(), 0.0,
@@ -496,6 +502,92 @@ Status CheckVectorizedIdentity(const Table& table,
     CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*rw_ref, *rw_vec, 0.0,
                                              "Integrated-scalar" + suffix,
                                              "Integrated-vectorized" + suffix));
+  }
+  return Status::OK();
+}
+
+namespace {
+
+/// Equal bits, so a NaN equals itself and -0.0 differs from +0.0.
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+}  // namespace
+
+Status CheckApproximateIdentical(const ApproximateResult& a,
+                                 const ApproximateResult& b,
+                                 const std::string& label) {
+  if (a.num_groups() != b.num_groups()) {
+    return Status::Internal(label + ": " + std::to_string(a.num_groups()) +
+                            " vs " + std::to_string(b.num_groups()) +
+                            " groups");
+  }
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    const ApproximateGroupRow x = a.row(i);
+    const ApproximateGroupRow y = b.row(i);
+    bool same = x.key.size() == y.key.size() && x.support == y.support &&
+                x.provenance == y.provenance &&
+                std::ranges::equal(a.row_numbers(i), b.row_numbers(i),
+                                   SameBits);
+    for (size_t c = 0; same && c < x.key.size(); ++c) {
+      same = x.key[c].type() == y.key[c].type() &&
+             (x.key[c].is_double()
+                  ? SameBits(x.key[c].AsDouble(), y.key[c].AsDouble())
+                  : x.key[c] == y.key[c]);
+    }
+    if (!same) {
+      return Status::Internal(label + ": row " + std::to_string(i) + " (" +
+                              GroupKeyToString(x.key) + " vs " +
+                              GroupKeyToString(y.key) + ") differs");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckMomentsIdentity(const StratifiedSample& sample,
+                            const GroupByQuery& query) {
+  GroupByQuery from_moments = query;
+  from_moments.predicate = nullptr;
+  const std::vector<size_t>& grouping = sample.grouping_columns();
+  for (size_t c : query.group_columns) {
+    if (std::find(grouping.begin(), grouping.end(), c) == grouping.end()) {
+      return Status::OK();  // Not covered: folds finer units.
+    }
+  }
+  for (const AggregateSpec& spec : query.aggregates) {
+    if (spec.expression != nullptr) return Status::OK();  // Folds rows.
+  }
+  // A TRUE predicate the estimator cannot see through forces the row fold.
+  GroupByQuery from_rows = from_moments;
+  from_rows.predicate = std::make_shared<OpaquePredicate>(MakeTruePredicate());
+
+  const SampleMoments moments = SampleMoments::Compute(sample);
+  EstimatorOptions hoeffding;  // Bounds that read max|v|.
+  hoeffding.bound_method = BoundMethod::kHoeffding;
+  for (uint32_t s = 0; s < sample.strata().size(); s += 3) {
+    hoeffding.excluded_strata.push_back(s);
+  }
+  for (const EstimatorOptions& options : {EstimatorOptions{}, hoeffding}) {
+    const std::string label =
+        std::string("moments vs row fold, ") +
+        BoundMethodToString(options.bound_method) + ", " +
+        std::to_string(options.excluded_strata.size()) + " strata excluded";
+    obs::Scope trace("query");
+    ExecutorOptions execution;
+    execution.scope = &trace;
+    auto moments_answer =
+        EstimateGroupBy(sample, moments, from_moments, options, execution);
+    CONGRESS_RETURN_NOT_OK(moments_answer.status());
+#ifndef CONGRESS_DISABLE_OBS
+    if (trace.Find("estimate/rollup") == nullptr) {
+      return Status::Internal(label + ": the moments path was not taken");
+    }
+#endif
+    auto rows_answer = EstimateGroupBy(sample, moments, from_rows, options);
+    CONGRESS_RETURN_NOT_OK(rows_answer.status());
+    CONGRESS_RETURN_NOT_OK(
+        CheckApproximateIdentical(*moments_answer, *rows_answer, label));
   }
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/estimator.h"
 #include "engine/query.h"
 #include "sampling/allocation.h"
 #include "sampling/stratified_sample.h"
@@ -66,6 +67,22 @@ Status CheckThreadInvariance(const Table& table,
 Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query);
+
+/// Row-by-row bit equality of two approximate answers: group order, keys
+/// (down to the sign of a zero), support, provenance and every number.
+Status CheckApproximateIdentical(const ApproximateResult& a,
+                                 const ApproximateResult& b,
+                                 const std::string& label);
+
+/// The estimator's two sources of per-stratum sums agree bit for bit:
+/// with its predicate dropped, a query on grouping columns over COUNT(*)
+/// and plain columns is answered from the sample's moments, and again
+/// with a TRUE predicate hidden behind an opaque wrapper, which forces a
+/// fold of the sample rows. Keys, supports, numbers and group order must
+/// be identical, with the default options and with Hoeffding bounds over
+/// a tail that excludes every third stratum. Other queries pass.
+Status CheckMomentsIdentity(const StratifiedSample& sample,
+                            const GroupByQuery& query);
 
 /// The SQL front end agrees with the programmatic query builder: `sql`
 /// must parse, bind against `table`'s schema, name `table_name`, and

@@ -74,7 +74,8 @@ Result<CoverageReport> RunCoverage(const CoverageConfig& config) {
     Random rng(spec.seed * 0x9e3779b97f4a7c15ULL + 1);
     auto sample = BuildSample(table, grouping, config.strategy, x, &rng);
     CONGRESS_RETURN_NOT_OK(sample.status());
-    auto estimate = EstimateGroupBy(*sample, query, est_options);
+    auto estimate = EstimateGroupBy(*sample, SampleMoments::Compute(*sample),
+                                    query, est_options);
     CONGRESS_RETURN_NOT_OK(estimate.status());
 
     for (const GroupResult& truth : exact->rows()) {

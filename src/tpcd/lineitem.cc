@@ -24,6 +24,13 @@ std::vector<int64_t> DistinctValues(uint64_t count, int64_t bound,
   return values;
 }
 
+/// Distinct values per grouping column for a request of `num_groups`.
+uint64_t DistinctPerColumn(uint64_t num_groups) {
+  return std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             std::llround(std::cbrt(static_cast<double>(num_groups)))));
+}
+
 }  // namespace
 
 std::vector<size_t> LineitemGroupingColumns() {
@@ -32,6 +39,11 @@ std::vector<size_t> LineitemGroupingColumns() {
 
 std::vector<std::string> LineitemGroupingColumnNames() {
   return {"l_returnflag", "l_linestatus", "l_shipdate"};
+}
+
+uint64_t RealizedGroupCount(uint64_t num_groups) {
+  const uint64_t d = DistinctPerColumn(num_groups);
+  return d * d * d;
 }
 
 Result<LineitemData> GenerateLineitem(const LineitemConfig& config) {
@@ -46,10 +58,8 @@ Result<LineitemData> GenerateLineitem(const LineitemConfig& config) {
   }
 
   Random rng(config.seed);
-  const uint64_t d = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::llround(std::cbrt(static_cast<double>(config.num_groups)))));
-  const uint64_t realized_groups = d * d * d;
+  const uint64_t d = DistinctPerColumn(config.num_groups);
+  const uint64_t realized_groups = RealizedGroupCount(config.num_groups);
   if (realized_groups > config.num_tuples) {
     return Status::InvalidArgument(
         "more groups than tuples: " + std::to_string(realized_groups) +

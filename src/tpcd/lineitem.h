@@ -51,6 +51,10 @@ struct LineitemData {
   uint64_t distinct_per_column = 0;
 };
 
+/// The d^3 finest groups a request for `num_groups` realizes, with
+/// d = round(num_groups^(1/3)) and at least 1.
+uint64_t RealizedGroupCount(uint64_t num_groups);
+
 /// Generates the skewed TPC-D lineitem projection described in Section
 /// 7.1.1: all d^3 combinations of the grouping-column values form the
 /// finest groups; group sizes follow Zipf(group_skew_z); l_quantity and

@@ -438,6 +438,89 @@ TEST_F(AquaEngineTest, ConcurrentInsertersWithLiveReader) {
   EXPECT_EQ((*table)->num_rows(), 1000u + kThreads * kPerThread);
 }
 
+TEST_F(AquaEngineTest, ConcurrentFirstUseOfRollUpsMatchesSerial) {
+  // Three grouping columns give eight roll-ups, none memoized yet when
+  // eight threads answer them at once from one pinned snapshot; each
+  // roll-up is also answered with a predicate, through the row fold.
+  Table t{Schema({Field{"region", DataType::kString},
+                  Field{"kind", DataType::kInt64},
+                  Field{"bucket", DataType::kInt64},
+                  Field{"amount", DataType::kDouble}})};
+  const char* regions[] = {"east", "west", "north"};
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(regions[i % 3]), Value(int64_t{i % 4}),
+                             Value(int64_t{i % 5}),
+                             Value(static_cast<double>(i % 11) - 3.0)})
+                    .ok());
+  }
+  SynopsisConfig config;
+  config.grouping_columns = {"region", "kind", "bucket"};
+  config.sample_fraction = 0.1;
+  config.seed = 5;
+  std::vector<GroupByQuery> queries;
+  for (const std::vector<size_t>& columns : std::vector<std::vector<size_t>>{
+           {}, {0}, {1}, {2}, {0, 1}, {2, 1}, {0, 2}, {0, 1, 2}}) {
+    GroupByQuery q;
+    q.group_columns = columns;
+    q.aggregates = {{AggregateKind::kSum, 3},
+                    {AggregateKind::kCount, 0},
+                    {AggregateKind::kAvg, 3}};
+    queries.push_back(q);
+    q.predicate = MakeRangePredicate(3, 0.0, 100.0);
+    queries.push_back(q);
+  }
+
+  AquaEngine serial_engine;
+  ASSERT_TRUE(serial_engine.RegisterTable("t", t, config).ok());
+  auto serial_snapshot = serial_engine.GetSnapshot("t");
+  ASSERT_TRUE(serial_snapshot.ok());
+  std::vector<ApproximateResult> serial;
+  for (const GroupByQuery& q : queries) {
+    auto answer = (*serial_snapshot)->synopsis->Answer(q);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    serial.push_back(std::move(answer).value());
+  }
+
+  AquaEngine engine;
+  ASSERT_TRUE(engine.RegisterTable("t", t, config).ok());
+  auto snapshot = engine.GetSnapshot("t");
+  ASSERT_TRUE(snapshot.ok());
+  const AquaSynopsis& synopsis = *(*snapshot)->synopsis;
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<ApproximateResult>> answers(kThreads);
+  std::atomic<size_t> ready{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      // Thread i first asks roll-up i, then the others in turn.
+      for (size_t k = 0; k < queries.size(); ++k) {
+        auto answer =
+            synopsis.Answer(queries[(2 * i + k) % queries.size()]);
+        if (!answer.ok()) {
+          errors.fetch_add(1);
+          return;
+        }
+        answers[i].push_back(std::move(answer).value());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(errors.load(), 0);
+  for (size_t i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(answers[i].size(), queries.size());
+    for (size_t k = 0; k < queries.size(); ++k) {
+      const Status same = testing::CheckApproximateIdentical(
+          answers[i][k], serial[(2 * i + k) % queries.size()],
+          "thread " + std::to_string(i) + ", query " + std::to_string(k));
+      EXPECT_TRUE(same.ok()) << same.ToString();
+    }
+  }
+}
+
 TEST_F(AquaEngineTest, CheckpointRecordsStreamPositionOfTwoPassRelation) {
   const std::string path = ::testing::TempDir() + "/aqua_test_two_pass.snap";
   ASSERT_TRUE(engine_.Checkpoint("sales", path).ok());

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
+#include "obs/metrics.h"
+#include "obs/scope.h"
 #include "sampling/builder.h"
 
 namespace congress {
@@ -37,6 +39,15 @@ Table MakeTable(int per_group = 50) {
   return t;
 }
 
+/// Estimates from a sample built for one test, computing its moments.
+Result<ApproximateResult> Estimate(const StratifiedSample& sample,
+                                   const GroupByQuery& query,
+                                   const EstimatorOptions& options = {},
+                                   const ExecutorOptions& execution = {}) {
+  return EstimateGroupBy(sample, SampleMoments::Compute(sample), query,
+                         options, execution);
+}
+
 GroupByQuery SumQuery(std::vector<size_t> group_cols) {
   GroupByQuery q;
   q.group_columns = std::move(group_cols);
@@ -55,7 +66,7 @@ TEST(EstimatorTest, FullSampleReproducesExactAnswer) {
   ASSERT_TRUE(sample.ok());
   GroupByQuery q = SumQuery({0});
   auto exact = ExecuteExact(t, q);
-  auto approx = EstimateGroupBy(*sample, q);
+  auto approx = Estimate(*sample, q);
   ASSERT_TRUE(exact.ok() && approx.ok());
   ASSERT_EQ(approx->num_groups(), exact->num_groups());
   for (const GroupResult& row : exact->rows()) {
@@ -82,7 +93,7 @@ TEST(EstimatorTest, UnbiasedOverManySamples) {
     auto sample =
         BuildSample(t, {0, 1}, AllocationStrategy::kSenate, 60.0, &rng);
     ASSERT_TRUE(sample.ok());
-    auto approx = EstimateGroupBy(*sample, q);
+    auto approx = Estimate(*sample, q);
     ASSERT_TRUE(approx.ok());
     for (const auto& row : approx->rows()) {
       sums[GroupKey(row.key.begin(), row.key.end())] += row.estimates[0];
@@ -103,7 +114,7 @@ TEST(EstimatorTest, CountEstimateMatchesPopulationWithoutPredicate) {
       BuildSample(t, {0, 1}, AllocationStrategy::kSenate, 60.0, &rng);
   ASSERT_TRUE(sample.ok());
   GroupByQuery q = SumQuery({0, 1});
-  auto approx = EstimateGroupBy(*sample, q);
+  auto approx = Estimate(*sample, q);
   ASSERT_TRUE(approx.ok());
   // COUNT per finest group with no predicate is n_g exactly (the
   // expansion estimator is deterministic there); each (g, h) group in the
@@ -121,10 +132,10 @@ TEST(EstimatorTest, PredicateRestrictsSupport) {
   ASSERT_TRUE(sample.ok());
   GroupByQuery q = SumQuery({0});
   q.predicate = MakeEqualsPredicate(1, Value(int64_t{0}));
-  auto approx = EstimateGroupBy(*sample, q);
+  auto approx = Estimate(*sample, q);
   ASSERT_TRUE(approx.ok());
   GroupByQuery q_all = SumQuery({0});
-  auto approx_all = EstimateGroupBy(*sample, q_all);
+  auto approx_all = Estimate(*sample, q_all);
   ASSERT_TRUE(approx_all.ok());
   for (const auto& row : approx->rows()) {
     const auto all = approx_all->Find(row.key);
@@ -147,8 +158,8 @@ TEST(EstimatorTest, BoundsOrdering) {
   EstimatorOptions cheb;
   cheb.bound_method = BoundMethod::kChebyshev;
   cheb.confidence = 0.90;
-  auto r_se = EstimateGroupBy(*sample, q, se);
-  auto r_cheb = EstimateGroupBy(*sample, q, cheb);
+  auto r_se = Estimate(*sample, q, se);
+  auto r_cheb = Estimate(*sample, q, cheb);
   ASSERT_TRUE(r_se.ok() && r_cheb.ok());
   for (size_t i = 0; i < r_se->rows().size(); ++i) {
     const auto& a = r_se->rows()[i];
@@ -172,8 +183,8 @@ TEST(EstimatorTest, HigherConfidenceWidensChebyshev) {
   c90.confidence = 0.90;
   EstimatorOptions c99;
   c99.confidence = 0.99;
-  auto r90 = EstimateGroupBy(*sample, q, c90);
-  auto r99 = EstimateGroupBy(*sample, q, c99);
+  auto r90 = Estimate(*sample, q, c90);
+  auto r99 = Estimate(*sample, q, c99);
   ASSERT_TRUE(r90.ok() && r99.ok());
   EXPECT_GT(r99->rows()[0].bounds[0], r90->rows()[0].bounds[0]);
 }
@@ -187,7 +198,7 @@ TEST(EstimatorTest, HoeffdingBoundPositiveForSumAndCount) {
   GroupByQuery q = SumQuery({0});
   EstimatorOptions hoeff;
   hoeff.bound_method = BoundMethod::kHoeffding;
-  auto r = EstimateGroupBy(*sample, q, hoeff);
+  auto r = Estimate(*sample, q, hoeff);
   ASSERT_TRUE(r.ok());
   for (const auto& row : r->rows()) {
     EXPECT_GT(row.bounds[0], 0.0);  // SUM.
@@ -211,7 +222,7 @@ TEST(EstimatorTest, BoundCoversTruthMostOfTheTime) {
     auto sample =
         BuildSample(t, {0, 1}, AllocationStrategy::kSenate, 60.0, &rng);
     ASSERT_TRUE(sample.ok());
-    auto approx = EstimateGroupBy(*sample, q);
+    auto approx = Estimate(*sample, q);
     ASSERT_TRUE(approx.ok());
     for (const GroupResult& row : exact->rows()) {
       const auto est = approx->Find(row.key);
@@ -233,7 +244,7 @@ TEST(EstimatorTest, MissingGroupsAbsentFromAnswer) {
   auto sample = BuildSample(t, {0, 1}, AllocationStrategy::kHouse, 3.0, &rng);
   ASSERT_TRUE(sample.ok());
   GroupByQuery q = SumQuery({0, 1});
-  auto approx = EstimateGroupBy(*sample, q);
+  auto approx = Estimate(*sample, q);
   ASSERT_TRUE(approx.ok());
   EXPECT_LT(approx->num_groups(), 6u);
 }
@@ -246,7 +257,7 @@ TEST(EstimatorTest, RejectsMinMax) {
   GroupByQuery q;
   q.group_columns = {0};
   q.aggregates = {AggregateSpec{AggregateKind::kMin, 2}};
-  EXPECT_FALSE(EstimateGroupBy(*sample, q).ok());
+  EXPECT_FALSE(Estimate(*sample, q).ok());
 }
 
 TEST(EstimatorTest, RejectsBadArguments) {
@@ -256,13 +267,13 @@ TEST(EstimatorTest, RejectsBadArguments) {
   ASSERT_TRUE(sample.ok());
   GroupByQuery q;
   q.group_columns = {0};
-  EXPECT_FALSE(EstimateGroupBy(*sample, q).ok());  // No aggregates.
+  EXPECT_FALSE(Estimate(*sample, q).ok());  // No aggregates.
   q = SumQuery({99});
-  EXPECT_FALSE(EstimateGroupBy(*sample, q).ok());  // Bad group column.
+  EXPECT_FALSE(Estimate(*sample, q).ok());  // Bad group column.
   q = SumQuery({0});
   EstimatorOptions bad;
   bad.confidence = 1.5;
-  EXPECT_FALSE(EstimateGroupBy(*sample, q, bad).ok());
+  EXPECT_FALSE(Estimate(*sample, q, bad).ok());
 }
 
 TEST(EstimatorTest, AvgIsRatioOfSumAndCount) {
@@ -272,7 +283,7 @@ TEST(EstimatorTest, AvgIsRatioOfSumAndCount) {
       BuildSample(t, {0, 1}, AllocationStrategy::kCongress, 90.0, &rng);
   ASSERT_TRUE(sample.ok());
   GroupByQuery q = SumQuery({0});
-  auto approx = EstimateGroupBy(*sample, q);
+  auto approx = Estimate(*sample, q);
   ASSERT_TRUE(approx.ok());
   for (const auto& row : approx->rows()) {
     EXPECT_NEAR(row.estimates[2], row.estimates[0] / row.estimates[1], 1e-9);
@@ -509,6 +520,7 @@ TEST(EstimatorReferenceTest, RandomTablesMatchNaiveReference) {
     auto sample =
         BuildSample(t, {0, 1, 2}, AllocationStrategy::kCongress, 180.0, &rng);
     ASSERT_TRUE(sample.ok());
+    const SampleMoments moments = SampleMoments::Compute(*sample);
     for (const std::vector<size_t>& columns : group_sets) {
       for (size_t p = 0; p < predicates.size(); ++p) {
         for (int variant = 0; variant < 3; ++variant) {
@@ -526,7 +538,7 @@ TEST(EstimatorReferenceTest, RandomTablesMatchNaiveReference) {
                              std::to_string(columns.size()) + " pred " +
                              std::to_string(p) + " variant " +
                              std::to_string(variant);
-          auto got = EstimateGroupBy(*sample, q, options);
+          auto got = EstimateGroupBy(*sample, moments, q, options);
           ASSERT_TRUE(got.ok()) << what;
           ExpectMatchesReference(*got, NaiveEstimate(*sample, q, options),
                                  what);
@@ -542,6 +554,7 @@ TEST(EstimatorReferenceTest, BitIdenticalAcrossThreadCounts) {
   auto sample =
       BuildSample(t, {0, 1, 2}, AllocationStrategy::kSenate, 900.0, &rng);
   ASSERT_TRUE(sample.ok());
+  const SampleMoments moments = SampleMoments::Compute(*sample);
   for (const std::vector<size_t>& columns :
        std::vector<std::vector<size_t>>{{0}, {0, 1, 2}, {3}, {1, 4}}) {
     GroupByQuery q;
@@ -552,13 +565,13 @@ TEST(EstimatorReferenceTest, BitIdenticalAcrossThreadCounts) {
     q.predicate = MakeRangePredicate(5, -10.0, 1e9);
     EstimatorOptions options;
     options.excluded_strata = {1};
-    auto serial = EstimateGroupBy(*sample, q, options);
+    auto serial = EstimateGroupBy(*sample, moments, q, options);
     ASSERT_TRUE(serial.ok());
     for (size_t threads : {4u, 8u}) {
       ExecutorOptions execution;
       execution.num_threads = threads;
       execution.morsel_size = 64;
-      auto parallel = EstimateGroupBy(*sample, q, options, execution);
+      auto parallel = EstimateGroupBy(*sample, moments, q, options, execution);
       ASSERT_TRUE(parallel.ok());
       ExpectBitIdentical(*serial, *parallel,
                          std::to_string(threads) + " threads");
@@ -590,21 +603,190 @@ StratifiedSample SignedZeroSample() {
 TEST(EstimatorReferenceTest, SignedZeroKeyComesFromFirstSampleRow) {
   const StratifiedSample sample = SignedZeroSample();
   ASSERT_FALSE(std::signbit(sample.strata()[0].key[0].AsDouble()));
-  for (size_t column : {0u, 1u}) {  // Covered, then uncovered.
-    GroupByQuery q;
-    q.group_columns = {column};
-    q.aggregates = {{AggregateKind::kSum, 2}, {AggregateKind::kCount, 0}};
-    // The predicate rejects the zero group's first sample row; the key
-    // still comes from that row.
-    q.predicate = MakeRangePredicate(2, 0.0, 10.0);
-    auto got = EstimateGroupBy(sample, q);
-    ASSERT_TRUE(got.ok());
-    ExpectMatchesReference(*got, NaiveEstimate(sample, q, {}),
-                           "column " + std::to_string(column));
-    const auto zero = got->Find({Value(0.0)});
-    ASSERT_TRUE(zero.has_value());
-    EXPECT_TRUE(std::signbit(zero->key[0].AsDouble())) << column;
+  // The predicate rejects the zero group's first sample row; the key
+  // still comes from that row. Without it, the covered query is answered
+  // from the moments, and the key still comes from that row.
+  for (PredicatePtr predicate : {MakeRangePredicate(2, 0.0, 10.0),
+                                 PredicatePtr()}) {
+    for (size_t column : {0u, 1u}) {  // Covered, then uncovered.
+      GroupByQuery q;
+      q.group_columns = {column};
+      q.aggregates = {{AggregateKind::kSum, 2}, {AggregateKind::kCount, 0}};
+      q.predicate = predicate;
+      const std::string what = "column " + std::to_string(column) +
+                               (predicate ? " ranged" : " predicate-free");
+      auto got = Estimate(sample, q);
+      ASSERT_TRUE(got.ok()) << what;
+      ExpectMatchesReference(*got, NaiveEstimate(sample, q, {}), what);
+      const auto zero = got->Find({Value(0.0)});
+      ASSERT_TRUE(zero.has_value()) << what;
+      EXPECT_TRUE(std::signbit(zero->key[0].AsDouble())) << what;
+    }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The moments path: a predicate-free query on grouping columns over
+// COUNT(*) and plain columns reads each stratum's moments instead of its
+// rows, bit-identically to the row fold.
+// ---------------------------------------------------------------------------
+
+/// TRUE, behind a type the estimator cannot see through: the query it
+/// filters is answered by folding the sample rows.
+class OpaqueTrue final : public Predicate {
+ public:
+  bool Matches(const Table&, size_t) const override { return true; }
+  std::string ToString(const Schema*) const override { return "TRUE"; }
+};
+
+/// Answers `q` (no predicate) from the moments and again through the row
+/// fold, and demands identical bits; both must match the naive reference.
+void ExpectMomentsMatchRowFold(const StratifiedSample& sample,
+                               const GroupByQuery& q,
+                               const EstimatorOptions& options,
+                               const std::string& what) {
+  ASSERT_EQ(q.predicate, nullptr) << what;
+  const SampleMoments moments = SampleMoments::Compute(sample);
+  GroupByQuery folded = q;
+  folded.predicate = std::make_shared<OpaqueTrue>();
+  auto from_moments = EstimateGroupBy(sample, moments, q, options);
+  auto from_rows = EstimateGroupBy(sample, moments, folded, options);
+  ASSERT_TRUE(from_moments.ok()) << what << from_moments.status().ToString();
+  ASSERT_TRUE(from_rows.ok()) << what << from_rows.status().ToString();
+  ExpectBitIdentical(*from_moments, *from_rows, what);
+  ExpectMatchesReference(*from_moments, NaiveEstimate(sample, q, options),
+                         what);
+}
+
+TEST(MomentsPathTest, PredicateFreeCoveredQueryReadsNoSampleRow) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  Table t = RandomTable(4, 2000);
+  Random rng(4);
+  auto sample =
+      BuildSample(t, {0, 1, 2}, AllocationStrategy::kCongress, 500.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  const SampleMoments moments = SampleMoments::Compute(*sample);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto counter = [&registry](const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  GroupByQuery q;
+  q.group_columns = {0, 2};
+  q.aggregates = {{AggregateKind::kSum, 5},
+                  {AggregateKind::kCount, 0},
+                  {AggregateKind::kAvg, 6}};
+
+  const uint64_t eval_rows = counter("kernels.eval.rows");
+  const uint64_t match_batches = counter("kernels.match.batches");
+  obs::Scope free_trace("query");
+  ExecutorOptions execution;
+  execution.scope = &free_trace;
+  ASSERT_TRUE(EstimateGroupBy(*sample, moments, q, {}, execution).ok());
+  EXPECT_EQ(counter("kernels.eval.rows"), eval_rows);
+  EXPECT_EQ(counter("kernels.match.batches"), match_batches);
+  EXPECT_EQ(free_trace.Find("estimate/eval_batch"), nullptr);
+  EXPECT_EQ(free_trace.Find("estimate/match_batch"), nullptr);
+  EXPECT_NE(free_trace.Find("estimate/rollup"), nullptr);
+
+  q.predicate = MakeRangePredicate(5, 0.0, 1e9);
+  obs::Scope ranged_trace("query");
+  execution.scope = &ranged_trace;
+  ASSERT_TRUE(EstimateGroupBy(*sample, moments, q, {}, execution).ok());
+  EXPECT_GT(counter("kernels.eval.rows"), eval_rows);
+  EXPECT_GT(counter("kernels.match.batches"), match_batches);
+  EXPECT_NE(ranged_trace.Find("estimate/eval_batch"), nullptr);
+  EXPECT_EQ(ranged_trace.Find("estimate/rollup"), nullptr);
+#endif
+}
+
+TEST(MomentsPathTest, CountOnlyWhenEveryNumericColumnGroups) {
+  // The only numeric column is a grouping column, so COUNT(*) reads the
+  // strata's row counts alone.
+  Table t{Schema({Field{"g", DataType::kInt64}, Field{"s", DataType::kString}})};
+  const char* names[] = {"x", "y", "z"};
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(i % 7), Value(names[i % 3])}).ok());
+  }
+  Random rng(6);
+  auto sample =
+      BuildSample(t, {0, 1}, AllocationStrategy::kCongress, 60.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  for (const std::vector<size_t>& columns :
+       std::vector<std::vector<size_t>>{{}, {0}, {1}, {1, 0}}) {
+    GroupByQuery q;
+    q.group_columns = columns;
+    q.aggregates = {{AggregateKind::kCount, 0}};
+    ExpectMomentsMatchRowFold(*sample, q, {},
+                              std::to_string(columns.size()) + " columns");
+  }
+}
+
+TEST(MomentsPathTest, GlobalAggregateAndHaving) {
+  Table t = RandomTable(5, 1500);
+  Random rng(5);
+  auto sample =
+      BuildSample(t, {0, 1, 2}, AllocationStrategy::kSenate, 400.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  GroupByQuery q;
+  q.aggregates = {{AggregateKind::kSum, 5},
+                  {AggregateKind::kCount, 0},
+                  {AggregateKind::kAvg, 6}};
+  ExpectMomentsMatchRowFold(*sample, q, {}, "global");
+
+  q.group_columns = {1, 0};
+  q.having = {HavingCondition{1, CompareOp::kGt, 60.0}};
+  for (int method = 0; method < 3; ++method) {
+    EstimatorOptions options;
+    options.bound_method = static_cast<BoundMethod>(method);
+    ExpectMomentsMatchRowFold(*sample, q, options,
+                              "HAVING, bound method " +
+                                  std::to_string(method));
+  }
+}
+
+TEST(MomentsPathTest, CombinedPlanTailSkipsExcludedStrata) {
+  // A combined plan's sampled tail: outlier strata excluded, no predicate.
+  Table t = RandomTable(6, 2000);
+  Random rng(6);
+  auto sample =
+      BuildSample(t, {0, 1, 2}, AllocationStrategy::kCongress, 600.0, &rng);
+  ASSERT_TRUE(sample.ok());
+  GroupByQuery q;
+  q.group_columns = {0};
+  q.aggregates = {{AggregateKind::kSum, 5},
+                  {AggregateKind::kCount, 0},
+                  {AggregateKind::kAvg, 6}};
+  EstimatorOptions options;
+  options.bound_method = BoundMethod::kHoeffding;
+  for (uint32_t s = 0; s < sample->strata().size(); s += 4) {
+    options.excluded_strata.push_back(s);
+  }
+  ExpectMomentsMatchRowFold(*sample, q, options, "tail");
+  auto full = Estimate(*sample, q);
+  auto tail = Estimate(*sample, q, options);
+  ASSERT_TRUE(full.ok() && tail.ok());
+  uint64_t full_support = 0;
+  uint64_t tail_support = 0;
+  for (const ApproximateGroupRow& row : full->rows()) {
+    full_support += row.support;
+  }
+  for (const ApproximateGroupRow& row : tail->rows()) {
+    tail_support += row.support;
+  }
+  EXPECT_LT(tail_support, full_support);
+}
+
+TEST(MomentsPathTest, RejectsMomentsOfAnotherSample) {
+  Table t = MakeTable();
+  Random rng(2);
+  auto sample = BuildSample(t, {0, 1}, AllocationStrategy::kHouse, 60.0, &rng);
+  auto other = BuildSample(t, {0}, AllocationStrategy::kHouse, 30.0, &rng);
+  ASSERT_TRUE(sample.ok() && other.ok());
+  EXPECT_FALSE(EstimateGroupBy(*sample, SampleMoments::Compute(*other),
+                               SumQuery({0}))
+                   .ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -829,7 +1011,7 @@ TEST(ApproximateResultTest, ZeroKeyWidthHoldsTheSingleGroup) {
   ASSERT_TRUE(sample.ok());
   GroupByQuery q;
   q.aggregates = {{AggregateKind::kSum, 2}, {AggregateKind::kCount, 0}};
-  auto got = EstimateGroupBy(*sample, q);
+  auto got = Estimate(*sample, q);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->key_width(), 0u);
   EXPECT_EQ(got->num_aggregates(), 2u);

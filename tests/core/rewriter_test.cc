@@ -127,7 +127,7 @@ TEST(RewriterTest, MatchesEstimatorPointEstimates) {
                   AggregateSpec{AggregateKind::kCount, 0},
                   AggregateSpec{AggregateKind::kAvg, 3}};
   auto rewritten = rewriter.Answer(q, RewriteStrategy::kIntegrated);
-  auto estimated = EstimateGroupBy(sample, q);
+  auto estimated = EstimateGroupBy(sample, SampleMoments::Compute(sample), q);
   ASSERT_TRUE(rewritten.ok() && estimated.ok());
   for (const GroupResult& row : rewritten->rows()) {
     const auto est = estimated->Find(row.key);

@@ -124,7 +124,7 @@ TEST(ExpressionAggregateTest, EstimatorUnbiasedOnExpression) {
   auto sample = BuildSample(t, {0}, AllocationStrategy::kSenate,
                             static_cast<double>(t.num_rows()), &rng);
   ASSERT_TRUE(sample.ok());
-  auto approx = EstimateGroupBy(*sample, q);
+  auto approx = EstimateGroupBy(*sample, SampleMoments::Compute(*sample), q);
   ASSERT_TRUE(approx.ok());
   for (const GroupResult& row : exact->rows()) {
     const auto est = approx->Find(row.key);

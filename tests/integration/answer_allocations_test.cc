@@ -56,11 +56,12 @@ GroupByQuery SumCountBy(size_t column) {
 /// Allocations made while `query` is estimated from `sample`, encoded
 /// as a response frame and decoded again.
 uint64_t AnswerAllocations(const StratifiedSample& sample,
+                           const SampleMoments& moments,
                            const GroupByQuery& query, size_t* groups) {
   ExecutorOptions execution;
   execution.num_threads = 1;
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  auto estimate = EstimateGroupBy(sample, query, {}, execution);
+  auto estimate = EstimateGroupBy(sample, moments, query, {}, execution);
   if (!estimate.ok()) {
     ADD_FAILURE() << estimate.status().ToString();
     return 0;
@@ -87,16 +88,19 @@ TEST(AnswerAllocationsTest, CountDoesNotGrowWithGroups) {
   auto sample = BuildSample(table, {0, 1}, AllocationStrategy::kSenate,
                             5000.0, &rng);
   ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  const SampleMoments moments = SampleMoments::Compute(*sample);
   const GroupByQuery by_coarse = SumCountBy(1);
   const GroupByQuery by_fine = SumCountBy(0);
   size_t groups = 0;
-  // Warm-up: first uses register metrics and resolve kernels.
-  AnswerAllocations(*sample, by_coarse, &groups);
-  AnswerAllocations(*sample, by_fine, &groups);
+  // Warm-up: first uses register metrics, resolve kernels and memoize
+  // each grouping's roll-up.
+  AnswerAllocations(*sample, moments, by_coarse, &groups);
+  AnswerAllocations(*sample, moments, by_fine, &groups);
 
-  const uint64_t coarse = AnswerAllocations(*sample, by_coarse, &groups);
+  const uint64_t coarse =
+      AnswerAllocations(*sample, moments, by_coarse, &groups);
   EXPECT_EQ(groups, 100u);
-  const uint64_t fine = AnswerAllocations(*sample, by_fine, &groups);
+  const uint64_t fine = AnswerAllocations(*sample, moments, by_fine, &groups);
   EXPECT_EQ(groups, 1000u);
   RecordProperty("allocations_100_groups", std::to_string(coarse));
   RecordProperty("allocations_1000_groups", std::to_string(fine));

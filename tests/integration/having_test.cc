@@ -92,7 +92,7 @@ TEST(HavingTest, EstimatorAndRewriterApplyHaving) {
   ASSERT_TRUE(sample.ok());
   GroupByQuery q = BaseQuery();
   q.having = {HavingCondition{1, CompareOp::kGt, 10.0}};  // AVG > 10.
-  auto estimated = EstimateGroupBy(*sample, q);
+  auto estimated = EstimateGroupBy(*sample, SampleMoments::Compute(*sample), q);
   ASSERT_TRUE(estimated.ok());
   EXPECT_EQ(estimated->num_groups(), 2u);  // AVG 20 and 100.
   EXPECT_FALSE(estimated->Find({Value(int64_t{2})}).has_value());

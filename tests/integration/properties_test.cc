@@ -151,7 +151,7 @@ TEST_P(UnbiasednessSweep, GlobalSumEstimateIsUnbiased) {
     auto sample =
         BuildSample(t, tpcd::LineitemGroupingColumns(), strategy, 250.0, &rng);
     ASSERT_TRUE(sample.ok());
-    auto approx = EstimateGroupBy(*sample, q);
+    auto approx = EstimateGroupBy(*sample, SampleMoments::Compute(*sample), q);
     ASSERT_TRUE(approx.ok());
     ASSERT_EQ(approx->num_groups(), 1u);
     total += approx->rows()[0].estimates[0];
@@ -212,8 +212,9 @@ TEST(SenateDominanceTest, CoarserGroupsHaveMoreSupport) {
   ASSERT_TRUE(sample.ok());
   GroupByQuery fine = tpcd::MakeQg3();
   GroupByQuery coarse = tpcd::MakeQg2();
-  auto fine_answer = EstimateGroupBy(*sample, fine);
-  auto coarse_answer = EstimateGroupBy(*sample, coarse);
+  const SampleMoments moments = SampleMoments::Compute(*sample);
+  auto fine_answer = EstimateGroupBy(*sample, moments, fine);
+  auto coarse_answer = EstimateGroupBy(*sample, moments, coarse);
   ASSERT_TRUE(fine_answer.ok() && coarse_answer.ok());
   uint64_t min_fine = UINT64_MAX;
   for (const auto& row : fine_answer->rows()) {

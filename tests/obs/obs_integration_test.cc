@@ -129,7 +129,7 @@ TEST(ObsIntegrationTest, CoveringScanEmitsProjectSpan) {
 #endif
 }
 
-TEST(ObsIntegrationTest, CoveredEstimateProjectsStrata) {
+TEST(ObsIntegrationTest, CoveredEstimateRollsUpTheMoments) {
 #ifdef CONGRESS_DISABLE_OBS
   GTEST_SKIP() << "observability compiled out";
 #else
@@ -154,18 +154,23 @@ TEST(ObsIntegrationTest, CoveredEstimateProjectsStrata) {
     return false;
   };
 
-  // Qg2 groups on two of the three grouping columns: its output groups
-  // are unions of strata, read off the strata with no per-row hashing.
+  // Qg2 groups on two of the three grouping columns without a predicate:
+  // its output groups are unions of strata, rolled up from the strata's
+  // moments through the memoized projection, with no row read or hashed.
+  const SampleMoments moments = SampleMoments::Compute(*sample);
   obs::Scope root("query");
   ExecutorOptions options;
   options.scope = &root;
-  auto covered = EstimateGroupBy(*sample, tpcd::MakeQg2(), {}, options);
+  auto covered =
+      EstimateGroupBy(*sample, moments, tpcd::MakeQg2(), {}, options);
   ASSERT_TRUE(covered.ok());
   EXPECT_GT(covered->num_groups(), 0u);
-  const obs::Scope* project = root.Find("estimate/project");
-  ASSERT_NE(project, nullptr);
-  EXPECT_EQ(project->invocations(), 1u);
-  EXPECT_GT(project->total_nanos(), 0u);
+  const obs::Scope* rollup = root.Find("estimate/rollup");
+  ASSERT_NE(rollup, nullptr);
+  EXPECT_EQ(rollup->invocations(), 1u);
+  EXPECT_GT(rollup->total_nanos(), 0u);
+  EXPECT_EQ(root.Find("estimate/project"), nullptr);
+  EXPECT_EQ(root.Find("estimate/eval_batch"), nullptr);
   EXPECT_FALSE(has_intern(root));
   EXPECT_EQ(registry.GetCounter("estimator.covered_queries").value(),
             covered_before + 1);
@@ -176,7 +181,7 @@ TEST(ObsIntegrationTest, CoveredEstimateProjectsStrata) {
   uncovered.group_columns = {tpcd::kLQuantity};
   obs::Scope other("query");
   options.scope = &other;
-  ASSERT_TRUE(EstimateGroupBy(*sample, uncovered, {}, options).ok());
+  ASSERT_TRUE(EstimateGroupBy(*sample, moments, uncovered, {}, options).ok());
   EXPECT_TRUE(has_intern(other));
   EXPECT_EQ(registry.GetCounter("estimator.covered_queries").value(),
             covered_before + 1);

@@ -152,7 +152,8 @@ TEST(CongressVariantsTest, AllVariantsGiveUnbiasedEstimates) {
       auto sample =
           BuildCongressVariant(t, {0, 1}, 600.0, variant, &rng);
       ASSERT_TRUE(sample.ok());
-      auto approx = EstimateGroupBy(*sample, q);
+      auto approx =
+          EstimateGroupBy(*sample, SampleMoments::Compute(*sample), q);
       ASSERT_TRUE(approx.ok());
       for (const auto& row : approx->rows()) {
         sums[GroupKey(row.key.begin(), row.key.end())] += row.estimates[0];
