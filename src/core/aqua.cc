@@ -7,6 +7,7 @@
 
 #include "engine/executor.h"
 #include "obs/metrics.h"
+#include "obs/scope.h"
 #include "resilience/recovery.h"
 #include "resilience/snapshot_io.h"
 #include "sql/emitter.h"
@@ -150,12 +151,16 @@ Status AquaEngine::PublishLocked(const std::string& name,
         std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
   }
 
-  // The snapshot shares the state's table. One census of it feeds the
-  // two-pass primary, both fallbacks and the fleet; its index is the
-  // snapshot's base_group_index, through which combined plans pull
-  // outlier rows.
+  // The snapshot shares the state's table. One typed pass over it records
+  // the zone map through which exact scans skip what a range rules out.
+  // One census of it feeds the two-pass primary, both fallbacks and the
+  // fleet; its index is the snapshot's base_group_index, through which
+  // combined plans pull outlier rows.
   snapshot->table = state->table;
   const Table& table = *snapshot->table;
+  CONGRESS_SPAN(zones_span, config.execution.scope, "zones");
+  snapshot->zones = std::make_shared<const ZoneMap>(ZoneMap::Build(table));
+  zones_span.Stop();
   auto grouping =
       ResolveGroupingIndices(table.schema(), config.grouping_columns);
   if (!grouping.ok()) return grouping.status();

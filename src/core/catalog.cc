@@ -19,7 +19,7 @@ Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
                                       ? snapshot.synopsis->config().execution
                                       : ExecutorOptions{};
   return ExecuteExact(*snapshot.table, query, options,
-                      snapshot.base_group_index.get());
+                      snapshot.base_group_index.get(), snapshot.zones.get());
 }
 
 std::shared_ptr<const AquaSnapshot> CatalogVersion::Find(

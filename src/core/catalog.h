@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/synopsis.h"
+#include "engine/zone_map.h"
 #include "histogram/group_histogram.h"
 #include "storage/group_index.h"
 #include "storage/table.h"
@@ -72,6 +73,11 @@ struct AquaSnapshot {
   /// when the base is unavailable.
   std::shared_ptr<const GroupIndex> base_group_index;
 
+  /// Per-zone bounds of the base relation's numeric columns, built at
+  /// every publish, through which exact scans skip the batches a range
+  /// rules out. Null for a restored snapshot.
+  std::shared_ptr<const ZoneMap> zones;
+
   /// False when the base relation is not actually populated (snapshot
   /// restored from a checkpoint image): the exact rung and QueryExact
   /// cannot be served from it.
@@ -81,8 +87,9 @@ struct AquaSnapshot {
 /// Exact answer of `query` over the snapshot's base relation — the one
 /// entry point for snapshot-side exact scans (AquaEngine::QueryExact,
 /// the resilient exact rung, the planner's exact plan). Runs with the
-/// primary synopsis's execution options and projects base_group_index
-/// when it covers the query's grouping. FailedPrecondition when the base
+/// primary synopsis's execution options, projects base_group_index
+/// when it covers the query's grouping, and classifies each batch through
+/// the snapshot's zones. FailedPrecondition when the base
 /// relation is unavailable (a snapshot restored from a checkpoint).
 Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
                                            const GroupByQuery& query);

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "engine/kernels.h"
+#include "engine/zone_map.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "storage/group_index.h"
@@ -118,11 +119,17 @@ class InputFold {
 
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                                  const ExecutorOptions& options,
-                                 const GroupIndex* covering) {
+                                 const GroupIndex* covering,
+                                 const ZoneMap* zones) {
   CONGRESS_RETURN_NOT_OK(ValidateQuery(table, query));
   if (covering != nullptr && covering->num_rows() != table.num_rows()) {
     return Status::InvalidArgument(
         "covering index has " + std::to_string(covering->num_rows()) +
+        " rows but the table has " + std::to_string(table.num_rows()));
+  }
+  if (zones != nullptr && zones->num_rows() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "zone map has " + std::to_string(zones->num_rows()) +
         " rows but the table has " + std::to_string(table.num_rows()));
   }
   CONGRESS_METRIC_INCR("engine.exact_queries", 1);
@@ -241,12 +248,26 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
       fold.Fold(m, group_at, [v = values.data()](size_t i) { return v[i]; });
     }
   };
+  // With zones, the predicate first classifies each batch from its
+  // bounds: a batch no row of which matches is skipped, and one every row
+  // of which matches is walked like an unfiltered batch. Either way the
+  // surviving rows are the filter's.
+  const bool classify = !dense && zones != nullptr;
   const uint32_t n = static_cast<uint32_t>(table.num_rows());
   for (uint32_t begin = 0; begin < n; begin += batch_rows) {
     const uint32_t end = std::min(n, begin + batch_rows);
+    const ZoneMatch match =
+        classify ? query.predicate->Classify(*zones, begin, end)
+                 : ZoneMatch::kSome;
+    if (match == ZoneMatch::kNone) {
+      tally.batches_skipped += 1;
+      continue;
+    }
+    const bool whole = dense || match == ZoneMatch::kAll;
+    if (!dense && whole) tally.batches_whole += 1;
     uint32_t first = begin;
     size_t m = end - begin;
-    if (dense) {
+    if (whole) {
       if (any_expression) {
         rows.resize(m);
         for (size_t i = 0; i < m; ++i) {
@@ -267,7 +288,7 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
     }
     // A selection that is one contiguous run (such as a range over a
     // clustered column) is walked like an unfiltered batch.
-    if (first + m - 1 == (dense ? end - 1 : rows[m - 1])) {
+    if (whole || first + m - 1 == rows[m - 1]) {
       const uint32_t* ids = row_ids + first;
       if (group_of == nullptr) {
         fold_batch([ids](size_t i) { return ids[i]; }, true, first, m);

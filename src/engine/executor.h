@@ -9,6 +9,7 @@
 namespace congress {
 
 class GroupIndex;
+class ZoneMap;
 
 /// Executes `query` exactly over `table`. This is the ground-truth oracle
 /// the accuracy experiments compare against, and the building block of
@@ -26,15 +27,24 @@ class GroupIndex;
 /// by every aggregate over it. Every group folds its rows in ascending
 /// row order, as a per-row Accumulator::Add loop would.
 ///
+/// With `zones` (a ZoneMap of `table`, such as a snapshot's), each batch
+/// is first classified by the predicate (Predicate::Classify): a batch
+/// no row of which can match is skipped, one every row of which matches
+/// is folded whole without a filter call, and only the rest are filtered.
+/// The surviving rows and their order are those of the filtered pass, so
+/// the answer is bit-identical with or without zones.
+///
 /// Groups with a matching row that pass HAVING are returned in key order:
 /// their ids, in first-occurrence order, are sorted by their first rows
 /// with RowKeyLess, whose comparisons equal those of the keys, so the
 /// order is the one a key sort gives (NaN keys included). Results are
 /// bit-identical for every thread count and either id source.
-/// A `covering` index with a different row count is InvalidArgument.
+/// A `covering` index or `zones` map with a different row count is
+/// InvalidArgument.
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                                  const ExecutorOptions& options = {},
-                                 const GroupIndex* covering = nullptr);
+                                 const GroupIndex* covering = nullptr,
+                                 const ZoneMap* zones = nullptr);
 
 /// Computes the number of tuples in each group at the grouping
 /// `group_columns` (COUNT(*) group-by without predicate), keyed by group.

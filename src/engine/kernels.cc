@@ -190,6 +190,13 @@ void RecordKernelTally(const KernelTally& tally, obs::Scope* scope) {
       scope->Child("match_batch")->RecordNanos(tally.match_nanos);
     }
   }
+  if (tally.batches_skipped > 0) {
+    CONGRESS_METRIC_INCR("kernels.match.batches_skipped",
+                         tally.batches_skipped);
+  }
+  if (tally.batches_whole > 0) {
+    CONGRESS_METRIC_INCR("kernels.match.batches_whole", tally.batches_whole);
+  }
   if (tally.eval_batches > 0) {
     CONGRESS_METRIC_INCR("kernels.eval.batches", tally.eval_batches);
     CONGRESS_METRIC_INCR("kernels.eval.rows", tally.eval_rows);

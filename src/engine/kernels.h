@@ -119,10 +119,13 @@ inline constexpr bool kObsEnabled = true;
 
 /// Per-worker kernel bookkeeping, merged after a parallel stage and
 /// recorded once: how many batches ran, rows in/selected for the filter
-/// kernels, rows evaluated by the expression kernels, and (when a span
-/// scope is attached) nanoseconds spent in each kernel family.
+/// kernels, batches a zone map let the filter skip or take whole, rows
+/// evaluated by the expression kernels, and (when a span scope is
+/// attached) nanoseconds spent in each kernel family.
 struct KernelTally {
   uint64_t match_batches = 0;
+  uint64_t batches_skipped = 0;
+  uint64_t batches_whole = 0;
   uint64_t match_rows_in = 0;
   uint64_t match_rows_selected = 0;
   uint64_t match_nanos = 0;
@@ -132,6 +135,8 @@ struct KernelTally {
 
   void Merge(const KernelTally& other) {
     match_batches += other.match_batches;
+    batches_skipped += other.batches_skipped;
+    batches_whole += other.batches_whole;
     match_rows_in += other.match_rows_in;
     match_rows_selected += other.match_rows_selected;
     match_nanos += other.match_nanos;
@@ -140,7 +145,10 @@ struct KernelTally {
     eval_nanos += other.eval_nanos;
   }
 
-  bool empty() const { return match_batches == 0 && eval_batches == 0; }
+  bool empty() const {
+    return match_batches == 0 && batches_skipped == 0 && batches_whole == 0 &&
+           eval_batches == 0;
+  }
 };
 
 /// Monotonic nanosecond clock for kernel tallies. Call only when timing
@@ -148,7 +156,9 @@ struct KernelTally {
 uint64_t TallyClockNanos();
 
 /// Publishes a merged tally: "match_batch"/"eval_batch" span children
-/// under `scope` (skipped when null) and the global kernels.* counters.
+/// under `scope` (skipped when null) and the global kernels.* counters,
+/// kernels.match.batches_skipped and kernels.match.batches_whole among
+/// them.
 /// Compiled to a no-op under CONGRESS_DISABLE_OBS.
 void RecordKernelTally(const KernelTally& tally, obs::Scope* scope);
 

@@ -77,6 +77,51 @@ void FilterStringEquals(const Table& table, size_t col, uint32_t begin,
                             keep_equal, sel_out);
 }
 
+simd::Cmp ToSimdCmp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kEq: return simd::Cmp::kEq;
+    case CompareOp::kNe: return simd::Cmp::kNe;
+    case CompareOp::kLt: return simd::Cmp::kLt;
+    case CompareOp::kLe: return simd::Cmp::kLe;
+    case CompareOp::kGt: return simd::Cmp::kGt;
+    case CompareOp::kGe: return simd::Cmp::kGe;
+  }
+  return simd::Cmp::kEq;
+}
+
+ZoneMatch Decide(bool none, bool all) {
+  return none ? ZoneMatch::kNone : all ? ZoneMatch::kAll : ZoneMatch::kSome;
+}
+
+/// What [min, max] bounds prove about `v op rhs` for every v within them:
+/// the compare holds for all when it holds at the bound where it is
+/// hardest, and for none when it fails at the bound where it is easiest.
+/// Written as negations, a NaN `rhs` (which every compare but <> fails)
+/// gives kNone, and kAll for <>.
+ZoneMatch CompareBounds(const ZoneBounds<double>& b, simd::Cmp op,
+                        double rhs) {
+  const bool straddles = b.min <= rhs && b.max >= rhs;
+  const bool constant = b.min == rhs && b.max == rhs;
+  switch (op) {
+    case simd::Cmp::kEq: return Decide(!straddles, constant);
+    case simd::Cmp::kNe: return Decide(constant, !straddles);
+    case simd::Cmp::kLt: return Decide(!(b.min < rhs), b.max < rhs);
+    case simd::Cmp::kLe: return Decide(!(b.min <= rhs), b.max <= rhs);
+    case simd::Cmp::kGt: return Decide(!(b.max > rhs), b.min > rhs);
+    case simd::Cmp::kGe: return Decide(!(b.max >= rhs), b.min >= rhs);
+  }
+  return ZoneMatch::kSome;
+}
+
+/// Classify for the compare FilterNumericCompare applies to the numeric
+/// view of column `col`.
+ZoneMatch ClassifyNumericCompare(const ZoneMap& zones, size_t col,
+                                 uint32_t begin, uint32_t end, simd::Cmp op,
+                                 double rhs) {
+  const auto b = zones.NumericBounds(col, begin, end);
+  return b ? CompareBounds(*b, op, rhs) : ZoneMatch::kSome;
+}
+
 class TruePredicate final : public Predicate {
  public:
   bool Matches(const Table&, size_t) const override { return true; }
@@ -86,6 +131,10 @@ class TruePredicate final : public Predicate {
                   SelectionVector* sel_out) const override {
     kernels::FilterGeneric(begin, end, sel_in, sel_out,
                            [](uint32_t) { return true; });
+  }
+
+  ZoneMatch Classify(const ZoneMap&, uint32_t, uint32_t) const override {
+    return ZoneMatch::kAll;
   }
 
   std::string ToString(const Schema*) const override { return "TRUE"; }
@@ -108,6 +157,15 @@ class RangePredicate final : public Predicate {
                             hi_)) {
       Predicate::MatchBatch(table, begin, end, sel_in, sel_out);
     }
+  }
+
+  /// The kernel keeps lo <= v && v <= hi on the numeric view.
+  ZoneMatch Classify(const ZoneMap& zones, uint32_t begin,
+                     uint32_t end) const override {
+    const auto b = zones.NumericBounds(col_, begin, end);
+    if (!b) return ZoneMatch::kSome;
+    return Decide(!(b->max >= lo_) || !(b->min <= hi_),
+                  b->min >= lo_ && b->max <= hi_);
   }
 
   std::string ToString(const Schema* schema) const override {
@@ -152,6 +210,30 @@ class EqualsPredicate final : public Predicate {
                            value_.AsString(), /*keep_equal=*/true);
         break;
     }
+  }
+
+  /// An int64 constant is compared exactly, as FilterEqualsInt64 does:
+  /// widened bounds could round onto a constant beyond 2^53.
+  ZoneMatch Classify(const ZoneMap& zones, uint32_t begin,
+                     uint32_t end) const override {
+    switch (value_.type()) {
+      case DataType::kInt64: {
+        const auto b = zones.Int64Bounds(col_, begin, end);
+        if (!b) return ZoneMatch::kSome;
+        const int64_t want = value_.AsInt64();
+        return Decide(want < b->min || want > b->max,
+                      b->min == want && b->max == want);
+      }
+      case DataType::kDouble: {
+        // Not the numeric view: a double constant matches no int64 cell.
+        const auto b = zones.DoubleBounds(col_, begin, end);
+        return b ? CompareBounds(*b, simd::Cmp::kEq, value_.AsDouble())
+                 : ZoneMatch::kSome;
+      }
+      case DataType::kString:
+        break;
+    }
+    return ZoneMatch::kSome;
   }
 
   std::string ToString(const Schema* schema) const override {
@@ -205,6 +287,17 @@ class AndPredicate final : public Predicate {
                                  current.data(), sel_out);
   }
 
+  ZoneMatch Classify(const ZoneMap& zones, uint32_t begin,
+                     uint32_t end) const override {
+    bool all = true;
+    for (const auto& child : children_) {
+      const ZoneMatch match = child->Classify(zones, begin, end);
+      if (match == ZoneMatch::kNone) return ZoneMatch::kNone;
+      all = all && match == ZoneMatch::kAll;
+    }
+    return all ? ZoneMatch::kAll : ZoneMatch::kSome;
+  }
+
   std::string ToString(const Schema* schema) const override {
     std::string out = "(";
     for (size_t i = 0; i < children_.size(); ++i) {
@@ -234,6 +327,12 @@ class LessEqualPredicate final : public Predicate {
                               simd::Cmp::kLe, bound_)) {
       Predicate::MatchBatch(table, begin, end, sel_in, sel_out);
     }
+  }
+
+  ZoneMatch Classify(const ZoneMap& zones, uint32_t begin,
+                     uint32_t end) const override {
+    return ClassifyNumericCompare(zones, col_, begin, end, simd::Cmp::kLe,
+                                  bound_);
   }
 
   std::string ToString(const Schema* schema) const override {
@@ -300,22 +399,19 @@ class ComparisonPredicate final : public Predicate {
                          value_.AsString(), want_eq);
       return;
     }
-    const double rhs = value_.ToNumeric();
-    simd::Cmp op = simd::Cmp::kEq;
-    switch (op_) {
-      case CompareOp::kEq: op = simd::Cmp::kEq; break;
-      case CompareOp::kNe: op = simd::Cmp::kNe; break;
-      case CompareOp::kLt: op = simd::Cmp::kLt; break;
-      case CompareOp::kLe: op = simd::Cmp::kLe; break;
-      case CompareOp::kGt: op = simd::Cmp::kGt; break;
-      case CompareOp::kGe: op = simd::Cmp::kGe; break;
-    }
-    if (!FilterNumericCompare(table, col_, begin, end, sel_in, sel_out, op,
-                              rhs)) {
+    if (!FilterNumericCompare(table, col_, begin, end, sel_in, sel_out,
+                              ToSimdCmp(op_), value_.ToNumeric())) {
       // Non-numeric column under a numeric comparison: defer to the
       // scalar loop, which fails in exactly the way Matches always has.
       Predicate::MatchBatch(table, begin, end, sel_in, sel_out);
     }
+  }
+
+  ZoneMatch Classify(const ZoneMap& zones, uint32_t begin,
+                     uint32_t end) const override {
+    if (value_.is_string()) return ZoneMatch::kSome;
+    return ClassifyNumericCompare(zones, col_, begin, end, ToSimdCmp(op_),
+                                  value_.ToNumeric());
   }
 
   std::string ToString(const Schema* schema) const override {
@@ -337,6 +433,10 @@ void Predicate::MatchBatch(const Table& table, uint32_t begin, uint32_t end,
   kernels::FilterGeneric(
       begin, end, sel_in, sel_out,
       [&](uint32_t row) { return Matches(table, row); });
+}
+
+ZoneMatch Predicate::Classify(const ZoneMap&, uint32_t, uint32_t) const {
+  return ZoneMatch::kSome;
 }
 
 const char* CompareOpToString(CompareOp op) {

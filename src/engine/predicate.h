@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engine/kernels.h"
+#include "engine/zone_map.h"
 #include "storage/table.h"
 
 namespace congress {
@@ -32,6 +33,18 @@ class Predicate {
   virtual void MatchBatch(const Table& table, uint32_t begin, uint32_t end,
                           const uint32_t* sel_in,
                           SelectionVector* sel_out) const;
+
+  /// What the zone bounds of rows [begin, end) prove about them: kNone
+  /// when no row can match, kAll when every row must, else kSome. `zones`
+  /// describes the table MatchBatch would filter. Overrides decide with
+  /// the comparison their MatchBatch applies, so kNone and kAll agree
+  /// with it row for row: numeric range and comparison predicates compare
+  /// the widened bounds (widening is monotone), int64 equality the exact
+  /// int64 bounds, and AND is kNone when a child is and kAll when every
+  /// child is. String columns and unknown (NaN) zones give kSome, and so
+  /// does this default, so custom predicates are always filtered.
+  virtual ZoneMatch Classify(const ZoneMap& zones, uint32_t begin,
+                             uint32_t end) const;
 
   /// SQL-ish rendering for logging and debugging. When `schema` is
   /// non-null, columns render by name; otherwise as "colN".

@@ -329,7 +329,8 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   // Exact part: one ExecuteExact scan of the base relation, restricted to
   // the outlier strata by a membership test on the snapshot's row→stratum
   // index (built once at publish), which also serves as the covering
-  // index for the scan's group ids.
+  // index for the scan's group ids. The snapshot's zones let a range of
+  // the query skip the batches it rules out.
   const std::shared_ptr<const GroupIndex>& index = snapshot.base_group_index;
   std::vector<uint8_t> keep(index->num_groups(), 0);
   for (uint32_t s : outlier_strata) {
@@ -344,7 +345,7 @@ Result<ApproximateResult> ExecuteCombinedPlan(
           ? in_outliers
           : MakeAndPredicate({in_outliers, plan.inner.predicate});
   auto exact = ExecuteExact(*snapshot.table, exact_query, execution,
-                            index.get());
+                            index.get(), snapshot.zones.get());
   if (!exact.ok()) return exact.status();
   const QueryResult& exact_part = *exact;
   const size_t slots = plan.inner.aggregates.size();

@@ -70,6 +70,18 @@ Result<GroupCensus> GroupCensus::Build(const Table& table,
   auto index = GroupIndex::Build(table, group_columns,
                                  options.WithScope(census_span.scope()));
   if (!index.ok()) return index.status();
+  // A NaN orders against nothing, so it would break the sort below (and
+  // with it every stratum lookup). Every NaN cell is in some group's key.
+  for (const GroupKey& key : index->keys()) {
+    for (size_t c = 0; c < key.size(); ++c) {
+      if (key[c].is_double() && std::isnan(key[c].AsDouble())) {
+        return Status::InvalidArgument(
+            "grouping column '" +
+            table.schema().field(group_columns[c]).name +
+            "' holds NaN, which cannot stratify a sample");
+      }
+    }
+  }
   std::vector<std::pair<GroupKey, uint64_t>> pairs;
   pairs.reserve(index->num_groups());
   for (size_t g = 0; g < index->num_groups(); ++g) {

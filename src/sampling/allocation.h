@@ -76,7 +76,8 @@ struct GroupCensus {
 
   /// Interns `table` over `group_columns` (morsel-parallel, under a
   /// `census` span) and reads the statistics off the index. Fails when
-  /// the index does, or when a group has no slot (a NaN key).
+  /// the index does, and with InvalidArgument naming the column when a
+  /// grouping cell is NaN.
   static Result<GroupCensus> Build(const Table& table,
                                    const std::vector<size_t>& group_columns,
                                    const ExecutorOptions& options = {});

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -20,6 +21,7 @@
 #include "core/estimator.h"
 #include "core/rewriter.h"
 #include "engine/executor.h"
+#include "engine/zone_map.h"
 #include "net/client.h"
 #include "net/front_end.h"
 #include "obs/metrics.h"
@@ -433,6 +435,46 @@ GroupByQuery ScalarizeQuery(const GroupByQuery& query) {
   return scalar;
 }
 
+/// Equal bits, so a NaN equals itself and -0.0 differs from +0.0.
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Equal key cells: same types, and equal bits for doubles.
+bool SameKeyBits(std::span<const Value> a, std::span<const Value> b) {
+  if (a.size() != b.size()) return false;
+  for (size_t c = 0; c < a.size(); ++c) {
+    const bool same = a[c].type() == b[c].type() &&
+                      (a[c].is_double()
+                           ? SameBits(a[c].AsDouble(), b[c].AsDouble())
+                           : a[c] == b[c]);
+    if (!same) return false;
+  }
+  return true;
+}
+
+/// Row-by-row bit equality of two exact answers: group order, keys (down
+/// to the sign of a zero) and every aggregate.
+Status CheckExactIdentical(const QueryResult& a, const QueryResult& b,
+                           const std::string& label) {
+  if (a.num_groups() != b.num_groups()) {
+    return Status::Internal(label + ": " + std::to_string(a.num_groups()) +
+                            " vs " + std::to_string(b.num_groups()) +
+                            " groups");
+  }
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    const GroupResult& x = a.rows()[i];
+    const GroupResult& y = b.rows()[i];
+    if (!SameKeyBits(x.key, y.key) ||
+        !std::ranges::equal(x.aggregates, y.aggregates, SameBits)) {
+      return Status::Internal(label + ": row " + std::to_string(i) + " (" +
+                              GroupKeyToString(x.key) + " vs " +
+                              GroupKeyToString(y.key) + ") differs");
+    }
+  }
+  return Status::OK();
+}
+
 /// Group ordering must match too: SortByKey should make it canonical,
 /// but the bit-identity contract covers emission order, so compare the
 /// key sequences directly rather than by lookup.
@@ -458,6 +500,7 @@ Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query) {
   const GroupByQuery scalar = ScalarizeQuery(query);
+  const ZoneMap zones = ZoneMap::Build(table);
   const SampleMoments moments = SampleMoments::Compute(sample);
   Rewriter rewriter(sample);
   for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
@@ -473,6 +516,11 @@ Status CheckVectorizedIdentity(const Table& table,
     CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
         *ref, *vec, 0.0, "exact-scalar" + suffix, "exact-vectorized" + suffix));
     CONGRESS_RETURN_NOT_OK(CheckSameOrder(*ref, *vec, "exact" + suffix));
+    // Classifying batches by zone bounds keeps the filter's rows.
+    auto zoned = ExecuteExact(table, query, options, nullptr, &zones);
+    CONGRESS_RETURN_NOT_OK(zoned.status());
+    CONGRESS_RETURN_NOT_OK(
+        CheckExactIdentical(*vec, *zoned, "exact-zoned" + suffix));
 
     auto est_vec = EstimateGroupBy(sample, moments, query, {}, options);
     CONGRESS_RETURN_NOT_OK(est_vec.status());
@@ -506,15 +554,6 @@ Status CheckVectorizedIdentity(const Table& table,
   return Status::OK();
 }
 
-namespace {
-
-/// Equal bits, so a NaN equals itself and -0.0 differs from +0.0.
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-}  // namespace
-
 Status CheckApproximateIdentical(const ApproximateResult& a,
                                  const ApproximateResult& b,
                                  const std::string& label) {
@@ -526,16 +565,10 @@ Status CheckApproximateIdentical(const ApproximateResult& a,
   for (size_t i = 0; i < a.num_groups(); ++i) {
     const ApproximateGroupRow x = a.row(i);
     const ApproximateGroupRow y = b.row(i);
-    bool same = x.key.size() == y.key.size() && x.support == y.support &&
-                x.provenance == y.provenance &&
-                std::ranges::equal(a.row_numbers(i), b.row_numbers(i),
-                                   SameBits);
-    for (size_t c = 0; same && c < x.key.size(); ++c) {
-      same = x.key[c].type() == y.key[c].type() &&
-             (x.key[c].is_double()
-                  ? SameBits(x.key[c].AsDouble(), y.key[c].AsDouble())
-                  : x.key[c] == y.key[c]);
-    }
+    const bool same = SameKeyBits(x.key, y.key) && x.support == y.support &&
+                      x.provenance == y.provenance &&
+                      std::ranges::equal(a.row_numbers(i), b.row_numbers(i),
+                                         SameBits);
     if (!same) {
       return Status::Internal(label + ": row " + std::to_string(i) + " (" +
                               GroupKeyToString(x.key) + " vs " +

@@ -63,7 +63,9 @@ Status CheckThreadInvariance(const Table& table,
 /// the default per-row MatchBatch/EvalBatch fallbacks) and demands the
 /// exact executor, the estimator, and the Integrated rewrite produce
 /// bit-identical results — values AND group ordering — at 1, 4 and 8
-/// threads.
+/// threads. The exact executor run with the table's zone map (which
+/// skips or takes whole what the zone bounds prove) must match the run
+/// without it bit for bit.
 Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query);

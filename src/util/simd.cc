@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace congress::simd {
 
@@ -151,6 +152,68 @@ SlotScan8 ScalarScanSlots8(const uint64_t* hashes, const uint32_t* ids,
   return scan;
 }
 
+/// Lanes of independent running bounds in the scalar min/max: one
+/// compare-and-select chain per lane, so the loop is not latency-bound.
+constexpr size_t kMinMaxLanes = 4;
+
+void ScalarMinMaxI64(const int64_t* data, size_t n, int64_t* lo,
+                     int64_t* hi) {
+  int64_t l[kMinMaxLanes];
+  int64_t h[kMinMaxLanes];
+  for (size_t k = 0; k < kMinMaxLanes; ++k) l[k] = h[k] = data[0];
+  size_t i = 0;
+  for (; i + kMinMaxLanes <= n; i += kMinMaxLanes) {
+    for (size_t k = 0; k < kMinMaxLanes; ++k) {
+      const int64_t v = data[i + k];
+      l[k] = v < l[k] ? v : l[k];
+      h[k] = v > h[k] ? v : h[k];
+    }
+  }
+  for (; i < n; ++i) {
+    l[0] = data[i] < l[0] ? data[i] : l[0];
+    h[0] = data[i] > h[0] ? data[i] : h[0];
+  }
+  for (size_t k = 1; k < kMinMaxLanes; ++k) {
+    l[0] = l[k] < l[0] ? l[k] : l[0];
+    h[0] = h[k] > h[0] ? h[k] : h[0];
+  }
+  *lo = l[0];
+  *hi = h[0];
+}
+
+bool ScalarMinMaxF64(const double* data, size_t n, double* lo, double* hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double l[kMinMaxLanes];
+  double h[kMinMaxLanes];
+  for (size_t k = 0; k < kMinMaxLanes; ++k) {
+    l[k] = kInf;
+    h[k] = -kInf;
+  }
+  size_t unordered = 0;
+  size_t i = 0;
+  for (; i + kMinMaxLanes <= n; i += kMinMaxLanes) {
+    for (size_t k = 0; k < kMinMaxLanes; ++k) {
+      const double v = data[i + k];
+      l[k] = v < l[k] ? v : l[k];
+      h[k] = v > h[k] ? v : h[k];
+      unordered += v != v;
+    }
+  }
+  for (; i < n; ++i) {
+    const double v = data[i];
+    l[0] = v < l[0] ? v : l[0];
+    h[0] = v > h[0] ? v : h[0];
+    unordered += v != v;
+  }
+  for (size_t k = 1; k < kMinMaxLanes; ++k) {
+    l[0] = l[k] < l[0] ? l[k] : l[0];
+    h[0] = h[k] > h[0] ? h[k] : h[0];
+  }
+  *lo = l[0] == 0.0 ? 0.0 : l[0];
+  *hi = h[0] == 0.0 ? 0.0 : h[0];
+  return unordered > 0;
+}
+
 constexpr Ops kScalarOps = {
     ScalarFilterCmpF64Dense,   ScalarFilterCmpF64Indexed,
     ScalarFilterRangeF64Dense, ScalarFilterRangeF64Indexed,
@@ -159,7 +222,8 @@ constexpr Ops kScalarOps = {
     ScalarFilterEqI64Dense,    ScalarFilterEqI64Indexed,
     ScalarFilterEqI32Dense,    ScalarFilterEqI32Indexed,
     ScalarGatherF64,           ScalarGatherI64ToF64,
-    ScalarScanSlots8,
+    ScalarScanSlots8,          ScalarMinMaxI64,
+    ScalarMinMaxF64,
 };
 
 struct Resolved {

@@ -105,6 +105,13 @@ struct Ops {
   // Classifies slots [i, i+8) of a FlatIdTable probe in one step.
   SlotScan8 (*scan_slots8)(const uint64_t* hashes, const uint32_t* ids,
                            uint64_t target_hash, uint32_t empty_id);
+  // Least and greatest of data[0..n), n > 0, into *lo and *hi (zone maps).
+  void (*minmax_i64)(const int64_t* data, size_t n, int64_t* lo,
+                     int64_t* hi);
+  // Double form: a NaN never becomes a bound, and the return value says
+  // whether data[0..n) holds one. A zero bound is +0.0 whatever the signs
+  // of the zeros; with no ordered cell *lo is +inf and *hi -inf.
+  bool (*minmax_f64)(const double* data, size_t n, double* lo, double* hi);
 };
 
 /// The process-wide dispatch table, resolved once on first use:

@@ -17,6 +17,7 @@
 #include <immintrin.h>
 
 #include <array>
+#include <limits>
 
 namespace congress::simd {
 namespace detail {
@@ -572,6 +573,90 @@ SlotScan8 ScanSlots8(const uint64_t* hashes, const uint32_t* ids,
   return scan;
 }
 
+// --- zone bounds -----------------------------------------------------------
+
+void MinMaxI64(const int64_t* data, size_t n, int64_t* lo, int64_t* hi) {
+  int64_t l = data[0];
+  int64_t h = data[0];
+  size_t i = 0;
+  if (n >= 8) {
+    // Two vectors per step, so the compare-and-blend chains overlap.
+    __m256i lo0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
+    __m256i lo1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + 4));
+    __m256i hi0 = lo0;
+    __m256i hi1 = lo1;
+    for (i = 8; i + 8 <= n; i += 8) {
+      const __m256i a =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
+      const __m256i b =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i + 4));
+      lo0 = _mm256_blendv_epi8(lo0, a, _mm256_cmpgt_epi64(lo0, a));
+      lo1 = _mm256_blendv_epi8(lo1, b, _mm256_cmpgt_epi64(lo1, b));
+      hi0 = _mm256_blendv_epi8(hi0, a, _mm256_cmpgt_epi64(a, hi0));
+      hi1 = _mm256_blendv_epi8(hi1, b, _mm256_cmpgt_epi64(b, hi1));
+    }
+    alignas(32) int64_t lanes[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                       _mm256_blendv_epi8(lo0, lo1,
+                                          _mm256_cmpgt_epi64(lo0, lo1)));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4),
+                       _mm256_blendv_epi8(hi0, hi1,
+                                          _mm256_cmpgt_epi64(hi1, hi0)));
+    for (size_t k = 0; k < 4; ++k) {
+      l = lanes[k] < l ? lanes[k] : l;
+      h = lanes[4 + k] > h ? lanes[4 + k] : h;
+    }
+  }
+  for (; i < n; ++i) {
+    l = data[i] < l ? data[i] : l;
+    h = data[i] > h ? data[i] : h;
+  }
+  *lo = l;
+  *hi = h;
+}
+
+bool MinMaxF64(const double* data, size_t n, double* lo, double* hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // _mm256_min_pd(v, m) is v < m ? v : m, the scalar select: a NaN in v
+  // keeps m. An unordered compare of the step's two vectors flags a NaN
+  // in either.
+  __m256d lo0 = _mm256_set1_pd(kInf);
+  __m256d lo1 = lo0;
+  __m256d hi0 = _mm256_set1_pd(-kInf);
+  __m256d hi1 = hi0;
+  __m256d nan = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a = _mm256_loadu_pd(data + i);
+    const __m256d b = _mm256_loadu_pd(data + i + 4);
+    lo0 = _mm256_min_pd(a, lo0);
+    lo1 = _mm256_min_pd(b, lo1);
+    hi0 = _mm256_max_pd(a, hi0);
+    hi1 = _mm256_max_pd(b, hi1);
+    nan = _mm256_or_pd(nan, _mm256_cmp_pd(a, b, _CMP_UNORD_Q));
+  }
+  alignas(32) double lanes[8];
+  _mm256_store_pd(lanes, _mm256_min_pd(lo0, lo1));
+  _mm256_store_pd(lanes + 4, _mm256_max_pd(hi0, hi1));
+  bool unordered = _mm256_movemask_pd(nan) != 0;
+  double l = kInf;
+  double h = -kInf;
+  for (size_t k = 0; k < 4; ++k) {
+    l = lanes[k] < l ? lanes[k] : l;
+    h = lanes[4 + k] > h ? lanes[4 + k] : h;
+  }
+  for (; i < n; ++i) {
+    const double v = data[i];
+    l = v < l ? v : l;
+    h = v > h ? v : h;
+    unordered = unordered || v != v;
+  }
+  *lo = l == 0.0 ? 0.0 : l;
+  *hi = h == 0.0 ? 0.0 : h;
+  return unordered;
+}
+
 constexpr Ops kAvx2Ops = {
     FilterCmpF64Dense,    FilterCmpF64Indexed,
     FilterRangeF64Dense,  FilterRangeF64Indexed,
@@ -580,7 +665,8 @@ constexpr Ops kAvx2Ops = {
     FilterEqI64Dense,     FilterEqI64Indexed,
     FilterEqI32Dense,     FilterEqI32Indexed,
     GatherF64,            GatherI64ToF64,
-    ScanSlots8,
+    ScanSlots8,           MinMaxI64,
+    MinMaxF64,
 };
 
 }  // namespace

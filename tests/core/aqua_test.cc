@@ -206,6 +206,49 @@ TEST_F(AquaEngineTest, IncrementalInsertFlowsThrough) {
   }
 }
 
+TEST_F(AquaEngineTest, EveryPublishRecordsZones) {
+  // Registration and every Refresh, incremental ones included, record
+  // zone bounds over the whole published table; a restored snapshot,
+  // which has no base rows, carries none.
+  SynopsisConfig config = SalesConfig();
+  config.incremental = true;
+  AquaEngine engine;
+  ASSERT_TRUE(engine.RegisterTable("live", SalesTable(), config).ok());
+  auto first = engine.GetSnapshot("live");
+  ASSERT_TRUE(first.ok());
+  ASSERT_NE((*first)->zones, nullptr);
+  EXPECT_EQ((*first)->zones->num_rows(), 1000u);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(engine
+                    .Insert("live", {Value("north"), Value(int64_t{2}),
+                                     Value(100.0)})
+                    .ok());
+  }
+  ASSERT_TRUE(engine.Refresh("live").ok());
+  auto second = engine.GetSnapshot("live");
+  ASSERT_TRUE(second.ok());
+  ASSERT_NE((*second)->zones, nullptr);
+  EXPECT_EQ((*second)->zones->num_rows(), 1005u);
+  // Only the inserted rows reach 100: every zone but the last is
+  // skipped, and the answer is the filter's.
+  auto exact = engine.QueryExact(
+      "SELECT region, COUNT(*) FROM live WHERE amount >= 50 GROUP BY region");
+  ASSERT_TRUE(exact.ok());
+  ASSERT_EQ(exact->num_groups(), 1u);
+  EXPECT_EQ(exact->rows()[0].key, GroupKey{Value("north")});
+  EXPECT_EQ(exact->rows()[0].aggregates[0], 5.0);
+
+  const std::string path = ::testing::TempDir() + "/aqua_test_zones.snap";
+  ASSERT_TRUE(engine.Checkpoint("live", path).ok());
+  AquaEngine restored;
+  Status st = restored.RestoreTable("live", path, config);
+  std::remove(path.c_str());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto snapshot = restored.GetSnapshot("live");
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ((*snapshot)->zones, nullptr);
+}
+
 TEST_F(AquaEngineTest, BuildMatchesFirstPublishBitForBit) {
   // One-pass AquaSynopsis::Build and the engine's register path are one
   // mechanism: the first published sample equals the built one bit for

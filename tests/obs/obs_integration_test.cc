@@ -3,15 +3,19 @@
 // must attribute nonzero time to the intern / merge / aggregate stages
 // (project / aggregate when a covering index supplies the group ids) and
 // bump the engine counters. The sample estimator likewise projects
-// strata, without interning, for queries on its grouping columns.
+// strata, without interning, for queries on its grouping columns. A
+// range over a clustered column lets the zone map skip batches or take
+// them whole, and publish records the zone map's own span.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "core/aqua.h"
 #include "core/estimator.h"
 #include "engine/executor.h"
+#include "engine/zone_map.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "sampling/builder.h"
@@ -185,6 +189,90 @@ TEST(ObsIntegrationTest, CoveredEstimateRollsUpTheMoments) {
   EXPECT_TRUE(has_intern(other));
   EXPECT_EQ(registry.GetCounter("estimator.covered_queries").value(),
             covered_before + 1);
+#endif
+}
+
+TEST(ObsIntegrationTest, ClusteredRangeSkipsAndTakesWholeBatches) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  tpcd::LineitemConfig config;
+  config.num_tuples = 50'000;
+  config.num_groups = 200;
+  config.seed = 42;
+  auto data = tpcd::GenerateLineitem(config);
+  ASSERT_TRUE(data.ok());
+  const ZoneMap zones = ZoneMap::Build(data->table);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto counter = [&registry](const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  const uint64_t skipped_before = counter("kernels.match.batches_skipped");
+  const uint64_t whole_before = counter("kernels.match.batches_whole");
+  const uint64_t filtered_before = counter("kernels.match.batches");
+
+  // l_id is the row number, so a range over it is one run of rows: every
+  // batch but the two at its ends lies wholly inside or outside it.
+  GroupByQuery ranged = tpcd::MakeQg3();
+  ranged.predicate = MakeRangePredicate(tpcd::kLId, 10'000.5, 40'000.5);
+  obs::Scope root("query");
+  ExecutorOptions options;
+  options.scope = &root;
+  auto result = ExecuteExact(data->table, ranged, options, nullptr, &zones);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->num_groups(), 0u);
+  EXPECT_GT(counter("kernels.match.batches_skipped"), skipped_before);
+  EXPECT_GT(counter("kernels.match.batches_whole"), whole_before);
+  const uint64_t filtered = counter("kernels.match.batches") - filtered_before;
+  EXPECT_GE(filtered, 1u);
+  EXPECT_LE(filtered, 2u);
+  const obs::Scope* match = root.Find("aggregate/match_batch");
+  ASSERT_NE(match, nullptr);
+  EXPECT_EQ(match->invocations(), 1u);
+
+  // Without a predicate nothing is classified, skipped or filtered.
+  const uint64_t skipped_mid = counter("kernels.match.batches_skipped");
+  const uint64_t whole_mid = counter("kernels.match.batches_whole");
+  const uint64_t filtered_mid = counter("kernels.match.batches");
+  obs::Scope dense("query");
+  options.scope = &dense;
+  ASSERT_TRUE(
+      ExecuteExact(data->table, tpcd::MakeQg3(), options, nullptr, &zones)
+          .ok());
+  EXPECT_EQ(counter("kernels.match.batches_skipped"), skipped_mid);
+  EXPECT_EQ(counter("kernels.match.batches_whole"), whole_mid);
+  EXPECT_EQ(counter("kernels.match.batches"), filtered_mid);
+  EXPECT_EQ(dense.Find("aggregate/match_batch"), nullptr);
+#endif
+}
+
+TEST(ObsIntegrationTest, PublishRecordsZonesSpan) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  tpcd::LineitemConfig config;
+  config.num_tuples = 20'000;
+  config.num_groups = 50;
+  config.seed = 42;
+  auto data = tpcd::GenerateLineitem(config);
+  ASSERT_TRUE(data.ok());
+  obs::Scope root("publish");
+  SynopsisConfig synopsis;
+  synopsis.grouping_columns = tpcd::LineitemGroupingColumnNames();
+  synopsis.sample_size = 1'000;
+  synopsis.execution.scope = &root;
+  AquaEngine engine;
+  ASSERT_TRUE(
+      engine.RegisterTable("lineitem", std::move(data->table), synopsis).ok());
+  const obs::Scope* zones = root.Find("zones");
+  ASSERT_NE(zones, nullptr);
+  EXPECT_EQ(zones->invocations(), 1u);
+  EXPECT_GT(zones->total_nanos(), 0u);
+  auto snapshot = engine.GetSnapshot("lineitem");
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_NE((*snapshot)->zones, nullptr);
+  EXPECT_EQ((*snapshot)->zones->num_rows(), 20'000u);
 #endif
 }
 

@@ -1,5 +1,6 @@
 #include "sampling/builder.h"
 
+#include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -157,6 +158,39 @@ TEST(BuilderTest, MisalignedAllocationRejected) {
   Table shorter = t.CloneEmpty();
   ASSERT_TRUE(shorter.AppendRow({Value("a1"), Value("b1"), Value(0.0)}).ok());
   EXPECT_FALSE(BuildStratifiedSample(shorter, *census, aligned, &rng).ok());
+}
+
+TEST(BuilderTest, NaNGroupingCellRejectedByName) {
+  // NaN, both signed zeros and small integers in a stratifying double
+  // column: the NaN is refused up front, naming the column, rather than
+  // breaking the census sort and failing on an innocent group.
+  Table t{Schema(
+      {Field{"g", DataType::kDouble}, Field{"v", DataType::kDouble}})};
+  const double cells[] = {1.0, -0.0, 2.0, 0.0, std::nan(""), 3.0, 1.0, 0.0};
+  for (int rep = 0; rep < 4; ++rep) {
+    for (double g : cells) {
+      ASSERT_TRUE(t.AppendRow({Value(g), Value(1.0)}).ok());
+    }
+  }
+  auto census = GroupCensus::Build(t, {0});
+  ASSERT_FALSE(census.ok());
+  EXPECT_EQ(census.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(census.status().message().find("'g'"), std::string::npos)
+      << census.status().ToString();
+  EXPECT_NE(census.status().message().find("NaN"), std::string::npos);
+  Random rng(10);
+  EXPECT_FALSE(
+      BuildSample(t, {0}, AllocationStrategy::kCongress, 8.0, &rng).ok());
+
+  // Without the NaN the same column stratifies: ±0.0 share one stratum.
+  Table clean = t.CloneEmpty();
+  for (double g : cells) {
+    if (std::isnan(g)) continue;
+    ASSERT_TRUE(clean.AppendRow({Value(g), Value(1.0)}).ok());
+  }
+  auto clean_census = GroupCensus::Build(clean, {0});
+  ASSERT_TRUE(clean_census.ok()) << clean_census.status().ToString();
+  EXPECT_EQ(clean_census->stats.num_groups(), 4u);  // 0, 1, 2, 3.
 }
 
 TEST(BuilderTest, DeterministicGivenSeed) {

@@ -9,6 +9,7 @@
 
 #include "util/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -324,6 +325,63 @@ TEST(SimdParity, ScanSlots8) {
       EXPECT_EQ(got.match, want.match) << "occ=" << occ;
       EXPECT_EQ(got.empty, want.empty) << "occ=" << occ;
     }
+  }
+}
+
+/// Equal bits, so -0.0 differs from +0.0.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(SimdParity, MinMax) {
+  const simd::Ops& a = simd::Active();
+  const simd::Ops& s = simd::ScalarOps();
+  for (size_t n : kSizes) {
+    if (n == 0) continue;  // The bounds of nothing are not defined.
+    std::vector<int64_t> ints = EdgeInt64s(n);
+    ints[n / 2] = std::numeric_limits<int64_t>::max();
+    ints[n - 1 - n / 3] = std::numeric_limits<int64_t>::min();
+    int64_t got_lo = 0, got_hi = 0, want_lo = 0, want_hi = 0;
+    a.minmax_i64(ints.data(), n, &got_lo, &got_hi);
+    s.minmax_i64(ints.data(), n, &want_lo, &want_hi);
+    EXPECT_EQ(got_lo, want_lo) << "n=" << n;
+    EXPECT_EQ(got_hi, want_hi) << "n=" << n;
+    EXPECT_EQ(want_lo, *std::min_element(ints.begin(), ints.end()));
+    EXPECT_EQ(want_hi, *std::max_element(ints.begin(), ints.end()));
+
+    // Edge doubles (NaN, ±0, ±inf), the same without NaN, signed zeros
+    // only, and NaN only.
+    std::vector<double> edge = EdgeDoubles(n);
+    std::vector<double> ordered = edge;
+    for (double& v : ordered) v = std::isnan(v) ? -0.0 : v;
+    std::vector<double> zeros(n);
+    for (size_t i = 0; i < n; ++i) zeros[i] = i % 2 == 0 ? -0.0 : 0.0;
+    std::vector<double> nans(n, kNaN);
+    for (const std::vector<double>* data : {&edge, &ordered, &zeros, &nans}) {
+      double got_l = 0, got_h = 0, want_l = 0, want_h = 0;
+      const bool got_nan = a.minmax_f64(data->data(), n, &got_l, &got_h);
+      const bool want_nan = s.minmax_f64(data->data(), n, &want_l, &want_h);
+      EXPECT_EQ(got_nan, want_nan) << "n=" << n;
+      EXPECT_TRUE(SameBits(got_l, want_l)) << got_l << " vs " << want_l;
+      EXPECT_TRUE(SameBits(got_h, want_h)) << got_h << " vs " << want_h;
+      bool any_nan = false;
+      double lo = kInf;
+      double hi = -kInf;
+      for (double v : *data) {
+        any_nan = any_nan || std::isnan(v);
+        if (v < lo) lo = v;
+        if (v > hi) hi = v;
+      }
+      EXPECT_EQ(want_nan, any_nan) << "n=" << n;
+      EXPECT_EQ(want_l, lo) << "n=" << n;
+      EXPECT_EQ(want_h, hi) << "n=" << n;
+    }
+    double l = 0, h = 0;
+    s.minmax_f64(zeros.data(), n, &l, &h);
+    EXPECT_TRUE(SameBits(l, 0.0) && SameBits(h, 0.0)) << "zero bounds are +0";
+    EXPECT_TRUE(s.minmax_f64(nans.data(), n, &l, &h));
+    EXPECT_EQ(l, kInf);
+    EXPECT_EQ(h, -kInf);
   }
 }
 
