@@ -154,8 +154,8 @@ Status AquaEngine::PublishLocked(const std::string& name,
   // The snapshot shares the state's table. One typed pass over it records
   // the zone map through which exact scans skip what a range rules out.
   // One census of it feeds the two-pass primary, both fallbacks and the
-  // fleet; its index is the snapshot's base_group_index, through which
-  // combined plans pull outlier rows.
+  // fleet; its index backs the snapshot's exact roll-ups, through which
+  // exact scans resolve group ids and combined plans pull outlier rows.
   snapshot->table = state->table;
   const Table& table = *snapshot->table;
   CONGRESS_SPAN(zones_span, config.execution.scope, "zones");
@@ -178,7 +178,8 @@ Status AquaEngine::PublishLocked(const std::string& name,
   // here: RestoreTable marks their fleet unavailable, and Refresh has no
   // ingest to drain for them.)
   if (census.ok()) {
-    snapshot->base_group_index = census->index;
+    snapshot->exact_rollups =
+        std::make_shared<const ExactRollups>(snapshot->table, census->index);
     BuildFleet(snapshot.get(), config, *census);
     const SynopsisConfig& primary = snapshot->synopsis->config();
     BuildFallback(table, *census, primary, AllocationStrategy::kBasicCongress,

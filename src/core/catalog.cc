@@ -18,8 +18,12 @@ Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
   const ExecutorOptions options = snapshot.synopsis != nullptr
                                       ? snapshot.synopsis->config().execution
                                       : ExecutorOptions{};
-  return ExecuteExact(*snapshot.table, query, options,
-                      snapshot.base_group_index.get(), snapshot.zones.get());
+  const ExactRollups* rollups = snapshot.exact_rollups.get();
+  if (rollups != nullptr && rollups->table() == snapshot.table) {
+    return rollups->Execute(query, options, snapshot.zones.get());
+  }
+  return ExecuteExact(*snapshot.table, query, options, nullptr,
+                      snapshot.zones.get());
 }
 
 std::shared_ptr<const AquaSnapshot> CatalogVersion::Find(

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "core/synopsis.h"
+#include "engine/exact_rollups.h"
 #include "engine/zone_map.h"
 #include "histogram/group_histogram.h"
-#include "storage/group_index.h"
 #include "storage/table.h"
 #include "util/status.h"
 #include "wavelet/wavelet_synopsis.h"
@@ -67,11 +67,15 @@ struct AquaSnapshot {
   double histogram_residual = 0.0;
   double wavelet_residual = 0.0;
 
-  /// Row→stratum index over the base relation at the synopsis grouping,
-  /// built once at publish. Combined plans answer their outlier strata
-  /// exactly through it instead of re-indexing the base per query. Null
-  /// when the base is unavailable.
-  std::shared_ptr<const GroupIndex> base_group_index;
+  /// The base relation's row→stratum index at the synopsis grouping (the
+  /// publish's census, index()) and the memo of exact roll-ups over it.
+  /// Every exact scan of the snapshot reads its group ids, first rows and
+  /// key order from a memo entry, and a predicate-free one over COUNT(*)
+  /// and plain columns its per-group states too; combined plans select
+  /// their outlier strata through index(). Entries are built on first
+  /// use, so a new snapshot starts with an empty memo. Null when the base
+  /// relation is unavailable or was not censused.
+  std::shared_ptr<const ExactRollups> exact_rollups;
 
   /// Per-zone bounds of the base relation's numeric columns, built at
   /// every publish, through which exact scans skip the batches a range
@@ -85,12 +89,16 @@ struct AquaSnapshot {
 };
 
 /// Exact answer of `query` over the snapshot's base relation — the one
-/// entry point for snapshot-side exact scans (AquaEngine::QueryExact,
-/// the resilient exact rung, the planner's exact plan). Runs with the
-/// primary synopsis's execution options, projects base_group_index
-/// when it covers the query's grouping, and classifies each batch through
-/// the snapshot's zones. FailedPrecondition when the base
-/// relation is unavailable (a snapshot restored from a checkpoint).
+/// entry point for snapshot-side exact scans (AquaEngine::QueryExact, the
+/// server's exact mode, the planner's exact rung and the combined plan's
+/// outlier scan). Runs with the primary synopsis's execution options
+/// through exact_rollups (when it is over this snapshot's table), which
+/// answers a covered predicate-free query over COUNT(*) and plain columns
+/// from its memo and folds every other query per query, classifying each
+/// batch through the snapshot's zones. The answer is bit-identical to
+/// ExecuteExact(*table, query) on the first call and every later one.
+/// FailedPrecondition when the base relation is unavailable (a snapshot
+/// restored from a checkpoint).
 Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
                                            const GroupByQuery& query);
 

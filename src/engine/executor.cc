@@ -15,9 +15,10 @@
 
 namespace congress {
 
-namespace {
+namespace exact {
 
-Status ValidateQuery(const Table& table, const GroupByQuery& query) {
+Status Validate(const Table& table, const GroupByQuery& query,
+                const GroupIndex* covering, const ZoneMap* zones) {
   for (size_t c : query.group_columns) {
     if (c >= table.num_columns()) {
       return Status::InvalidArgument("group column " + std::to_string(c) +
@@ -38,90 +39,6 @@ Status ValidateQuery(const Table& table, const GroupByQuery& query) {
                                      std::to_string(query.aggregates.size()));
     }
   }
-  return Status::OK();
-}
-
-/// The running states of one distinct aggregate input, one slot per
-/// group (struct of arrays): the sum when a SUM or AVG reads the input,
-/// the minimum and maximum only when a MIN or MAX does.
-class InputFold {
- public:
-  /// Keeps the state an aggregate of `kind` reads. Call before folding.
-  void Want(AggregateKind kind, size_t num_groups) {
-    switch (kind) {
-      case AggregateKind::kSum:
-      case AggregateKind::kAvg:
-        sum_.assign(num_groups, 0.0);
-        break;
-      case AggregateKind::kMin:
-        min_.assign(num_groups, std::numeric_limits<double>::infinity());
-        break;
-      case AggregateKind::kMax:
-        max_.assign(num_groups, -std::numeric_limits<double>::infinity());
-        break;
-      case AggregateKind::kCount:  // Reads the group's match count.
-        break;
-    }
-  }
-
-  /// Folds the batch's values into their groups' states: value_at(i)
-  /// into group group_at(i) for i in [0, n), in ascending i. These are
-  /// Accumulator::Add's operations in its order: MIN/MAX compare
-  /// strictly, so a NaN never wins and the first signed zero seen is kept.
-  template <typename GroupAt, typename ValueAt>
-  void Fold(size_t n, const GroupAt& group_at, const ValueAt& value_at) {
-    if (!sum_.empty()) {
-      double* sum = sum_.data();
-      for (size_t i = 0; i < n; ++i) sum[group_at(i)] += value_at(i);
-    }
-    if (!min_.empty()) {
-      double* min = min_.data();
-      for (size_t i = 0; i < n; ++i) {
-        const double v = value_at(i);
-        const uint32_t g = group_at(i);
-        if (v < min[g]) min[g] = v;
-      }
-    }
-    if (!max_.empty()) {
-      double* max = max_.data();
-      for (size_t i = 0; i < n; ++i) {
-        const double v = value_at(i);
-        const uint32_t g = group_at(i);
-        if (v > max[g]) max[g] = v;
-      }
-    }
-  }
-
-  /// Accumulator::Finish for group `g` with `count` > 0 matched rows.
-  double Finish(AggregateKind kind, uint32_t g, uint64_t count) const {
-    switch (kind) {
-      case AggregateKind::kSum:
-        return sum_[g];
-      case AggregateKind::kCount:
-        return static_cast<double>(count);
-      case AggregateKind::kAvg:
-        return sum_[g] / static_cast<double>(count);
-      case AggregateKind::kMin:
-        return min_[g];
-      case AggregateKind::kMax:
-        return max_[g];
-    }
-    return 0.0;
-  }
-
- private:
-  std::vector<double> sum_;
-  std::vector<double> min_;
-  std::vector<double> max_;
-};
-
-}  // namespace
-
-Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
-                                 const ExecutorOptions& options,
-                                 const GroupIndex* covering,
-                                 const ZoneMap* zones) {
-  CONGRESS_RETURN_NOT_OK(ValidateQuery(table, query));
   if (covering != nullptr && covering->num_rows() != table.num_rows()) {
     return Status::InvalidArgument(
         "covering index has " + std::to_string(covering->num_rows()) +
@@ -132,38 +49,94 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
         "zone map has " + std::to_string(zones->num_rows()) +
         " rows but the table has " + std::to_string(table.num_rows()));
   }
-  CONGRESS_METRIC_INCR("engine.exact_queries", 1);
-  CONGRESS_METRIC_INCR("engine.rows_scanned", table.num_rows());
+  return Status::OK();
+}
 
-  // Group ids: row r belongs to output group group_of[row_ids[r]], or
-  // row_ids[r] itself without a projection. A covering index (one built
-  // over a superset of the query's grouping columns, e.g. a snapshot's
-  // finest strata) is projected once per query — no per-row hashing.
-  // Otherwise the query's own columns are interned; the intern/merge/remap
-  // spans land directly on options.scope.
-  const bool project =
-      covering != nullptr && covering->Covers(query.group_columns);
-  GroupIndex own;
-  GroupIndex::Projection projection;
-  if (project) {
-    CONGRESS_METRIC_INCR("engine.exact_covering_scans", 1);
-    CONGRESS_SPAN(project_span, options.scope, "project");
-    auto projected = covering->Project(query.group_columns);
-    if (!projected.ok()) return projected.status();
-    projection = std::move(projected).value();
-  } else {
-    auto built = GroupIndex::Build(table, query.group_columns, options);
-    if (!built.ok()) return built.status();
-    own = std::move(built).value();
+std::vector<double>* InputStates::For(AggregateKind kind) {
+  switch (kind) {
+    case AggregateKind::kSum:
+    case AggregateKind::kAvg:
+      return &sum;
+    case AggregateKind::kMin:
+      return &min;
+    case AggregateKind::kMax:
+      return &max;
+    case AggregateKind::kCount:
+      break;
   }
-  const uint32_t* row_ids =
-      project ? covering->row_ids().data() : own.row_ids().data();
-  const uint32_t* group_of = project ? projection.group_of.data() : nullptr;
-  const std::vector<uint32_t>& first_rows =
-      project ? projection.first_rows : own.first_rows();
-  const size_t num_groups = first_rows.size();
-  const size_t num_aggs = query.aggregates.size();
+  return nullptr;
+}
 
+namespace {
+
+/// Keeps the state an aggregate of `kind` reads. Call before folding.
+void Want(InputStates* states, AggregateKind kind, size_t num_groups) {
+  switch (kind) {
+    case AggregateKind::kSum:
+    case AggregateKind::kAvg:
+      states->sum.assign(num_groups, 0.0);
+      break;
+    case AggregateKind::kMin:
+      states->min.assign(num_groups, std::numeric_limits<double>::infinity());
+      break;
+    case AggregateKind::kMax:
+      states->max.assign(num_groups, -std::numeric_limits<double>::infinity());
+      break;
+    case AggregateKind::kCount:  // Reads the group's match count.
+      break;
+  }
+}
+
+/// Folds a batch's values into their groups' states: value_at(i) into
+/// group group_at(i) for i in [0, n), in ascending i. These are
+/// Accumulator::Add's operations in its order: MIN/MAX compare strictly,
+/// so a NaN never wins and the first signed zero seen is kept.
+template <typename GroupAt, typename ValueAt>
+void FoldInto(InputStates* states, size_t n, const GroupAt& group_at,
+              const ValueAt& value_at) {
+  if (!states->sum.empty()) {
+    double* sum = states->sum.data();
+    for (size_t i = 0; i < n; ++i) sum[group_at(i)] += value_at(i);
+  }
+  if (!states->min.empty()) {
+    double* min = states->min.data();
+    for (size_t i = 0; i < n; ++i) {
+      const double v = value_at(i);
+      const uint32_t g = group_at(i);
+      if (v < min[g]) min[g] = v;
+    }
+  }
+  if (!states->max.empty()) {
+    double* max = states->max.data();
+    for (size_t i = 0; i < n; ++i) {
+      const double v = value_at(i);
+      const uint32_t g = group_at(i);
+      if (v > max[g]) max[g] = v;
+    }
+  }
+}
+
+/// Accumulator::Finish for a group with `count` > 0 matched rows, whose
+/// state of the aggregate's kind is `state` (unread for COUNT).
+double Finish(AggregateKind kind, double state, uint64_t count) {
+  switch (kind) {
+    case AggregateKind::kSum:
+    case AggregateKind::kMin:
+    case AggregateKind::kMax:
+      return state;
+    case AggregateKind::kCount:
+      return static_cast<double>(count);
+    case AggregateKind::kAvg:
+      return state / static_cast<double>(count);
+  }
+  return 0.0;
+}
+
+}  // namespace
+
+Folded Fold(const Table& table, const std::vector<AggregateSpec>& aggregates,
+            const Predicate* predicate, const GroupIds& ids,
+            const ZoneMap* zones, const ExecutorOptions& options) {
   // One fused, row-ordered pass: per L1-sized batch, the predicate
   // selects the survivors (with no predicate every row of the batch is
   // walked densely), each survivor is mapped to its group, and every
@@ -181,25 +154,28 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
   // rows for 2 threads, and only about a fifth faster at 2M rows for 4
   // threads.
   CONGRESS_SPAN(aggregate_span, options.scope, "aggregate");
-  const AggregateInputs inputs = DistinctInputs(query.aggregates);
+  const uint32_t* row_ids = ids.row_ids;
+  const uint32_t* group_of = ids.group_of;
+  const size_t num_groups = ids.num_groups;
+  const AggregateInputs inputs = DistinctInputs(aggregates);
   const size_t num_inputs = inputs.specs.size();
-  std::vector<InputFold> folds(num_inputs);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const AggregateKind kind = query.aggregates[a].kind;
+  Folded folded;
+  folded.states.resize(num_inputs);
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const AggregateKind kind = aggregates[a].kind;
     if (kind != AggregateKind::kCount) {
-      folds[inputs.input_of[a]].Want(kind, num_groups);
+      Want(&folded.states[inputs.input_of[a]], kind, num_groups);
     }
   }
   // One match count per group: every aggregate of a group sees the same
   // rows. With no predicate every row matches, so the index's own counts
   // are the match counts.
-  std::vector<uint64_t> counts(num_groups, 0);
-  const bool dense = query.predicate == nullptr;
+  std::vector<uint64_t>& counts = folded.counts;
+  counts.assign(num_groups, 0);
+  const bool dense = predicate == nullptr;
   if (dense) {
-    const std::vector<uint64_t>& index_counts =
-        project ? covering->counts() : own.counts();
-    for (size_t id = 0; id < index_counts.size(); ++id) {
-      counts[group_of != nullptr ? group_of[id] : id] += index_counts[id];
+    for (size_t id = 0; id < ids.id_counts.size(); ++id) {
+      counts[group_of != nullptr ? group_of[id] : id] += ids.id_counts[id];
     }
   }
   bool any_expression = false;
@@ -213,6 +189,7 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
   const uint32_t batch_rows =
       kernels::AdaptiveBatchRows(16 + 16 * std::max<size_t>(num_inputs, 1));
   kernels::KernelTally tally;
+  uint64_t rows_scanned = 0;
   SelectionVector rows;
   std::vector<uint32_t> groups(batch_rows);
   std::vector<double> values(batch_rows);
@@ -227,25 +204,26 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
     }
     for (size_t k = 0; k < num_inputs; ++k) {
       const AggregateSpec& spec = *inputs.specs[k];
-      InputFold& fold = folds[k];
+      InputStates* states = &folded.states[k];
       tally.eval_batches += 1;
       tally.eval_rows += m;
       if (run && spec.expression == nullptr) {
         if (table.schema().field(spec.column).type == DataType::kInt64) {
           const int64_t* cells = table.Int64Column(spec.column).data() + first;
-          fold.Fold(m, group_at, [cells](size_t i) {
+          FoldInto(states, m, group_at, [cells](size_t i) {
             return static_cast<double>(cells[i]);  // As Table::NumericAt.
           });
         } else {
           const double* cells = table.DoubleColumn(spec.column).data() + first;
-          fold.Fold(m, group_at, [cells](size_t i) { return cells[i]; });
+          FoldInto(states, m, group_at, [cells](size_t i) { return cells[i]; });
         }
         continue;
       }
       const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
       AggregateInputBatch(spec, table, rows.data(), m, values.data());
       if (tally_on) tally.eval_nanos += kernels::TallyClockNanos() - t0;
-      fold.Fold(m, group_at, [v = values.data()](size_t i) { return v[i]; });
+      FoldInto(states, m, group_at,
+               [v = values.data()](size_t i) { return v[i]; });
     }
   };
   // With zones, the predicate first classifies each batch from its
@@ -256,13 +234,13 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
   const uint32_t n = static_cast<uint32_t>(table.num_rows());
   for (uint32_t begin = 0; begin < n; begin += batch_rows) {
     const uint32_t end = std::min(n, begin + batch_rows);
-    const ZoneMatch match =
-        classify ? query.predicate->Classify(*zones, begin, end)
-                 : ZoneMatch::kSome;
+    const ZoneMatch match = classify ? predicate->Classify(*zones, begin, end)
+                                     : ZoneMatch::kSome;
     if (match == ZoneMatch::kNone) {
       tally.batches_skipped += 1;
       continue;
     }
+    rows_scanned += end - begin;
     const bool whole = dense || match == ZoneMatch::kAll;
     if (!dense && whole) tally.batches_whole += 1;
     uint32_t first = begin;
@@ -277,7 +255,7 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
     } else {
       rows.clear();
       const uint64_t t0 = tally_on ? kernels::TallyClockNanos() : 0;
-      query.predicate->MatchBatch(table, begin, end, nullptr, &rows);
+      predicate->MatchBatch(table, begin, end, nullptr, &rows);
       if (tally_on) tally.match_nanos += kernels::TallyClockNanos() - t0;
       tally.match_batches += 1;
       tally.match_rows_in += end - begin;
@@ -289,12 +267,14 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
     // A selection that is one contiguous run (such as a range over a
     // clustered column) is walked like an unfiltered batch.
     if (whole || first + m - 1 == rows[m - 1]) {
-      const uint32_t* ids = row_ids + first;
+      const uint32_t* run_ids = row_ids + first;
       if (group_of == nullptr) {
-        fold_batch([ids](size_t i) { return ids[i]; }, true, first, m);
+        fold_batch([run_ids](size_t i) { return run_ids[i]; }, true, first,
+                   m);
       } else {
-        fold_batch([ids, group_of](size_t i) { return group_of[ids[i]]; },
-                   true, first, m);
+        fold_batch(
+            [run_ids, group_of](size_t i) { return group_of[run_ids[i]]; },
+            true, first, m);
       }
     } else {
       for (size_t i = 0; i < m; ++i) {
@@ -305,39 +285,113 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                  m);
     }
   }
+  CONGRESS_METRIC_INCR("engine.rows_scanned", rows_scanned);
   kernels::RecordKernelTally(tally, aggregate_span.scope());
-  aggregate_span.Stop();
+  return folded;
+}
 
-  // Finalize: each matched group's values, HAVING, then the survivors
-  // sorted by key. Sorting group ids by their first rows, in
-  // first-occurrence order, with comparisons identical to those of the
-  // keys gives the order a key sort of the rows gives, NaN keys included.
+std::vector<const double*> StatesOf(const GroupByQuery& query,
+                                    Folded& folded) {
+  const AggregateInputs inputs = DistinctInputs(query.aggregates);
+  std::vector<const double*> state_of(query.aggregates.size(), nullptr);
+  for (size_t a = 0; a < query.aggregates.size(); ++a) {
+    const AggregateKind kind = query.aggregates[a].kind;
+    if (kind == AggregateKind::kCount) continue;
+    state_of[a] = folded.states[inputs.input_of[a]].For(kind)->data();
+  }
+  return state_of;
+}
+
+QueryResult Finalize(const Table& table, const GroupByQuery& query,
+                     std::span<const uint64_t> counts,
+                     std::span<const double* const> state_of,
+                     std::span<const uint32_t> first_rows,
+                     std::span<const GroupKey> keys,
+                     const std::vector<uint32_t>* key_order,
+                     const ExecutorOptions& options) {
+  // Each matched group's values, HAVING, then the survivors in key
+  // order. Sorting group ids by their first rows, in first-occurrence
+  // order, with comparisons identical to those of the keys gives the
+  // order a key sort of the rows gives, NaN keys included. A given
+  // key_order is that sort of every group, done once; filtering it gives
+  // the sort of any subset when the order is total (no NaN key).
   CONGRESS_SPAN(finalize_span, options.scope, "finalize");
+  const size_t num_groups = counts.size();
+  const size_t num_aggs = query.aggregates.size();
   std::vector<double> finals(num_groups * num_aggs);
-  std::vector<uint32_t> order;
-  order.reserve(num_groups);
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    if (counts[g] == 0) continue;  // No row matched the predicate.
+  auto passes = [&](uint32_t g) {
+    if (counts[g] == 0) return false;  // No row matched the predicate.
     double* out = finals.data() + g * num_aggs;
     for (size_t a = 0; a < num_aggs; ++a) {
-      const AggregateKind kind = query.aggregates[a].kind;
-      out[a] = kind == AggregateKind::kCount
-                   ? static_cast<double>(counts[g])
-                   : folds[inputs.input_of[a]].Finish(kind, g, counts[g]);
+      out[a] = Finish(query.aggregates[a].kind,
+                      state_of[a] != nullptr ? state_of[a][g] : 0.0,
+                      counts[g]);
     }
-    if (PassesHaving(query.having, out, num_aggs)) order.push_back(g);
+    return PassesHaving(query.having, out, num_aggs);
+  };
+  std::vector<uint32_t> order;
+  order.reserve(num_groups);
+  if (key_order != nullptr) {
+    for (uint32_t g : *key_order) {
+      if (passes(g)) order.push_back(g);
+    }
+  } else {
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      if (passes(g)) order.push_back(g);
+    }
+    const RowKeyLess key_less(table, query.group_columns, first_rows);
+    std::sort(order.begin(), order.end(), std::cref(key_less));
   }
-  const RowKeyLess key_less(table, query.group_columns, first_rows);
-  std::sort(order.begin(), order.end(), std::cref(key_less));
   QueryResult result;
   result.Reserve(order.size());
   for (uint32_t g : order) {
     const double* out = finals.data() + g * num_aggs;
-    // The projection is this call's own, so its keys move out.
-    result.Add(project ? std::move(projection.keys[g]) : own.keys()[g],
-               std::vector<double>(out, out + num_aggs));
+    result.Add(keys[g], std::vector<double>(out, out + num_aggs));
   }
   return result;
+}
+
+}  // namespace exact
+
+Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
+                                 const ExecutorOptions& options,
+                                 const GroupIndex* covering,
+                                 const ZoneMap* zones) {
+  CONGRESS_RETURN_NOT_OK(exact::Validate(table, query, covering, zones));
+  CONGRESS_METRIC_INCR("engine.exact_queries", 1);
+
+  // Group ids: row r belongs to output group group_of[row_ids[r]], or
+  // row_ids[r] itself without a projection. A covering index (one built
+  // over a superset of the query's grouping columns, e.g. a snapshot's
+  // finest strata) is projected once per query — no per-row hashing.
+  // Otherwise the query's own columns are interned; the intern/merge/remap
+  // spans land directly on options.scope.
+  const bool project =
+      covering != nullptr && covering->Covers(query.group_columns);
+  GroupIndex own;
+  GroupIndex::Projection projection;
+  exact::GroupIds ids;
+  if (project) {
+    CONGRESS_METRIC_INCR("engine.exact_covering_scans", 1);
+    CONGRESS_SPAN(project_span, options.scope, "project");
+    auto projected = covering->Project(query.group_columns);
+    if (!projected.ok()) return projected.status();
+    projection = std::move(projected).value();
+    ids = {covering->row_ids().data(), projection.group_of.data(),
+           covering->counts(), projection.keys.size()};
+  } else {
+    auto built = GroupIndex::Build(table, query.group_columns, options);
+    if (!built.ok()) return built.status();
+    own = std::move(built).value();
+    ids = {own.row_ids().data(), nullptr, own.counts(), own.num_groups()};
+  }
+  exact::Folded folded = exact::Fold(table, query.aggregates,
+                                     query.predicate.get(), ids, zones, options);
+  return exact::Finalize(table, query, folded.counts,
+                         exact::StatesOf(query, folded),
+                         project ? projection.first_rows : own.first_rows(),
+                         project ? projection.keys : own.keys(), nullptr,
+                         options);
 }
 
 std::unordered_map<GroupKey, uint64_t, GroupKeyHash> CountGroups(

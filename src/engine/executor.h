@@ -1,6 +1,9 @@
 #ifndef CONGRESS_ENGINE_EXECUTOR_H_
 #define CONGRESS_ENGINE_EXECUTOR_H_
 
+#include <span>
+#include <vector>
+
 #include "engine/query.h"
 #include "storage/table.h"
 #include "util/parallel.h"
@@ -45,6 +48,79 @@ Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                                  const ExecutorOptions& options = {},
                                  const GroupIndex* covering = nullptr,
                                  const ZoneMap* zones = nullptr);
+
+/// The pieces ExecuteExact is made of: resolving each row's group id
+/// (its own index or a covering projection), one fold, and one finalize.
+/// ExactRollups (engine/exact_rollups.h) resolves group ids from its memo
+/// instead and calls the same fold and finalize, so its answers are
+/// ExecuteExact's bit for bit.
+namespace exact {
+
+/// Where a scan reads each row's output group: row r belongs to group
+/// group_of[row_ids[r]], or to row_ids[r] itself when group_of is null.
+/// id_counts holds the number of rows carrying each row_ids value.
+struct GroupIds {
+  const uint32_t* row_ids = nullptr;
+  const uint32_t* group_of = nullptr;
+  std::span<const uint64_t> id_counts;
+  size_t num_groups = 0;
+};
+
+/// The running states of one distinct aggregate input, one slot per
+/// group: the sum when a SUM or AVG reads the input, the minimum and
+/// maximum only when a MIN or MAX does. Unread states stay empty.
+struct InputStates {
+  std::vector<double> sum;
+  std::vector<double> min;
+  std::vector<double> max;
+
+  /// The state an aggregate of `kind` is finished from; null for COUNT,
+  /// which reads the group's match count.
+  std::vector<double>* For(AggregateKind kind);
+};
+
+/// What one fold leaves: a match count per group and the states of each
+/// distinct aggregate input, in DistinctInputs order.
+struct Folded {
+  std::vector<uint64_t> counts;
+  std::vector<InputStates> states;
+};
+
+/// ExecuteExact's checks of `query` against `table`, and of the row
+/// counts of `covering` and `zones` (either may be null).
+Status Validate(const Table& table, const GroupByQuery& query,
+                const GroupIndex* covering, const ZoneMap* zones);
+
+/// The fused, row-ordered fold of `aggregates` over the rows of `table`
+/// that `predicate` (null: every row) selects, batch by batch, into the
+/// groups of `ids`, skipping or taking whole the batches `zones` (may be
+/// null) classify. Every group folds its rows in ascending row order.
+/// Records the `aggregate` span and counts the rows of the batches it
+/// visits in engine.rows_scanned.
+Folded Fold(const Table& table, const std::vector<AggregateSpec>& aggregates,
+            const Predicate* predicate, const GroupIds& ids,
+            const ZoneMap* zones, const ExecutorOptions& options);
+
+/// Per aggregate of `query`, the per-group state of `folded` it is
+/// finished from (null for COUNT).
+std::vector<const double*> StatesOf(const GroupByQuery& query,
+                                    Folded& folded);
+
+/// Finishes the groups with a match: each group's values from its match
+/// count and `state_of` (one per aggregate, as StatesOf), HAVING, then
+/// the survivors in key order with their keys. `key_order`, when given,
+/// lists every group in key order and is filtered; otherwise the
+/// survivors are sorted by their first rows with RowKeyLess. Records the
+/// `finalize` span.
+QueryResult Finalize(const Table& table, const GroupByQuery& query,
+                     std::span<const uint64_t> counts,
+                     std::span<const double* const> state_of,
+                     std::span<const uint32_t> first_rows,
+                     std::span<const GroupKey> keys,
+                     const std::vector<uint32_t>* key_order,
+                     const ExecutorOptions& options);
+
+}  // namespace exact
 
 /// Computes the number of tuples in each group at the grouping
 /// `group_columns` (COUNT(*) group-by without predicate), keyed by group.

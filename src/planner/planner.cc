@@ -311,7 +311,7 @@ Result<ApproximateResult> ExecuteCombinedPlan(
     return Status::FailedPrecondition(
         "combined plan needs the retained base relation");
   }
-  if (snapshot.base_group_index == nullptr) {
+  if (snapshot.exact_rollups == nullptr) {
     return Status::FailedPrecondition(
         "combined plan needs the census of the base relation");
   }
@@ -326,12 +326,13 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   const ExecutorOptions& execution = synopsis.config().execution;
   AggregatePlan plan = ExpandAggregates(query);
 
-  // Exact part: one ExecuteExact scan of the base relation, restricted to
-  // the outlier strata by a membership test on the snapshot's row→stratum
-  // index (built once at publish), which also serves as the covering
-  // index for the scan's group ids. The snapshot's zones let a range of
-  // the query skip the batches it rules out.
-  const std::shared_ptr<const GroupIndex>& index = snapshot.base_group_index;
+  // Exact part: one exact scan of the base relation, restricted to the
+  // outlier strata by a membership test on the snapshot's row→stratum
+  // index (built once at publish). The scan reads its group ids and key
+  // order from the snapshot's exact roll-ups, and the snapshot's zones let
+  // a range of the query skip the batches it rules out.
+  const std::shared_ptr<const GroupIndex>& index =
+      snapshot.exact_rollups->index();
   std::vector<uint8_t> keep(index->num_groups(), 0);
   for (uint32_t s : outlier_strata) {
     auto id = index->IdOf(strata[s].key);
@@ -344,8 +345,7 @@ Result<ApproximateResult> ExecuteCombinedPlan(
       plan.inner.predicate == nullptr
           ? in_outliers
           : MakeAndPredicate({in_outliers, plan.inner.predicate});
-  auto exact = ExecuteExact(*snapshot.table, exact_query, execution,
-                            index.get(), snapshot.zones.get());
+  auto exact = ExecuteExactOnSnapshot(snapshot, exact_query);
   if (!exact.ok()) return exact.status();
   const QueryResult& exact_part = *exact;
   const size_t slots = plan.inner.aggregates.size();
@@ -562,7 +562,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     const std::vector<Stratum>& strata = primary.sample().strata();
     if (!snapshot.base_available) {
       c.detail = "base relation unavailable (restored snapshot)";
-    } else if (snapshot.base_group_index == nullptr) {
+    } else if (snapshot.exact_rollups == nullptr) {
       c.detail = "no census of the base relation";
     } else if (strata.size() < 2) {
       c.detail = "fewer than two strata; nothing to split";

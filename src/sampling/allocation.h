@@ -69,7 +69,7 @@ class GroupStatistics {
 /// sample, fleet summary and snapshot of one publish. A row's stratum is
 /// position[index->row_ids()[row]], its slot in the key-sorted `stats`.
 struct GroupCensus {
-  /// Shared: a published snapshot keeps it as its base_group_index.
+  /// Shared: a published snapshot keeps it in its exact_rollups.
   std::shared_ptr<const GroupIndex> index;
   GroupStatistics stats;
   std::vector<size_t> position;

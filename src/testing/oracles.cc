@@ -20,6 +20,7 @@
 #include "core/aqua.h"
 #include "core/estimator.h"
 #include "core/rewriter.h"
+#include "engine/exact_rollups.h"
 #include "engine/executor.h"
 #include "engine/zone_map.h"
 #include "net/client.h"
@@ -35,6 +36,7 @@
 #include "sampling/maintenance.h"
 #include "sampling/shard.h"
 #include "sql/parser.h"
+#include "storage/group_index.h"
 #include "util/random.h"
 
 namespace congress::testing {
@@ -453,8 +455,8 @@ bool SameKeyBits(std::span<const Value> a, std::span<const Value> b) {
   return true;
 }
 
-/// Row-by-row bit equality of two exact answers: group order, keys (down
-/// to the sign of a zero) and every aggregate.
+}  // namespace
+
 Status CheckExactIdentical(const QueryResult& a, const QueryResult& b,
                            const std::string& label) {
   if (a.num_groups() != b.num_groups()) {
@@ -474,6 +476,8 @@ Status CheckExactIdentical(const QueryResult& a, const QueryResult& b,
   }
   return Status::OK();
 }
+
+namespace {
 
 /// Group ordering must match too: SortByKey should make it canonical,
 /// but the bit-identity contract covers emission order, so compare the
@@ -1529,20 +1533,68 @@ Status CheckPlannerIdentity(const Table& table,
       std::string(AllocationStrategyToString(strategy)) + " planner";
 
   // Identity checks compare against the unplanned paths, so the query
-  // runs budget-free; MIN/MAX queries have no sampling plan to compare.
+  // runs budget-free.
   GroupByQuery plain = query;
   plain.budget = QueryBudget{};
-  for (const AggregateSpec& spec : plain.aggregates) {
-    if (spec.kind == AggregateKind::kMin || spec.kind == AggregateKind::kMax) {
-      return Status::OK();
-    }
-  }
 
   SynopsisConfig config;
   config.strategy = strategy;
   config.seed = seed;
   for (size_t c : grouping) {
     config.grouping_columns.push_back(table.schema().field(c).name);
+  }
+  SynopsisConfig frac = config;
+  frac.sample_fraction = 0.2;
+  AquaEngine engine;
+  CONGRESS_RETURN_NOT_OK(engine.RegisterTable("t", table, frac));
+  auto snapshot = engine.GetSnapshot("t");
+  CONGRESS_RETURN_NOT_OK(snapshot.status());
+
+  // (d) Exact scans of the snapshot, through its memo of exact roll-ups,
+  // equal a plain ExecuteExact bit for bit: on the first answer, which
+  // builds what it memoizes, and on the second, which reads it. The
+  // generated measures are integer-valued, so every summation order gives
+  // the same bits; the check runs again over a copy whose double measures
+  // are scaled by 0.1, where the order of a fold shows.
+  auto check_exact = [&](const AquaSnapshot& on, const std::string& label) {
+    auto exact = ExecuteExact(*on.table, plain);
+    CONGRESS_RETURN_NOT_OK(exact.status());
+    for (const char* phase : {", cold", ", warm"}) {
+      auto on_snapshot = ExecuteExactOnSnapshot(on, plain);
+      CONGRESS_RETURN_NOT_OK(on_snapshot.status());
+      CONGRESS_RETURN_NOT_OK(
+          CheckExactIdentical(*exact, *on_snapshot, label + phase));
+    }
+    return Status::OK();
+  };
+  CONGRESS_RETURN_NOT_OK(check_exact(**snapshot, name + " exact on snapshot"));
+  {
+    auto scaled = std::make_shared<Table>(table);
+    for (size_t c = 0; c < scaled->num_columns(); ++c) {
+      if (scaled->schema().field(c).type != DataType::kDouble ||
+          std::ranges::find(grouping, c) != grouping.end()) {
+        continue;
+      }
+      for (double& v : scaled->MutableDoubleColumn(c)) v *= 0.1;
+    }
+    auto census = GroupIndex::Build(*scaled, grouping);
+    CONGRESS_RETURN_NOT_OK(census.status());
+    AquaSnapshot on_scaled;
+    on_scaled.name = "scaled";
+    on_scaled.table = scaled;
+    on_scaled.zones = std::make_shared<const ZoneMap>(ZoneMap::Build(*scaled));
+    on_scaled.exact_rollups = std::make_shared<const ExactRollups>(
+        on_scaled.table,
+        std::make_shared<const GroupIndex>(std::move(census).value()));
+    CONGRESS_RETURN_NOT_OK(
+        check_exact(on_scaled, name + " exact on scaled snapshot"));
+  }
+
+  // MIN/MAX queries have no sampling plan to compare.
+  for (const AggregateSpec& spec : plain.aggregates) {
+    if (spec.kind == AggregateKind::kMin || spec.kind == AggregateKind::kMax) {
+      return Status::OK();
+    }
   }
 
   // (a) Combined plan over a 100% sample: the sampled tail is exact
@@ -1551,17 +1603,17 @@ Status CheckPlannerIdentity(const Table& table,
   {
     SynopsisConfig full = config;
     full.sample_fraction = 1.0;
-    AquaEngine engine;
-    CONGRESS_RETURN_NOT_OK(engine.RegisterTable("t", table, full));
-    auto snapshot = engine.GetSnapshot("t");
-    CONGRESS_RETURN_NOT_OK(snapshot.status());
+    AquaEngine full_engine;
+    CONGRESS_RETURN_NOT_OK(full_engine.RegisterTable("t", table, full));
+    auto full_snapshot = full_engine.GetSnapshot("t");
+    CONGRESS_RETURN_NOT_OK(full_snapshot.status());
     const std::vector<Stratum>& strata =
-        (*snapshot)->synopsis->sample().strata();
+        (*full_snapshot)->synopsis->sample().strata();
     if (strata.size() >= 2) {
       std::vector<uint32_t> outliers = {0};
       if (strata.size() > 2) outliers.push_back(1);
       auto combined =
-          planner::ExecuteCombinedPlan(**snapshot, plain, outliers);
+          planner::ExecuteCombinedPlan(**full_snapshot, plain, outliers);
       CONGRESS_RETURN_NOT_OK(combined.status());
       auto exact = ExecuteExact(table, plain);
       CONGRESS_RETURN_NOT_OK(exact.status());
@@ -1572,17 +1624,10 @@ Status CheckPlannerIdentity(const Table& table,
     }
   }
 
-  // (b) + (c) on a fractional sample: budget-free planner routing is
+  // (b) + (c) on the fractional sample: budget-free planner routing is
   // bit-identical to the synopsis's own answer, and the primary plan
   // agrees with the Section 5.2 rewriter within float tolerance.
   {
-    SynopsisConfig frac = config;
-    frac.sample_fraction = 0.2;
-    AquaEngine engine;
-    CONGRESS_RETURN_NOT_OK(engine.RegisterTable("t", table, frac));
-    auto snapshot = engine.GetSnapshot("t");
-    CONGRESS_RETURN_NOT_OK(snapshot.status());
-
     planner::Planner planner;
     auto planned = planner.Run(**snapshot, plain);
     CONGRESS_RETURN_NOT_OK(planned.status());

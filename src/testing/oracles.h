@@ -70,6 +70,11 @@ Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query);
 
+/// Row-by-row bit equality of two exact answers: group order, keys (down
+/// to the sign of a zero) and every aggregate.
+Status CheckExactIdentical(const QueryResult& a, const QueryResult& b,
+                           const std::string& label);
+
 /// Row-by-row bit equality of two approximate answers: group order, keys
 /// (down to the sign of a zero), support, provenance and every number.
 Status CheckApproximateIdentical(const ApproximateResult& a,
@@ -187,15 +192,19 @@ Status CheckNetChaos(const Table& table, const std::vector<size_t>& grouping,
                      AllocationStrategy strategy, uint64_t sample_size,
                      uint64_t seed);
 
-/// Planner identity oracle, three invariants per (strategy, query):
+/// Planner identity oracle, four invariants per (strategy, query):
 /// (a) a combined plan (exact outlier strata + sampled tail) over a 100%
 /// sample reproduces ExecuteExact within 1e-9 — the stitch introduces no
 /// bias; (b) a budget-free Planner::Run is bit-identical to the primary
 /// synopsis's own Answer — planner routing never perturbs the default
 /// path; (c) on a fractional sample, the planner's primary answer agrees
 /// with the Section 5.2 rewriter (QueryVia) within 1e-9 when the query
-/// has no HAVING. MIN/MAX queries are vacuously OK (no sampling plan
-/// exists to compare).
+/// has no HAVING; (d) ExecuteExactOnSnapshot, through the snapshot's
+/// memo of exact roll-ups, is bit-identical to a plain ExecuteExact on
+/// its first (cold) and second (warm) answer, on the engine's snapshot
+/// and on one over a copy whose double measures are scaled by 0.1, so a
+/// change of summation order shows. MIN/MAX queries check only (d): no
+/// sampling plan exists to compare.
 Status CheckPlannerIdentity(const Table& table,
                             const std::vector<size_t>& grouping,
                             AllocationStrategy strategy,

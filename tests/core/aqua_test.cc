@@ -293,7 +293,7 @@ TEST_F(AquaEngineTest, PublishInternsTheBaseRelationOnce) {
   GTEST_SKIP() << "observability compiled out";
 #else
   // A publish interns the working table once. The primary, both
-  // fallbacks, the fleet summaries and the snapshot's base_group_index
+  // fallbacks, the fleet summaries and the snapshot's exact roll-ups
   // all read that one census.
   const obs::Counter& builds =
       obs::MetricsRegistry::Global().GetCounter("group_index.builds");
@@ -312,7 +312,7 @@ TEST_F(AquaEngineTest, PublishInternsTheBaseRelationOnce) {
     EXPECT_EQ(builds.value() - before, 1u);
     auto snapshot = engine.GetSnapshot("t");
     ASSERT_TRUE(snapshot.ok());
-    EXPECT_NE((*snapshot)->base_group_index, nullptr);
+    EXPECT_NE((*snapshot)->exact_rollups, nullptr);
     EXPECT_NE((*snapshot)->fallback_basic, nullptr);
     EXPECT_NE((*snapshot)->fallback_house, nullptr);
     EXPECT_EQ((*snapshot)->histogram != nullptr, config.fleet_histogram);
@@ -562,6 +562,146 @@ TEST_F(AquaEngineTest, ConcurrentFirstUseOfRollUpsMatchesSerial) {
       EXPECT_TRUE(same.ok()) << same.ToString();
     }
   }
+}
+
+TEST_F(AquaEngineTest, ConcurrentFirstUseOfExactRollupsMatchesSerial) {
+  // Seven groupings of three census columns, none memoized yet when eight
+  // threads ask them at once, exactly, from one pinned snapshot; each is
+  // also asked with a predicate, which folds through the memo's entry.
+  Table t{Schema({Field{"region", DataType::kString},
+                  Field{"kind", DataType::kInt64},
+                  Field{"bucket", DataType::kInt64},
+                  Field{"amount", DataType::kDouble}})};
+  const char* regions[] = {"east", "west", "north"};
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value(regions[i % 3]), Value(int64_t{i % 4}),
+                             Value(int64_t{i % 5}),
+                             Value(static_cast<double>(i % 11) * 0.3 - 1.0)})
+                    .ok());
+  }
+  SynopsisConfig config;
+  config.grouping_columns = {"region", "kind", "bucket"};
+  config.sample_fraction = 0.1;
+  config.seed = 5;
+  std::vector<GroupByQuery> queries;
+  for (const std::vector<size_t>& columns : std::vector<std::vector<size_t>>{
+           {0}, {1}, {2}, {0, 1}, {2, 1}, {0, 2}, {0, 1, 2}}) {
+    GroupByQuery q;
+    q.group_columns = columns;
+    q.aggregates = {{AggregateKind::kSum, 3},
+                    {AggregateKind::kCount, 0},
+                    {AggregateKind::kAvg, 3},
+                    {AggregateKind::kMin, 3},
+                    {AggregateKind::kMax, 3}};
+    queries.push_back(q);
+    q.predicate = MakeRangePredicate(3, 0.0, 100.0);
+    queries.push_back(q);
+  }
+
+  AquaEngine serial_engine;
+  ASSERT_TRUE(serial_engine.RegisterTable("t", t, config).ok());
+  auto serial_snapshot = serial_engine.GetSnapshot("t");
+  ASSERT_TRUE(serial_snapshot.ok());
+  std::vector<QueryResult> serial;
+  for (const GroupByQuery& q : queries) {
+    auto answer = ExecuteExactOnSnapshot(**serial_snapshot, q);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    serial.push_back(std::move(answer).value());
+  }
+
+  AquaEngine engine;
+  ASSERT_TRUE(engine.RegisterTable("t", t, config).ok());
+  auto snapshot = engine.GetSnapshot("t");
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_NE((*snapshot)->exact_rollups, nullptr);
+  EXPECT_EQ((*snapshot)->exact_rollups->num_entries(), 0u);
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<QueryResult>> answers(kThreads);
+  std::atomic<size_t> ready{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (size_t k = 0; k < queries.size(); ++k) {
+        auto answer = ExecuteExactOnSnapshot(
+            **snapshot, queries[(2 * i + k) % queries.size()]);
+        if (!answer.ok()) {
+          errors.fetch_add(1);
+          return;
+        }
+        answers[i].push_back(std::move(answer).value());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(errors.load(), 0);
+  for (size_t i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(answers[i].size(), queries.size());
+    for (size_t k = 0; k < queries.size(); ++k) {
+      const Status same = testing::CheckExactIdentical(
+          answers[i][k], serial[(2 * i + k) % queries.size()],
+          "thread " + std::to_string(i) + ", query " + std::to_string(k));
+      EXPECT_TRUE(same.ok()) << same.ToString();
+    }
+  }
+  EXPECT_EQ((*snapshot)->exact_rollups->num_entries(), 7u);
+  EXPECT_LE((*snapshot)->exact_rollups->state_bytes(),
+            (*snapshot)->exact_rollups->state_byte_limit());
+}
+
+TEST_F(AquaEngineTest, PublishStartsAnEmptyExactRollupMemo) {
+  // An incremental publish gives the new snapshot its own, empty memo; a
+  // reader still pinning the old snapshot keeps answering from the old
+  // one, over the old table.
+  SynopsisConfig config = SalesConfig();
+  config.incremental = true;
+  AquaEngine engine;
+  ASSERT_TRUE(engine.RegisterTable("live", SalesTable(), config).ok());
+  const std::string sql =
+      "SELECT region, SUM(amount), COUNT(*) FROM live GROUP BY region";
+  auto old_snapshot = engine.GetSnapshot("live");
+  ASSERT_TRUE(old_snapshot.ok());
+  auto before = engine.QueryExact(sql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const ExactRollups& old_memo = *(*old_snapshot)->exact_rollups;
+  EXPECT_EQ(old_memo.num_entries(), 1u);
+  EXPECT_GT(old_memo.state_bytes(), 0u);
+
+  ASSERT_TRUE(
+      engine.Insert("live", {Value("east"), Value(int64_t{0}), Value(5.0)})
+          .ok());
+  ASSERT_TRUE(engine.Refresh("live").ok());
+  auto new_snapshot = engine.GetSnapshot("live");
+  ASSERT_TRUE(new_snapshot.ok());
+  ASSERT_NE((*new_snapshot)->exact_rollups, nullptr);
+  EXPECT_NE((*new_snapshot)->exact_rollups, (*old_snapshot)->exact_rollups);
+  EXPECT_EQ((*new_snapshot)->exact_rollups->num_entries(), 0u);
+  EXPECT_EQ((*new_snapshot)->exact_rollups->state_bytes(), 0u);
+
+  auto after = engine.QueryExact(sql);
+  ASSERT_TRUE(after.ok());
+  const GroupResult* east = after->Find(GroupKey{Value("east")});
+  const GroupResult* east_before = before->Find(GroupKey{Value("east")});
+  ASSERT_NE(east, nullptr);
+  ASSERT_NE(east_before, nullptr);
+  EXPECT_EQ(east->aggregates[1], east_before->aggregates[1] + 1.0);
+  EXPECT_EQ((*new_snapshot)->exact_rollups->num_entries(), 1u);
+
+  // The pinned old snapshot answers as before, from its own memo.
+  GroupByQuery by_region;
+  by_region.group_columns = {0};
+  by_region.aggregates = {{AggregateKind::kSum, 2}, {AggregateKind::kCount, 0}};
+  const size_t old_bytes = old_memo.state_bytes();
+  auto again = ExecuteExactOnSnapshot(**old_snapshot, by_region);
+  ASSERT_TRUE(again.ok());
+  const Status same = testing::CheckExactIdentical(*before, *again, "pinned");
+  EXPECT_TRUE(same.ok()) << same.ToString();
+  EXPECT_EQ(old_memo.num_entries(), 1u);
+  EXPECT_EQ(old_memo.state_bytes(), old_bytes);
+  EXPECT_EQ(old_memo.table()->num_rows(), 1000u);
 }
 
 TEST_F(AquaEngineTest, CheckpointRecordsStreamPositionOfTwoPassRelation) {

@@ -5,15 +5,18 @@
 // bump the engine counters. The sample estimator likewise projects
 // strata, without interning, for queries on its grouping columns. A
 // range over a clustered column lets the zone map skip batches or take
-// them whole, and publish records the zone map's own span.
+// them whole, and publish records the zone map's own span. Only visited
+// batches count as scanned rows, and a warm exact roll-up scans none.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "core/aqua.h"
 #include "core/estimator.h"
+#include "engine/exact_rollups.h"
 #include "engine/executor.h"
 #include "engine/zone_map.h"
 #include "obs/metrics.h"
@@ -244,6 +247,99 @@ TEST(ObsIntegrationTest, ClusteredRangeSkipsAndTakesWholeBatches) {
   EXPECT_EQ(counter("kernels.match.batches_whole"), whole_mid);
   EXPECT_EQ(counter("kernels.match.batches"), filtered_mid);
   EXPECT_EQ(dense.Find("aggregate/match_batch"), nullptr);
+#endif
+}
+
+TEST(ObsIntegrationTest, RowsScannedCountsOnlyVisitedBatches) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  tpcd::LineitemConfig config;
+  config.num_tuples = 50'000;
+  config.num_groups = 200;
+  config.seed = 42;
+  auto data = tpcd::GenerateLineitem(config);
+  ASSERT_TRUE(data.ok());
+  const ZoneMap zones = ZoneMap::Build(data->table);
+  const obs::Counter& scanned =
+      obs::MetricsRegistry::Global().GetCounter("engine.rows_scanned");
+
+  // A clustered range keeps 30,000 of 50,000 rows: the batches the zones
+  // skip are not scanned, so fewer rows than the table's are counted.
+  GroupByQuery ranged = tpcd::MakeQg3();
+  ranged.predicate = MakeRangePredicate(tpcd::kLId, 10'000.5, 40'000.5);
+  uint64_t before = scanned.value();
+  ASSERT_TRUE(ExecuteExact(data->table, ranged, {}, nullptr, &zones).ok());
+  const uint64_t counted = scanned.value() - before;
+  EXPECT_GE(counted, 30'000u);
+  EXPECT_LT(counted, data->table.num_rows());
+
+  // Without zones every batch is visited.
+  before = scanned.value();
+  ASSERT_TRUE(ExecuteExact(data->table, ranged).ok());
+  EXPECT_EQ(scanned.value() - before, data->table.num_rows());
+#endif
+}
+
+TEST(ObsIntegrationTest, WarmRollupAnswerScansNothing) {
+#ifdef CONGRESS_DISABLE_OBS
+  GTEST_SKIP() << "observability compiled out";
+#else
+  tpcd::LineitemConfig config;
+  config.num_tuples = 50'000;
+  config.num_groups = 200;
+  config.seed = 42;
+  auto data = tpcd::GenerateLineitem(config);
+  ASSERT_TRUE(data.ok());
+  const auto table = std::make_shared<const Table>(data->table);
+  auto census = GroupIndex::Build(*table, tpcd::LineitemGroupingColumns());
+  ASSERT_TRUE(census.ok());
+  const ExactRollups rollups(
+      table, std::make_shared<const GroupIndex>(std::move(*census)));
+  GroupByQuery query = tpcd::MakeQg3();
+  query.group_columns.pop_back();
+  query.aggregates.push_back({AggregateKind::kCount, 0});
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto counter = [&registry](const char* name) {
+    return registry.GetCounter(name).value();
+  };
+  // The first answer builds the entry (projection and key order) and
+  // folds the SUM's state once.
+  uint64_t hits = counter("engine.exact_rollup_hits");
+  uint64_t builds = counter("engine.exact_rollup_builds");
+  uint64_t scanned = counter("engine.rows_scanned");
+  obs::Scope cold("query");
+  ExecutorOptions options;
+  options.scope = &cold;
+  auto first = rollups.Execute(query, options);
+  ASSERT_TRUE(first.ok());
+  EXPECT_NE(cold.Find("project"), nullptr);
+  EXPECT_NE(cold.Find("rollup/aggregate"), nullptr);
+  EXPECT_EQ(counter("engine.exact_rollup_hits") - hits, 1u);
+  EXPECT_EQ(counter("engine.exact_rollup_builds") - builds, 2u);
+  EXPECT_EQ(counter("engine.rows_scanned") - scanned, table->num_rows());
+
+  // The second reads everything from the memo: no projection, no fold.
+  hits = counter("engine.exact_rollup_hits");
+  builds = counter("engine.exact_rollup_builds");
+  scanned = counter("engine.rows_scanned");
+  obs::Scope warm("query");
+  options.scope = &warm;
+  auto second = rollups.Execute(query, options);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->num_groups(), first->num_groups());
+  for (const char* stage : {"rollup", "finalize"}) {
+    const obs::Scope* span = warm.Find(stage);
+    ASSERT_NE(span, nullptr) << "missing span: " << stage;
+    EXPECT_EQ(span->invocations(), 1u) << stage;
+  }
+  EXPECT_EQ(warm.Find("project"), nullptr);
+  EXPECT_EQ(warm.Find("aggregate"), nullptr);
+  EXPECT_EQ(warm.Find("rollup/aggregate"), nullptr);
+  EXPECT_EQ(counter("engine.exact_rollup_hits") - hits, 1u);
+  EXPECT_EQ(counter("engine.exact_rollup_builds"), builds);
+  EXPECT_EQ(counter("engine.rows_scanned"), scanned);
 #endif
 }
 

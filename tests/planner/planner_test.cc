@@ -267,7 +267,7 @@ TEST_F(PlannerTest, CombinedPlanNeedsTheBaseCensus) {
   // cannot run a combined plan: the planner scores it ineligible, and a
   // budget query is still answered by another plan.
   AquaSnapshot uncensused = *snapshot_;
-  uncensused.base_group_index = nullptr;
+  uncensused.exact_rollups = nullptr;
   EXPECT_EQ(ExecuteCombinedPlan(uncensused, SumQuery(), {0}, 0.95)
                 .status()
                 .code(),
