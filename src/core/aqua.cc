@@ -5,7 +5,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "engine/executor.h"
+#include "engine/zone_map.h"
 #include "obs/metrics.h"
 #include "obs/scope.h"
 #include "resilience/recovery.h"
@@ -42,7 +42,8 @@ void BuildFallback(const Table& table, const GroupCensus& census,
 /// Builds the optional histogram/wavelet fleet members from the base
 /// table's census, then measures each one's residual — the mean over
 /// finest groups and measures of |summary - exact| / max(|exact|, 1) —
-/// against one exact reference answer. The residual is
+/// against one exact reference answer, read through the snapshot's exact
+/// roll-ups (so its finest entry is built at publish). The residual is
 /// the planner's accuracy score for summaries, which carry no
 /// probabilistic error model. Neither member is built by default, and
 /// then the reference scan is skipped too.
@@ -66,8 +67,7 @@ void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config,
     reference.aggregates.emplace_back(AggregateKind::kSum, m);
   }
   reference.aggregates.emplace_back(AggregateKind::kCount, 0);
-  auto exact =
-      ExecuteExact(table, reference, config.execution, census.index.get());
+  auto exact = snapshot->exact_rollups->Execute(reference, config.execution);
   if (!exact.ok()) {
     if (config.fleet_histogram) snapshot->histogram_status = exact.status();
     if (config.fleet_wavelet) snapshot->wavelet_status = exact.status();
@@ -154,19 +154,21 @@ Status AquaEngine::PublishLocked(const std::string& name,
   // The snapshot shares the state's table. One typed pass over it records
   // the zone map through which exact scans skip what a range rules out.
   // One census of it feeds the two-pass primary, both fallbacks and the
-  // fleet; its index backs the snapshot's exact roll-ups, through which
-  // exact scans resolve group ids and combined plans pull outlier rows.
+  // fleet; its index and the zones back the snapshot's exact roll-ups,
+  // through which exact scans resolve group ids and combined plans pull
+  // outlier rows. Ingest refuses a NaN grouping cell, so the census of a
+  // published table fails only where every exact scan would too.
   snapshot->table = state->table;
   const Table& table = *snapshot->table;
   CONGRESS_SPAN(zones_span, config.execution.scope, "zones");
-  snapshot->zones = std::make_shared<const ZoneMap>(ZoneMap::Build(table));
+  auto zones = std::make_shared<const ZoneMap>(ZoneMap::Build(table));
   zones_span.Stop();
   auto grouping =
       ResolveGroupingIndices(table.schema(), config.grouping_columns);
   if (!grouping.ok()) return grouping.status();
   auto census = GroupCensus::Build(table, *grouping, config.execution);
+  if (!census.ok()) return census.status();
   if (state->ingest == nullptr) {
-    if (!census.ok()) return census.status();
     auto synopsis = AquaSynopsis::Build(table, *census, config);
     if (!synopsis.ok()) return synopsis.status();
     snapshot->synopsis =
@@ -177,22 +179,14 @@ Status AquaEngine::PublishLocked(const std::string& name,
   // (or caches) anything. (Restored relations never publish through
   // here: RestoreTable marks their fleet unavailable, and Refresh has no
   // ingest to drain for them.)
-  if (census.ok()) {
-    snapshot->exact_rollups =
-        std::make_shared<const ExactRollups>(snapshot->table, census->index);
-    BuildFleet(snapshot.get(), config, *census);
-    const SynopsisConfig& primary = snapshot->synopsis->config();
-    BuildFallback(table, *census, primary, AllocationStrategy::kBasicCongress,
-                  &snapshot->fallback_basic, &snapshot->fallback_basic_status);
-    BuildFallback(table, *census, primary,
-                  AllocationStrategy::kHouse, &snapshot->fallback_house,
-                  &snapshot->fallback_house_status);
-  } else {  // Only an incremental relation publishes without a census.
-    snapshot->fallback_basic_status = census.status();
-    snapshot->fallback_house_status = census.status();
-    if (config.fleet_histogram) snapshot->histogram_status = census.status();
-    if (config.fleet_wavelet) snapshot->wavelet_status = census.status();
-  }
+  snapshot->exact_rollups = std::make_shared<const ExactRollups>(
+      snapshot->table, census->index, std::move(zones));
+  BuildFleet(snapshot.get(), config, *census);
+  const SynopsisConfig& primary = snapshot->synopsis->config();
+  BuildFallback(table, *census, primary, AllocationStrategy::kBasicCongress,
+                &snapshot->fallback_basic, &snapshot->fallback_basic_status);
+  BuildFallback(table, *census, primary, AllocationStrategy::kHouse,
+                &snapshot->fallback_house, &snapshot->fallback_house_status);
   return catalog_.Publish(std::move(snapshot));
 }
 
@@ -486,7 +480,6 @@ Status AquaEngine::RestoreTable(const std::string& name,
   snapshot->table = state.table;
   snapshot->synopsis =
       std::make_shared<const AquaSynopsis>(std::move(synopsis).value());
-  snapshot->base_available = false;
   const Status unavailable = Status::FailedPrecondition(
       "fallback unavailable: snapshot restored without base relation");
   snapshot->fallback_basic_status = unavailable;

@@ -3,14 +3,13 @@
 #include <chrono>
 #include <utility>
 
-#include "engine/executor.h"
 #include "obs/metrics.h"
 
 namespace congress {
 
 Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
                                            const GroupByQuery& query) {
-  if (!snapshot.base_available || snapshot.table == nullptr) {
+  if (snapshot.exact_rollups == nullptr) {
     return Status::FailedPrecondition(
         "table '" + snapshot.name +
         "' was restored from a checkpoint; base relation unavailable");
@@ -18,12 +17,7 @@ Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
   const ExecutorOptions options = snapshot.synopsis != nullptr
                                       ? snapshot.synopsis->config().execution
                                       : ExecutorOptions{};
-  const ExactRollups* rollups = snapshot.exact_rollups.get();
-  if (rollups != nullptr && rollups->table() == snapshot.table) {
-    return rollups->Execute(query, options, snapshot.zones.get());
-  }
-  return ExecuteExact(*snapshot.table, query, options, nullptr,
-                      snapshot.zones.get());
+  return snapshot.exact_rollups->Execute(query, options);
 }
 
 std::shared_ptr<const AquaSnapshot> CatalogVersion::Find(

@@ -12,7 +12,6 @@
 
 #include "core/synopsis.h"
 #include "engine/exact_rollups.h"
-#include "engine/zone_map.h"
 #include "histogram/group_histogram.h"
 #include "storage/table.h"
 #include "util/status.h"
@@ -39,7 +38,7 @@ struct AquaSnapshot {
 
   /// The base relation as of this snapshot. Always non-null; restored
   /// snapshots (recovered from a checkpoint without the base data)
-  /// carry an empty table of the right schema and base_available=false.
+  /// carry an empty table of the right schema and no exact_rollups.
   std::shared_ptr<const Table> table;
 
   /// The primary synopsis. Always non-null for a published snapshot.
@@ -67,38 +66,31 @@ struct AquaSnapshot {
   double histogram_residual = 0.0;
   double wavelet_residual = 0.0;
 
-  /// The base relation's row→stratum index at the synopsis grouping (the
-  /// publish's census, index()) and the memo of exact roll-ups over it.
-  /// Every exact scan of the snapshot reads its group ids, first rows and
-  /// key order from a memo entry, and a predicate-free one over COUNT(*)
-  /// and plain columns its per-group states too; combined plans select
-  /// their outlier strata through index(). Entries are built on first
-  /// use, so a new snapshot starts with an empty memo. Null when the base
-  /// relation is unavailable or was not censused.
+  /// The memo of exact roll-ups over the base relation, its row→stratum
+  /// index at the synopsis grouping (the publish's census, index()) and
+  /// its per-zone bounds (zones(), built at every publish). Every exact
+  /// scan of the snapshot goes through it: it reads group ids, first rows
+  /// and key order from a memo entry, a predicate-free scan over COUNT(*)
+  /// and plain columns its per-group states too, and a range skips the
+  /// batches the zones rule out. Combined plans select their outlier
+  /// strata through index(). Entries are built on first use, so a new
+  /// snapshot starts with an empty memo. Every publish censuses its table,
+  /// so this is null exactly when the base relation is unavailable (a
+  /// snapshot restored from a checkpoint): the exact rung, combined plans
+  /// and QueryExact cannot be served from it.
   std::shared_ptr<const ExactRollups> exact_rollups;
-
-  /// Per-zone bounds of the base relation's numeric columns, built at
-  /// every publish, through which exact scans skip the batches a range
-  /// rules out. Null for a restored snapshot.
-  std::shared_ptr<const ZoneMap> zones;
-
-  /// False when the base relation is not actually populated (snapshot
-  /// restored from a checkpoint image): the exact rung and QueryExact
-  /// cannot be served from it.
-  bool base_available = true;
 };
 
 /// Exact answer of `query` over the snapshot's base relation — the one
 /// entry point for snapshot-side exact scans (AquaEngine::QueryExact, the
 /// server's exact mode, the planner's exact rung and the combined plan's
-/// outlier scan). Runs with the primary synopsis's execution options
-/// through exact_rollups (when it is over this snapshot's table), which
-/// answers a covered predicate-free query over COUNT(*) and plain columns
-/// from its memo and folds every other query per query, classifying each
-/// batch through the snapshot's zones. The answer is bit-identical to
-/// ExecuteExact(*table, query) on the first call and every later one.
-/// FailedPrecondition when the base relation is unavailable (a snapshot
-/// restored from a checkpoint).
+/// outlier scan). Runs exact_rollups->Execute with the primary synopsis's
+/// execution options: a covered predicate-free query over COUNT(*) and
+/// plain columns is answered from the memo, and every other query folds
+/// its rows per query, skipping the batches the zones rule out. The
+/// answer is bit-identical to ExecuteExact(*table, query) on the first
+/// call and every later one. FailedPrecondition when the base relation is
+/// unavailable (no exact_rollups: a snapshot restored from a checkpoint).
 Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
                                            const GroupByQuery& query);
 

@@ -323,23 +323,6 @@ void FoldRows(const Table& rows, const Predicate* predicate,
   kernels::RecordKernelTally(merged, scope);
 }
 
-/// Finite-population variance of the stratified expansion estimator for
-/// one stratum: N(N - n) * S^2 / n, with S^2 the sample variance of the
-/// n stratum draws of z (zeros included for non-matching tuples).
-double StratumVariance(double big_n, double n, double sum_v, double sum_v2) {
-  if (n < 2.0) return 0.0;  // Variance not estimable from one draw.
-  double mean = sum_v / n;
-  // sum over all n draws of (z - mean)^2 = sum_v2 - n*mean^2 (zeros of
-  // the non-matching draws are included via sum_v2 covering only matches
-  // and the n*mean^2 correction).
-  double ss = sum_v2 - n * mean * mean;
-  if (ss < 0.0) ss = 0.0;
-  double s2 = ss / (n - 1.0);
-  double fpc = big_n - n;
-  if (fpc < 0.0) fpc = 0.0;
-  return big_n * fpc * s2 / n;
-}
-
 /// Sample covariance between the SUM variable z_v and the COUNT variable
 /// z_c (= 1 for matches), times the stratified scaling N(N-n)/n.
 double StratumCovariance(double big_n, double n, uint64_t matches,
@@ -353,13 +336,18 @@ double StratumCovariance(double big_n, double n, uint64_t matches,
   return big_n * fpc * scov / n;
 }
 
-double ChebyshevMultiplier(double confidence) {
+}  // namespace
+
+BoundHalfWidth::BoundHalfWidth(BoundMethod method, double confidence)
+    : method_(method) {
   double delta = 1.0 - confidence;
   if (delta <= 0.0) delta = 1e-6;
-  return 1.0 / std::sqrt(delta);
+  cheb_ = 1.0 / std::sqrt(delta);
+  // Hoeffding: P(|est - E| >= t) <= 2 exp(-2 t^2 / sum_i c_i^2) with
+  // c_i the per-draw range of the scaled variable; inverting at the
+  // target confidence gives t = sqrt(ln(2/(1-conf))/2 * sum c_i^2).
+  hoeff_ln_ = std::log(2.0 / (1.0 - confidence)) / 2.0;
 }
-
-}  // namespace
 
 Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
                                           const SampleMoments& moments,
@@ -492,24 +480,20 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
     CountRollUp& count = counts[g];
     count.support += matches[u];
     count.est += sf * m;
-    count.var += StratumVariance(big_n, n, m, m);
+    count.var += ExpansionVariance(big_n, n, m, m);
     count.hoeff_c2 += n * sf * sf;
     for (size_t k = 0; k < num_inputs; ++k) {
       const ColumnMoments& cs = cell(u, k);
       InputRollUp& r = sums[g * num_inputs + k];
       r.est += sf * cs.sum;
-      r.var += StratumVariance(big_n, n, cs.sum, cs.sum_sq);
+      r.var += ExpansionVariance(big_n, n, cs.sum, cs.sum_sq);
       r.cov += StratumCovariance(big_n, n, matches[u], cs.sum);
       r.hoeff_c2 += n * (sf * cs.max_abs) * (sf * cs.max_abs);
     }
   }
   rollup_span.Stop();
 
-  const double cheb = ChebyshevMultiplier(options.confidence);
-  // Hoeffding: P(|est - E| >= t) <= 2 exp(-2 t^2 / sum_i c_i^2) with
-  // c_i the per-draw range of the scaled variable; inverting at the
-  // target confidence gives t = sqrt(ln(2/(1-conf))/2 * sum c_i^2).
-  const double hoeff_ln = std::log(2.0 / (1.0 - options.confidence)) / 2.0;
+  const BoundHalfWidth half_width(options.bound_method, options.confidence);
   // Each group's estimates, standard errors and bounds, laid out as the
   // answer stores them.
   const size_t width = 3 * num_aggs;
@@ -548,18 +532,7 @@ Result<ApproximateResult> EstimateGroupBy(const StratifiedSample& sample,
       const double std_err = std::sqrt(std::max(0.0, variance));
       estimates[a] = est;
       std_errors[a] = std_err;
-      switch (options.bound_method) {
-        case BoundMethod::kStandardError:
-          bounds[a] = std_err;
-          break;
-        case BoundMethod::kChebyshev:
-          bounds[a] = cheb * std_err;
-          break;
-        case BoundMethod::kHoeffding:
-          bounds[a] =
-              has_range ? std::sqrt(hoeff_ln * hoeff_c2) : cheb * std_err;
-          break;
-      }
+      bounds[a] = half_width(std_err, has_range, hoeff_c2);
     }
   }
 

@@ -1,6 +1,7 @@
 #ifndef CONGRESS_CORE_ESTIMATOR_H_
 #define CONGRESS_CORE_ESTIMATOR_H_
 
+#include <cmath>
 #include <optional>
 #include <ranges>
 #include <span>
@@ -26,6 +27,33 @@ enum class BoundMethod {
 };
 
 const char* BoundMethodToString(BoundMethod method);
+
+/// The half-width of a §5 error bound at one confidence, from an
+/// estimate's standard error and, for Hoeffding, the sum Σc² of its
+/// squared per-draw ranges. Without a range (`has_range` false: AVG)
+/// Hoeffding falls back to Chebyshev. The estimator and the planner's
+/// error model both bound through it.
+class BoundHalfWidth {
+ public:
+  BoundHalfWidth(BoundMethod method, double confidence);
+
+  double operator()(double std_err, bool has_range, double hoeff_c2) const {
+    switch (method_) {
+      case BoundMethod::kStandardError:
+        return std_err;
+      case BoundMethod::kChebyshev:
+        return cheb_ * std_err;
+      case BoundMethod::kHoeffding:
+        return has_range ? std::sqrt(hoeff_ln_ * hoeff_c2) : cheb_ * std_err;
+    }
+    return 0.0;
+  }
+
+ private:
+  BoundMethod method_;
+  double cheb_;      ///< 1 / sqrt(1 - confidence), the gap floored at 1e-6.
+  double hoeff_ln_;  ///< ln(2 / (1 - confidence)) / 2.
+};
 
 /// Options controlling approximate answers.
 struct EstimatorOptions {

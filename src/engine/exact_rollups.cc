@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "engine/executor.h"
@@ -26,7 +27,7 @@ AggregateKind StateKind(AggregateKind kind) {
 struct ExactRollups::Entry {
   GroupIndex::Projection projection;
   std::vector<uint64_t> counts;      ///< Rows per group.
-  std::vector<uint32_t> key_order;   ///< Every group, in key order.
+  std::vector<uint32_t> key_order;   ///< Every group, in key order, if ordered.
   bool ordered = true;               ///< No key holds a NaN.
   /// Memoized states by (column, StateKind): per group, folded in row
   /// order over every row. Added under the memo's lock, never changed.
@@ -45,9 +46,11 @@ struct ExactRollups::Memo {
 };
 
 ExactRollups::ExactRollups(std::shared_ptr<const Table> table,
-                           std::shared_ptr<const GroupIndex> index)
+                           std::shared_ptr<const GroupIndex> index,
+                           std::shared_ptr<const ZoneMap> zones)
     : table_(std::move(table)),
       index_(std::move(index)),
+      zones_(std::move(zones)),
       memo_(std::make_unique<Memo>()) {}
 
 ExactRollups::~ExactRollups() = default;
@@ -136,22 +139,26 @@ std::optional<std::vector<const double*>> ExactRollups::MemoizedStates(
   return state_of;
 }
 
-Result<QueryResult> ExactRollups::Execute(const GroupByQuery& query,
-                                          const ExecutorOptions& options,
-                                          const ZoneMap* zones) const {
+Result<QueryResult> ExactRollups::Execute(
+    const GroupByQuery& query, const ExecutorOptions& options) const {
   const Table& table = *table_;
-  if (!index_->Covers(query.group_columns)) {
-    return ExecuteExact(table, query, options, index_.get(), zones);
+  const ZoneMap* zones = zones_.get();
+  if (index_->num_rows() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "index has " + std::to_string(index_->num_rows()) +
+        " rows but the table has " + std::to_string(table.num_rows()));
   }
-  CONGRESS_RETURN_NOT_OK(exact::Validate(table, query, index_.get(), zones));
+  if (!index_->Covers(query.group_columns)) {
+    return ExecuteExact(table, query, options, zones);
+  }
+  CONGRESS_RETURN_NOT_OK(exact::Validate(table, query, zones));
   auto found = EntryFor(query.group_columns, options);
   if (!found.ok()) return found.status();
   Entry* entry = *found;
-  if (!entry->ordered) {
-    return ExecuteExact(table, query, options, index_.get(), zones);
-  }
   CONGRESS_METRIC_INCR("engine.exact_queries", 1);
   const GroupIndex::Projection& projection = entry->projection;
+  const std::vector<uint32_t>* key_order =
+      entry->ordered ? &entry->key_order : nullptr;
 
   bool plain = query.predicate == nullptr;
   for (const AggregateSpec& spec : query.aggregates) {
@@ -166,7 +173,7 @@ Result<QueryResult> ExactRollups::Execute(const GroupByQuery& query,
       CONGRESS_METRIC_INCR("engine.exact_rollup_hits", 1);
       return exact::Finalize(table, query, entry->counts, *state_of,
                              projection.first_rows, projection.keys,
-                             &entry->key_order, options);
+                             key_order, options);
     }
   }
   CONGRESS_METRIC_INCR("engine.exact_covering_scans", 1);
@@ -175,8 +182,8 @@ Result<QueryResult> ExactRollups::Execute(const GroupByQuery& query,
                   entry->Ids(*index_), zones, options);
   return exact::Finalize(table, query, folded.counts,
                          exact::StatesOf(query, folded),
-                         projection.first_rows, projection.keys,
-                         &entry->key_order, options);
+                         projection.first_rows, projection.keys, key_order,
+                         options);
 }
 
 }  // namespace congress

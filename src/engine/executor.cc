@@ -18,7 +18,7 @@ namespace congress {
 namespace exact {
 
 Status Validate(const Table& table, const GroupByQuery& query,
-                const GroupIndex* covering, const ZoneMap* zones) {
+                const ZoneMap* zones) {
   for (size_t c : query.group_columns) {
     if (c >= table.num_columns()) {
       return Status::InvalidArgument("group column " + std::to_string(c) +
@@ -38,11 +38,6 @@ Status Validate(const Table& table, const GroupByQuery& query,
                                      " but the select list has only " +
                                      std::to_string(query.aggregates.size()));
     }
-  }
-  if (covering != nullptr && covering->num_rows() != table.num_rows()) {
-    return Status::InvalidArgument(
-        "covering index has " + std::to_string(covering->num_rows()) +
-        " rows but the table has " + std::to_string(table.num_rows()));
   }
   if (zones != nullptr && zones->num_rows() != table.num_rows()) {
     return Status::InvalidArgument(
@@ -355,43 +350,21 @@ QueryResult Finalize(const Table& table, const GroupByQuery& query,
 
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                                  const ExecutorOptions& options,
-                                 const GroupIndex* covering,
                                  const ZoneMap* zones) {
-  CONGRESS_RETURN_NOT_OK(exact::Validate(table, query, covering, zones));
+  CONGRESS_RETURN_NOT_OK(exact::Validate(table, query, zones));
   CONGRESS_METRIC_INCR("engine.exact_queries", 1);
-
-  // Group ids: row r belongs to output group group_of[row_ids[r]], or
-  // row_ids[r] itself without a projection. A covering index (one built
-  // over a superset of the query's grouping columns, e.g. a snapshot's
-  // finest strata) is projected once per query — no per-row hashing.
-  // Otherwise the query's own columns are interned; the intern/merge/remap
-  // spans land directly on options.scope.
-  const bool project =
-      covering != nullptr && covering->Covers(query.group_columns);
-  GroupIndex own;
-  GroupIndex::Projection projection;
-  exact::GroupIds ids;
-  if (project) {
-    CONGRESS_METRIC_INCR("engine.exact_covering_scans", 1);
-    CONGRESS_SPAN(project_span, options.scope, "project");
-    auto projected = covering->Project(query.group_columns);
-    if (!projected.ok()) return projected.status();
-    projection = std::move(projected).value();
-    ids = {covering->row_ids().data(), projection.group_of.data(),
-           covering->counts(), projection.keys.size()};
-  } else {
-    auto built = GroupIndex::Build(table, query.group_columns, options);
-    if (!built.ok()) return built.status();
-    own = std::move(built).value();
-    ids = {own.row_ids().data(), nullptr, own.counts(), own.num_groups()};
-  }
-  exact::Folded folded = exact::Fold(table, query.aggregates,
-                                     query.predicate.get(), ids, zones, options);
+  // Row r belongs to group row_ids[r] of the query's own index; the
+  // intern/merge/remap spans land directly on options.scope.
+  auto built = GroupIndex::Build(table, query.group_columns, options);
+  if (!built.ok()) return built.status();
+  const GroupIndex& own = *built;
+  exact::Folded folded = exact::Fold(
+      table, query.aggregates, query.predicate.get(),
+      {own.row_ids().data(), nullptr, own.counts(), own.num_groups()}, zones,
+      options);
   return exact::Finalize(table, query, folded.counts,
-                         exact::StatesOf(query, folded),
-                         project ? projection.first_rows : own.first_rows(),
-                         project ? projection.keys : own.keys(), nullptr,
-                         options);
+                         exact::StatesOf(query, folded), own.first_rows(),
+                         own.keys(), nullptr, options);
 }
 
 std::unordered_map<GroupKey, uint64_t, GroupKeyHash> CountGroups(

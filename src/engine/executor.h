@@ -11,24 +11,20 @@
 
 namespace congress {
 
-class GroupIndex;
 class ZoneMap;
 
 /// Executes `query` exactly over `table`. This is the ground-truth oracle
 /// the accuracy experiments compare against, and the building block of
 /// the rewrite strategies' physical plans.
 ///
-/// Group ids come from `covering` when it is a GroupIndex over `table`
-/// whose columns include every query grouping column (a snapshot's
-/// finest-strata index): it is projected onto the query's columns once,
-/// with no per-row hashing. Otherwise the query's own grouping columns
-/// are interned (GroupIndex::Build, parallel over `options.num_threads`).
-/// Then one fused, row-ordered pass filters each batch, maps survivors to
-/// their groups and folds them: one match count per group, shared by
-/// COUNT, AVG and the empty-group test, and one running state per
-/// distinct aggregate input (a column, or one expression object), shared
-/// by every aggregate over it. Every group folds its rows in ascending
-/// row order, as a per-row Accumulator::Add loop would.
+/// The query's grouping columns are interned (GroupIndex::Build, parallel
+/// over `options.num_threads`). Then one fused, row-ordered pass filters
+/// each batch, maps survivors to their groups and folds them: one match
+/// count per group, shared by COUNT, AVG and the empty-group test, and
+/// one running state per distinct aggregate input (a column, or one
+/// expression object), shared by every aggregate over it. Every group
+/// folds its rows in ascending row order, as a per-row Accumulator::Add
+/// loop would.
 ///
 /// With `zones` (a ZoneMap of `table`, such as a snapshot's), each batch
 /// is first classified by the predicate (Predicate::Classify): a batch
@@ -41,16 +37,18 @@ class ZoneMap;
 /// their ids, in first-occurrence order, are sorted by their first rows
 /// with RowKeyLess, whose comparisons equal those of the keys, so the
 /// order is the one a key sort gives (NaN keys included). Results are
-/// bit-identical for every thread count and either id source.
-/// A `covering` index or `zones` map with a different row count is
-/// InvalidArgument.
+/// bit-identical for every thread count. A `zones` map with a different
+/// row count is InvalidArgument.
+///
+/// A snapshot's exact scans go through its ExactRollups instead
+/// (engine/exact_rollups.h), which reads group ids from a memo over the
+/// snapshot's census and gives this function's answers bit for bit.
 Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
                                  const ExecutorOptions& options = {},
-                                 const GroupIndex* covering = nullptr,
                                  const ZoneMap* zones = nullptr);
 
 /// The pieces ExecuteExact is made of: resolving each row's group id
-/// (its own index or a covering projection), one fold, and one finalize.
+/// (its own index), one fold, and one finalize.
 /// ExactRollups (engine/exact_rollups.h) resolves group ids from its memo
 /// instead and calls the same fold and finalize, so its answers are
 /// ExecuteExact's bit for bit.
@@ -87,9 +85,9 @@ struct Folded {
 };
 
 /// ExecuteExact's checks of `query` against `table`, and of the row
-/// counts of `covering` and `zones` (either may be null).
+/// count of `zones` (may be null).
 Status Validate(const Table& table, const GroupByQuery& query,
-                const GroupIndex* covering, const ZoneMap* zones);
+                const ZoneMap* zones);
 
 /// The fused, row-ordered fold of `aggregates` over the rows of `table`
 /// that `predicate` (null: every row) selects, batch by batch, into the

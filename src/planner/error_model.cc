@@ -15,12 +15,6 @@ constexpr double kEstimateFloor = 1e-9;
 constexpr ColumnMoments kNoMoments{};
 constexpr ExpansionTerms kZeroTerms{};
 
-double ChebyshevMultiplier(double confidence) {
-  double delta = 1.0 - confidence;
-  if (delta <= 0.0) delta = 1e-6;
-  return 1.0 / std::sqrt(delta);
-}
-
 }  // namespace
 
 Result<ErrorPrediction> PredictSampleError(
@@ -109,9 +103,8 @@ Result<ErrorPrediction> PredictSampleError(
     }
   }
 
-  const BoundMethod bound_method = synopsis.config().estimator.bound_method;
-  const double cheb = ChebyshevMultiplier(confidence);
-  const double hoeff_ln = std::log(2.0 / (1.0 - confidence)) / 2.0;
+  const BoundHalfWidth half_width(synopsis.config().estimator.bound_method,
+                                  confidence);
   const size_t g_count = grouped.num_groups;
 
   double sum_relative = 0.0;
@@ -183,20 +176,8 @@ Result<ErrorPrediction> PredictSampleError(
           break;
       }
       if (variance < 0.0) variance = 0.0;
-      const double std_err = std::sqrt(variance);
-      double bound = 0.0;
-      switch (bound_method) {
-        case BoundMethod::kStandardError:
-          bound = std_err;
-          break;
-        case BoundMethod::kChebyshev:
-          bound = cheb * std_err;
-          break;
-        case BoundMethod::kHoeffding:
-          bound = hoeffding_ok ? std::sqrt(hoeff_ln * hoeff_c2)
-                               : cheb * std_err;
-          break;
-      }
+      const double bound =
+          half_width(std::sqrt(variance), hoeffding_ok, hoeff_c2);
       const double relative =
           bound / std::max(std::fabs(est), kEstimateFloor);
       prediction.max_relative_bound =

@@ -307,13 +307,9 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   if (snapshot.synopsis == nullptr) {
     return Status::InvalidArgument("snapshot has no synopsis");
   }
-  if (!snapshot.base_available || snapshot.table == nullptr) {
-    return Status::FailedPrecondition(
-        "combined plan needs the retained base relation");
-  }
   if (snapshot.exact_rollups == nullptr) {
     return Status::FailedPrecondition(
-        "combined plan needs the census of the base relation");
+        "combined plan needs the retained base relation");
   }
   const AquaSynopsis& synopsis = *snapshot.synopsis;
   const StratifiedSample& sample = synopsis.sample();
@@ -329,8 +325,8 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   // Exact part: one exact scan of the base relation, restricted to the
   // outlier strata by a membership test on the snapshot's row→stratum
   // index (built once at publish). The scan reads its group ids and key
-  // order from the snapshot's exact roll-ups, and the snapshot's zones let
-  // a range of the query skip the batches it rules out.
+  // order from the snapshot's exact roll-ups, whose zones let a range of
+  // the query skip the batches it rules out.
   const std::shared_ptr<const GroupIndex>& index =
       snapshot.exact_rollups->index();
   std::vector<uint8_t> keep(index->num_groups(), 0);
@@ -560,10 +556,8 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
     CandidateScore c;
     c.kind = PlanKind::kCombined;
     const std::vector<Stratum>& strata = primary.sample().strata();
-    if (!snapshot.base_available) {
+    if (snapshot.exact_rollups == nullptr) {
       c.detail = "base relation unavailable (restored snapshot)";
-    } else if (snapshot.exact_rollups == nullptr) {
-      c.detail = "no census of the base relation";
     } else if (strata.size() < 2) {
       c.detail = "fewer than two strata; nothing to split";
     } else {
@@ -592,7 +586,7 @@ Result<PlanReport> Planner::Plan(const AquaSnapshot& snapshot,
   {
     CandidateScore c;
     c.kind = PlanKind::kExact;
-    if (!snapshot.base_available || snapshot.table == nullptr) {
+    if (snapshot.exact_rollups == nullptr) {
       c.detail = "base relation unavailable (restored snapshot)";
     } else {
       bool min_max = false;

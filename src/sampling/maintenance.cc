@@ -11,6 +11,30 @@
 
 namespace congress {
 
+Status ValidateRow(const Schema& schema,
+                   const std::vector<size_t>& grouping_columns,
+                   const std::vector<Value>& row) {
+  if (row.size() != schema.num_fields()) {
+    return Status::InvalidArgument("row arity mismatch");
+  }
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].type() != schema.field(i).type) {
+      return Status::InvalidArgument("row type mismatch in column " +
+                                     std::to_string(i));
+    }
+  }
+  // As GroupCensus::Build: a NaN orders against nothing, so its stratum
+  // could never be found again.
+  for (size_t c : grouping_columns) {
+    if (c < row.size() && row[c].is_double() && std::isnan(row[c].AsDouble())) {
+      return Status::InvalidArgument(
+          "grouping column '" + schema.field(c).name +
+          "' holds NaN, which cannot stratify a sample");
+    }
+  }
+  return Status::OK();
+}
+
 namespace {
 
 using RowValues = std::vector<Value>;
@@ -47,19 +71,6 @@ GroupKey KeyOfRow(const RowValues& row,
   return key;
 }
 
-Status ValidateRow(const Schema& schema, const RowValues& row) {
-  if (row.size() != schema.num_fields()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].type() != schema.field(i).type) {
-      return Status::InvalidArgument("row type mismatch in column " +
-                                     std::to_string(i));
-    }
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // House
 // ---------------------------------------------------------------------------
@@ -75,13 +86,13 @@ class HouseMaintainer final : public SampleMaintainer {
 
   Status Insert(const RowValues& row) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, KeyOfRow(row, grouping_columns_));
   }
 
   Status InsertWithKey(const RowValues& row, const GroupKey& key) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, key);
   }
 
@@ -130,13 +141,13 @@ class SenateMaintainer final : public SampleMaintainer {
 
   Status Insert(const RowValues& row) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, KeyOfRow(row, grouping_columns_));
   }
 
   Status InsertWithKey(const RowValues& row, const GroupKey& key) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, key);
   }
 
@@ -221,13 +232,13 @@ class BasicCongressMaintainer final : public SampleMaintainer {
 
   Status Insert(const RowValues& row) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, KeyOfRow(row, grouping_columns_));
   }
 
   Status InsertWithKey(const RowValues& row, const GroupKey& key) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, key);
   }
 
@@ -375,13 +386,13 @@ class CongressTargetMaintainer final : public SampleMaintainer {
 
   Status Insert(const RowValues& row) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, KeyOfRow(row, grouping_columns_));
   }
 
   Status InsertWithKey(const RowValues& row, const GroupKey& key) override {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, row));
     return Apply(row, key);
   }
 
@@ -558,13 +569,13 @@ struct CongressMaintainer::Impl {
 
   Status Insert(const RowValues& row) {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema, grouping_columns, row));
     return Apply(row, KeyOfRow(row, grouping_columns));
   }
 
   Status InsertWithKey(const RowValues& row, const GroupKey& key) {
     CONGRESS_FAILPOINT("maintenance/insert");
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema, row));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema, grouping_columns, row));
     return Apply(row, key);
   }
 

@@ -13,6 +13,15 @@
 
 namespace congress {
 
+/// The checks every maintainer and the sharded ingest make of an inserted
+/// row: one Value per column of `schema`, each of its field's type, and
+/// no NaN in a grouping column (`grouping_columns`, schema indices),
+/// which would stratify nothing, as GroupCensus::Build refuses it too.
+/// InvalidArgument otherwise.
+Status ValidateRow(const Schema& schema,
+                   const std::vector<size_t>& grouping_columns,
+                   const std::vector<Value>& row);
+
 /// Incremental maintainer of a biased sample under a stream of insertions
 /// (Section 6 of the paper). Maintainers never access the base relation:
 /// they own copies of the sampled tuples and per-group counters, so they

@@ -41,18 +41,8 @@ ExpansionTerms StratumExpansionTerms(const Stratum& stratum,
   const double sum_v2 = count_agg ? n : m.sum_sq;
   const double max_abs = count_agg ? 1.0 : m.max_abs;
   t.est = sf * sum_v;
-  // Finite-population variance of the stratified expansion estimator
-  // under the no-predicate model: every one of the n draws matches, so
-  // S² is the plain sample variance of the aggregate variable.
-  if (n >= 2.0) {
-    const double mean = sum_v / n;
-    double ss = sum_v2 - n * mean * mean;
-    if (ss < 0.0) ss = 0.0;
-    const double s2 = ss / (n - 1.0);
-    double fpc = big_n - n;
-    if (fpc < 0.0) fpc = 0.0;
-    t.var = big_n * fpc * s2 / n;
-  }
+  // Under the no-predicate model every one of the n draws matches.
+  t.var = ExpansionVariance(big_n, n, sum_v, sum_v2);
   t.hoeff_c2 = n * (sf * max_abs) * (sf * max_abs);
   return t;
 }

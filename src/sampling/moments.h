@@ -47,6 +47,25 @@ struct ExpansionTerms {
   }
 };
 
+/// Finite-population variance of the stratified expansion estimator for
+/// one stratum of population `big_n` drawn `n` times: N(N − n)s²/n, with
+/// s² the sample variance of the n draws of the aggregate variable z from
+/// `sum_v` = Σz and `sum_v2` = Σz² (a draw that does not match adds 0 to
+/// both). 0 when n < 2: one draw estimates no variance. Inline: the
+/// estimator calls it per unit and input.
+inline double ExpansionVariance(double big_n, double n, double sum_v,
+                                double sum_v2) {
+  if (n < 2.0) return 0.0;
+  const double mean = sum_v / n;
+  // Σ over all n draws of (z − mean)² = Σz² − n·mean².
+  double ss = sum_v2 - n * mean * mean;
+  if (ss < 0.0) ss = 0.0;
+  const double s2 = ss / (n - 1.0);
+  double fpc = big_n - n;
+  if (fpc < 0.0) fpc = 0.0;
+  return big_n * fpc * s2 / n;
+}
+
 /// The expansion terms of `stratum` for one aggregate variable: the
 /// column whose moments are `m`, or the constant 1 when `count_agg`
 /// (COUNT(*): every draw contributes 1, so the variance vanishes).

@@ -15,19 +15,6 @@ namespace {
 
 using RowValues = std::vector<Value>;
 
-Status ValidateRow(const Schema& schema, const RowValues& row) {
-  if (row.size() != schema.num_fields()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].type() != schema.field(i).type) {
-      return Status::InvalidArgument("row type mismatch in column " +
-                                     std::to_string(i));
-    }
-  }
-  return Status::OK();
-}
-
 size_t DefaultShards() {
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
@@ -132,7 +119,7 @@ Status ShardedMaintainer::IngestRows(const std::vector<Value>* rows,
   // Validate the whole batch up front so one bad row rejects the batch
   // atomically — nothing is buffered, no sequence numbers are burned.
   for (size_t i = 0; i < n; ++i) {
-    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, rows[i]));
+    CONGRESS_RETURN_NOT_OK(ValidateRow(schema_, grouping_columns_, rows[i]));
   }
   CONGRESS_METRIC_INCR("ingest.batches", 1);
   CONGRESS_METRIC_INCR("ingest.rows", n);

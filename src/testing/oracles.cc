@@ -521,7 +521,7 @@ Status CheckVectorizedIdentity(const Table& table,
         *ref, *vec, 0.0, "exact-scalar" + suffix, "exact-vectorized" + suffix));
     CONGRESS_RETURN_NOT_OK(CheckSameOrder(*ref, *vec, "exact" + suffix));
     // Classifying batches by zone bounds keeps the filter's rows.
-    auto zoned = ExecuteExact(table, query, options, nullptr, &zones);
+    auto zoned = ExecuteExact(table, query, options, &zones);
     CONGRESS_RETURN_NOT_OK(zoned.status());
     CONGRESS_RETURN_NOT_OK(
         CheckExactIdentical(*vec, *zoned, "exact-zoned" + suffix));
@@ -1582,10 +1582,10 @@ Status CheckPlannerIdentity(const Table& table,
     AquaSnapshot on_scaled;
     on_scaled.name = "scaled";
     on_scaled.table = scaled;
-    on_scaled.zones = std::make_shared<const ZoneMap>(ZoneMap::Build(*scaled));
     on_scaled.exact_rollups = std::make_shared<const ExactRollups>(
         on_scaled.table,
-        std::make_shared<const GroupIndex>(std::move(census).value()));
+        std::make_shared<const GroupIndex>(std::move(census).value()),
+        std::make_shared<const ZoneMap>(ZoneMap::Build(*scaled)));
     CONGRESS_RETURN_NOT_OK(
         check_exact(on_scaled, name + " exact on scaled snapshot"));
   }

@@ -1,6 +1,7 @@
 #include "core/aqua.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -208,16 +209,16 @@ TEST_F(AquaEngineTest, IncrementalInsertFlowsThrough) {
 
 TEST_F(AquaEngineTest, EveryPublishRecordsZones) {
   // Registration and every Refresh, incremental ones included, record
-  // zone bounds over the whole published table; a restored snapshot,
-  // which has no base rows, carries none.
+  // zone bounds over the whole published table in the snapshot's exact
+  // roll-ups; a restored snapshot, which has no base rows, has neither.
   SynopsisConfig config = SalesConfig();
   config.incremental = true;
   AquaEngine engine;
   ASSERT_TRUE(engine.RegisterTable("live", SalesTable(), config).ok());
   auto first = engine.GetSnapshot("live");
   ASSERT_TRUE(first.ok());
-  ASSERT_NE((*first)->zones, nullptr);
-  EXPECT_EQ((*first)->zones->num_rows(), 1000u);
+  ASSERT_NE((*first)->exact_rollups->zones(), nullptr);
+  EXPECT_EQ((*first)->exact_rollups->zones()->num_rows(), 1000u);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(engine
                     .Insert("live", {Value("north"), Value(int64_t{2}),
@@ -227,8 +228,8 @@ TEST_F(AquaEngineTest, EveryPublishRecordsZones) {
   ASSERT_TRUE(engine.Refresh("live").ok());
   auto second = engine.GetSnapshot("live");
   ASSERT_TRUE(second.ok());
-  ASSERT_NE((*second)->zones, nullptr);
-  EXPECT_EQ((*second)->zones->num_rows(), 1005u);
+  ASSERT_NE((*second)->exact_rollups->zones(), nullptr);
+  EXPECT_EQ((*second)->exact_rollups->zones()->num_rows(), 1005u);
   // Only the inserted rows reach 100: every zone but the last is
   // skipped, and the answer is the filter's.
   auto exact = engine.QueryExact(
@@ -246,7 +247,86 @@ TEST_F(AquaEngineTest, EveryPublishRecordsZones) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   auto snapshot = restored.GetSnapshot("live");
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ((*snapshot)->zones, nullptr);
+  EXPECT_EQ((*snapshot)->exact_rollups, nullptr);
+}
+
+/// A relation grouped on a double column, so a grouping cell can be NaN.
+Table LevelTable() {
+  Table t{Schema({Field{"region", DataType::kString},
+                  Field{"level", DataType::kDouble},
+                  Field{"amount", DataType::kDouble}})};
+  for (int i = 0; i < 400; ++i) {
+    EXPECT_TRUE(t.AppendRow({Value(i % 2 == 0 ? "east" : "west"),
+                             Value(static_cast<double>(i % 4)),
+                             Value(static_cast<double>(i % 7 + 1))})
+                    .ok());
+  }
+  return t;
+}
+
+SynopsisConfig LevelConfig(AllocationStrategy strategy) {
+  SynopsisConfig config;
+  config.grouping_columns = {"region", "level"};
+  config.sample_fraction = 0.25;
+  config.seed = 5;
+  config.strategy = strategy;
+  config.incremental = true;
+  return config;
+}
+
+TEST(AquaNaNGroupingTest, InsertOfANaNGroupingCellIsRefused) {
+  // A NaN grouping cell would stratify nothing. Insert and InsertBatch
+  // refuse it whole, nothing of the refused batch is buffered, and the
+  // next Refresh publishes the valid rows.
+  const std::vector<Value> nan_row = {Value("east"), Value(std::nan("")),
+                                      Value(1.0)};
+  for (AllocationStrategy strategy :
+       {AllocationStrategy::kHouse, AllocationStrategy::kSenate,
+        AllocationStrategy::kBasicCongress, AllocationStrategy::kCongress}) {
+    SCOPED_TRACE(AllocationStrategyToString(strategy));
+    AquaEngine engine;
+    ASSERT_TRUE(
+        engine.RegisterTable("t", LevelTable(), LevelConfig(strategy)).ok());
+    EXPECT_EQ(engine.Insert("t", nan_row).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(engine
+                  .InsertBatch("t", {{Value("west"), Value(1.0), Value(2.0)},
+                                     nan_row})
+                  .code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_TRUE(
+        engine.Insert("t", {Value("west"), Value(2.0), Value(3.0)}).ok());
+    const Status refreshed = engine.Refresh("t");
+    ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+    auto snapshot = engine.GetSnapshot("t");
+    ASSERT_TRUE(snapshot.ok());
+    EXPECT_EQ((*snapshot)->table->num_rows(), 401u);
+    EXPECT_EQ((*snapshot)->synopsis->tuples_seen(), 401u);
+    EXPECT_NE((*snapshot)->exact_rollups, nullptr);
+    auto exact =
+        engine.QueryExact("SELECT level, COUNT(*) FROM t GROUP BY level");
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    EXPECT_EQ(exact->num_groups(), 4u);
+  }
+}
+
+TEST(AquaNaNGroupingTest, RegisterRefusesANaNGroupingCellOnBothPaths) {
+  // The census refuses a NaN grouping cell on the two-pass path, and
+  // ingest refuses it on the incremental one, with the same status.
+  Table table = LevelTable();
+  ASSERT_TRUE(
+      table.AppendRow({Value("west"), Value(std::nan("")), Value(1.0)}).ok());
+  SynopsisConfig two_pass = LevelConfig(AllocationStrategy::kCongress);
+  two_pass.incremental = false;
+  AquaEngine engine;
+  const Status censused = engine.RegisterTable("a", table, two_pass);
+  const Status ingested = engine.RegisterTable(
+      "b", table, LevelConfig(AllocationStrategy::kCongress));
+  EXPECT_EQ(censused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ingested.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(censused.message(), ingested.message());
+  EXPECT_FALSE(engine.HasTable("a"));
+  EXPECT_FALSE(engine.HasTable("b"));
 }
 
 TEST_F(AquaEngineTest, BuildMatchesFirstPublishBitForBit) {

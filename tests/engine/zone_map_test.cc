@@ -344,7 +344,7 @@ TEST(ZoneMapTest, ExactScanWithZonesIsBitIdentical) {
       ExecutorOptions options;
       options.num_threads = threads;
       auto plain = ExecuteExact(t, query, options);
-      auto zoned = ExecuteExact(t, query, options, nullptr, &zones);
+      auto zoned = ExecuteExact(t, query, options, &zones);
       ASSERT_TRUE(plain.ok() && zoned.ok()) << predicate->ToString();
       SCOPED_TRACE(predicate->ToString());
       ExpectIdentical(*plain, *zoned);
@@ -359,10 +359,10 @@ TEST(ZoneMapTest, ExactScanWithZonesIsBitIdentical) {
     }
   }
 
-  // A zone map of another table is refused, as a foreign covering index is.
+  // A zone map of another table is refused.
   const ZoneMap other = ZoneMap::Build(Int64Table({1, 2, 3}));
   query.predicate = predicates[0];
-  auto refused = ExecuteExact(t, query, {}, nullptr, &other);
+  auto refused = ExecuteExact(t, query, {}, &other);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }

@@ -1,8 +1,8 @@
 // End-to-end check that the hot paths actually emit telemetry: running
 // the exact engine over a 50k-row lineitem table under an obs::Scope
 // must attribute nonzero time to the intern / merge / aggregate stages
-// (project / aggregate when a covering index supplies the group ids) and
-// bump the engine counters. The sample estimator likewise projects
+// (project / aggregate when an exact roll-up memo supplies the group
+// ids) and bump the engine counters. The sample estimator likewise projects
 // strata, without interning, for queries on its grouping columns. A
 // range over a clustered column lets the zone map skip batches or take
 // them whole, and publish records the zone map's own span. Only visited
@@ -89,18 +89,23 @@ TEST(ObsIntegrationTest, CoveringScanEmitsProjectSpan) {
   config.seed = 42;
   auto data = tpcd::GenerateLineitem(config);
   ASSERT_TRUE(data.ok());
-  const GroupByQuery query = tpcd::MakeQg3();
+  const auto table = std::make_shared<const Table>(std::move(data->table));
+  // A ranged query folds its rows per query, through the memo's ids.
+  GroupByQuery query = tpcd::MakeQg3();
+  query.predicate = MakeRangePredicate(tpcd::kLId, 10'000.5, 40'000.5);
   // An index over the query's grouping columns plus one more covers it.
   std::vector<size_t> finest = query.group_columns;
-  for (size_t c = 0; c < data->table.num_columns(); ++c) {
+  for (size_t c = 0; c < table->num_columns(); ++c) {
     if (std::find(finest.begin(), finest.end(), c) == finest.end() &&
-        data->table.schema().field(c).type == DataType::kString) {
+        table->schema().field(c).type == DataType::kString) {
       finest.push_back(c);
       break;
     }
   }
-  auto index = GroupIndex::Build(data->table, finest);
+  auto index = GroupIndex::Build(*table, finest);
   ASSERT_TRUE(index.ok());
+  const ExactRollups rollups(
+      table, std::make_shared<const GroupIndex>(std::move(*index)), nullptr);
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const uint64_t covering_before =
@@ -112,7 +117,7 @@ TEST(ObsIntegrationTest, CoveringScanEmitsProjectSpan) {
   ExecutorOptions options;
   options.scope = &root;
   options.num_threads = 4;
-  auto result = ExecuteExact(data->table, query, options, &*index);
+  auto result = rollups.Execute(query, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->num_groups(), 0u);
 
@@ -129,10 +134,19 @@ TEST(ObsIntegrationTest, CoveringScanEmitsProjectSpan) {
   EXPECT_EQ(registry.GetCounter("engine.exact_queries").value(),
             queries_before + 1);
 
-  // The self-built path does not count as a covering scan.
-  ASSERT_TRUE(ExecuteExact(data->table, query).ok());
+  // The second answer reads the memoized projection.
+  obs::Scope warm("query");
+  options.scope = &warm;
+  ASSERT_TRUE(rollups.Execute(query, options).ok());
+  EXPECT_EQ(warm.Find("project"), nullptr);
+  EXPECT_NE(warm.Find("aggregate"), nullptr);
   EXPECT_EQ(registry.GetCounter("engine.exact_covering_scans").value(),
-            covering_before + 1);
+            covering_before + 2);
+
+  // The self-built path does not count as a covering scan.
+  ASSERT_TRUE(ExecuteExact(*table, query).ok());
+  EXPECT_EQ(registry.GetCounter("engine.exact_covering_scans").value(),
+            covering_before + 2);
 #endif
 }
 
@@ -222,7 +236,7 @@ TEST(ObsIntegrationTest, ClusteredRangeSkipsAndTakesWholeBatches) {
   obs::Scope root("query");
   ExecutorOptions options;
   options.scope = &root;
-  auto result = ExecuteExact(data->table, ranged, options, nullptr, &zones);
+  auto result = ExecuteExact(data->table, ranged, options, &zones);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->num_groups(), 0u);
   EXPECT_GT(counter("kernels.match.batches_skipped"), skipped_before);
@@ -241,7 +255,7 @@ TEST(ObsIntegrationTest, ClusteredRangeSkipsAndTakesWholeBatches) {
   obs::Scope dense("query");
   options.scope = &dense;
   ASSERT_TRUE(
-      ExecuteExact(data->table, tpcd::MakeQg3(), options, nullptr, &zones)
+      ExecuteExact(data->table, tpcd::MakeQg3(), options, &zones)
           .ok());
   EXPECT_EQ(counter("kernels.match.batches_skipped"), skipped_mid);
   EXPECT_EQ(counter("kernels.match.batches_whole"), whole_mid);
@@ -269,7 +283,7 @@ TEST(ObsIntegrationTest, RowsScannedCountsOnlyVisitedBatches) {
   GroupByQuery ranged = tpcd::MakeQg3();
   ranged.predicate = MakeRangePredicate(tpcd::kLId, 10'000.5, 40'000.5);
   uint64_t before = scanned.value();
-  ASSERT_TRUE(ExecuteExact(data->table, ranged, {}, nullptr, &zones).ok());
+  ASSERT_TRUE(ExecuteExact(data->table, ranged, {}, &zones).ok());
   const uint64_t counted = scanned.value() - before;
   EXPECT_GE(counted, 30'000u);
   EXPECT_LT(counted, data->table.num_rows());
@@ -295,7 +309,7 @@ TEST(ObsIntegrationTest, WarmRollupAnswerScansNothing) {
   auto census = GroupIndex::Build(*table, tpcd::LineitemGroupingColumns());
   ASSERT_TRUE(census.ok());
   const ExactRollups rollups(
-      table, std::make_shared<const GroupIndex>(std::move(*census)));
+      table, std::make_shared<const GroupIndex>(std::move(*census)), nullptr);
   GroupByQuery query = tpcd::MakeQg3();
   query.group_columns.pop_back();
   query.aggregates.push_back({AggregateKind::kCount, 0});
@@ -367,8 +381,9 @@ TEST(ObsIntegrationTest, PublishRecordsZonesSpan) {
   EXPECT_GT(zones->total_nanos(), 0u);
   auto snapshot = engine.GetSnapshot("lineitem");
   ASSERT_TRUE(snapshot.ok());
-  ASSERT_NE((*snapshot)->zones, nullptr);
-  EXPECT_EQ((*snapshot)->zones->num_rows(), 20'000u);
+  ASSERT_NE((*snapshot)->exact_rollups, nullptr);
+  ASSERT_NE((*snapshot)->exact_rollups->zones(), nullptr);
+  EXPECT_EQ((*snapshot)->exact_rollups->zones()->num_rows(), 20'000u);
 #endif
 }
 

@@ -58,6 +58,35 @@ TEST(HouseMaintainerTest, RejectsBadRows) {
   EXPECT_FALSE(m->Insert({Value(1.0), Value(1.0)}).ok());
 }
 
+TEST(ValidateRowTest, EveryMaintainerRefusesANaNGroupingCell) {
+  // A NaN orders against nothing, so its stratum could never be found
+  // again: every maintainer refuses it, by either insert path, and the
+  // refused row leaves no trace.
+  const Schema schema({Field{"g", DataType::kDouble},
+                       Field{"v", DataType::kDouble}});
+  const std::vector<Value> nan_row = {Value(std::nan("")), Value(1.0)};
+  for (AllocationStrategy strategy :
+       {AllocationStrategy::kHouse, AllocationStrategy::kSenate,
+        AllocationStrategy::kBasicCongress, AllocationStrategy::kCongress}) {
+    SCOPED_TRACE(AllocationStrategyToString(strategy));
+    auto m = MakeMaintainer(strategy, schema, {0}, 20, 5);
+    ASSERT_TRUE(m->Insert({Value(1.0), Value(2.0)}).ok());
+    const Status insert = m->Insert(nan_row);
+    EXPECT_EQ(insert.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(insert.message(),
+              "grouping column 'g' holds NaN, which cannot stratify a sample");
+    EXPECT_EQ(m->InsertWithKey(nan_row, {nan_row[0]}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(m->tuples_seen(), 1u);
+    auto snap = MaterializeSnapshot(m.get(), 20);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(snap->total_population(), 1u);
+  }
+  // A NaN outside the grouping columns is an ordinary measure value.
+  EXPECT_TRUE(ValidateRow(schema, {1}, nan_row).ok());
+  EXPECT_FALSE(ValidateRow(schema, {0}, nan_row).ok());
+}
+
 TEST(SenateMaintainerTest, EqualPerGroupSizes) {
   auto m = MakeSenateMaintainer(TwoColSchema(), {0}, 40, 4);
   // 4 groups x 250 tuples.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -360,6 +361,47 @@ TEST_F(AquaServerTest, WriteRequestsStreamIntoTheEngine) {
   r = server.Submit(*session, bad).get();
   EXPECT_EQ(r.status.code(), StatusCode::kNotFound);
   EXPECT_EQ(server.stats().writes, 1u);
+  server.Stop();
+}
+
+TEST_F(AquaServerTest, NaNGroupingCellInsertIsRefused) {
+  // A write whose grouping cell is NaN is refused whole; the server keeps
+  // serving, and the next Refresh publishes.
+  Table levels{Schema({Field{"level", DataType::kDouble},
+                       Field{"amount", DataType::kDouble}})};
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(
+        levels.AppendRow({Value(static_cast<double>(i % 4)), Value(1.0)})
+            .ok());
+  }
+  SynopsisConfig config = SalesConfig();
+  config.grouping_columns = {"level"};
+  ASSERT_TRUE(engine_.RegisterTable("levels", std::move(levels), config).ok());
+  AquaServer server(&engine_, ServeOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto session = server.OpenSession();
+  ASSERT_TRUE(session.ok());
+
+  Request write;
+  write.mode = QueryMode::kInsert;
+  write.table = "levels";
+  write.rows.push_back({Value(1.0), Value(2.0)});
+  write.rows.push_back({Value(std::nan("")), Value(2.0)});
+  Response r = server.Submit(*session, write).get();
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+      << r.status.ToString();
+  EXPECT_EQ(server.stats().writes, 0u);
+
+  ASSERT_TRUE(engine_.Refresh("levels").ok());
+  Request read;
+  read.sql = "SELECT level, COUNT(*) FROM levels GROUP BY level";
+  read.mode = QueryMode::kExact;
+  r = server.Submit(*session, read).get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_EQ(r.result.num_groups(), 4u);
+  for (size_t g = 0; g < r.result.num_groups(); ++g) {
+    EXPECT_EQ(r.result.row(g).estimates[0], 25.0);
+  }
   server.Stop();
 }
 
