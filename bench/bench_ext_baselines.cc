@@ -60,7 +60,7 @@ int Run(int argc, char** argv) {
   std::printf("%-34s %10s %10s %12s %16s\n", "method", "L1 %", "Linf %",
               "missing", "base access");
 
-  auto report_row = [&](const char* name, const QueryResult& answer,
+  auto report_row = [&](const char* name, const ApproximateResult& answer,
                         const char* access) {
     auto report = CompareAnswers(*exact, answer, 0);
     std::printf("%-34s %10.2f %10.1f %12zu %16s\n", name, report.l1,
@@ -78,8 +78,7 @@ int Run(int argc, char** argv) {
     if (!synopsis.ok()) return 1;
     auto answer = synopsis->Answer(qg3);
     if (!answer.ok()) return 1;
-    report_row("Congress sample (precomputed)", answer->ToQueryResult(),
-               "none");
+    report_row("Congress sample (precomputed)", *answer, "none");
   }
   // 1b. House for reference.
   {
@@ -92,8 +91,7 @@ int Run(int argc, char** argv) {
     if (!synopsis.ok()) return 1;
     auto answer = synopsis->Answer(qg3);
     if (!answer.ok()) return 1;
-    report_row("House sample (precomputed)", answer->ToQueryResult(),
-               "none");
+    report_row("House sample (precomputed)", *answer, "none");
   }
 
   // 2. Online aggregation stopped at the budget.
@@ -108,7 +106,7 @@ int Run(int argc, char** argv) {
     if (!estimate.ok()) return 1;
     report_row(striding ? "Online agg. + index striding"
                         : "Online agg. (uniform scan)",
-               estimate->ToQueryResult(), "per query");
+               *estimate, "per query");
   }
 
   // 3. Histogram synopsis with at least the sample's cell count.

@@ -28,20 +28,20 @@ void PrintComparison(const char* label, const Table& base,
   std::printf("\n%s\n", label);
   std::printf("%-24s %14s %14s %12s %10s\n", "group (flag, status)", "exact",
               "approx", "error1(90%)", "rel.err%");
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const std::optional<ApproximateGroupRow> est = approx->Find(row.key);
     if (!est) {
       std::printf("%-24s %14.4g %14s %12s %10s\n",
-                  GroupKeyToString(row.key).c_str(), row.aggregates[0],
+                  GroupKeyToString(row.key).c_str(), row.estimates[0],
                   "MISSING", "-", "-");
       continue;
     }
-    double rel = row.aggregates[0] != 0.0
-                     ? 100.0 * std::abs(est->estimates[0] - row.aggregates[0]) /
-                           std::abs(row.aggregates[0])
+    double rel = row.estimates[0] != 0.0
+                     ? 100.0 * std::abs(est->estimates[0] - row.estimates[0]) /
+                           std::abs(row.estimates[0])
                      : 0.0;
     std::printf("%-24s %14.4g %14.4g %12.3g %10.2f\n",
-                GroupKeyToString(row.key).c_str(), row.aggregates[0],
+                GroupKeyToString(row.key).c_str(), row.estimates[0],
                 est->estimates[0], est->bounds[0], rel);
   }
 }

@@ -10,26 +10,12 @@
 
 #include "bench/common.h"
 #include "sampling/maintenance.h"
+#include "testing/oracles.h"
 #include "tpcd/lineitem.h"
 #include "tpcd/workload.h"
 
 namespace congress {
 namespace {
-
-bool BitIdentical(const QueryResult& a, const QueryResult& b) {
-  if (a.num_groups() != b.num_groups()) return false;
-  for (size_t i = 0; i < a.rows().size(); ++i) {
-    const GroupResult& x = a.rows()[i];
-    const GroupResult& y = b.rows()[i];
-    if (x.key != y.key || x.aggregates.size() != y.aggregates.size()) {
-      return false;
-    }
-    for (size_t j = 0; j < x.aggregates.size(); ++j) {
-      if (x.aggregates[j] != y.aggregates[j]) return false;
-    }
-  }
-  return true;
-}
 
 int Run(int argc, char** argv) {
   bench::PrintHeader(
@@ -71,7 +57,7 @@ int Run(int argc, char** argv) {
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     ExecutorOptions options;
     options.num_threads = threads;
-    Result<QueryResult> answer = QueryResult{};
+    Result<ApproximateResult> answer = ApproximateResult{};
     double seconds = bench::MeasureSeconds(
         [&] { answer = ExecuteExact(base, query, options); }, runs);
     if (!answer.ok()) {
@@ -79,7 +65,8 @@ int Run(int argc, char** argv) {
       return 1;
     }
     if (threads == 1) serial_seconds = seconds;
-    bool identical = BitIdentical(*reference, *answer);
+    const bool identical =
+        testing::CheckApproximateIdentical(*reference, *answer, "").ok();
     std::printf("%-10zu %12.4f %9.2fx %12s\n", threads, seconds,
                 serial_seconds / seconds, identical ? "yes" : "NO");
 

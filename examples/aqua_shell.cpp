@@ -101,10 +101,10 @@ void RunQuery(std::string sql_text, const AquaEngine& engine) {
       std::printf("... (%zu more groups)\n", approx->num_groups() - 12);
       break;
     }
-    const GroupResult* truth = exact->Find(row.key);
+    const auto truth = exact->Find(row.key);
     std::printf("%-24s %14.6g %12.4g %14.6g\n",
                 GroupKeyToString(row.key).c_str(), row.estimates[0],
-                row.bounds[0], truth != nullptr ? truth->aggregates[0] : 0.0);
+                row.bounds[0], truth.has_value() ? truth->estimates[0] : 0.0);
   }
   std::printf("approx: %.2f ms | exact: %.2f ms (%.0fx)\n\n", approx_ms,
               exact_ms, exact_ms / std::max(approx_ms, 1e-6));

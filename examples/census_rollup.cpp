@@ -120,13 +120,13 @@ int main() {
     if (exact.ok() && u.ok() && c.ok()) {
       // Smallest state = highest state id under Zipf rank order.
       GroupKey smallest_state = {Value(int64_t{49})};
-      const GroupResult* truth = exact->Find(smallest_state);
+      const auto truth = exact->Find(smallest_state);
       const std::optional<ApproximateGroupRow> ur = u->Find(smallest_state);
       const std::optional<ApproximateGroupRow> cr = c->Find(smallest_state);
-      if (truth != nullptr) {
+      if (truth.has_value()) {
         std::printf("\nsmallest state avg income: exact %.0f | uniform %s "
                     "(support %llu) | congress %.0f (support %llu)\n",
-                    truth->aggregates[0],
+                    truth->estimates[0],
                     ur.has_value()
                         ? std::to_string(ur->estimates[0]).c_str()
                         : "MISSING",

@@ -94,11 +94,11 @@ int main() {
   size_t shown = 0;
   for (const ApproximateGroupRow& row : approx->rows()) {
     if (++shown > 8) break;
-    const GroupResult* truth = exact->Find(row.key);
+    const auto truth = exact->Find(row.key);
     std::printf("  st=%s: avg income ~= %.0f (+- %.0f)%s\n",
                 row.key[0].ToString().c_str(), row.estimates[0],
                 row.bounds[0],
-                truth == nullptr ? "  [borderline: not in exact answer]"
+                !truth.has_value() ? "  [borderline: not in exact answer]"
                                  : "");
   }
   return 0;

@@ -69,10 +69,10 @@ int main() {
   std::printf("%-18s %14s %14s %12s\n", "group", "approx", "exact",
               "bound(90%)");
   for (const ApproximateGroupRow& row : approx->rows()) {
-    const GroupResult* truth = exact->Find(row.key);
+    const auto truth = exact->Find(row.key);
     std::printf("%-18s %14.4g %14.4g %12.3g\n",
                 GroupKeyToString(row.key).c_str(), row.estimates[0],
-                truth != nullptr ? truth->aggregates[0] : 0.0, row.bounds[0]);
+                truth.has_value() ? truth->estimates[0] : 0.0, row.bounds[0]);
   }
 
   // 3b. The same synopsis answers any grouping over its columns —

@@ -74,14 +74,14 @@ void BuildFleet(AquaSnapshot* snapshot, const SynopsisConfig& config,
     return;
   }
 
-  auto residual_of = [&exact](const QueryResult& approx) {
+  auto residual_of = [&exact](const ApproximateResult& approx) {
     double total = 0.0;
     size_t cells = 0;
-    for (const GroupResult& row : exact->rows()) {
-      const GroupResult* a = approx.Find(row.key);
-      for (size_t i = 0; i < row.aggregates.size(); ++i) {
-        const double e = row.aggregates[i];
-        const double h = a != nullptr ? a->aggregates[i] : 0.0;
+    for (const ApproximateGroupRow& row : exact->rows()) {
+      const auto a = approx.Find(row.key);
+      for (size_t i = 0; i < row.estimates.size(); ++i) {
+        const double e = row.estimates[i];
+        const double h = a ? a->estimates[i] : 0.0;
         total += std::fabs(h - e) / std::max(std::fabs(e), 1.0);
         ++cells;
       }
@@ -322,14 +322,14 @@ Result<std::string> AquaEngine::ExplainPlan(const std::string& sql) const {
   return report->ToString();
 }
 
-Result<QueryResult> AquaEngine::QueryExact(const std::string& sql) const {
+Result<ApproximateResult> AquaEngine::QueryExact(const std::string& sql) const {
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
   return ExecuteExactOnSnapshot(*routed->first, routed->second);
 }
 
-Result<QueryResult> AquaEngine::QueryVia(const std::string& sql,
-                                         RewriteStrategy strategy) const {
+Result<ApproximateResult> AquaEngine::QueryVia(
+    const std::string& sql, RewriteStrategy strategy) const {
   auto routed = Route(sql);
   if (!routed.ok()) return routed.status();
   const AquaSynopsis& synopsis = *routed->first->synopsis;

@@ -81,12 +81,14 @@ class AquaEngine {
   /// EXPLAIN PLAN.
   Result<std::string> ExplainPlan(const std::string& sql) const;
 
-  /// Exact answer over the snapshot's retained base relation.
-  Result<QueryResult> QueryExact(const std::string& sql) const;
+  /// Exact answer over the snapshot's retained base relation: exact
+  /// groups with zero-width bounds (ExecuteExactOnSnapshot).
+  Result<ApproximateResult> QueryExact(const std::string& sql) const;
 
-  /// Approximate answer through a specific Section 5 physical plan.
-  Result<QueryResult> QueryVia(const std::string& sql,
-                               RewriteStrategy strategy) const;
+  /// Approximate answer through a specific Section 5 physical plan
+  /// (Rewriter::Answer: sampled groups with zero-width bounds).
+  Result<ApproximateResult> QueryVia(const std::string& sql,
+                                     RewriteStrategy strategy) const;
 
   /// Like Query(), but never gives up just because the primary synopsis
   /// cannot answer: any budget clause is dropped and Planner::Run starts

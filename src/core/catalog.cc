@@ -7,8 +7,8 @@
 
 namespace congress {
 
-Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
-                                           const GroupByQuery& query) {
+Result<ApproximateResult> ExecuteExactOnSnapshot(
+    const AquaSnapshot& snapshot, const GroupByQuery& query) {
   if (snapshot.exact_rollups == nullptr) {
     return Status::FailedPrecondition(
         "table '" + snapshot.name +

@@ -91,8 +91,8 @@ struct AquaSnapshot {
 /// answer is bit-identical to ExecuteExact(*table, query) on the first
 /// call and every later one. FailedPrecondition when the base relation is
 /// unavailable (no exact_rollups: a snapshot restored from a checkpoint).
-Result<QueryResult> ExecuteExactOnSnapshot(const AquaSnapshot& snapshot,
-                                           const GroupByQuery& query);
+Result<ApproximateResult> ExecuteExactOnSnapshot(
+    const AquaSnapshot& snapshot, const GroupByQuery& query);
 
 /// An immutable generation of the whole catalog: a name → snapshot map
 /// frozen at one epoch. Readers hold a CatalogVersion (via shared_ptr)

@@ -1,6 +1,5 @@
 #include "core/degradation.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace congress {
@@ -17,19 +16,6 @@ const char* DegradationLevelToString(DegradationLevel level) {
       return "exact_rebuild";
   }
   return "unknown";
-}
-
-ApproximateResult ExactAsApproximate(const QueryResult& exact) {
-  const std::vector<GroupResult>& rows = exact.rows();
-  ApproximateResult out(rows.empty() ? 0 : rows[0].key.size(),
-                        rows.empty() ? 0 : rows[0].aggregates.size());
-  out.Reserve(rows.size());
-  for (const GroupResult& row : rows) {
-    // Zero standard errors and bounds: the numbers are exact.
-    std::span<double> numbers = out.Add(row.key, 0, GroupProvenance::kExact);
-    std::copy(row.aggregates.begin(), row.aggregates.end(), numbers.begin());
-  }
-  return out;
 }
 
 std::string DegradationReason::ToString() const {

@@ -3,7 +3,7 @@
 
 #include <string>
 
-#include "core/estimator.h"
+#include "engine/query.h"
 
 namespace congress {
 
@@ -43,10 +43,12 @@ struct DegradationReason {
   std::string ToString() const;
 };
 
-/// An exact answer wearing the approximate-answer interface: the point
-/// estimates are the truth and every bound is zero-width. Used by the
-/// planner's exact plan and the serving front-end's exact mode.
-ApproximateResult ExactAsApproximate(const QueryResult& exact);
+/// Exact answers are already ApproximateResults with zero-width bounds;
+/// this identity is kept only for callers outside the library.
+inline const ApproximateResult& ExactAsApproximate(
+    const ApproximateResult& exact) {
+  return exact;
+}
 
 /// An approximate answer plus the story of how it was produced.
 struct ResilientAnswer {

@@ -1,11 +1,9 @@
 #include "core/estimator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <sstream>
 
 #include "engine/kernels.h"
 #include "obs/metrics.h"
@@ -24,119 +22,6 @@ const char* BoundMethodToString(BoundMethod method) {
       return "Hoeffding";
   }
   return "Unknown";
-}
-
-const char* GroupProvenanceToString(GroupProvenance provenance) {
-  switch (provenance) {
-    case GroupProvenance::kSampled:
-      return "sampled";
-    case GroupProvenance::kExact:
-      return "exact";
-    case GroupProvenance::kCombined:
-      return "combined";
-  }
-  return "unknown";
-}
-
-void ApproximateResult::Reserve(size_t num_groups) {
-  keys_.reserve(num_groups * key_width_);
-  numbers_.reserve(num_groups * 3 * num_aggs_);
-  support_.reserve(num_groups);
-  provenance_.reserve(num_groups);
-}
-
-std::span<double> ApproximateResult::Add(std::span<const Value> key,
-                                         uint64_t support,
-                                         GroupProvenance provenance) {
-  assert(key.size() == key_width_);
-  const size_t n = num_groups();
-  searchable_ = result_rows::Orderable(key) &&
-                (n == 0 || (searchable_ && KeyLess(row(n - 1).key, key)));
-  keys_.insert(keys_.end(), key.begin(), key.end());
-  numbers_.resize(numbers_.size() + 3 * num_aggs_, 0.0);
-  support_.push_back(support);
-  provenance_.push_back(provenance);
-  return {numbers_.data() + n * 3 * num_aggs_, 3 * num_aggs_};
-}
-
-std::optional<ApproximateGroupRow> ApproximateResult::Find(
-    std::span<const Value> key) const {
-  const size_t i = result_rows::Find(num_groups(), searchable_, KeyAt(), key);
-  if (i == num_groups()) return std::nullopt;
-  return row(i);
-}
-
-void ApproximateResult::SortByKey() {
-  if (searchable_) return;
-  ApproximateResult sorted(key_width_, num_aggs_);
-  sorted.Reserve(num_groups());
-  for (size_t i : result_rows::SortedOrder(num_groups(), KeyAt())) {
-    const ApproximateGroupRow r = row(i);
-    std::ranges::copy(row_numbers(i),
-                      sorted.Add(r.key, r.support, r.provenance).begin());
-  }
-  *this = std::move(sorted);
-}
-
-void ApproximateResult::FilterHaving(
-    const std::vector<HavingCondition>& having) {
-  if (having.empty()) return;
-  const size_t width = 3 * num_aggs_;
-  size_t kept = 0;
-  for (size_t i = 0; i < num_groups(); ++i) {
-    if (!PassesHaving(having, numbers_.data() + i * width, num_aggs_)) {
-      continue;
-    }
-    if (kept != i) {
-      std::move(keys_.begin() + i * key_width_,
-                keys_.begin() + (i + 1) * key_width_,
-                keys_.begin() + kept * key_width_);
-      std::copy_n(numbers_.begin() + i * width, width,
-                  numbers_.begin() + kept * width);
-      support_[kept] = support_[i];
-      provenance_[kept] = provenance_[i];
-    }
-    ++kept;
-  }
-  keys_.resize(kept * key_width_);
-  numbers_.resize(kept * width);
-  support_.resize(kept);
-  provenance_.resize(kept);
-  searchable_ = searchable_ || result_rows::Searchable(num_groups(), KeyAt());
-}
-
-void ApproximateResult::WidenBounds(double factor) {
-  const size_t width = 3 * num_aggs_;
-  for (size_t at = 0; at < numbers_.size(); at += width) {
-    for (size_t k = num_aggs_; k < width; ++k) numbers_[at + k] *= factor;
-  }
-}
-
-QueryResult ApproximateResult::ToQueryResult() const {
-  QueryResult out;
-  for (const ApproximateGroupRow& row : rows()) {
-    out.Add(GroupKey(row.key.begin(), row.key.end()),
-            std::vector<double>(row.estimates.begin(), row.estimates.end()));
-  }
-  out.SortByKey();
-  return out;
-}
-
-std::string ApproximateResult::ToString(size_t max_rows) const {
-  std::ostringstream oss;
-  size_t shown = std::min(max_rows, num_groups());
-  for (size_t i = 0; i < shown; ++i) {
-    const ApproximateGroupRow r = row(i);
-    oss << GroupKeyToString(r.key) << " ->";
-    for (size_t a = 0; a < r.estimates.size(); ++a) {
-      oss << " " << r.estimates[a] << " (+-" << r.bounds[a] << ")";
-    }
-    oss << " [" << r.support << " tuples]\n";
-  }
-  if (shown < num_groups()) {
-    oss << "... (" << (num_groups() - shown) << " more groups)\n";
-  }
-  return oss.str();
 }
 
 namespace {

@@ -18,19 +18,19 @@ std::string GroupByErrorReport::ToString() const {
   return oss.str();
 }
 
-GroupByErrorReport CompareAnswers(const QueryResult& exact,
-                                  const QueryResult& approx, size_t agg_index,
-                                  MissingGroupPolicy policy) {
+GroupByErrorReport CompareAnswers(const ApproximateResult& exact,
+                                  const ApproximateResult& approx,
+                                  size_t agg_index, MissingGroupPolicy policy) {
   GroupByErrorReport report;
   report.exact_groups = exact.num_groups();
   double sum = 0.0;
   double sum_sq = 0.0;
   size_t counted = 0;
 
-  for (const GroupResult& row : exact.rows()) {
-    const GroupResult* match = approx.Find(row.key);
+  for (const ApproximateGroupRow& row : exact.rows()) {
+    const auto match = approx.Find(row.key);
     double err;
-    if (match == nullptr) {
+    if (!match) {
       report.missing_groups += 1;
       if (policy == MissingGroupPolicy::kSkip) {
         report.per_group_errors.push_back(
@@ -39,8 +39,8 @@ GroupByErrorReport CompareAnswers(const QueryResult& exact,
       }
       err = 100.0;
     } else {
-      double c = row.aggregates[agg_index];
-      double c_hat = match->aggregates[agg_index];
+      double c = row.estimates[agg_index];
+      double c_hat = match->estimates[agg_index];
       if (c == 0.0) {
         err = (c_hat == 0.0) ? 0.0 : 100.0;
       } else {
@@ -54,8 +54,8 @@ GroupByErrorReport CompareAnswers(const QueryResult& exact,
     ++counted;
   }
 
-  for (const GroupResult& row : approx.rows()) {
-    if (exact.Find(row.key) == nullptr) report.extra_groups += 1;
+  for (const ApproximateGroupRow& row : approx.rows()) {
+    if (!exact.Find(row.key)) report.extra_groups += 1;
   }
 
   if (counted > 0) {
@@ -67,13 +67,6 @@ GroupByErrorReport CompareAnswers(const QueryResult& exact,
   CONGRESS_METRIC_INCR("error.comparisons", 1);
   CONGRESS_METRIC_SET("error.last_actual_l1_percent", report.l1);
   return report;
-}
-
-GroupByErrorReport CompareAnswers(const QueryResult& exact,
-                                  const ApproximateResult& approx,
-                                  size_t agg_index,
-                                  MissingGroupPolicy policy) {
-  return CompareAnswers(exact, approx.ToQueryResult(), agg_index, policy);
 }
 
 }  // namespace congress

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/estimator.h"
 #include "engine/query.h"
 
 namespace congress {
@@ -35,16 +34,12 @@ struct GroupByErrorReport {
 };
 
 /// Compares one aggregate column (`agg_index` into the SELECT list) of an
-/// approximate answer against the exact answer. A group whose exact value
-/// is 0 scores 0% if the estimate is also 0 and 100% otherwise (relative
-/// error is undefined at 0).
+/// approximate answer's estimates against the exact answer's, matching
+/// groups by key (ApproximateResult::Find). A group whose exact value is
+/// 0 scores 0% if the estimate is also 0 and 100% otherwise (relative
+/// error is undefined at 0). Bounds are not read.
 GroupByErrorReport CompareAnswers(
-    const QueryResult& exact, const QueryResult& approx, size_t agg_index,
-    MissingGroupPolicy policy = MissingGroupPolicy::kHundredPercent);
-
-/// Convenience overload for ApproximateResult.
-GroupByErrorReport CompareAnswers(
-    const QueryResult& exact, const ApproximateResult& approx,
+    const ApproximateResult& exact, const ApproximateResult& approx,
     size_t agg_index,
     MissingGroupPolicy policy = MissingGroupPolicy::kHundredPercent);
 

@@ -80,9 +80,10 @@ Status ValidateForRewrite(const GroupByQuery& query, const Schema& schema,
 ///   AVG   -> sum(v * sf) / sum(sf)
 /// grouped by the query's group columns. This is the Integrated plan, and
 /// also the post-join plan of the Normalized variants.
-Result<QueryResult> AggregateScaled(const Table& rel, const GroupByQuery& query,
-                                    size_t sf_col,
-                                    const ExecutorOptions& options) {
+Result<ApproximateResult> AggregateScaled(const Table& rel,
+                                          const GroupByQuery& query,
+                                          size_t sf_col,
+                                          const ExecutorOptions& options) {
   const size_t num_aggs = query.aggregates.size();
   const std::vector<double>& sf = rel.DoubleColumn(sf_col);
 
@@ -144,10 +145,11 @@ Result<QueryResult> AggregateScaled(const Table& rel, const GroupByQuery& query,
     }
   });
 
-  QueryResult result;
+  ApproximateResult result(query.group_columns.size(), num_aggs);
   for (size_t g = 0; g < num_groups; ++g) {
     if (scaled_sum[g].empty()) continue;
-    std::vector<double> finals(num_aggs, 0.0);
+    std::span<double> finals =
+        result.Add(index->keys()[g], 0, GroupProvenance::kSampled);
     for (size_t a = 0; a < num_aggs; ++a) {
       switch (query.aggregates[a].kind) {
         case AggregateKind::kSum:
@@ -165,7 +167,6 @@ Result<QueryResult> AggregateScaled(const Table& rel, const GroupByQuery& query,
           break;
       }
     }
-    result.Add(index->keys()[g], std::move(finals));
   }
   // HAVING filters the *scaled estimates*, mirroring how Aqua's
   // rewritten SQL would apply it to the scaled expressions.
@@ -176,9 +177,9 @@ Result<QueryResult> AggregateScaled(const Table& rel, const GroupByQuery& query,
 
 }  // namespace
 
-Result<QueryResult> Rewriter::Answer(const GroupByQuery& query,
-                                     RewriteStrategy strategy,
-                                     const ExecutorOptions& options) const {
+Result<ApproximateResult> Rewriter::Answer(
+    const GroupByQuery& query, RewriteStrategy strategy,
+    const ExecutorOptions& options) const {
   CONGRESS_FAILPOINT("rewriter/answer");
   CONGRESS_RETURN_NOT_OK(
       ValidateForRewrite(query, integrated_.schema(), base_num_columns_));
@@ -209,12 +210,12 @@ Result<QueryResult> Rewriter::Answer(const GroupByQuery& query,
   return Status::InvalidArgument("unknown rewrite strategy");
 }
 
-Result<QueryResult> Rewriter::AnswerIntegrated(
+Result<ApproximateResult> Rewriter::AnswerIntegrated(
     const GroupByQuery& query, const ExecutorOptions& options) const {
   return AggregateScaled(integrated_, query, base_num_columns_, options);
 }
 
-Result<QueryResult> Rewriter::AnswerNestedIntegrated(
+Result<ApproximateResult> Rewriter::AnswerNestedIntegrated(
     const GroupByQuery& query, const ExecutorOptions& options) const {
   // Inner query: group by (query group columns, SF) and compute the raw
   // per-group sums/counts; outer query: one multiply by SF per inner
@@ -300,9 +301,9 @@ Result<QueryResult> Rewriter::AnswerNestedIntegrated(
     }
   }
 
-  QueryResult result;
+  ApproximateResult result(query.group_columns.size(), num_aggs);
   for (auto& [key, acc] : outer) {
-    std::vector<double> finals(num_aggs, 0.0);
+    std::span<double> finals = result.Add(key, 0, GroupProvenance::kSampled);
     for (size_t a = 0; a < num_aggs; ++a) {
       switch (query.aggregates[a].kind) {
         case AggregateKind::kSum:
@@ -320,7 +321,6 @@ Result<QueryResult> Rewriter::AnswerNestedIntegrated(
           break;
       }
     }
-    result.Add(key, std::move(finals));
   }
   // HAVING filters the *scaled estimates*, mirroring how Aqua's
   // rewritten SQL would apply it to the scaled expressions.
@@ -329,7 +329,7 @@ Result<QueryResult> Rewriter::AnswerNestedIntegrated(
   return result;
 }
 
-Result<QueryResult> Rewriter::AnswerNormalized(
+Result<ApproximateResult> Rewriter::AnswerNormalized(
     const GroupByQuery& query, const ExecutorOptions& options) const {
   // Join SampRel with AuxRel on the sample's grouping columns; the join
   // output appends AuxRel's sf as the last column. This join is paid on
@@ -342,7 +342,7 @@ Result<QueryResult> Rewriter::AnswerNormalized(
   return AggregateScaled(*joined, query, joined->num_columns() - 1, options);
 }
 
-Result<QueryResult> Rewriter::AnswerKeyNormalized(
+Result<ApproximateResult> Rewriter::AnswerKeyNormalized(
     const GroupByQuery& query, const ExecutorOptions& options) const {
   // Join SampRel (with its gid column) against AuxRel(gid, sf) on the
   // single-attribute key — the paper's shorter join predicate.

@@ -42,10 +42,12 @@ class Rewriter {
   /// Answers `query` (expressed against the base schema) using the given
   /// strategy. Supports SUM, COUNT, and AVG aggregates. The scans and
   /// joins are morsel-parallel per `options`; answers are identical for
-  /// every thread count.
-  Result<QueryResult> Answer(const GroupByQuery& query,
-                             RewriteStrategy strategy,
-                             const ExecutorOptions& options = {}) const;
+  /// every thread count. Each group is GroupProvenance::kSampled with
+  /// support 0 and zero-width bounds: the rewrites compute the scaled
+  /// estimates, not their variances.
+  Result<ApproximateResult> Answer(const GroupByQuery& query,
+                                   RewriteStrategy strategy,
+                                   const ExecutorOptions& options = {}) const;
 
   /// The materialized relations, exposed for size accounting in benches.
   const Table& integrated_rel() const { return integrated_; }
@@ -55,13 +57,13 @@ class Rewriter {
   const Table& key_normalized_aux_rel() const { return key_aux_; }
 
  private:
-  Result<QueryResult> AnswerIntegrated(const GroupByQuery& query,
-                                       const ExecutorOptions& options) const;
-  Result<QueryResult> AnswerNestedIntegrated(
+  Result<ApproximateResult> AnswerIntegrated(
       const GroupByQuery& query, const ExecutorOptions& options) const;
-  Result<QueryResult> AnswerNormalized(const GroupByQuery& query,
-                                       const ExecutorOptions& options) const;
-  Result<QueryResult> AnswerKeyNormalized(
+  Result<ApproximateResult> AnswerNestedIntegrated(
+      const GroupByQuery& query, const ExecutorOptions& options) const;
+  Result<ApproximateResult> AnswerNormalized(
+      const GroupByQuery& query, const ExecutorOptions& options) const;
+  Result<ApproximateResult> AnswerKeyNormalized(
       const GroupByQuery& query, const ExecutorOptions& options) const;
 
   std::vector<size_t> grouping_columns_;

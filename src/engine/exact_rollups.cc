@@ -1,6 +1,7 @@
 #include "engine/exact_rollups.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -87,7 +88,10 @@ Result<ExactRollups::Entry*> ExactRollups::EntryFor(
   }
   // Keys are distinct, so without a NaN RowKeyLess orders them totally.
   for (const GroupKey& key : projection.keys) {
-    entry->ordered = entry->ordered && result_rows::Orderable(key);
+    for (const Value& v : key) {
+      entry->ordered =
+          entry->ordered && !(v.is_double() && std::isnan(v.AsDouble()));
+    }
   }
   if (entry->ordered) {
     entry->key_order.resize(projection.keys.size());
@@ -139,7 +143,7 @@ std::optional<std::vector<const double*>> ExactRollups::MemoizedStates(
   return state_of;
 }
 
-Result<QueryResult> ExactRollups::Execute(
+Result<ApproximateResult> ExactRollups::Execute(
     const GroupByQuery& query, const ExecutorOptions& options) const {
   const Table& table = *table_;
   const ZoneMap* zones = zones_.get();

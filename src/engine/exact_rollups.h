@@ -76,11 +76,12 @@ class ExactRollups {
   const std::shared_ptr<const GroupIndex>& index() const { return index_; }
   const std::shared_ptr<const ZoneMap>& zones() const { return zones_; }
 
-  /// The exact answer of `query` over table(): bit-identical to
+  /// The exact answer of `query` over table(), written as exact groups
+  /// with zero-width bounds: bit-identical to
   /// ExecuteExact(*table(), query, options, zones().get()), with the same
   /// statuses.
-  Result<QueryResult> Execute(const GroupByQuery& query,
-                              const ExecutorOptions& options = {}) const;
+  Result<ApproximateResult> Execute(const GroupByQuery& query,
+                                    const ExecutorOptions& options = {}) const;
 
   /// Groupings memoized so far.
   size_t num_entries() const;

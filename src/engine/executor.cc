@@ -297,13 +297,13 @@ std::vector<const double*> StatesOf(const GroupByQuery& query,
   return state_of;
 }
 
-QueryResult Finalize(const Table& table, const GroupByQuery& query,
-                     std::span<const uint64_t> counts,
-                     std::span<const double* const> state_of,
-                     std::span<const uint32_t> first_rows,
-                     std::span<const GroupKey> keys,
-                     const std::vector<uint32_t>* key_order,
-                     const ExecutorOptions& options) {
+ApproximateResult Finalize(const Table& table, const GroupByQuery& query,
+                           std::span<const uint64_t> counts,
+                           std::span<const double* const> state_of,
+                           std::span<const uint32_t> first_rows,
+                           std::span<const GroupKey> keys,
+                           const std::vector<uint32_t>* key_order,
+                           const ExecutorOptions& options) {
   // Each matched group's values, HAVING, then the survivors in key
   // order. Sorting group ids by their first rows, in first-occurrence
   // order, with comparisons identical to those of the keys gives the
@@ -337,20 +337,23 @@ QueryResult Finalize(const Table& table, const GroupByQuery& query,
     const RowKeyLess key_less(table, query.group_columns, first_rows);
     std::sort(order.begin(), order.end(), std::cref(key_less));
   }
-  QueryResult result;
+  // Exact groups: zero standard errors and bounds, no sample support.
+  ApproximateResult result(query.group_columns.size(), num_aggs);
   result.Reserve(order.size());
   for (uint32_t g : order) {
     const double* out = finals.data() + g * num_aggs;
-    result.Add(keys[g], std::vector<double>(out, out + num_aggs));
+    std::copy_n(out, num_aggs,
+                result.Add(keys[g], 0, GroupProvenance::kExact).begin());
   }
   return result;
 }
 
 }  // namespace exact
 
-Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
-                                 const ExecutorOptions& options,
-                                 const ZoneMap* zones) {
+Result<ApproximateResult> ExecuteExact(const Table& table,
+                                       const GroupByQuery& query,
+                                       const ExecutorOptions& options,
+                                       const ZoneMap* zones) {
   CONGRESS_RETURN_NOT_OK(exact::Validate(table, query, zones));
   CONGRESS_METRIC_INCR("engine.exact_queries", 1);
   // Row r belongs to group row_ids[r] of the query's own index; the

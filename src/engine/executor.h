@@ -33,6 +33,10 @@ class ZoneMap;
 /// The surviving rows and their order are those of the filtered pass, so
 /// the answer is bit-identical with or without zones.
 ///
+/// The answer is an ApproximateResult whose bounds are zero-width: each
+/// group carries its exact aggregates as estimates, zero standard errors
+/// and bounds, support 0 and GroupProvenance::kExact.
+///
 /// Groups with a matching row that pass HAVING are returned in key order:
 /// their ids, in first-occurrence order, are sorted by their first rows
 /// with RowKeyLess, whose comparisons equal those of the keys, so the
@@ -43,9 +47,10 @@ class ZoneMap;
 /// A snapshot's exact scans go through its ExactRollups instead
 /// (engine/exact_rollups.h), which reads group ids from a memo over the
 /// snapshot's census and gives this function's answers bit for bit.
-Result<QueryResult> ExecuteExact(const Table& table, const GroupByQuery& query,
-                                 const ExecutorOptions& options = {},
-                                 const ZoneMap* zones = nullptr);
+Result<ApproximateResult> ExecuteExact(const Table& table,
+                                       const GroupByQuery& query,
+                                       const ExecutorOptions& options = {},
+                                       const ZoneMap* zones = nullptr);
 
 /// The pieces ExecuteExact is made of: resolving each row's group id
 /// (its own index), one fold, and one finalize.
@@ -108,15 +113,16 @@ std::vector<const double*> StatesOf(const GroupByQuery& query,
 /// count and `state_of` (one per aggregate, as StatesOf), HAVING, then
 /// the survivors in key order with their keys. `key_order`, when given,
 /// lists every group in key order and is filtered; otherwise the
-/// survivors are sorted by their first rows with RowKeyLess. Records the
-/// `finalize` span.
-QueryResult Finalize(const Table& table, const GroupByQuery& query,
-                     std::span<const uint64_t> counts,
-                     std::span<const double* const> state_of,
-                     std::span<const uint32_t> first_rows,
-                     std::span<const GroupKey> keys,
-                     const std::vector<uint32_t>* key_order,
-                     const ExecutorOptions& options);
+/// survivors are sorted by their first rows with RowKeyLess. Each
+/// survivor is written straight into the answer as an exact group (see
+/// ExecuteExact). Records the `finalize` span.
+ApproximateResult Finalize(const Table& table, const GroupByQuery& query,
+                           std::span<const uint64_t> counts,
+                           std::span<const double* const> state_of,
+                           std::span<const uint32_t> first_rows,
+                           std::span<const GroupKey> keys,
+                           const std::vector<uint32_t>* key_order,
+                           const ExecutorOptions& options);
 
 }  // namespace exact
 

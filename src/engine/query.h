@@ -1,8 +1,10 @@
 #ifndef CONGRESS_ENGINE_QUERY_H_
 #define CONGRESS_ENGINE_QUERY_H_
 
-#include <algorithm>
-#include <map>
+#include <cstdint>
+#include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,118 +72,138 @@ struct GroupByQuery {
 bool PassesHaving(const std::vector<HavingCondition>& having,
                   const double* values, size_t num_values);
 
-/// The lookup rules QueryResult and ApproximateResult share. A result
-/// keeps its rows in row order with no key index: Add appends, and the
-/// result tracks whether its keys are strictly increasing and free of
-/// NaN. While they are, Find binary-searches. Otherwise Find scans and
-/// returns the first row whose key compares equal — the row a hash index
-/// built in row order returned, so a NaN key is never found and of two
-/// equal keys (such as 0.0 and -0.0) the earlier row wins. Each helper
-/// reads the keys of rows 0..n-1 through `key_at(i)`.
-namespace result_rows {
-
-/// False when `key` holds a NaN, which compares unordered under
-/// GroupKey's operator< and so ends any binary-searchable run.
-bool Orderable(std::span<const Value> key);
-
-template <typename KeyAt>
-bool Searchable(size_t n, const KeyAt& key_at) {
-  for (size_t i = 0; i < n; ++i) {
-    if (!Orderable(key_at(i))) return false;
-    if (i > 0 && !KeyLess(key_at(i - 1), key_at(i))) return false;
-  }
-  return true;
-}
-
-/// The row whose key equals `key` under the rules above, or n.
-template <typename KeyAt>
-size_t Find(size_t n, bool searchable, const KeyAt& key_at,
-            std::span<const Value> key) {
-  if (searchable) {
-    size_t lo = 0;
-    size_t hi = n;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (KeyLess(key_at(mid), key)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo < n && KeyEqual(key_at(lo), key) ? lo : n;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (KeyEqual(key_at(i), key)) return i;
-  }
-  return n;
-}
-
-/// The rows in key order: the permutation std::sort gives the rows
-/// themselves, since it compares and moves indices exactly as it would
-/// the rows they stand for.
-template <typename KeyAt>
-std::vector<size_t> SortedOrder(size_t n, const KeyAt& key_at) {
-  std::vector<size_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&key_at](size_t a, size_t b) {
-    return KeyLess(key_at(a), key_at(b));
-  });
-  return order;
-}
-
-}  // namespace result_rows
-
-/// The aggregate row for one group in a query answer.
-struct GroupResult {
-  GroupKey key;
-  std::vector<double> aggregates;  // One per AggregateSpec, query order.
+/// Where one output group's numbers came from. Pure sampled estimates
+/// are the default; exact scans mark their groups exact, and the
+/// planner's combined plans mark groups stitched from both an exact part
+/// and a sampled tail.
+enum class GroupProvenance : uint8_t {
+  kSampled = 0,   ///< Stratified expansion estimate with error bounds.
+  kExact = 1,     ///< Exact aggregation; zero-width bounds.
+  kCombined = 2,  ///< Exact outlier part + sampled tail, stitched.
 };
 
-/// A group-by query answer: one GroupResult per non-empty group.
-/// Deterministically ordered by key (after SortByKey) so results are
-/// comparable across runs; lookups by key binary-search a key-ordered
-/// answer (see result_rows).
-class QueryResult {
+const char* GroupProvenanceToString(GroupProvenance provenance);
+
+/// One output group of an answer, viewed in place inside its
+/// ApproximateResult: the group's key, the estimates plus, per aggregate,
+/// the standard error and the half-width error bound at the configured
+/// confidence. A view stays valid until its result is next modified,
+/// moved or destroyed.
+struct ApproximateGroupRow {
+  std::span<const Value> key;
+  std::span<const double> estimates;
+  std::span<const double> std_errors;
+  std::span<const double> bounds;
+  uint64_t support = 0;  ///< Sample tuples contributing to this group.
+  GroupProvenance provenance = GroupProvenance::kSampled;
+};
+
+/// A group-by answer: per group, estimates with error bounds. It is the
+/// one answer type, as Aqua's answers are. An exact answer (ExecuteExact,
+/// ExactRollups) is the case whose groups carry zero standard errors and
+/// bounds, support 0 and GroupProvenance::kExact; the rewrite plans and
+/// the summary synopses give kSampled groups with zero bounds.
+///
+/// Every group carries key_width() key values and num_aggregates()
+/// aggregates, so the answer is stored flat, in row order and with no key
+/// index: one array of keys (key_width() values per group), one array of
+/// numbers holding each group's estimates, then its standard errors, then
+/// its bounds (3 * num_aggregates() doubles per group, the order they take
+/// on the wire), and one support and one provenance per group. An answer
+/// thus costs a constant number of allocations however many groups it
+/// has.
+///
+/// Add tracks whether the keys are strictly increasing and free of NaN.
+/// While they are, Find binary-searches. Otherwise Find scans and returns
+/// the first group whose key compares equal — the group a hash index
+/// built in row order returned, so a NaN key is never found and of two
+/// equal keys (such as 0.0 and -0.0) the earlier group wins.
+class ApproximateResult {
  public:
-  QueryResult() = default;
+  ApproximateResult() = default;
+  /// An empty answer whose groups have `key_width` key values and
+  /// `num_aggregates` aggregates each.
+  ApproximateResult(size_t key_width, size_t num_aggregates)
+      : key_width_(key_width), num_aggs_(num_aggregates) {}
 
-  /// Appends a group row. Keys must be unique.
-  void Add(GroupKey key, std::vector<double> aggregates);
+  size_t key_width() const { return key_width_; }
+  size_t num_aggregates() const { return num_aggs_; }
+  size_t num_groups() const { return support_.size(); }
 
-  /// Reserves room for `num_groups` rows.
-  void Reserve(size_t num_groups) { rows_.reserve(num_groups); }
+  /// Makes room for `num_groups` groups in total.
+  void Reserve(size_t num_groups);
 
-  size_t num_groups() const { return rows_.size(); }
-  const std::vector<GroupResult>& rows() const { return rows_; }
+  /// Appends a group keyed `key` (key_width() values, not a view into
+  /// this answer) and returns its 3 * num_aggregates() numbers, zeroed,
+  /// for the caller to fill: estimates, then standard errors, then
+  /// bounds. The span is valid until the next modification of the answer.
+  std::span<double> Add(std::span<const Value> key, uint64_t support,
+                        GroupProvenance provenance);
 
-  /// Pointer to the row for `key`, or nullptr if that group is absent.
-  const GroupResult* Find(std::span<const Value> key) const;
-  const GroupResult* Find(const GroupKey& key) const {
-    return Find(std::span<const Value>(key));
+  /// The view of group `i` (0 <= i < num_groups()).
+  ApproximateGroupRow row(size_t i) const {
+    const double* numbers = numbers_.data() + i * 3 * num_aggs_;
+    ApproximateGroupRow view;
+    view.key = KeyOf(i);
+    view.estimates = {numbers, num_aggs_};
+    view.std_errors = {numbers + num_aggs_, num_aggs_};
+    view.bounds = {numbers + 2 * num_aggs_, num_aggs_};
+    view.support = support_[i];
+    view.provenance = provenance_[i];
+    return view;
+  }
+  /// Group `i`'s estimates, standard errors and bounds, contiguous in
+  /// that order.
+  std::span<const double> row_numbers(size_t i) const {
+    return {numbers_.data() + i * 3 * num_aggs_, 3 * num_aggs_};
+  }
+  std::span<double> row_numbers(size_t i) {
+    return {numbers_.data() + i * 3 * num_aggs_, 3 * num_aggs_};
+  }
+  /// Every group's view, in row order: a random-access range valid while
+  /// the answer is unmodified.
+  auto rows() const {
+    return std::views::iota(size_t{0}, num_groups()) |
+           std::views::transform([this](size_t i) { return row(i); });
   }
 
-  /// Whether the keys are strictly increasing and NaN-free, so Find
-  /// binary-searches and two such answers can be merged by key.
+  /// The first group whose key equals `key`, or nullopt.
+  std::optional<ApproximateGroupRow> Find(std::span<const Value> key) const;
+  std::optional<ApproximateGroupRow> Find(const GroupKey& key) const {
+    return Find(std::span<const Value>(key));
+  }
+  /// Keys strictly increasing and NaN-free, so Find binary-searches and
+  /// two such answers can be merged by key.
   bool searchable() const { return searchable_; }
-
-  /// Sorts rows by group key; call once after all Adds for deterministic
-  /// iteration order.
+  /// Sorts the groups by key unless they are already searchable.
   void SortByKey();
 
-  /// Drops every group failing any of the query's HAVING conditions,
-  /// keeping the survivors' order. No-op when `having` is empty.
+  /// Drops groups whose estimates fail any HAVING condition, keeping the
+  /// survivors' order (for a sampled answer, an approximate HAVING:
+  /// groups near the threshold may be mis-kept or mis-dropped, with
+  /// likelihood governed by the group's bound). No-op when `having` is
+  /// empty.
   void FilterHaving(const std::vector<HavingCondition>& having);
+
+  /// Multiplies every standard error and bound by `factor`, in place.
+  void WidenBounds(double factor);
 
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  /// Row i's key, for the result_rows helpers.
-  auto KeyAt() const {
-    return [this](size_t i) -> const GroupKey& { return rows_[i].key; };
+  std::span<const Value> KeyOf(size_t i) const {
+    return {keys_.data() + i * key_width_, key_width_};
   }
+  /// Whether the keys are strictly increasing and NaN-free.
+  bool KeysSearchable() const;
 
-  std::vector<GroupResult> rows_;
-  /// Keys strictly increasing and NaN-free (result_rows::Searchable).
+  size_t key_width_ = 0;
+  size_t num_aggs_ = 0;
+  std::vector<Value> keys_;      // num_groups() x key_width_.
+  std::vector<double> numbers_;  // num_groups() x 3 * num_aggs_.
+  std::vector<uint64_t> support_;
+  std::vector<GroupProvenance> provenance_;
+  /// Keys strictly increasing and NaN-free (KeysSearchable).
   bool searchable_ = true;
 };
 

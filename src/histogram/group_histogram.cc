@@ -80,7 +80,7 @@ Result<GroupHistogram> GroupHistogram::Build(const Table& table,
   return histogram;
 }
 
-Result<QueryResult> AnswerFromGroupTotals(
+Result<ApproximateResult> AnswerFromGroupTotals(
     const GroupByQuery& query, const std::vector<size_t>& grouping_columns,
     const std::vector<size_t>& measure_columns,
     const std::vector<GroupKey>& group_keys,
@@ -137,9 +137,9 @@ Result<QueryResult> AnswerFromGroupTotals(
     }
   }
 
-  QueryResult result;
+  ApproximateResult result(query.group_columns.size(), query.aggregates.size());
   for (auto& [key, acc] : out_groups) {
-    std::vector<double> finals(query.aggregates.size(), 0.0);
+    std::span<double> finals = result.Add(key, 0, GroupProvenance::kSampled);
     for (size_t a = 0; a < query.aggregates.size(); ++a) {
       switch (query.aggregates[a].kind) {
         case AggregateKind::kCount:
@@ -158,14 +158,14 @@ Result<QueryResult> AnswerFromGroupTotals(
           break;
       }
     }
-    result.Add(key, std::move(finals));
   }
   result.FilterHaving(query.having);
   result.SortByKey();
   return result;
 }
 
-Result<QueryResult> GroupHistogram::Answer(const GroupByQuery& query) const {
+Result<ApproximateResult> GroupHistogram::Answer(
+    const GroupByQuery& query) const {
   // Uniform-spread apportionment: each group in a bucket receives an
   // equal 1/num_groups share of the bucket's tuple count and sums.
   std::vector<std::vector<double>> totals(

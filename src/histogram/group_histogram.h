@@ -54,7 +54,9 @@ class GroupHistogram {
   /// pre-aggregated measure columns. Predicates are not supported (a
   /// histogram over the grouping attributes carries no per-tuple detail
   /// to evaluate them — one of its structural limitations vs. samples).
-  Result<QueryResult> Answer(const GroupByQuery& query) const;
+  /// Groups are GroupProvenance::kSampled with support 0 and zero-width
+  /// bounds.
+  Result<ApproximateResult> Answer(const GroupByQuery& query) const;
 
   size_t num_buckets() const { return buckets_.size(); }
   /// Total cells stored (for space accounting against a sample): each
@@ -82,8 +84,9 @@ class GroupHistogram {
 /// sum of measure_columns[k], for the key-sorted finest groups
 /// `group_keys` over `grouping_columns`. The histogram and the wavelet
 /// synopsis differ only in how they estimate those totals; `kind` names
-/// the synopsis in errors.
-Result<QueryResult> AnswerFromGroupTotals(
+/// the synopsis in errors. Groups are GroupProvenance::kSampled with
+/// support 0 and zero-width bounds, sorted by key.
+Result<ApproximateResult> AnswerFromGroupTotals(
     const GroupByQuery& query, const std::vector<size_t>& grouping_columns,
     const std::vector<size_t>& measure_columns,
     const std::vector<GroupKey>& group_keys,

@@ -171,24 +171,20 @@ double WorstRelativeBound(const ApproximateResult& result, double floor) {
   return worst;
 }
 
-/// Converts a summary (histogram/wavelet) point answer into the
-/// approximate interface with heuristic residual-scaled bounds. These are
-/// model residuals, not probabilistic intervals — which is exactly why
-/// the scorer never offers summaries against an error promise.
-ApproximateResult SummaryAsApproximate(const QueryResult& answer,
+/// Gives a summary (histogram/wavelet) point answer heuristic
+/// residual-scaled bounds. These are model residuals, not probabilistic
+/// intervals — which is exactly why the scorer never offers summaries
+/// against an error promise.
+ApproximateResult SummaryAsApproximate(ApproximateResult answer,
                                        double residual) {
-  const std::vector<GroupResult>& rows = answer.rows();
-  const size_t k = rows.empty() ? 0 : rows[0].aggregates.size();
-  ApproximateResult out(rows.empty() ? 0 : rows[0].key.size(), k);
-  out.Reserve(rows.size());
-  for (const GroupResult& row : rows) {
-    std::span<double> numbers = out.Add(row.key, 0, GroupProvenance::kSampled);
+  const size_t k = answer.num_aggregates();
+  for (size_t i = 0; i < answer.num_groups(); ++i) {
+    const std::span<double> numbers = answer.row_numbers(i);
     for (size_t a = 0; a < k; ++a) {
-      numbers[a] = row.aggregates[a];
-      numbers[2 * k + a] = residual * std::fabs(row.aggregates[a]);
+      numbers[2 * k + a] = residual * std::fabs(numbers[a]);
     }
   }
-  return out;
+  return answer;
 }
 
 const CandidateScore* FindCandidate(const std::vector<CandidateScore>& cs,
@@ -343,7 +339,6 @@ Result<ApproximateResult> ExecuteCombinedPlan(
           : MakeAndPredicate({in_outliers, plan.inner.predicate});
   auto exact = ExecuteExactOnSnapshot(snapshot, exact_query);
   if (!exact.ok()) return exact.status();
-  const QueryResult& exact_part = *exact;
   const size_t slots = plan.inner.aggregates.size();
 
   // Sampled tail: the outlier strata are excluded from the estimate.
@@ -363,40 +358,42 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   // and is never paired. Only the tail carries uncertainty, so the
   // combined bound of an internal slot is the tail's; AVG propagates the
   // ratio bound (b_S + |avg| b_C) / C.
-  const std::vector<GroupResult>& exact_rows = exact_part.rows();
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  const size_t num_exact = exact->num_groups();
   const size_t num_tail = tail->num_groups();
-  constexpr size_t kNoTail = std::numeric_limits<size_t>::max();
-  // (exact row or nullptr, tail row index or kNoTail) per output group.
-  std::vector<std::pair<const GroupResult*, size_t>> parts;
-  parts.reserve(exact_rows.size() + num_tail);
-  if (exact_part.searchable() && tail->searchable()) {
+  auto exact_key = [&exact](size_t i) { return exact->row(i).key; };
+  auto tail_key = [&tail](size_t j) { return tail->row(j).key; };
+  // (exact row index, tail row index) per output group; kNone where the
+  // group has no such part.
+  std::vector<std::pair<size_t, size_t>> parts;
+  parts.reserve(num_exact + num_tail);
+  if (exact->searchable() && tail->searchable()) {
     size_t i = 0;
     size_t j = 0;
-    auto tail_key = [&tail](size_t j) { return tail->row(j).key; };
-    while (i < exact_rows.size() || j < num_tail) {
+    while (i < num_exact || j < num_tail) {
       if (j == num_tail ||
-          (i < exact_rows.size() && KeyLess(exact_rows[i].key, tail_key(j)))) {
-        parts.emplace_back(&exact_rows[i++], kNoTail);
-      } else if (i == exact_rows.size() ||
-                 KeyLess(tail_key(j), exact_rows[i].key)) {
-        parts.emplace_back(nullptr, j++);
+          (i < num_exact && KeyLess(exact_key(i), tail_key(j)))) {
+        parts.emplace_back(i++, kNone);
+      } else if (i == num_exact || KeyLess(tail_key(j), exact_key(i))) {
+        parts.emplace_back(kNone, j++);
       } else {
-        parts.emplace_back(&exact_rows[i++], j++);
+        parts.emplace_back(i++, j++);
       }
     }
   } else {
     std::unordered_map<GroupKey, size_t, GroupKeyHash> part_of;
-    for (const GroupResult& row : exact_rows) {
-      part_of.emplace(row.key, parts.size());
-      parts.emplace_back(&row, kNoTail);
+    for (size_t i = 0; i < num_exact; ++i) {
+      const std::span<const Value> key = exact_key(i);
+      part_of.emplace(GroupKey(key.begin(), key.end()), parts.size());
+      parts.emplace_back(i, kNone);
     }
     for (size_t j = 0; j < num_tail; ++j) {
-      const std::span<const Value> key = tail->row(j).key;
+      const std::span<const Value> key = tail_key(j);
       auto it = part_of.find(GroupKey(key.begin(), key.end()));
       if (it != part_of.end()) {
         parts[it->second].second = j;
       } else {
-        parts.emplace_back(nullptr, j);
+        parts.emplace_back(kNone, j);
       }
     }
   }
@@ -404,28 +401,29 @@ Result<ApproximateResult> ExecuteCombinedPlan(
   ApproximateResult result(tail->key_width(), num_aggs);
   result.Reserve(parts.size());
   std::vector<double> value(slots), bound(slots), se(slots);
-  for (const auto& [exact, j] : parts) {
+  for (const auto& [i, j] : parts) {
+    const std::optional<ApproximateGroupRow> exact_row =
+        i == kNone ? std::nullopt : std::optional(exact->row(i));
     const std::optional<ApproximateGroupRow> sampled =
-        j == kNoTail ? std::nullopt : std::optional(tail->row(j));
+        j == kNone ? std::nullopt : std::optional(tail->row(j));
     for (size_t k = 0; k < slots; ++k) {
-      value[k] = (exact != nullptr ? exact->aggregates[k] : 0.0) +
+      value[k] = (exact_row ? exact_row->estimates[k] : 0.0) +
                  (sampled ? sampled->estimates[k] : 0.0);
       bound[k] = sampled ? sampled->bounds[k] : 0.0;
       se[k] = sampled ? sampled->std_errors[k] : 0.0;
     }
     const double exact_count =
-        exact != nullptr ? exact->aggregates[plan.count_slot] : 0.0;
+        exact_row ? exact_row->estimates[plan.count_slot] : 0.0;
     const uint64_t support = (sampled ? sampled->support : 0) +
                              static_cast<uint64_t>(std::llround(exact_count));
     GroupProvenance provenance = GroupProvenance::kSampled;
-    if (exact != nullptr && sampled) {
+    if (exact_row && sampled) {
       provenance = GroupProvenance::kCombined;
-    } else if (exact != nullptr) {
+    } else if (exact_row) {
       provenance = GroupProvenance::kExact;
     }
-    std::span<double> numbers =
-        exact != nullptr ? result.Add(exact->key, support, provenance)
-                         : result.Add(sampled->key, support, provenance);
+    std::span<double> numbers = result.Add(
+        exact_row ? exact_row->key : sampled->key, support, provenance);
     double* estimates = numbers.data();
     double* std_errors = estimates + num_aggs;
     double* bounds = std_errors + num_aggs;
@@ -719,7 +717,8 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
       }
       auto answer = snapshot.histogram->Answer(query);
       if (!answer.ok()) return answer.status();
-      return SummaryAsApproximate(*answer, snapshot.histogram_residual);
+      return SummaryAsApproximate(std::move(answer).value(),
+                                  snapshot.histogram_residual);
     }
     case PlanKind::kWavelet: {
       if (snapshot.wavelet == nullptr) {
@@ -727,17 +726,15 @@ Result<ApproximateResult> Planner::Execute(const AquaSnapshot& snapshot,
       }
       auto answer = snapshot.wavelet->Answer(query);
       if (!answer.ok()) return answer.status();
-      return SummaryAsApproximate(*answer, snapshot.wavelet_residual);
+      return SummaryAsApproximate(std::move(answer).value(),
+                                  snapshot.wavelet_residual);
     }
     case PlanKind::kCombined:
       return ExecuteCombinedPlan(snapshot, query, choice.outlier_strata,
                                  confidence);
-    case PlanKind::kExact: {
-      // ExecuteExact has already applied HAVING and sorted by key.
-      auto exact = ExecuteExactOnSnapshot(snapshot, query);
-      if (!exact.ok()) return exact.status();
-      return ExactAsApproximate(*exact);
-    }
+    case PlanKind::kExact:
+      // Exact groups with zero-width bounds, HAVING applied, key order.
+      return ExecuteExactOnSnapshot(snapshot, query);
   }
   return Status::Internal("unknown plan kind");
 }

@@ -243,7 +243,7 @@ Response AquaServer::Execute(const Pending& pending) const {
     case QueryMode::kExact: {
       auto exact = engine_->QueryExact(pending.request.sql);
       if (exact.ok()) {
-        response.result = ExactAsApproximate(*exact);
+        response.result = std::move(exact).value();
       } else {
         response.status = exact.status();
       }

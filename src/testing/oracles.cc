@@ -64,19 +64,19 @@ bool PassesRobustly(const HavingCondition& cond, double value) {
 /// reference (having-stripped) values: every surviving group passes every
 /// condition at least within slack, and every robustly-passing reference
 /// group survives.
-Status CheckHavingMembership(const QueryResult& reference,
+Status CheckHavingMembership(const ApproximateResult& reference,
                              const std::vector<HavingCondition>& having,
-                             const QueryResult& filtered,
+                             const ApproximateResult& filtered,
                              const std::string& label) {
-  for (const GroupResult& row : filtered.rows()) {
-    const GroupResult* ref = reference.Find(row.key);
-    if (ref == nullptr) {
+  for (const ApproximateGroupRow& row : filtered.rows()) {
+    const auto ref = reference.Find(row.key);
+    if (!ref) {
       return Status::Internal(label + " HAVING kept group " +
                               GroupKeyToString(row.key) +
                               " absent from the unfiltered answer");
     }
     for (const HavingCondition& cond : having) {
-      double value = ref->aggregates[cond.aggregate_index];
+      double value = ref->estimates[cond.aggregate_index];
       if (!PassesWithSlack(cond, value)) {
         return Status::Internal(
             label + " HAVING kept group " + GroupKeyToString(row.key) +
@@ -85,13 +85,13 @@ Status CheckHavingMembership(const QueryResult& reference,
       }
     }
   }
-  for (const GroupResult& ref : reference.rows()) {
+  for (const ApproximateGroupRow& ref : reference.rows()) {
     bool robust = true;
     for (const HavingCondition& cond : having) {
       robust = robust &&
-               PassesRobustly(cond, ref.aggregates[cond.aggregate_index]);
+               PassesRobustly(cond, ref.estimates[cond.aggregate_index]);
     }
-    if (robust && filtered.Find(ref.key) == nullptr) {
+    if (robust && !filtered.Find(ref.key)) {
       return Status::Internal(label + " HAVING dropped group " +
                               GroupKeyToString(ref.key) +
                               " that clearly passes every condition");
@@ -179,8 +179,9 @@ Status CheckSamplesIdentical(const StratifiedSample& a,
   return Status::OK();
 }
 
-Status CheckResultsEqual(const QueryResult& a, const QueryResult& b,
-                         double rel_tol, const std::string& label_a,
+Status CheckResultsEqual(const ApproximateResult& a,
+                         const ApproximateResult& b, double rel_tol,
+                         const std::string& label_a,
                          const std::string& label_b) {
   if (a.num_groups() != b.num_groups()) {
     return Status::Internal(label_a + " has " +
@@ -188,21 +189,21 @@ Status CheckResultsEqual(const QueryResult& a, const QueryResult& b,
                             label_b + " has " +
                             std::to_string(b.num_groups()));
   }
-  for (const GroupResult& row : a.rows()) {
-    const GroupResult* other = b.Find(row.key);
-    if (other == nullptr) {
+  for (const ApproximateGroupRow& row : a.rows()) {
+    const auto other = b.Find(row.key);
+    if (!other) {
       return Status::Internal("group " + GroupKeyToString(row.key) +
                               " present in " + label_a + " but missing from " +
                               label_b);
     }
-    if (row.aggregates.size() != other->aggregates.size()) {
+    if (row.estimates.size() != other->estimates.size()) {
       return Status::Internal("group " + GroupKeyToString(row.key) +
                               ": aggregate counts differ between " + label_a +
                               " and " + label_b);
     }
-    for (size_t i = 0; i < row.aggregates.size(); ++i) {
-      double x = row.aggregates[i];
-      double y = other->aggregates[i];
+    for (size_t i = 0; i < row.estimates.size(); ++i) {
+      double x = row.estimates[i];
+      double y = other->estimates[i];
       bool equal;
       if (rel_tol == 0.0) {
         equal = x == y;
@@ -246,8 +247,7 @@ Status CheckRewriterAgreement(const StratifiedSample& sample,
   const SampleMoments moments = SampleMoments::Compute(sample);
   auto estimate = EstimateGroupBy(sample, moments, stripped);
   CONGRESS_RETURN_NOT_OK(estimate.status());
-  CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*integrated,
-                                           estimate->ToQueryResult(), 1e-6,
+  CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*integrated, *estimate, 1e-6,
                                            "Integrated", "estimator"));
 
   if (query.having.empty()) return Status::OK();
@@ -268,8 +268,7 @@ Status CheckRewriterAgreement(const StratifiedSample& sample,
   }
   auto filtered_estimate = EstimateGroupBy(sample, moments, query);
   CONGRESS_RETURN_NOT_OK(filtered_estimate.status());
-  return CheckHavingMembership(*integrated, query.having,
-                               filtered_estimate->ToQueryResult(),
+  return CheckHavingMembership(*integrated, query.having, *filtered_estimate,
                                "estimator");
 }
 
@@ -297,9 +296,8 @@ Status CheckFullSampleMatchesExact(const Table& table,
   auto estimate =
       EstimateGroupBy(*sample, SampleMoments::Compute(*sample), query);
   CONGRESS_RETURN_NOT_OK(estimate.status());
-  CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*exact,
-                                           estimate->ToQueryResult(), 1e-9,
-                                           "exact", "estimator@100%"));
+  CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*exact, *estimate, 1e-9, "exact",
+                                           "estimator@100%"));
 
   Rewriter rewriter(*sample);
   const RewriteStrategy all[] = {RewriteStrategy::kIntegrated,
@@ -350,9 +348,9 @@ Status CheckThreadInvariance(const Table& table,
 
     auto estimate_t = EstimateGroupBy(sample, moments, query, {}, parallel);
     CONGRESS_RETURN_NOT_OK(estimate_t.status());
-    CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
-        estimate1->ToQueryResult(), estimate_t->ToQueryResult(), 0.0,
-        "estimator@1t", "estimator" + suffix));
+    CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*estimate1, *estimate_t, 0.0,
+                                             "estimator@1t",
+                                             "estimator" + suffix));
     // The determinism contract covers the error bounds too, not just the
     // point estimates.
     for (size_t g = 0; g < estimate1->num_groups(); ++g) {
@@ -455,44 +453,22 @@ bool SameKeyBits(std::span<const Value> a, std::span<const Value> b) {
   return true;
 }
 
-}  // namespace
-
-Status CheckExactIdentical(const QueryResult& a, const QueryResult& b,
-                           const std::string& label) {
-  if (a.num_groups() != b.num_groups()) {
-    return Status::Internal(label + ": " + std::to_string(a.num_groups()) +
-                            " vs " + std::to_string(b.num_groups()) +
-                            " groups");
-  }
-  for (size_t i = 0; i < a.num_groups(); ++i) {
-    const GroupResult& x = a.rows()[i];
-    const GroupResult& y = b.rows()[i];
-    if (!SameKeyBits(x.key, y.key) ||
-        !std::ranges::equal(x.aggregates, y.aggregates, SameBits)) {
-      return Status::Internal(label + ": row " + std::to_string(i) + " (" +
-                              GroupKeyToString(x.key) + " vs " +
-                              GroupKeyToString(y.key) + ") differs");
-    }
-  }
-  return Status::OK();
-}
-
-namespace {
-
 /// Group ordering must match too: SortByKey should make it canonical,
 /// but the bit-identity contract covers emission order, so compare the
 /// key sequences directly rather than by lookup.
-Status CheckSameOrder(const QueryResult& a, const QueryResult& b,
+Status CheckSameOrder(const ApproximateResult& a, const ApproximateResult& b,
                       const std::string& label) {
-  if (a.rows().size() != b.rows().size()) {
+  if (a.num_groups() != b.num_groups()) {
     return Status::Internal(label + ": group counts differ");
   }
-  for (size_t i = 0; i < a.rows().size(); ++i) {
-    if (!(a.rows()[i].key == b.rows()[i].key)) {
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    const std::span<const Value> x = a.row(i).key;
+    const std::span<const Value> y = b.row(i).key;
+    if (!std::ranges::equal(x, y)) {
       return Status::Internal(label + ": group order diverges at row " +
                               std::to_string(i) + " (" +
-                              GroupKeyToString(a.rows()[i].key) + " vs " +
-                              GroupKeyToString(b.rows()[i].key) + ")");
+                              GroupKeyToString(x) + " vs " +
+                              GroupKeyToString(y) + ")");
     }
   }
   return Status::OK();
@@ -524,15 +500,15 @@ Status CheckVectorizedIdentity(const Table& table,
     auto zoned = ExecuteExact(table, query, options, &zones);
     CONGRESS_RETURN_NOT_OK(zoned.status());
     CONGRESS_RETURN_NOT_OK(
-        CheckExactIdentical(*vec, *zoned, "exact-zoned" + suffix));
+        CheckApproximateIdentical(*vec, *zoned, "exact-zoned" + suffix));
 
     auto est_vec = EstimateGroupBy(sample, moments, query, {}, options);
     CONGRESS_RETURN_NOT_OK(est_vec.status());
     auto est_ref = EstimateGroupBy(sample, moments, scalar, {}, options);
     CONGRESS_RETURN_NOT_OK(est_ref.status());
-    CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
-        est_ref->ToQueryResult(), est_vec->ToQueryResult(), 0.0,
-        "estimator-scalar" + suffix, "estimator-vectorized" + suffix));
+    CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*est_ref, *est_vec, 0.0,
+                                             "estimator-scalar" + suffix,
+                                             "estimator-vectorized" + suffix));
     // The scalar/vectorized contract covers the error bounds too.
     for (size_t g = 0; g < est_ref->num_groups(); ++g) {
       const ApproximateGroupRow r = est_ref->row(g);
@@ -1563,7 +1539,7 @@ Status CheckPlannerIdentity(const Table& table,
       auto on_snapshot = ExecuteExactOnSnapshot(on, plain);
       CONGRESS_RETURN_NOT_OK(on_snapshot.status());
       CONGRESS_RETURN_NOT_OK(
-          CheckExactIdentical(*exact, *on_snapshot, label + phase));
+          CheckApproximateIdentical(*exact, *on_snapshot, label + phase));
     }
     return Status::OK();
   };
@@ -1617,10 +1593,8 @@ Status CheckPlannerIdentity(const Table& table,
       CONGRESS_RETURN_NOT_OK(combined.status());
       auto exact = ExecuteExact(table, plain);
       CONGRESS_RETURN_NOT_OK(exact.status());
-      CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*exact,
-                                               combined->ToQueryResult(), 1e-9,
-                                               "exact",
-                                               name + " combined@100%"));
+      CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
+          *exact, *combined, 1e-9, "exact", name + " combined@100%"));
     }
   }
 
@@ -1648,9 +1622,9 @@ Status CheckPlannerIdentity(const Table& table,
       auto via = rewriter.Answer(plain, RewriteStrategy::kNestedIntegrated,
                                  synopsis.config().execution);
       CONGRESS_RETURN_NOT_OK(via.status());
-      CONGRESS_RETURN_NOT_OK(CheckResultsEqual(
-          *via, planned->result.ToQueryResult(), 1e-9,
-          name + " rewriter", name + " primary plan"));
+      CONGRESS_RETURN_NOT_OK(CheckResultsEqual(*via, planned->result, 1e-9,
+                                               name + " rewriter",
+                                               name + " primary plan"));
     }
   }
   return Status::OK();

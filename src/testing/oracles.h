@@ -19,11 +19,14 @@ namespace congress::testing {
 /// tolerance where only the math is shared. A failure Status carries a
 /// human-readable description of the first disagreement.
 
-/// Asserts `a` and `b` contain the same groups with the same aggregates.
-/// rel_tol == 0 demands bit-for-bit equality (the thread-invariance and
-/// SQL oracles); otherwise |a - b| <= rel_tol * |a| + abs_floor.
-Status CheckResultsEqual(const QueryResult& a, const QueryResult& b,
-                         double rel_tol, const std::string& label_a,
+/// Asserts `a` and `b` contain the same groups with the same estimates,
+/// looked up by key (bounds, support and provenance are not compared, so
+/// an exact answer compares directly with a sampled one). rel_tol == 0
+/// demands bit-for-bit equality (the thread-invariance and SQL oracles);
+/// otherwise |a - b| <= rel_tol * |a| + abs_floor.
+Status CheckResultsEqual(const ApproximateResult& a,
+                         const ApproximateResult& b, double rel_tol,
+                         const std::string& label_a,
                          const std::string& label_b);
 
 /// Bit-for-bit equality of two stratified samples: strata metadata
@@ -70,13 +73,9 @@ Status CheckVectorizedIdentity(const Table& table,
                                const StratifiedSample& sample,
                                const GroupByQuery& query);
 
-/// Row-by-row bit equality of two exact answers: group order, keys (down
-/// to the sign of a zero) and every aggregate.
-Status CheckExactIdentical(const QueryResult& a, const QueryResult& b,
-                           const std::string& label);
-
-/// Row-by-row bit equality of two approximate answers: group order, keys
-/// (down to the sign of a zero), support, provenance and every number.
+/// Row-by-row bit equality of two answers, exact or approximate: group
+/// order, keys (down to the sign of a zero), support, provenance and
+/// every number — estimates, standard errors and bounds.
 Status CheckApproximateIdentical(const ApproximateResult& a,
                                  const ApproximateResult& b,
                                  const std::string& label);

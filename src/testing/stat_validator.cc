@@ -78,14 +78,15 @@ Result<CoverageReport> RunCoverage(const CoverageConfig& config) {
                                     query, est_options);
     CONGRESS_RETURN_NOT_OK(estimate.status());
 
-    for (const GroupResult& truth : exact->rows()) {
+    for (const ApproximateGroupRow& truth : exact->rows()) {
       const std::optional<ApproximateGroupRow> est = estimate->Find(truth.key);
       if (!est) {
         ++report.missing_groups;
         continue;
       }
-      const size_t decile = decile_of[truth.key];
-      for (size_t a = 0; a < truth.aggregates.size(); ++a) {
+      const size_t decile =
+          decile_of[GroupKey(truth.key.begin(), truth.key.end())];
+      for (size_t a = 0; a < truth.estimates.size(); ++a) {
         if (est->support < 2) {
           // Bound is 0 by design (variance not estimable from one draw):
           // a statement of ignorance, not a coverage failure.
@@ -95,7 +96,7 @@ Result<CoverageReport> RunCoverage(const CoverageConfig& config) {
         ++report.trials;
         ++report.decile_trials[decile];
         const bool covered = std::fabs(est->estimates[a] -
-                                       truth.aggregates[a]) <=
+                                       truth.estimates[a]) <=
                              est->bounds[a] + 1e-9;
         if (covered) {
           ++report.covered;
@@ -233,15 +234,16 @@ Result<BudgetCoverageReport> RunBudgetCoverage(
       const size_t kind = static_cast<size_t>(planned->report.chosen.kind);
       ++tier.kind_runs[kind];
 
-      for (const GroupResult& truth : exact->rows()) {
+      for (const ApproximateGroupRow& truth : exact->rows()) {
         const std::optional<ApproximateGroupRow> est =
             planned->result.Find(truth.key);
         if (!est) {
           ++tier.missing_groups;
           continue;
         }
-        const size_t decile = decile_of[truth.key];
-        for (size_t a = 0; a < truth.aggregates.size(); ++a) {
+        const size_t decile =
+            decile_of[GroupKey(truth.key.begin(), truth.key.end())];
+        for (size_t a = 0; a < truth.estimates.size(); ++a) {
           ++tier.trials;
           ++tier.decile_trials[decile];
           ++tier.kind_trials[kind];
@@ -250,7 +252,7 @@ Result<BudgetCoverageReport> RunBudgetCoverage(
             ++tier.promise_broken;
           }
           const bool covered = std::fabs(est->estimates[a] -
-                                         truth.aggregates[a]) <=
+                                         truth.estimates[a]) <=
                                est->bounds[a] + 1e-9;
           if (covered) {
             ++tier.covered;

@@ -7,15 +7,12 @@
 namespace congress::simd {
 
 namespace detail {
-// Defined in the per-ISA translation units (simd_avx2.cc / simd_neon.cc),
-// which CMake only compiles on the matching architecture. The references
-// below are guarded by the same preprocessor conditions, so no undefined
-// symbol can be pulled in on a foreign architecture.
+// Defined in simd_avx2.cc, which CMake only compiles on x86-64. The
+// references below are guarded by the same preprocessor conditions, so
+// no undefined symbol can be pulled in on another architecture.
 #if !defined(CONGRESS_SIMD_DISABLED)
 #if defined(__x86_64__) || defined(_M_X64)
 const Ops* Avx2Ops();
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-const Ops* NeonOps();
 #endif
 #endif
 }  // namespace detail
@@ -238,8 +235,6 @@ Resolved Resolve() {
     if (__builtin_cpu_supports("avx2")) {
       return {detail::Avx2Ops(), "avx2"};
     }
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-    return {detail::NeonOps(), "neon"};
 #endif
   }
 #endif

@@ -43,7 +43,7 @@ struct SlotScan8 {
 };
 
 /// Dispatch table for the data-parallel primitives. One implementation is
-/// selected per process (AVX2 / NEON / scalar); every entry has identical
+/// selected per process (AVX2 / scalar); every entry has identical
 /// observable behavior, differing only in speed — the `vectorized` prop
 /// config and the kernel parity tests hold them to that.
 ///
@@ -127,7 +127,7 @@ const Ops& ScalarOps();
 /// True when Active() is a vector implementation (not scalar).
 bool Enabled();
 
-/// "avx2", "neon", or "scalar" — whatever Active() resolved to.
+/// "avx2" or "scalar" — whatever Active() resolved to.
 const char* LevelName();
 
 /// True when the CONGRESS_SIMD environment knob (OFF|off|0|scalar) asks

@@ -147,7 +147,8 @@ Result<WaveletSynopsis> WaveletSynopsis::Build(const Table& table,
   return synopsis;
 }
 
-Result<QueryResult> WaveletSynopsis::Answer(const GroupByQuery& query) const {
+Result<ApproximateResult> WaveletSynopsis::Answer(
+    const GroupByQuery& query) const {
   return AnswerFromGroupTotals(query, grouping_columns_, measure_columns_,
                                group_keys_, reconstructed_, "wavelet");
 }

@@ -44,8 +44,9 @@ class WaveletSynopsis {
       const Options& options);
 
   /// Answers SUM/COUNT/AVG group-bys over the synopsis dimensions (no
-  /// tuple predicates, like the histogram baseline).
-  Result<QueryResult> Answer(const GroupByQuery& query) const;
+  /// tuple predicates, like the histogram baseline), as
+  /// AnswerFromGroupTotals does.
+  Result<ApproximateResult> Answer(const GroupByQuery& query) const;
 
   /// Coefficients actually retained (may be below the budget if the
   /// vectors have fewer non-zero coefficients).

@@ -82,11 +82,10 @@ TEST_F(AquaEngineTest, SqlQueryEndToEnd) {
   auto exact = engine_.QueryExact(
       "SELECT region, SUM(amount) FROM sales GROUP BY region");
   ASSERT_TRUE(exact.ok());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto est = approx->Find(row.key);
     ASSERT_TRUE(est.has_value());
-    EXPECT_NEAR(est->estimates[0], row.aggregates[0],
-                0.2 * row.aggregates[0]);
+    EXPECT_NEAR(est->estimates[0], row.estimates[0], 0.2 * row.estimates[0]);
     EXPECT_GT(est->bounds[0], 0.0);
   }
 }
@@ -112,12 +111,12 @@ TEST_F(AquaEngineTest, QueryViaStrategiesAgree) {
         RewriteStrategy::kKeyNormalized}) {
     auto result = engine_.QueryVia(sql, strategy);
     ASSERT_TRUE(result.ok());
-    for (const GroupResult& row : reference->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      for (size_t a = 0; a < row.aggregates.size(); ++a) {
-        EXPECT_NEAR(other->aggregates[a], row.aggregates[a],
-                    1e-6 * std::abs(row.aggregates[a]) + 1e-9);
+    for (const ApproximateGroupRow& row : reference->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      for (size_t a = 0; a < row.estimates.size(); ++a) {
+        EXPECT_NEAR(other->estimates[a], row.estimates[a],
+                    1e-6 * std::abs(row.estimates[a]) + 1e-9);
       }
     }
   }
@@ -201,9 +200,9 @@ TEST_F(AquaEngineTest, IncrementalInsertFlowsThrough) {
     auto exact = engine.QueryExact(
         "SELECT region, SUM(amount) FROM live GROUP BY region");
     ASSERT_TRUE(exact.ok());
-    const GroupResult* north = exact->Find({Value("north")});
-    ASSERT_NE(north, nullptr);
-    EXPECT_DOUBLE_EQ(north->aggregates[0], c.inserts * c.amount);
+    const auto north = exact->Find({Value("north")});
+    ASSERT_TRUE(north.has_value());
+    EXPECT_DOUBLE_EQ(north->estimates[0], c.inserts * c.amount);
   }
 }
 
@@ -236,8 +235,8 @@ TEST_F(AquaEngineTest, EveryPublishRecordsZones) {
       "SELECT region, COUNT(*) FROM live WHERE amount >= 50 GROUP BY region");
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(exact->num_groups(), 1u);
-  EXPECT_EQ(exact->rows()[0].key, GroupKey{Value("north")});
-  EXPECT_EQ(exact->rows()[0].aggregates[0], 5.0);
+  EXPECT_TRUE(KeyEqual(exact->row(0).key, GroupKey{Value("north")}));
+  EXPECT_EQ(exact->rows()[0].estimates[0], 5.0);
 
   const std::string path = ::testing::TempDir() + "/aqua_test_zones.snap";
   ASSERT_TRUE(engine.Checkpoint("live", path).ok());
@@ -428,9 +427,9 @@ TEST_F(AquaEngineTest, InsertBatchFlowsThrough) {
   auto exact = engine.QueryExact(
       "SELECT region, SUM(amount) FROM live GROUP BY region");
   ASSERT_TRUE(exact.ok());
-  const GroupResult* north = exact->Find({Value("north")});
-  ASSERT_NE(north, nullptr);
-  EXPECT_DOUBLE_EQ(north->aggregates[0], 500.0);
+  const auto north = exact->Find({Value("north")});
+  ASSERT_TRUE(north.has_value());
+  EXPECT_DOUBLE_EQ(north->estimates[0], 500.0);
 
   // One bad row rejects the whole batch and buffers nothing.
   batch.push_back({Value("torn")});
@@ -682,7 +681,7 @@ TEST_F(AquaEngineTest, ConcurrentFirstUseOfExactRollupsMatchesSerial) {
   ASSERT_TRUE(serial_engine.RegisterTable("t", t, config).ok());
   auto serial_snapshot = serial_engine.GetSnapshot("t");
   ASSERT_TRUE(serial_snapshot.ok());
-  std::vector<QueryResult> serial;
+  std::vector<ApproximateResult> serial;
   for (const GroupByQuery& q : queries) {
     auto answer = ExecuteExactOnSnapshot(**serial_snapshot, q);
     ASSERT_TRUE(answer.ok()) << answer.status().ToString();
@@ -696,7 +695,7 @@ TEST_F(AquaEngineTest, ConcurrentFirstUseOfExactRollupsMatchesSerial) {
   ASSERT_NE((*snapshot)->exact_rollups, nullptr);
   EXPECT_EQ((*snapshot)->exact_rollups->num_entries(), 0u);
   constexpr size_t kThreads = 8;
-  std::vector<std::vector<QueryResult>> answers(kThreads);
+  std::vector<std::vector<ApproximateResult>> answers(kThreads);
   std::atomic<size_t> ready{0};
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
@@ -721,7 +720,7 @@ TEST_F(AquaEngineTest, ConcurrentFirstUseOfExactRollupsMatchesSerial) {
   for (size_t i = 0; i < kThreads; ++i) {
     ASSERT_EQ(answers[i].size(), queries.size());
     for (size_t k = 0; k < queries.size(); ++k) {
-      const Status same = testing::CheckExactIdentical(
+      const Status same = testing::CheckApproximateIdentical(
           answers[i][k], serial[(2 * i + k) % queries.size()],
           "thread " + std::to_string(i) + ", query " + std::to_string(k));
       EXPECT_TRUE(same.ok()) << same.ToString();
@@ -763,11 +762,11 @@ TEST_F(AquaEngineTest, PublishStartsAnEmptyExactRollupMemo) {
 
   auto after = engine.QueryExact(sql);
   ASSERT_TRUE(after.ok());
-  const GroupResult* east = after->Find(GroupKey{Value("east")});
-  const GroupResult* east_before = before->Find(GroupKey{Value("east")});
-  ASSERT_NE(east, nullptr);
-  ASSERT_NE(east_before, nullptr);
-  EXPECT_EQ(east->aggregates[1], east_before->aggregates[1] + 1.0);
+  const auto east = after->Find(GroupKey{Value("east")});
+  const auto east_before = before->Find(GroupKey{Value("east")});
+  ASSERT_TRUE(east.has_value());
+  ASSERT_TRUE(east_before.has_value());
+  EXPECT_EQ(east->estimates[1], east_before->estimates[1] + 1.0);
   EXPECT_EQ((*new_snapshot)->exact_rollups->num_entries(), 1u);
 
   // The pinned old snapshot answers as before, from its own memo.
@@ -777,7 +776,8 @@ TEST_F(AquaEngineTest, PublishStartsAnEmptyExactRollupMemo) {
   const size_t old_bytes = old_memo.state_bytes();
   auto again = ExecuteExactOnSnapshot(**old_snapshot, by_region);
   ASSERT_TRUE(again.ok());
-  const Status same = testing::CheckExactIdentical(*before, *again, "pinned");
+  const Status same =
+      testing::CheckApproximateIdentical(*before, *again, "pinned");
   EXPECT_TRUE(same.ok()) << same.ToString();
   EXPECT_EQ(old_memo.num_entries(), 1u);
   EXPECT_EQ(old_memo.state_bytes(), old_bytes);

@@ -183,10 +183,10 @@ TEST_F(DegradationTest, UnscorableFallbacksAreTriedNotSkipped) {
   auto exact = engine_.QueryExact(kMaxSql);
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(answer->result.num_groups(), exact->rows().size());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto got = answer->result.Find(row.key);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->estimates[0], row.aggregates[0]);
+    EXPECT_EQ(got->estimates[0], row.estimates[0]);
   }
 }
 
@@ -241,10 +241,10 @@ TEST_F(DegradationTest, LastRungIsExactWithZeroWidthBounds) {
   auto exact = engine_.QueryExact(kSql);
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(answer->result.num_groups(), exact->rows().size());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto est = answer->result.Find(row.key);
     ASSERT_TRUE(est.has_value());
-    EXPECT_DOUBLE_EQ(est->estimates[0], row.aggregates[0]);
+    EXPECT_DOUBLE_EQ(est->estimates[0], row.estimates[0]);
     EXPECT_DOUBLE_EQ(est->std_errors[0], 0.0);
     EXPECT_DOUBLE_EQ(est->bounds[0], 0.0);
   }

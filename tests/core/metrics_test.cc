@@ -1,5 +1,6 @@
 #include "core/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -7,18 +8,32 @@
 namespace congress {
 namespace {
 
-QueryResult MakeResult(std::vector<std::pair<int64_t, double>> rows) {
-  QueryResult r;
-  for (auto& [key, value] : rows) {
-    r.Add({Value(key)}, {value});
+/// A one-column answer holding `values` for `keys`, one aggregate each.
+ApproximateResult MakeResult(const std::vector<int64_t>& keys,
+                             const std::vector<std::vector<double>>& values) {
+  ApproximateResult r(1, values.empty() ? 0 : values[0].size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    std::ranges::copy(values[i], r.Add(GroupKey{Value(keys[i])}, 0,
+                                       GroupProvenance::kExact)
+                                     .begin());
   }
   r.SortByKey();
   return r;
 }
 
+ApproximateResult MakeResult(std::vector<std::pair<int64_t, double>> rows) {
+  std::vector<int64_t> keys;
+  std::vector<std::vector<double>> values;
+  for (auto& [key, value] : rows) {
+    keys.push_back(key);
+    values.push_back({value});
+  }
+  return MakeResult(keys, values);
+}
+
 TEST(MetricsTest, ExactMatchIsZeroError) {
-  QueryResult exact = MakeResult({{1, 10.0}, {2, 20.0}});
-  QueryResult approx = MakeResult({{1, 10.0}, {2, 20.0}});
+  ApproximateResult exact = MakeResult({{1, 10.0}, {2, 20.0}});
+  ApproximateResult approx = MakeResult({{1, 10.0}, {2, 20.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_DOUBLE_EQ(report.linf, 0.0);
   EXPECT_DOUBLE_EQ(report.l1, 0.0);
@@ -28,8 +43,8 @@ TEST(MetricsTest, ExactMatchIsZeroError) {
 }
 
 TEST(MetricsTest, PerGroupRelativeErrorEq1) {
-  QueryResult exact = MakeResult({{1, 100.0}});
-  QueryResult approx = MakeResult({{1, 90.0}});
+  ApproximateResult exact = MakeResult({{1, 100.0}});
+  ApproximateResult approx = MakeResult({{1, 90.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_DOUBLE_EQ(report.linf, 10.0);  // |100-90|/100 * 100.
   EXPECT_DOUBLE_EQ(report.l1, 10.0);
@@ -37,8 +52,8 @@ TEST(MetricsTest, PerGroupRelativeErrorEq1) {
 }
 
 TEST(MetricsTest, NormsDifferForHeterogeneousErrors) {
-  QueryResult exact = MakeResult({{1, 100.0}, {2, 100.0}});
-  QueryResult approx = MakeResult({{1, 100.0}, {2, 80.0}});
+  ApproximateResult exact = MakeResult({{1, 100.0}, {2, 100.0}});
+  ApproximateResult approx = MakeResult({{1, 100.0}, {2, 80.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_DOUBLE_EQ(report.linf, 20.0);
   EXPECT_DOUBLE_EQ(report.l1, 10.0);
@@ -46,8 +61,8 @@ TEST(MetricsTest, NormsDifferForHeterogeneousErrors) {
 }
 
 TEST(MetricsTest, MissingGroupDefaultHundredPercent) {
-  QueryResult exact = MakeResult({{1, 100.0}, {2, 50.0}});
-  QueryResult approx = MakeResult({{1, 100.0}});
+  ApproximateResult exact = MakeResult({{1, 100.0}, {2, 50.0}});
+  ApproximateResult approx = MakeResult({{1, 100.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_EQ(report.missing_groups, 1u);
   EXPECT_DOUBLE_EQ(report.linf, 100.0);
@@ -55,8 +70,8 @@ TEST(MetricsTest, MissingGroupDefaultHundredPercent) {
 }
 
 TEST(MetricsTest, MissingGroupSkipPolicy) {
-  QueryResult exact = MakeResult({{1, 100.0}, {2, 50.0}});
-  QueryResult approx = MakeResult({{1, 90.0}});
+  ApproximateResult exact = MakeResult({{1, 100.0}, {2, 50.0}});
+  ApproximateResult approx = MakeResult({{1, 90.0}});
   auto report =
       CompareAnswers(exact, approx, 0, MissingGroupPolicy::kSkip);
   EXPECT_EQ(report.missing_groups, 1u);
@@ -68,43 +83,39 @@ TEST(MetricsTest, MissingGroupSkipPolicy) {
 }
 
 TEST(MetricsTest, ExtraGroupsCounted) {
-  QueryResult exact = MakeResult({{1, 100.0}});
-  QueryResult approx = MakeResult({{1, 100.0}, {9, 5.0}});
+  ApproximateResult exact = MakeResult({{1, 100.0}});
+  ApproximateResult approx = MakeResult({{1, 100.0}, {9, 5.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_EQ(report.extra_groups, 1u);
   EXPECT_DOUBLE_EQ(report.linf, 0.0);
 }
 
 TEST(MetricsTest, ZeroExactValueConventions) {
-  QueryResult exact = MakeResult({{1, 0.0}, {2, 0.0}});
-  QueryResult approx = MakeResult({{1, 0.0}, {2, 3.0}});
+  ApproximateResult exact = MakeResult({{1, 0.0}, {2, 0.0}});
+  ApproximateResult approx = MakeResult({{1, 0.0}, {2, 3.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_DOUBLE_EQ(report.per_group_errors[0], 0.0);
   EXPECT_DOUBLE_EQ(report.per_group_errors[1], 100.0);
 }
 
 TEST(MetricsTest, NegativeValuesUseAbsoluteRelativeError) {
-  QueryResult exact = MakeResult({{1, -100.0}});
-  QueryResult approx = MakeResult({{1, -80.0}});
+  ApproximateResult exact = MakeResult({{1, -100.0}});
+  ApproximateResult approx = MakeResult({{1, -80.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_DOUBLE_EQ(report.linf, 20.0);
 }
 
 TEST(MetricsTest, SecondAggregateColumn) {
-  QueryResult exact;
-  exact.Add({Value(int64_t{1})}, {10.0, 200.0});
-  exact.SortByKey();
-  QueryResult approx;
-  approx.Add({Value(int64_t{1})}, {10.0, 100.0});
-  approx.SortByKey();
+  ApproximateResult exact = MakeResult({1}, {{10.0, 200.0}});
+  ApproximateResult approx = MakeResult({1}, {{10.0, 100.0}});
   auto report0 = CompareAnswers(exact, approx, 0);
   auto report1 = CompareAnswers(exact, approx, 1);
   EXPECT_DOUBLE_EQ(report0.linf, 0.0);
   EXPECT_DOUBLE_EQ(report1.linf, 50.0);
 }
 
-TEST(MetricsTest, ApproximateResultOverload) {
-  QueryResult exact = MakeResult({{1, 100.0}});
+TEST(MetricsTest, SampledAgainstExactAnswer) {
+  ApproximateResult exact = MakeResult({{1, 100.0}});
   ApproximateResult approx(1, 1);
   approx.Add(GroupKey{Value(int64_t{1})}, 0, GroupProvenance::kSampled)[0] =
       110.0;
@@ -113,8 +124,8 @@ TEST(MetricsTest, ApproximateResultOverload) {
 }
 
 TEST(MetricsTest, EmptyExactAnswer) {
-  QueryResult exact;
-  QueryResult approx = MakeResult({{1, 1.0}});
+  ApproximateResult exact;
+  ApproximateResult approx = MakeResult({{1, 1.0}});
   auto report = CompareAnswers(exact, approx, 0);
   EXPECT_EQ(report.exact_groups, 0u);
   EXPECT_EQ(report.extra_groups, 1u);
@@ -122,8 +133,8 @@ TEST(MetricsTest, EmptyExactAnswer) {
 }
 
 TEST(MetricsTest, ToStringMentionsNorms) {
-  QueryResult exact = MakeResult({{1, 100.0}, {2, 50.0}});
-  QueryResult approx = MakeResult({{1, 90.0}});
+  ApproximateResult exact = MakeResult({{1, 100.0}, {2, 50.0}});
+  ApproximateResult approx = MakeResult({{1, 90.0}});
   auto report = CompareAnswers(exact, approx, 0);
   std::string s = report.ToString();
   EXPECT_NE(s.find("Linf"), std::string::npos);

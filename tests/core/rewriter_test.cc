@@ -86,11 +86,11 @@ TEST(RewriterTest, AllStrategiesAgreeOnSum) {
     auto result = rewriter.Answer(q, s);
     ASSERT_TRUE(result.ok()) << RewriteStrategyToString(s);
     ASSERT_EQ(result->num_groups(), reference->num_groups());
-    for (const GroupResult& row : reference->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                  1e-6 * std::fabs(row.aggregates[0]) + 1e-9)
+    for (const ApproximateGroupRow& row : reference->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                  1e-6 * std::fabs(row.estimates[0]) + 1e-9)
           << RewriteStrategyToString(s);
     }
   }
@@ -107,11 +107,11 @@ TEST(RewriterTest, AllStrategiesAgreeOnCountAndAvg) {
     for (RewriteStrategy s : kAllStrategies) {
       auto result = rewriter.Answer(q, s);
       ASSERT_TRUE(result.ok());
-      for (const GroupResult& row : reference->rows()) {
-        const GroupResult* other = result->Find(row.key);
-        ASSERT_NE(other, nullptr);
-        EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                    1e-6 * std::fabs(row.aggregates[0]) + 1e-9);
+      for (const ApproximateGroupRow& row : reference->rows()) {
+        const auto other = result->Find(row.key);
+        ASSERT_TRUE(other.has_value());
+        EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                    1e-6 * std::fabs(row.estimates[0]) + 1e-9);
       }
     }
   }
@@ -129,11 +129,11 @@ TEST(RewriterTest, MatchesEstimatorPointEstimates) {
   auto rewritten = rewriter.Answer(q, RewriteStrategy::kIntegrated);
   auto estimated = EstimateGroupBy(sample, SampleMoments::Compute(sample), q);
   ASSERT_TRUE(rewritten.ok() && estimated.ok());
-  for (const GroupResult& row : rewritten->rows()) {
+  for (const ApproximateGroupRow& row : rewritten->rows()) {
     const auto est = estimated->Find(row.key);
     ASSERT_TRUE(est.has_value());
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      EXPECT_NEAR(row.aggregates[a], est->estimates[a],
+    for (size_t a = 0; a < row.estimates.size(); ++a) {
+      EXPECT_NEAR(row.estimates[a], est->estimates[a],
                   1e-6 * std::fabs(est->estimates[a]) + 1e-9);
     }
   }
@@ -149,11 +149,11 @@ TEST(RewriterTest, FullSampleGivesExactAnswers) {
   for (RewriteStrategy s : kAllStrategies) {
     auto result = rewriter.Answer(q, s);
     ASSERT_TRUE(result.ok());
-    for (const GroupResult& row : exact->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                  1e-6 * std::fabs(row.aggregates[0]));
+    for (const ApproximateGroupRow& row : exact->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                  1e-6 * std::fabs(row.estimates[0]));
     }
   }
 }
@@ -168,20 +168,20 @@ TEST(RewriterTest, PredicatePushedToSampleScan) {
   GroupByQuery q_all = Query({0}, AggregateKind::kSum);
   auto without = rewriter.Answer(q_all, RewriteStrategy::kIntegrated);
   ASSERT_TRUE(with_pred.ok() && without.ok());
-  for (const GroupResult& row : with_pred->rows()) {
-    const GroupResult* all = without->Find(row.key);
-    ASSERT_NE(all, nullptr);
-    EXPECT_LT(row.aggregates[0], all->aggregates[0]);
+  for (const ApproximateGroupRow& row : with_pred->rows()) {
+    const auto all = without->Find(row.key);
+    ASSERT_TRUE(all.has_value());
+    EXPECT_LT(row.estimates[0], all->estimates[0]);
   }
   // All strategies agree under the predicate too.
   for (RewriteStrategy s : kAllStrategies) {
     auto result = rewriter.Answer(q, s);
     ASSERT_TRUE(result.ok());
-    for (const GroupResult& row : with_pred->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                  1e-6 * std::fabs(row.aggregates[0]) + 1e-9);
+    for (const ApproximateGroupRow& row : with_pred->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                  1e-6 * std::fabs(row.estimates[0]) + 1e-9);
     }
   }
 }
@@ -237,7 +237,7 @@ TEST(RewriterTest, UnbiasedMixedRateScaling) {
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), 1u);
     // Exact total is 110; all-constant values make the estimator exact.
-    EXPECT_NEAR(result->rows()[0].aggregates[0], 110.0, 1e-6);
+    EXPECT_NEAR(result->rows()[0].estimates[0], 110.0, 1e-6);
   }
 }
 

@@ -59,12 +59,11 @@ TEST(AquaSynopsisTest, BuildAndAnswer) {
 
   auto exact = ExecuteExact(base, SumQuery());
   ASSERT_TRUE(exact.ok());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto est = answer->Find(row.key);
     ASSERT_TRUE(est.has_value());
     // 20% Congress sample on mild data: within 25%.
-    EXPECT_NEAR(est->estimates[0], row.aggregates[0],
-                0.25 * row.aggregates[0]);
+    EXPECT_NEAR(est->estimates[0], row.estimates[0], 0.25 * row.estimates[0]);
   }
 }
 
@@ -91,11 +90,11 @@ TEST(AquaSynopsisTest, AnswerViaEachStrategy) {
         RewriteStrategy::kKeyNormalized}) {
     auto result = rewriter.Answer(q, strategy);
     ASSERT_TRUE(result.ok());
-    for (const GroupResult& row : reference->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                  1e-6 * row.aggregates[0]);
+    for (const ApproximateGroupRow& row : reference->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                  1e-6 * row.estimates[0]);
     }
   }
 }

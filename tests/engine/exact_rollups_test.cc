@@ -117,9 +117,11 @@ std::string Label(const GroupByQuery& query, const char* phase) {
   return std::string(phase) + " " + query.ToString();
 }
 
-void ExpectIdentical(const QueryResult& expected, const QueryResult& actual,
+void ExpectIdentical(const ApproximateResult& expected,
+                     const ApproximateResult& actual,
                      const std::string& label) {
-  const Status same = testing::CheckExactIdentical(expected, actual, label);
+  const Status same =
+      testing::CheckApproximateIdentical(expected, actual, label);
   EXPECT_TRUE(same.ok()) << same.ToString();
 }
 
@@ -338,7 +340,7 @@ TEST(ExactRollupsTest, RejectsWhatExecuteExactRejects) {
 /// so each NaN cell is its own group and -0.0 joins +0.0. Every row, even
 /// one the predicate rejects, claims its group's representative key on
 /// first sight; matching rows fold with Accumulator::Add in row order.
-QueryResult NaiveExact(const Table& t, const GroupByQuery& q) {
+ApproximateResult NaiveExact(const Table& t, const GroupByQuery& q) {
   std::vector<GroupKey> keys;
   std::vector<std::vector<Accumulator>> accs;
   for (size_t row = 0; row < t.num_rows(); ++row) {
@@ -357,12 +359,13 @@ QueryResult NaiveExact(const Table& t, const GroupByQuery& q) {
       accs[g][a].Add(AggregateInput(q.aggregates[a], t, row));
     }
   }
-  QueryResult result;
+  ApproximateResult result(q.group_columns.size(), q.aggregates.size());
   for (size_t g = 0; g < keys.size(); ++g) {
     if (accs[g][0].count() == 0) continue;
-    std::vector<double> finals;
-    for (const Accumulator& acc : accs[g]) finals.push_back(acc.Finish());
-    result.Add(keys[g], std::move(finals));
+    std::span<double> finals = result.Add(keys[g], 0, GroupProvenance::kExact);
+    for (size_t a = 0; a < accs[g].size(); ++a) {
+      finals[a] = accs[g][a].Finish();
+    }
   }
   result.FilterHaving(q.having);
   result.SortByKey();
@@ -439,7 +442,7 @@ void ExpectCoveringScansIdentical(
   const auto index = std::make_shared<const GroupIndex>(std::move(*fine));
   const auto zones = Zones(*table);
   for (const GroupByQuery& q : queries) {
-    const QueryResult reference = NaiveExact(*table, q);
+    const ApproximateResult reference = NaiveExact(*table, q);
     for (size_t threads : {1, 4, 8}) {
       ExecutorOptions options;
       options.num_threads = threads;

@@ -33,15 +33,15 @@ TEST(ExecutorTest, GroupBySumTwoColumns) {
   auto result = ExecuteExact(t, q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_groups(), 3u);
-  const GroupResult* a1 = result->Find({Value("A"), Value(int64_t{1})});
-  ASSERT_NE(a1, nullptr);
-  EXPECT_DOUBLE_EQ(a1->aggregates[0], 3.0);
-  const GroupResult* a2 = result->Find({Value("A"), Value(int64_t{2})});
-  ASSERT_NE(a2, nullptr);
-  EXPECT_DOUBLE_EQ(a2->aggregates[0], 9.0);
-  const GroupResult* b1 = result->Find({Value("B"), Value(int64_t{1})});
-  ASSERT_NE(b1, nullptr);
-  EXPECT_DOUBLE_EQ(b1->aggregates[0], 9.0);
+  const auto a1 = result->Find({Value("A"), Value(int64_t{1})});
+  ASSERT_TRUE(a1.has_value());
+  EXPECT_DOUBLE_EQ(a1->estimates[0], 3.0);
+  const auto a2 = result->Find({Value("A"), Value(int64_t{2})});
+  ASSERT_TRUE(a2.has_value());
+  EXPECT_DOUBLE_EQ(a2->estimates[0], 9.0);
+  const auto b1 = result->Find({Value("B"), Value(int64_t{1})});
+  ASSERT_TRUE(b1.has_value());
+  EXPECT_DOUBLE_EQ(b1->estimates[0], 9.0);
 }
 
 TEST(ExecutorTest, GroupByOneColumnRollsUp) {
@@ -53,10 +53,10 @@ TEST(ExecutorTest, GroupByOneColumnRollsUp) {
   auto result = ExecuteExact(t, q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_groups(), 2u);
-  const GroupResult* a = result->Find({Value("A")});
-  ASSERT_NE(a, nullptr);
-  EXPECT_DOUBLE_EQ(a->aggregates[0], 12.0);
-  EXPECT_DOUBLE_EQ(a->aggregates[1], 4.0);
+  const auto a = result->Find({Value("A")});
+  ASSERT_TRUE(a.has_value());
+  EXPECT_DOUBLE_EQ(a->estimates[0], 12.0);
+  EXPECT_DOUBLE_EQ(a->estimates[1], 4.0);
 }
 
 TEST(ExecutorTest, NoGroupByYieldsSingleGroup) {
@@ -70,12 +70,12 @@ TEST(ExecutorTest, NoGroupByYieldsSingleGroup) {
   auto result = ExecuteExact(t, q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_groups(), 1u);
-  const GroupResult& g = result->rows()[0];
+  const ApproximateGroupRow& g = result->rows()[0];
   EXPECT_TRUE(g.key.empty());
-  EXPECT_DOUBLE_EQ(g.aggregates[0], 21.0);
-  EXPECT_DOUBLE_EQ(g.aggregates[1], 3.5);
-  EXPECT_DOUBLE_EQ(g.aggregates[2], 1.0);
-  EXPECT_DOUBLE_EQ(g.aggregates[3], 6.0);
+  EXPECT_DOUBLE_EQ(g.estimates[0], 21.0);
+  EXPECT_DOUBLE_EQ(g.estimates[1], 3.5);
+  EXPECT_DOUBLE_EQ(g.estimates[2], 1.0);
+  EXPECT_DOUBLE_EQ(g.estimates[3], 6.0);
 }
 
 TEST(ExecutorTest, PredicateFilters) {
@@ -86,12 +86,12 @@ TEST(ExecutorTest, PredicateFilters) {
   q.predicate = MakeRangePredicate(2, 2.0, 5.0);
   auto result = ExecuteExact(t, q);
   ASSERT_TRUE(result.ok());
-  const GroupResult* a = result->Find({Value("A")});
-  ASSERT_NE(a, nullptr);
-  EXPECT_DOUBLE_EQ(a->aggregates[0], 5.0);  // 2 + 3.
-  const GroupResult* b = result->Find({Value("B")});
-  ASSERT_NE(b, nullptr);
-  EXPECT_DOUBLE_EQ(b->aggregates[0], 9.0);  // 4 + 5.
+  const auto a = result->Find({Value("A")});
+  ASSERT_TRUE(a.has_value());
+  EXPECT_DOUBLE_EQ(a->estimates[0], 5.0);  // 2 + 3.
+  const auto b = result->Find({Value("B")});
+  ASSERT_TRUE(b.has_value());
+  EXPECT_DOUBLE_EQ(b->estimates[0], 9.0);  // 4 + 5.
 }
 
 TEST(ExecutorTest, SelectivePredicateDropsGroups) {
@@ -153,7 +153,7 @@ TEST(ExecutorTest, ResultsSortedByKey) {
   auto result = ExecuteExact(t, q);
   ASSERT_TRUE(result.ok());
   for (size_t i = 1; i < result->rows().size(); ++i) {
-    EXPECT_TRUE(result->rows()[i - 1].key < result->rows()[i].key);
+    EXPECT_TRUE(KeyLess(result->row(i - 1).key, result->row(i).key));
   }
 }
 

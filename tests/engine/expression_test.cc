@@ -97,9 +97,9 @@ TEST(ExpressionAggregateTest, ExactExecutorSupportsExpressions) {
   q.aggregates = {spec};
   auto result = ExecuteExact(t, q);
   ASSERT_TRUE(result.ok());
-  const GroupResult* flag0 = result->Find({Value(int64_t{0})});
-  ASSERT_NE(flag0, nullptr);
-  EXPECT_NEAR(flag0->aggregates[0], 100.0 * 0.9 + 200.0, 1e-9);
+  const auto flag0 = result->Find({Value(int64_t{0})});
+  ASSERT_TRUE(flag0.has_value());
+  EXPECT_NEAR(flag0->estimates[0], 100.0 * 0.9 + 200.0, 1e-9);
 }
 
 TEST(ExpressionAggregateTest, EstimatorUnbiasedOnExpression) {
@@ -126,10 +126,10 @@ TEST(ExpressionAggregateTest, EstimatorUnbiasedOnExpression) {
   ASSERT_TRUE(sample.ok());
   auto approx = EstimateGroupBy(*sample, SampleMoments::Compute(*sample), q);
   ASSERT_TRUE(approx.ok());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto est = approx->Find(row.key);
     ASSERT_TRUE(est.has_value());
-    EXPECT_NEAR(est->estimates[0], row.aggregates[0], 1e-9);
+    EXPECT_NEAR(est->estimates[0], row.estimates[0], 1e-9);
   }
 }
 
@@ -144,10 +144,9 @@ TEST(ExpressionAggregateTest, SqlParsesTpcdQ1Revenue) {
   ASSERT_NE(query->aggregates[0].expression, nullptr);
   auto result = ExecuteExact(t, *query);
   ASSERT_TRUE(result.ok());
-  const GroupResult* flag1 = result->Find({Value(int64_t{1})});
-  ASSERT_NE(flag1, nullptr);
-  EXPECT_NEAR(flag1->aggregates[0],
-              50.0 * 0.8 * 1.0 + 150.0 * 0.9 * 1.05, 1e-9);
+  const auto flag1 = result->Find({Value(int64_t{1})});
+  ASSERT_TRUE(flag1.has_value());
+  EXPECT_NEAR(flag1->estimates[0], 50.0 * 0.8 * 1.0 + 150.0 * 0.9 * 1.05, 1e-9);
 }
 
 TEST(ExpressionAggregateTest, SqlUnaryMinusAndPrecedence) {
@@ -159,13 +158,13 @@ TEST(ExpressionAggregateTest, SqlUnaryMinusAndPrecedence) {
   ASSERT_TRUE(result.ok());
   // Precedence: price + (discount*10), summed over 4 rows.
   double expected = (100 + 1.0) + (200 + 0.0) + (50 + 2.0) + (150 + 1.0);
-  EXPECT_NEAR(result->rows()[0].aggregates[0], expected, 1e-9);
+  EXPECT_NEAR(result->rows()[0].estimates[0], expected, 1e-9);
 
   auto neg = sql::ParseQuery("SELECT SUM(-price) FROM t", t.schema());
   ASSERT_TRUE(neg.ok());
   auto neg_result = ExecuteExact(t, *neg);
   ASSERT_TRUE(neg_result.ok());
-  EXPECT_NEAR(neg_result->rows()[0].aggregates[0], -500.0, 1e-9);
+  EXPECT_NEAR(neg_result->rows()[0].estimates[0], -500.0, 1e-9);
 }
 
 TEST(ExpressionAggregateTest, SqlValidation) {
@@ -203,11 +202,11 @@ TEST(ExpressionAggregateTest, RewriterAndEmitterSupportExpressions) {
         RewriteStrategy::kNormalized, RewriteStrategy::kKeyNormalized}) {
     auto result = rewriter.Answer(*query, strategy);
     ASSERT_TRUE(result.ok()) << RewriteStrategyToString(strategy);
-    for (const GroupResult& row : exact->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                  1e-6 * std::abs(row.aggregates[0]));
+    for (const ApproximateGroupRow& row : exact->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                  1e-6 * std::abs(row.estimates[0]));
     }
   }
   std::string emitted =

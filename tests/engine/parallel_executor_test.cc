@@ -29,19 +29,20 @@ Table MakeTable() {
 }
 
 /// Exact bit-equality between answers, including group order.
-void ExpectIdentical(const QueryResult& expected, const QueryResult& actual,
-                     size_t threads) {
+void ExpectIdentical(const ApproximateResult& expected,
+                     const ApproximateResult& actual, size_t threads) {
   ASSERT_EQ(expected.num_groups(), actual.num_groups())
       << threads << " threads";
-  for (size_t i = 0; i < expected.rows().size(); ++i) {
-    const GroupResult& e = expected.rows()[i];
-    const GroupResult& a = actual.rows()[i];
-    EXPECT_EQ(e.key, a.key) << threads << " threads, group " << i;
-    ASSERT_EQ(e.aggregates.size(), a.aggregates.size());
-    for (size_t j = 0; j < e.aggregates.size(); ++j) {
+  for (size_t i = 0; i < expected.num_groups(); ++i) {
+    const ApproximateGroupRow e = expected.row(i);
+    const ApproximateGroupRow a = actual.row(i);
+    EXPECT_TRUE(std::ranges::equal(e.key, a.key))
+        << threads << " threads, group " << i;
+    ASSERT_EQ(e.estimates.size(), a.estimates.size());
+    for (size_t j = 0; j < e.estimates.size(); ++j) {
       // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the engine promises the same
       // bits for every thread count, not just close values.
-      EXPECT_EQ(e.aggregates[j], a.aggregates[j])
+      EXPECT_EQ(e.estimates[j], a.estimates[j])
           << threads << " threads, group " << i << ", aggregate " << j;
     }
   }

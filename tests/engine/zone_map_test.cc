@@ -290,16 +290,16 @@ TEST(ZoneMapTest, StringColumnIsAlwaysFiltered) {
 }
 
 /// Equal bits for every key cell and aggregate, in the same order.
-void ExpectIdentical(const QueryResult& a, const QueryResult& b) {
+void ExpectIdentical(const ApproximateResult& a, const ApproximateResult& b) {
   ASSERT_EQ(a.num_groups(), b.num_groups());
   for (size_t i = 0; i < a.num_groups(); ++i) {
-    const GroupResult& x = a.rows()[i];
-    const GroupResult& y = b.rows()[i];
-    ASSERT_TRUE(x.key == y.key) << i;
-    ASSERT_EQ(x.aggregates.size(), y.aggregates.size());
-    for (size_t k = 0; k < x.aggregates.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<uint64_t>(x.aggregates[k]),
-                std::bit_cast<uint64_t>(y.aggregates[k]))
+    const ApproximateGroupRow x = a.row(i);
+    const ApproximateGroupRow y = b.row(i);
+    ASSERT_TRUE(std::ranges::equal(x.key, y.key)) << i;
+    ASSERT_EQ(x.estimates.size(), y.estimates.size());
+    for (size_t k = 0; k < x.estimates.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(x.estimates[k]),
+                std::bit_cast<uint64_t>(y.estimates[k]))
           << "group " << i << " aggregate " << k;
     }
   }
@@ -350,8 +350,8 @@ TEST(ZoneMapTest, ExactScanWithZonesIsBitIdentical) {
       ExpectIdentical(*plain, *zoned);
       // The COUNTs add up to the rows the predicate matches one by one.
       double matched = 0.0;
-      for (const GroupResult& row : zoned->rows()) {
-        matched += row.aggregates[1];
+      for (const ApproximateGroupRow& row : zoned->rows()) {
+        matched += row.estimates[1];
       }
       double want = 0.0;
       for (int64_t r = 0; r < n; ++r) want += predicate->Matches(t, r);

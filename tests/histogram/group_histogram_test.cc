@@ -44,11 +44,11 @@ TEST(GroupHistogramTest, OneBucketPerGroupIsExact) {
   auto answer = histogram->Answer(SumQuery());
   auto exact = ExecuteExact(t, SumQuery());
   ASSERT_TRUE(answer.ok() && exact.ok());
-  for (const GroupResult& row : exact->rows()) {
-    const GroupResult* est = answer->Find(row.key);
-    ASSERT_NE(est, nullptr);
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      EXPECT_NEAR(est->aggregates[a], row.aggregates[a], 1e-9);
+  for (const ApproximateGroupRow& row : exact->rows()) {
+    const auto est = answer->Find(row.key);
+    ASSERT_TRUE(est.has_value());
+    for (size_t a = 0; a < row.estimates.size(); ++a) {
+      EXPECT_NEAR(est->estimates[a], row.estimates[a], 1e-9);
     }
   }
 }
@@ -64,8 +64,8 @@ TEST(GroupHistogramTest, UniformGroupsStayExactUnderMerging) {
   ASSERT_TRUE(histogram.ok());
   auto answer = histogram->Answer(SumQuery());
   ASSERT_TRUE(answer.ok());
-  for (const GroupResult& row : answer->rows()) {
-    EXPECT_NEAR(row.aggregates[1], 100.0, 1e-9);  // COUNT per group.
+  for (const ApproximateGroupRow& row : answer->rows()) {
+    EXPECT_NEAR(row.estimates[1], 100.0, 1e-9);  // COUNT per group.
   }
 }
 
@@ -87,10 +87,10 @@ TEST(GroupHistogramTest, SkewedGroupsErrUnderMerging) {
   ASSERT_TRUE(histogram.ok());
   auto answer = histogram->Answer(SumQuery());
   ASSERT_TRUE(answer.ok());
-  const GroupResult* small = answer->Find({Value(int64_t{1})});
-  ASSERT_NE(small, nullptr);
+  const auto small = answer->Find({Value(int64_t{1})});
+  ASSERT_TRUE(small.has_value());
   // Uniform spread puts 455 tuples in a 10-tuple group: ~4450% error.
-  EXPECT_GT(small->aggregates[1], 400.0);
+  EXPECT_GT(small->estimates[1], 400.0);
 }
 
 TEST(GroupHistogramTest, RollUpGrouping) {
@@ -118,8 +118,8 @@ TEST(GroupHistogramTest, RollUpGrouping) {
   auto answer = histogram->Answer(q);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->num_groups(), 2u);
-  for (const GroupResult& row : answer->rows()) {
-    EXPECT_NEAR(row.aggregates[1], 100.0, 1e-9);
+  for (const ApproximateGroupRow& row : answer->rows()) {
+    EXPECT_NEAR(row.estimates[1], 100.0, 1e-9);
   }
 }
 

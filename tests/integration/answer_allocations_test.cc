@@ -1,7 +1,7 @@
-// Heap allocations of one approximate answer's whole path: estimate,
-// encode, decode. A counting operator new replaces the global one in this
-// test binary only, so the count covers every allocation the library
-// makes on the calling thread.
+// Heap allocations of one answer's whole path: an approximate estimate or
+// an exact roll-up, then encode and decode. A counting operator new
+// replaces the global one in this test binary only, so the count covers
+// every allocation the library makes on the calling thread.
 
 #include <atomic>
 #include <cstdlib>
@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "core/estimator.h"
+#include "engine/exact_rollups.h"
+#include "engine/zone_map.h"
 #include "net/wire.h"
 #include "sampling/builder.h"
 #include "util/random.h"
@@ -53,21 +55,24 @@ GroupByQuery SumCountBy(size_t column) {
   return q;
 }
 
-/// Allocations made while `query` is estimated from `sample`, encoded
-/// as a response frame and decoded again.
-uint64_t AnswerAllocations(const StratifiedSample& sample,
-                           const SampleMoments& moments,
-                           const GroupByQuery& query, size_t* groups) {
+ExecutorOptions OneThread() {
   ExecutorOptions execution;
   execution.num_threads = 1;
+  return execution;
+}
+
+/// Allocations made while `answer` computes a result, which is then
+/// encoded as a response frame and decoded again.
+template <typename Answer>
+uint64_t AnswerAllocations(const Answer& answer, size_t* groups) {
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  auto estimate = EstimateGroupBy(sample, moments, query, {}, execution);
-  if (!estimate.ok()) {
-    ADD_FAILURE() << estimate.status().ToString();
+  Result<ApproximateResult> result = answer();
+  if (!result.ok()) {
+    ADD_FAILURE() << result.status().ToString();
     return 0;
   }
   serve::Response response;
-  response.result = std::move(estimate).value();
+  response.result = std::move(result).value();
   std::string frame;
   net::EncodeFrame(net::FrameType::kResponse, 1,
                    net::EncodeResponse(response), &frame);
@@ -91,19 +96,52 @@ TEST(AnswerAllocationsTest, CountDoesNotGrowWithGroups) {
   const SampleMoments moments = SampleMoments::Compute(*sample);
   const GroupByQuery by_coarse = SumCountBy(1);
   const GroupByQuery by_fine = SumCountBy(0);
+  auto estimate = [&](const GroupByQuery& query) {
+    return [&sample, &moments, &query] {
+      return EstimateGroupBy(*sample, moments, query, {}, OneThread());
+    };
+  };
   size_t groups = 0;
   // Warm-up: first uses register metrics, resolve kernels and memoize
   // each grouping's roll-up.
-  AnswerAllocations(*sample, moments, by_coarse, &groups);
-  AnswerAllocations(*sample, moments, by_fine, &groups);
+  AnswerAllocations(estimate(by_coarse), &groups);
+  AnswerAllocations(estimate(by_fine), &groups);
 
-  const uint64_t coarse =
-      AnswerAllocations(*sample, moments, by_coarse, &groups);
+  const uint64_t coarse = AnswerAllocations(estimate(by_coarse), &groups);
   EXPECT_EQ(groups, 100u);
-  const uint64_t fine = AnswerAllocations(*sample, moments, by_fine, &groups);
+  const uint64_t fine = AnswerAllocations(estimate(by_fine), &groups);
   EXPECT_EQ(groups, 1000u);
   RecordProperty("allocations_100_groups", std::to_string(coarse));
   RecordProperty("allocations_1000_groups", std::to_string(fine));
+  EXPECT_EQ(coarse, fine) << "100 groups: " << coarse
+                          << " allocations, 1,000 groups: " << fine;
+}
+
+TEST(AnswerAllocationsTest, ExactCountDoesNotGrowWithGroups) {
+  // An exact answer is written straight into the flat answer the wire
+  // encodes: no per-group key or vector, and no second copy.
+  const auto table = std::make_shared<const Table>(MakeTable());
+  auto index = GroupIndex::Build(*table, {0, 1});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const ExactRollups rollups(
+      table, std::make_shared<const GroupIndex>(std::move(index).value()),
+      std::make_shared<const ZoneMap>(ZoneMap::Build(*table)));
+  const GroupByQuery by_coarse = SumCountBy(1);
+  const GroupByQuery by_fine = SumCountBy(0);
+  auto exact = [&rollups](const GroupByQuery& query) {
+    return [&rollups, &query] { return rollups.Execute(query, OneThread()); };
+  };
+  size_t groups = 0;
+  // Warm-up: builds each grouping's memo entry and its states.
+  AnswerAllocations(exact(by_coarse), &groups);
+  AnswerAllocations(exact(by_fine), &groups);
+
+  const uint64_t coarse = AnswerAllocations(exact(by_coarse), &groups);
+  EXPECT_EQ(groups, 100u);
+  const uint64_t fine = AnswerAllocations(exact(by_fine), &groups);
+  EXPECT_EQ(groups, 1000u);
+  RecordProperty("exact_allocations_100_groups", std::to_string(coarse));
+  RecordProperty("exact_allocations_1000_groups", std::to_string(fine));
   EXPECT_EQ(coarse, fine) << "100 groups: " << coarse
                           << " allocations, 1,000 groups: " << fine;
 }

@@ -152,11 +152,11 @@ TEST_F(EndToEndTest, RewriteStrategiesAgreeOnRealWorkload) {
     auto result = rewriter.Answer(q, strategy);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), reference->num_groups());
-    for (const GroupResult& row : reference->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      EXPECT_NEAR(other->aggregates[0], row.aggregates[0],
-                  1e-6 * std::abs(row.aggregates[0]));
+    for (const ApproximateGroupRow& row : reference->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      EXPECT_NEAR(other->estimates[0], row.estimates[0],
+                  1e-6 * std::abs(row.estimates[0]));
     }
   }
 }
@@ -168,11 +168,11 @@ TEST_F(EndToEndTest, ErrorBoundsMostlyCoverTruthOnQg2) {
   ASSERT_TRUE(approx.ok());
   int covered = 0;
   int total = 0;
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto est = approx->Find(row.key);
     ASSERT_TRUE(est.has_value());
     ++total;
-    if (std::abs(est->estimates[0] - row.aggregates[0]) <= est->bounds[0]) {
+    if (std::abs(est->estimates[0] - row.estimates[0]) <= est->bounds[0]) {
       ++covered;
     }
   }

@@ -196,7 +196,7 @@ TEST(HavingTest, CensusStatesAboveThreshold) {
   EXPECT_GT(exact->num_groups(), 0u);
   EXPECT_LT(exact->num_groups(), 30u);
   size_t agree = 0;
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     if (approx->Find(row.key).has_value()) ++agree;
   }
   EXPECT_GE(agree + 2, exact->num_groups());  // At most 2 borderline misses.

@@ -108,12 +108,12 @@ TEST_P(RewriteEquivalenceSweep, AllPlansProduceTheSameAnswer) {
     auto result = rewriter.Answer(q, plan);
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), reference->num_groups());
-    for (const GroupResult& row : reference->rows()) {
-      const GroupResult* other = result->Find(row.key);
-      ASSERT_NE(other, nullptr);
-      for (size_t a = 0; a < row.aggregates.size(); ++a) {
-        EXPECT_NEAR(other->aggregates[a], row.aggregates[a],
-                    1e-6 * std::abs(row.aggregates[a]) + 1e-9);
+    for (const ApproximateGroupRow& row : reference->rows()) {
+      const auto other = result->Find(row.key);
+      ASSERT_TRUE(other.has_value());
+      for (size_t a = 0; a < row.estimates.size(); ++a) {
+        EXPECT_NEAR(other->estimates[a], row.estimates[a],
+                    1e-6 * std::abs(row.estimates[a]) + 1e-9);
       }
     }
   }
@@ -142,7 +142,7 @@ TEST_P(UnbiasednessSweep, GlobalSumEstimateIsUnbiased) {
   q.aggregates = {AggregateSpec{AggregateKind::kSum, tpcd::kLQuantity}};
   auto exact = ExecuteExact(t, q);
   ASSERT_TRUE(exact.ok());
-  const double truth = exact->rows()[0].aggregates[0];
+  const double truth = exact->rows()[0].estimates[0];
 
   const int trials = 120;
   double total = 0.0;

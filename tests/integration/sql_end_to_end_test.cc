@@ -99,7 +99,7 @@ TEST_F(SqlEndToEndTest, WherePlusHaving) {
   ASSERT_TRUE(exact.ok() && approx.ok());
   // HAVING thresholds agree on all but borderline groups.
   size_t agree = 0;
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     if (approx->Find(row.key).has_value()) ++agree;
   }
   EXPECT_GE(agree + 2, exact->num_groups());
@@ -122,12 +122,12 @@ TEST_F(SqlEndToEndTest, AllRewritePlansAgreeOnSqlQueries) {
       auto result = engine_->QueryVia(sql, strategy);
       ASSERT_TRUE(result.ok()) << sql;
       ASSERT_EQ(result->num_groups(), reference->num_groups()) << sql;
-      for (const GroupResult& row : reference->rows()) {
-        const GroupResult* other = result->Find(row.key);
-        ASSERT_NE(other, nullptr);
-        for (size_t a = 0; a < row.aggregates.size(); ++a) {
-          EXPECT_NEAR(other->aggregates[a], row.aggregates[a],
-                      1e-6 * std::fabs(row.aggregates[a]) + 1e-9)
+      for (const ApproximateGroupRow& row : reference->rows()) {
+        const auto other = result->Find(row.key);
+        ASSERT_TRUE(other.has_value());
+        for (size_t a = 0; a < row.estimates.size(); ++a) {
+          EXPECT_NEAR(other->estimates[a], row.estimates[a],
+                      1e-6 * std::fabs(row.estimates[a]) + 1e-9)
               << sql;
         }
       }

@@ -110,10 +110,10 @@ TEST(StarSchemaTest, MaterializeMatchesGenericHashJoin) {
   auto a = ExecuteExact(*star, q);
   auto b = ExecuteExact(*generic, q);
   ASSERT_TRUE(a.ok() && b.ok());
-  for (const GroupResult& row : a->rows()) {
-    const GroupResult* other = b->Find(row.key);
-    ASSERT_NE(other, nullptr);
-    EXPECT_DOUBLE_EQ(other->aggregates[0], row.aggregates[0]);
+  for (const ApproximateGroupRow& row : a->rows()) {
+    const auto other = b->Find(row.key);
+    ASSERT_TRUE(other.has_value());
+    EXPECT_DOUBLE_EQ(other->estimates[0], row.estimates[0]);
   }
 }
 

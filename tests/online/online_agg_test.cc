@@ -48,11 +48,11 @@ TEST(OnlineAggTest, FullScanIsExact) {
     auto exact = ExecuteExact(t, SumQuery());
     ASSERT_TRUE(estimate.ok() && exact.ok());
     ASSERT_EQ(estimate->num_groups(), exact->num_groups());
-    for (const GroupResult& row : exact->rows()) {
+    for (const ApproximateGroupRow& row : exact->rows()) {
       const auto est = estimate->Find(row.key);
       ASSERT_TRUE(est.has_value());
-      EXPECT_NEAR(est->estimates[0], row.aggregates[0], 1e-9);
-      EXPECT_NEAR(est->estimates[1], row.aggregates[1], 1e-9);
+      EXPECT_NEAR(est->estimates[0], row.estimates[0], 1e-9);
+      EXPECT_NEAR(est->estimates[1], row.estimates[1], 1e-9);
       EXPECT_NEAR(est->std_errors[0], 0.0, 1e-9);  // FPC at full scan.
     }
   }
@@ -133,10 +133,10 @@ TEST(OnlineAggTest, PredicateSupported) {
   while (!agg->Done()) agg->Step(1024);
   auto estimate = agg->CurrentEstimate();
   ASSERT_TRUE(estimate.ok());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto est = estimate->Find(row.key);
     ASSERT_TRUE(est.has_value());
-    EXPECT_NEAR(est->estimates[0], row.aggregates[0], 1e-9);
+    EXPECT_NEAR(est->estimates[0], row.estimates[0], 1e-9);
   }
 }
 
@@ -156,11 +156,11 @@ TEST(OnlineAggTest, BoundsCoverTruthDuringScan) {
     agg->Step(t.num_rows() / 10);
     auto estimate = agg->CurrentEstimate();
     ASSERT_TRUE(estimate.ok());
-    for (const GroupResult& row : exact->rows()) {
+    for (const ApproximateGroupRow& row : exact->rows()) {
       const auto est = estimate->Find(row.key);
       if (!est) continue;
       ++total;
-      if (std::abs(est->estimates[0] - row.aggregates[0]) <= est->bounds[0]) {
+      if (std::abs(est->estimates[0] - row.estimates[0]) <= est->bounds[0]) {
         ++covered;
       }
     }

@@ -156,11 +156,11 @@ TEST_F(PlannerTest, ErrorBudgetIsHonoredOrEscalated) {
   // eventually kept — possibly after escalation.
   auto exact = ExecuteExact(*snapshot_->table, query);
   ASSERT_TRUE(exact.ok());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto got = planned->result.Find(row.key);
     ASSERT_TRUE(got.has_value());
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      EXPECT_LE(std::fabs(got->estimates[a] - row.aggregates[a]),
+    for (size_t a = 0; a < row.estimates.size(); ++a) {
+      EXPECT_LE(std::fabs(got->estimates[a] - row.estimates[a]),
                 got->bounds[a] + 1e-9);
     }
   }
@@ -227,10 +227,10 @@ TEST_F(PlannerTest, CombinedPlanStitchesExactOutliersAndSampledTail) {
     saw_combined =
         saw_combined || row.provenance == GroupProvenance::kCombined ||
         row.provenance == GroupProvenance::kExact;
-    const GroupResult* truth = exact->Find(row.key);
-    ASSERT_NE(truth, nullptr);
+    const auto truth = exact->Find(row.key);
+    ASSERT_TRUE(truth.has_value());
     for (size_t a = 0; a < row.estimates.size(); ++a) {
-      EXPECT_LE(std::fabs(row.estimates[a] - truth->aggregates[a]),
+      EXPECT_LE(std::fabs(row.estimates[a] - truth->estimates[a]),
                 row.bounds[a] + 1e-9)
           << "group " << a;
     }
@@ -252,12 +252,12 @@ TEST_F(PlannerTest, FullPopulationCombinedPlanMatchesExact) {
   auto exact = ExecuteExact(*(*snapshot)->table, SumQuery());
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(combined->num_groups(), exact->rows().size());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto got = combined->Find(row.key);
     ASSERT_TRUE(got.has_value());
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      EXPECT_NEAR(got->estimates[a], row.aggregates[a],
-                  1e-9 * std::max(1.0, std::fabs(row.aggregates[a])));
+    for (size_t a = 0; a < row.estimates.size(); ++a) {
+      EXPECT_NEAR(got->estimates[a], row.estimates[a],
+                  1e-9 * std::max(1.0, std::fabs(row.estimates[a])));
     }
   }
 }
@@ -388,7 +388,7 @@ TEST_F(PlannerTest, SqlBudgetRoutesThroughPlanner) {
   auto exact = engine_.QueryExact(
       "SELECT region, SUM(amount) FROM sales GROUP BY region");
   ASSERT_TRUE(exact.ok());
-  for (const GroupResult& row : exact->rows()) {
+  for (const ApproximateGroupRow& row : exact->rows()) {
     const auto got = result->Find(row.key);
     ASSERT_TRUE(got.has_value());
     EXPECT_LE(got->bounds[0], 0.05 * std::fabs(got->estimates[0]) + 1e-9);

@@ -159,9 +159,9 @@ TEST(CongressVariantsTest, AllVariantsGiveUnbiasedEstimates) {
         sums[GroupKey(row.key.begin(), row.key.end())] += row.estimates[0];
       }
     }
-    for (const GroupResult& row : exact->rows()) {
-      double mean = sums[row.key] / trials;
-      EXPECT_NEAR(mean, row.aggregates[0], 0.05 * row.aggregates[0])
+    for (const ApproximateGroupRow& row : exact->rows()) {
+      double mean = sums[GroupKey(row.key.begin(), row.key.end())] / trials;
+      EXPECT_NEAR(mean, row.estimates[0], 0.05 * row.estimates[0])
           << CongressVariantToString(variant) << " "
           << GroupKeyToString(row.key);
     }

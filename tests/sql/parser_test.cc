@@ -168,10 +168,10 @@ TEST(BindTest, BoundQueryExecutesCorrectly) {
   auto result = ExecuteExact(t, *query);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_groups(), 1u);  // g=2 filtered out.
-  const GroupResult* g1 = result->Find({Value(int64_t{1})});
-  ASSERT_NE(g1, nullptr);
-  EXPECT_DOUBLE_EQ(g1->aggregates[0], 30.0);
-  EXPECT_DOUBLE_EQ(g1->aggregates[1], 15.0);
+  const auto g1 = result->Find({Value(int64_t{1})});
+  ASSERT_TRUE(g1.has_value());
+  EXPECT_DOUBLE_EQ(g1->estimates[0], 30.0);
+  EXPECT_DOUBLE_EQ(g1->estimates[1], 15.0);
 }
 
 TEST(BindTest, AllComparisonOperatorsWork) {
@@ -198,7 +198,7 @@ TEST(BindTest, AllComparisonOperatorsWork) {
     ASSERT_TRUE(query.ok()) << c.sql;
     auto result = ExecuteExact(t, *query);
     ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(result->rows()[0].aggregates[0], c.expected_count)
+    EXPECT_DOUBLE_EQ(result->rows()[0].estimates[0], c.expected_count)
         << c.sql;
   }
 }

@@ -64,9 +64,9 @@ TEST(CensusTest, SalariesPositiveAndStateLevelsDiffer) {
   ASSERT_TRUE(result.ok());
   double min_avg = 1e18;
   double max_avg = 0.0;
-  for (const GroupResult& row : result->rows()) {
-    min_avg = std::min(min_avg, row.aggregates[0]);
-    max_avg = std::max(max_avg, row.aggregates[0]);
+  for (const ApproximateGroupRow& row : result->rows()) {
+    min_avg = std::min(min_avg, row.estimates[0]);
+    max_avg = std::max(max_avg, row.estimates[0]);
   }
   EXPECT_GT(max_avg, 1.2 * min_avg);
 }

@@ -50,7 +50,7 @@ TEST(WorkloadTest, Qg0SelectsExpectedRange) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->num_groups(), 1u);
   // l_id is 1..5000 dense, so [1000, 1499] selects exactly 500 tuples.
-  EXPECT_DOUBLE_EQ(result->rows()[0].aggregates[0], 500.0);
+  EXPECT_DOUBLE_EQ(result->rows()[0].estimates[0], 500.0);
 }
 
 TEST(WorkloadTest, Qg0SetSelectivity) {
@@ -70,7 +70,7 @@ TEST(WorkloadTest, Qg0SetSelectivity) {
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->num_groups(), 1u);
     // Each query selects ~7% of the table (701 ids, inclusive range).
-    EXPECT_NEAR(result->rows()[0].aggregates[0], 700.0, 2.0);
+    EXPECT_NEAR(result->rows()[0].estimates[0], 700.0, 2.0);
   }
 }
 

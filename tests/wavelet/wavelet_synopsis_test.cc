@@ -71,11 +71,11 @@ TEST(WaveletSynopsisTest, FullBudgetIsExact) {
   auto answer = synopsis->Answer(CountSumQuery());
   auto exact = ExecuteExact(t, CountSumQuery());
   ASSERT_TRUE(answer.ok() && exact.ok());
-  for (const GroupResult& row : exact->rows()) {
-    const GroupResult* est = answer->Find(row.key);
-    ASSERT_NE(est, nullptr);
-    for (size_t a = 0; a < row.aggregates.size(); ++a) {
-      EXPECT_NEAR(est->aggregates[a], row.aggregates[a], 1e-6);
+  for (const ApproximateGroupRow& row : exact->rows()) {
+    const auto est = answer->Find(row.key);
+    ASSERT_TRUE(est.has_value());
+    for (size_t a = 0; a < row.estimates.size(); ++a) {
+      EXPECT_NEAR(est->estimates[a], row.estimates[a], 1e-6);
     }
   }
 }
@@ -93,8 +93,8 @@ TEST(WaveletSynopsisTest, UniformDataCompressesToOneCoefficient) {
   q.aggregates = {AggregateSpec{AggregateKind::kCount, 0}};
   auto answer = synopsis->Answer(q);
   ASSERT_TRUE(answer.ok());
-  for (const GroupResult& row : answer->rows()) {
-    EXPECT_NEAR(row.aggregates[0], 25.0, 1e-9);
+  for (const ApproximateGroupRow& row : answer->rows()) {
+    EXPECT_NEAR(row.estimates[0], 25.0, 1e-9);
   }
 }
 
@@ -174,8 +174,8 @@ TEST(WaveletSynopsisTest, RollUpAndStorageAccounting) {
   auto answer = synopsis->Answer(q);
   ASSERT_TRUE(answer.ok());
   ASSERT_EQ(answer->num_groups(), 2u);
-  for (const GroupResult& row : answer->rows()) {
-    EXPECT_NEAR(row.aggregates[0], 80.0, 1e-6);
+  for (const ApproximateGroupRow& row : answer->rows()) {
+    EXPECT_NEAR(row.estimates[0], 80.0, 1e-6);
   }
 }
 
